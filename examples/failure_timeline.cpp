@@ -22,7 +22,7 @@
 #include "ayd/model/scenario.hpp"
 #include "ayd/sim/protocol.hpp"
 #include "ayd/sim/trace.hpp"
-#include "ayd/sim/two_level_protocol.hpp"
+#include "ayd/sim/segmented.hpp"
 #include "ayd/util/strings.hpp"
 
 int main(int argc, char** argv) {
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(n_patterns),
                   util::format_duration(two_pattern.period).c_str(), procs,
                   two_pattern.segments);
-      sim::TwoLevelDesSimulator simulator(two_sys, two_pattern);
+      sim::SegmentedDesSimulator simulator(two_sys, two_pattern);
       for (std::uint64_t i = 0; i < n_patterns; ++i) {
         const sim::PatternStats s =
             simulator.simulate_pattern(rng, &trace, clock);

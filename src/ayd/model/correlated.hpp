@@ -40,8 +40,8 @@
 // into ResilienceCosts — so a degenerate extended system IS the plain
 // system (same type, same simulator path, same canonical key, bitwise
 // identical results; tests/property_test.cpp pins this). Only genuinely
-// extended systems route to the correlated simulators
-// (sim/correlated.hpp), whose samplers the statistical tier validates
+// extended systems route to the segmented simulators
+// (sim/segmented.hpp), whose samplers the statistical tier validates
 // (tests/model_correlated_test.cpp).
 
 #pragma once

@@ -67,7 +67,7 @@ class System {
   // -- Correlated / multi-level extensions (model/correlated.hpp) ------
 
   /// True when any extension survived normalization; extended systems
-  /// route to the correlated simulators (sim/correlated.hpp) and are
+  /// route to the segmented simulators (sim/segmented.hpp) and are
   /// excluded from CRN variate pooling.
   [[nodiscard]] bool extended() const { return ext_ != nullptr; }
   /// The normalized extension bundle (nullptr for plain systems).

@@ -47,7 +47,7 @@ struct ServiceOptions {
   std::size_t cache_shards = 16;
   /// Directory of the persistent answer store (--cache-dir; empty
   /// disables the disk tier). Created on demand; see store.hpp.
-  std::string cache_dir;
+  std::string cache_dir{};
 };
 
 class PlanningService {

@@ -117,8 +117,14 @@ bool ShmRing::try_push(std::string_view prefix, std::string_view body,
         // payload copy below is attributable to this pid.
         slot->claimant.store(claimant_pid, std::memory_order_relaxed);
         char* payload = reinterpret_cast<char*>(slot) + sizeof(Slot);
-        std::memcpy(payload, prefix.data(), prefix.size());
-        std::memcpy(payload + prefix.size(), body.data(), body.size());
+        // An empty part may have a null data(); memcpy from null is UB
+        // even for zero bytes.
+        if (!prefix.empty()) {
+          std::memcpy(payload, prefix.data(), prefix.size());
+        }
+        if (!body.empty()) {
+          std::memcpy(payload + prefix.size(), body.data(), body.size());
+        }
         slot->len = static_cast<std::uint32_t>(total);
         slot->seq.store(pos + 1, std::memory_order_release);  // commit
         return true;

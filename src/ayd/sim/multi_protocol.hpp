@@ -1,43 +1,23 @@
 // Simulation of multi-verification patterns (extension; see
 // core/multi_verification.hpp): n work segments, each followed by a
-// verification, one checkpoint at the end. Error semantics are identical
-// to the base VC protocol except that a silent error is detected by the
-// first verification after it strikes.
+// verification, one checkpoint at the end, run by the segmented-pattern
+// interpreters (sim/segmented.hpp). A silent error is detected by the
+// first verification after it strikes; n == 1 is the VC pattern.
 
 #pragma once
 
 #include "ayd/core/multi_verification.hpp"
-#include "ayd/model/system.hpp"
-#include "ayd/rng/stream.hpp"
-#include "ayd/sim/protocol.hpp"
 #include "ayd/sim/runner.hpp"
+#include "ayd/sim/segmented.hpp"
 
 namespace ayd::sim {
 
-/// Closed-form per-segment sampler for MULTIPATTERN(T, P, n); with n == 1
-/// it samples exactly the same process as FastProtocolSimulator.
-class MultiVerifSimulator {
- public:
-  MultiVerifSimulator(const model::System& sys,
-                      const core::MultiPattern& pattern);
+/// The fast interpreter, constructed (System, MultiPattern).
+using MultiVerifSimulator = SegmentedFastSimulator;
 
-  [[nodiscard]] PatternStats simulate_pattern(rng::RngStream& rng);
-
-  [[nodiscard]] const core::MultiPattern& pattern() const { return pattern_; }
-
- private:
-  core::MultiPattern pattern_;
-  double lf_;
-  double ls_;
-  double w_;  ///< segment length T/n
-  double v_;
-  double c_;
-  double r_;
-  double d_;
-};
-
-/// Replicated overhead estimate for a multi-pattern (mirrors
-/// sim::simulate_overhead for the base protocol).
+/// Replicated overhead estimate for a multi-pattern: sim::simulate_overhead
+/// with the multi-verification plan; opt.backend selects the interpreter
+/// and analytic_* carry the exponential closed form.
 [[nodiscard]] ReplicationResult simulate_multi_overhead(
     const model::System& sys, const core::MultiPattern& pattern,
     const ReplicationOptions& opt = {}, exec::ThreadPool* pool = nullptr);

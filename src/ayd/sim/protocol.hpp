@@ -86,7 +86,7 @@ struct PatternStats {
   std::uint64_t silent_detections = 0;    ///< silent errors caught by verify
   std::uint64_t masked_silent = 0;   ///< silent errors masked by fail-stop
   /// Fail-stop strikes attributed to the platform-wide shock stream of a
-  /// correlated world (sim/correlated.hpp); always 0 for the plain
+  /// correlated world (sim/segmented.hpp); always 0 for the plain
   /// simulators in this header.
   std::uint64_t shock_errors = 0;
 

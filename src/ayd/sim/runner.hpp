@@ -20,13 +20,16 @@
 
 namespace ayd::sim {
 
+/// Every protocol and failure world has both backends. A VC pattern on a
+/// plain System runs the bit-pinned simulators (sim/protocol.hpp);
+/// extended Systems (model/correlated.hpp), multi-verification
+/// (sim/multi_protocol.hpp) and two-level patterns
+/// (sim/two_level_protocol.hpp) run the segmented-pattern interpreters
+/// (sim/segmented.hpp).
 enum class Backend {
   kFast,  ///< closed-form per-segment sampler (default)
   kDes,   ///< event-queue reference simulator
 };
-// Extended systems (model/correlated.hpp) keep the same two-backend
-// choice; the driver routes them to the correlated simulators
-// (sim/correlated.hpp) instead of the plain bit-pinned ones.
 
 struct ReplicationOptions {
   /// Independent runs (the paper uses 500).

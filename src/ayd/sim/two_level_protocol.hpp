@@ -1,80 +1,26 @@
 // Simulation of two-level checkpointing patterns (extension; see
 // core/two_level.hpp): n work segments each ending in a verification and
 // a level-1 (in-memory) checkpoint, a level-2 (stable-storage) checkpoint
-// closing the pattern. A silent error re-executes only its segment after
+// closing the pattern, run by the segmented-pattern interpreters
+// (sim/segmented.hpp). A silent error re-executes only its segment after
 // a level-1 recovery; a fail-stop error costs downtime + level-2 recovery
-// and restarts the whole pattern.
+// and restarts the whole pattern. With n == 1 and L = R the process is
+// the VC pattern's.
 
 #pragma once
 
 #include "ayd/core/two_level.hpp"
-#include "ayd/rng/stream.hpp"
-#include "ayd/sim/protocol.hpp"
 #include "ayd/sim/runner.hpp"
-#include "ayd/sim/trace.hpp"
+#include "ayd/sim/segmented.hpp"
 
 namespace ayd::sim {
 
-/// Closed-form per-segment sampler for TWOLEVELPATTERN(T, P, n). With
-/// n == 1 and a level-1 cost equal to the base recovery cost it samples
-/// exactly the same process as FastProtocolSimulator.
-class TwoLevelSimulator {
- public:
-  TwoLevelSimulator(const core::TwoLevelSystem& sys,
-                    const core::TwoLevelPattern& pattern);
+/// The fast interpreter, constructed (TwoLevelSystem, TwoLevelPattern).
+using TwoLevelSimulator = SegmentedFastSimulator;
 
-  [[nodiscard]] PatternStats simulate_pattern(rng::RngStream& rng);
-
-  [[nodiscard]] const core::TwoLevelPattern& pattern() const {
-    return pattern_;
-  }
-
- private:
-  core::TwoLevelPattern pattern_;
-  double lf_;
-  double ls_;
-  double w_;   ///< segment work length T/n
-  double v_;   ///< verification cost V_P
-  double l1_;  ///< level-1 checkpoint (= level-1 recovery) cost L_P
-  double c2_;  ///< level-2 checkpoint cost C_P
-  double r2_;  ///< level-2 recovery cost R_P
-  double d_;   ///< downtime D
-};
-
-/// Event-queue reference simulator for two-level patterns: same
-/// distribution as TwoLevelSimulator (tests compare the two), plus
-/// labelled execution traces. Level-1 and level-2 checkpoints both trace
-/// as kCheckpoint; both recovery levels trace as kRecovery.
-class TwoLevelDesSimulator {
- public:
-  TwoLevelDesSimulator(const core::TwoLevelSystem& sys,
-                       const core::TwoLevelPattern& pattern);
-
-  /// Simulates one pattern to completion. If `trace` is given, appends
-  /// labelled segments starting at `start_time`.
-  [[nodiscard]] PatternStats simulate_pattern(rng::RngStream& rng,
-                                              Trace* trace = nullptr,
-                                              double start_time = 0.0);
-
-  [[nodiscard]] const core::TwoLevelPattern& pattern() const {
-    return pattern_;
-  }
-
- private:
-  core::TwoLevelPattern pattern_;
-  double lf_;
-  double ls_;
-  double w_;
-  double v_;
-  double l1_;
-  double c2_;
-  double r2_;
-  double d_;
-};
-
-/// Replicated overhead estimate for a two-level pattern (mirrors
-/// sim::simulate_overhead for the base protocol). opt.backend selects the
-/// fast sampler (default) or the DES engine.
+/// Replicated overhead estimate for a two-level pattern:
+/// sim::simulate_overhead with the two-level plan; opt.backend selects
+/// the interpreter and analytic_* carry the exponential closed form.
 [[nodiscard]] ReplicationResult simulate_two_level_overhead(
     const core::TwoLevelSystem& sys, const core::TwoLevelPattern& pattern,
     const ReplicationOptions& opt = {}, exec::ThreadPool* pool = nullptr);

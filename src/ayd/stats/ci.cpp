@@ -47,13 +47,20 @@ double beta_continued_fraction(double a, double b, double x) {
   return h;
 }
 
+/// ln|Gamma(x)| via the reentrant lgamma_r (same implementation, same
+/// bits): std::lgamma writes glibc's global signgam, a data race when
+/// confidence intervals are computed on several threads.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 /// Regularised incomplete beta I_x(a, b) for a, b > 0, x in [0, 1].
 double incomplete_beta(double a, double b, double x) {
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
-  const double ln_front = std::lgamma(a + b) - std::lgamma(a) -
-                          std::lgamma(b) + a * std::log(x) +
-                          b * std::log1p(-x);
+  const double ln_front = log_gamma(a + b) - log_gamma(a) - log_gamma(b) +
+                          a * std::log(x) + b * std::log1p(-x);
   const double front = std::exp(ln_front);
   if (x < (a + 1.0) / (a + b + 2.0)) {
     return front * beta_continued_fraction(a, b, x) / a;

@@ -1,7 +1,7 @@
 // Statistical validation of the correlated / multi-level world samplers
 // (CTest label: "statistical"; CI runs this tier in its own job).
 //
-// The correlated simulators (sim/correlated.hpp) draw one arrival per
+// The segmented simulators (sim/segmented.hpp) draw one arrival per
 // fail source each renewal interval and let the earliest strike. The
 // marginal law of that minimum has the closed form
 //     F(x) = 1 - prod_j (1 - F_j(x))
@@ -25,7 +25,7 @@
 #include "ayd/model/scenario.hpp"
 #include "ayd/model/system.hpp"
 #include "ayd/rng/stream.hpp"
-#include "ayd/sim/correlated.hpp"
+#include "ayd/sim/segmented.hpp"
 #include "ayd/stats/ks.hpp"
 #include "ayd/util/error.hpp"
 
@@ -37,9 +37,9 @@ constexpr std::uint64_t kSeed = 0xA4D2016ULL;
 constexpr double kPValueFloor = 1e-3;
 
 /// The production source set of an extended system at this pattern.
-sim::detail::CorrelatedWorld world_of(const System& sys,
-                                      const core::Pattern& pattern) {
-  return sim::detail::CorrelatedWorld(sys, pattern);
+sim::detail::SegmentedWorld world_of(const System& sys,
+                                     const core::Pattern& pattern) {
+  return sim::detail::SegmentedWorld(sys, pattern);
 }
 
 struct MinDraw {
@@ -49,11 +49,11 @@ struct MinDraw {
 
 /// One renewal-interval draw exactly as the fast simulator makes it:
 /// every active source sampled in order, strict < keeps the first.
-MinDraw draw_min(const sim::detail::CorrelatedWorld& world,
+MinDraw draw_min(const sim::detail::SegmentedWorld& world,
                  rng::RngStream& rng) {
   MinDraw out;
   out.gap = std::numeric_limits<double>::infinity();
-  for (const sim::detail::FailSource& src : world.fail_sources()) {
+  for (const sim::detail::FailSource& src : world.fail_sources) {
     if (src.dist->rate() <= 0.0) continue;
     const double a = src.dist->sample(rng);
     if (a < out.gap) {
@@ -65,9 +65,9 @@ MinDraw draw_min(const sim::detail::CorrelatedWorld& world,
 }
 
 /// Closed-form CDF of the minimum over the world's fail sources.
-double min_cdf(const sim::detail::CorrelatedWorld& world, double x) {
+double min_cdf(const sim::detail::SegmentedWorld& world, double x) {
   double survival = 1.0;
-  for (const sim::detail::FailSource& src : world.fail_sources()) {
+  for (const sim::detail::FailSource& src : world.fail_sources) {
     if (src.dist->rate() <= 0.0) continue;
     survival *= 1.0 - src.dist->cdf(x);
   }
@@ -148,7 +148,7 @@ TEST(CorrelatedSamplers, ShockShareAndMeanGapMatchClosedFormMoments) {
   const double lambda_ind = (1.0 - rho) * f * lambda * procs;
   const double lambda_shock = rho * f * lambda / g;
   const double lambda_total = lambda_ind + lambda_shock;
-  ASSERT_NEAR(world.total_fail_rate(), lambda_total, 1e-12 * lambda_total);
+  ASSERT_NEAR(world.total_fail_rate, lambda_total, 1e-12 * lambda_total);
 
   rng::RngStream rng(kSeed, 5);
   std::size_t shocks = 0;
@@ -181,15 +181,15 @@ TEST(CorrelatedSamplers, HeterogeneousClassSharesMatchRateFractions) {
                          .with_lambda(1e-8)
                          .with_heterogeneity(hetero);
   const auto world = world_of(sys, {3600.0, 256.0});
-  ASSERT_EQ(world.fail_sources().size(), 2u);
+  ASSERT_EQ(world.fail_sources.size(), 2u);
 
   rng::RngStream rng(kSeed, 6);
   std::size_t first = 0;
   for (std::size_t i = 0; i < kSamples; ++i) {
     double best = std::numeric_limits<double>::infinity();
     std::size_t who = 0;
-    for (std::size_t j = 0; j < world.fail_sources().size(); ++j) {
-      const double a = world.fail_sources()[j].dist->sample(rng);
+    for (std::size_t j = 0; j < world.fail_sources.size(); ++j) {
+      const double a = world.fail_sources[j].dist->sample(rng);
       if (a < best) {
         best = a;
         who = j;
@@ -242,7 +242,7 @@ TEST(CorrelatedSpecs, FromPenaltyScalesRecoveryCoefficientwise) {
     EXPECT_DOUBLE_EQ(spec.bb_write.cost(p) + spec.pfs_write.cost(p),
                      base.costs().checkpoint.cost(p));
   }
-  EXPECT_THROW(TwoTierCostSpec::from_penalty(base.costs(), 0.5),
+  EXPECT_THROW((void)TwoTierCostSpec::from_penalty(base.costs(), 0.5),
                util::InvalidArgument);
 }
 

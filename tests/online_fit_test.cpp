@@ -282,7 +282,9 @@ TEST(OnlineFit, NoDriftBeforeMinEventsOrWithoutBaseline) {
       draw(model::FailureDistSpec::weibull(2.0), 1.0 / 60.0, 300, 15);
   for (std::size_t i = 0; i < gaps.size(); ++i) {
     const DriftDecision d = no_baseline.add(gaps[i]);
-    if (i + 1 < opt.min_events) EXPECT_FALSE(d.refit_ran);
+    if (i + 1 < opt.min_events) {
+      EXPECT_FALSE(d.refit_ran);
+    }
     EXPECT_FALSE(d.drift);
   }
 }

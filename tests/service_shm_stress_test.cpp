@@ -94,6 +94,7 @@ std::string request_line(int client, int i) {
       if (reply.find(id_token) == std::string::npos) {
         std::fprintf(stderr, "client %d: reply lost its id: %s\n", client,
                      reply.c_str());
+        shm.reset();
         std::_Exit(3);
       }
       if (reply != reference.handle_line(line)) {
@@ -101,9 +102,14 @@ std::string request_line(int client, int i) {
                      "client %d: shm reply diverged from pipe reply for "
                      "%s\n  shm:  %s\n",
                      client, line.c_str(), reply.c_str());
+        shm.reset();
         std::_Exit(4);
       }
     }
+    // Detach before exiting: _Exit skips ~ShmClient, and a slot left
+    // attached by a dead pid is reclaimed by the server's housekeeping
+    // pass, which would race the reclaimed_clients check below.
+    shm.reset();
     std::_Exit(0);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "client: %s\n", e.what());

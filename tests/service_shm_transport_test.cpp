@@ -80,6 +80,20 @@ TEST(ShmRing, PushPopRoundTripsInFifoOrder) {
   EXPECT_EQ(ring.try_pop(out), ShmRing::Pop::kEmpty);
 }
 
+TEST(ShmRing, EmptyPrefixOrBodyRoundTrips) {
+  // Default-constructed views have a null data(); the push must not hand
+  // it to memcpy (UBSan flags that even for zero bytes).
+  RingBlock block(ShmRing::bytes_required(4, 64));
+  ShmRing ring = ShmRing::init(block.data, 4, 64);
+  ASSERT_TRUE(ring.try_push(std::string_view{}, "body-only", 1));
+  ASSERT_TRUE(ring.try_push("prefix-only", std::string_view{}, 1));
+  std::string out;
+  ASSERT_EQ(ring.try_pop(out), ShmRing::Pop::kFrame);
+  EXPECT_EQ(out, "body-only");
+  ASSERT_EQ(ring.try_pop(out), ShmRing::Pop::kFrame);
+  EXPECT_EQ(out, "prefix-only");
+}
+
 TEST(ShmRing, FullRingRejectsWithoutBlocking) {
   RingBlock block(ShmRing::bytes_required(4, 64));
   ShmRing ring = ShmRing::init(block.data, 4, 64);

@@ -13,12 +13,15 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "ayd/core/first_order.hpp"
 #include "ayd/model/platform.hpp"
 #include "ayd/model/scenario.hpp"
+#include "ayd/sim/multi_protocol.hpp"
+#include "ayd/sim/two_level_protocol.hpp"
 
 namespace ayd::sim {
 namespace {
@@ -147,8 +150,8 @@ TEST(BackendEquivalence, ErrorFreeSystemIsDeterministicOnBothBackends) {
   }
 }
 
-// Correlated worlds route to their own pair of backends
-// (sim/correlated.hpp); the same CI-agreement criterion holds them
+// Correlated worlds route to the segmented interpreters
+// (sim/segmented.hpp); the same CI-agreement criterion holds them
 // together across all three extension axes.
 TEST(BackendEquivalence, CorrelatedShockArrivals) {
   const model::System sys =
@@ -245,6 +248,60 @@ TEST(BackendEquivalence, ShockTelemetryMatchesAcrossBackends) {
               0.25 * (fast.shock_errors_per_pattern +
                       des.shock_errors_per_pattern) +
                   0.01);
+}
+
+// Multi-verification and two-level patterns run the segmented
+// interpreters on every law and world; the same CI-agreement criterion
+// holds fast and DES together on each combination.
+void expect_segmented_backends_agree(bool two_level) {
+  const std::pair<const char*, model::FailureDistSpec> laws[] = {
+      {"exponential", model::FailureDistSpec::exponential()},
+      {"weibull k=0.7", model::FailureDistSpec::weibull(0.7)},
+      {"lognormal sigma=1.2", model::FailureDistSpec::lognormal(1.2)}};
+  model::HeterogeneousSpec hetero;
+  hetero.groups = {{0.25, 3.0, model::FailureDistSpec::weibull(0.7)},
+                   {0.75, 1.0 / 3.0, {}}};
+  for (const auto& [law_name, law] : laws) {
+    const model::System plain =
+        model::System::from_platform(model::hera(), model::Scenario::kS3)
+            .with_failure_dist(law);
+    const model::System shock = plain.with_shock({0.4, 0.05});
+    const std::pair<const char*, model::System> worlds[] = {
+        {"plain", plain},
+        {"shock", shock},
+        {"hetero", plain.with_heterogeneity(hetero)},
+        {"shock+two-tier",
+         shock.with_two_tier(
+             model::TwoTierCostSpec::from_penalty(plain.costs(), 8.0))}};
+    for (const auto& [world_name, sys] : worlds) {
+      const double p = 512.0;
+      const double period = core::optimal_period_first_order(sys, p);
+      ReplicationResult fast, des;
+      if (two_level) {
+        const auto two = core::TwoLevelSystem::with_memory_level1(sys);
+        fast = simulate_two_level_overhead(two, {period, p, 3},
+                                           options(Backend::kFast));
+        des = simulate_two_level_overhead(two, {period, p, 3},
+                                          options(Backend::kDes));
+      } else {
+        fast = simulate_multi_overhead(sys, {period, p, 3},
+                                       options(Backend::kFast));
+        des = simulate_multi_overhead(sys, {period, p, 3},
+                                      options(Backend::kDes));
+      }
+      EXPECT_NEAR(fast.overhead.mean, des.overhead.mean,
+                  fast.overhead.ci.half_width() + des.overhead.ci.half_width())
+          << law_name << " " << world_name;
+    }
+  }
+}
+
+TEST(BackendEquivalence, MultiVerificationOnEveryLawAndWorld) {
+  expect_segmented_backends_agree(/*two_level=*/false);
+}
+
+TEST(BackendEquivalence, TwoLevelOnEveryLawAndWorld) {
+  expect_segmented_backends_agree(/*two_level=*/true);
 }
 
 TEST(BackendEquivalence, TelemetryRatesMatchAcrossBackends) {

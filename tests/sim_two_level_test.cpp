@@ -139,7 +139,7 @@ TEST(TwoLevelSim, WallTimeNeverBelowFaultFreeFloor) {
 TEST(TwoLevelDes, ErrorFreePatternIsExact) {
   const System base = make_system(0.0, 0.0, 120.0, 10.0, 3600.0);
   const TwoLevelSystem sys{base, CostModel::constant(4.0)};
-  TwoLevelDesSimulator simulator(sys, {9000.0, 64.0, 3});
+  SegmentedDesSimulator simulator(sys, {9000.0, 64.0, 3});
   rng::RngStream rng(1);
   const PatternStats s = simulator.simulate_pattern(rng);
   EXPECT_DOUBLE_EQ(s.wall_time, 9000.0 + 30.0 + 8.0 + 120.0);
@@ -176,7 +176,7 @@ TEST(TwoLevelDes, AgreesWithFastSamplerStatistically) {
 TEST(TwoLevelDes, TraceTilesWallTimeAndCountsDowntime) {
   const System base = make_system(2e-7, 0.5, 200.0, 20.0, 900.0);
   const TwoLevelSystem sys = TwoLevelSystem::with_memory_level1(base);
-  TwoLevelDesSimulator simulator(sys, {15000.0, 256.0, 3});
+  SegmentedDesSimulator simulator(sys, {15000.0, 256.0, 3});
   rng::RngStream rng(23);
   Trace trace;
   double clock = 0.0;
@@ -203,7 +203,7 @@ TEST(TwoLevelDes, SilentRetryStaysWithinSegment) {
   // kRecovery of length L1; no downtime should ever appear.
   const System base = make_system(3e-8, 0.0, 100.0, 10.0, 3600.0);
   const TwoLevelSystem sys{base, CostModel::constant(7.0)};
-  TwoLevelDesSimulator simulator(sys, {30000.0, 512.0, 2});
+  SegmentedDesSimulator simulator(sys, {30000.0, 512.0, 2});
   rng::RngStream rng(31);
   Trace trace;
   double clock = 0.0;

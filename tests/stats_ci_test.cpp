@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <thread>
+#include <vector>
 
 #include "ayd/rng/stream.hpp"
 #include "ayd/util/error.hpp"
@@ -56,6 +58,26 @@ TEST(MeanCiStudent, DegenerateBelowTwoSamples) {
   const ConfidenceInterval ci = mean_ci_student(s, 0.95);
   EXPECT_DOUBLE_EQ(ci.lo, 3.5);
   EXPECT_DOUBLE_EQ(ci.hi, 3.5);
+}
+
+TEST(MeanCiStudent, ConcurrentCallsMatchTheSerialResultBitwise) {
+  // The concurrency tier runs this under TSan: the Student-t path
+  // evaluates log-gamma, which must not touch shared global state.
+  RunningStats s;
+  for (const double x : {1.0, 2.0, 4.0, 8.0, 3.0, 5.5}) s.add(x);
+  const ConfidenceInterval serial = mean_ci_student(s, 0.95);
+  std::vector<ConfidenceInterval> got(4);
+  std::vector<std::thread> threads;
+  for (ConfidenceInterval& out : got) {
+    threads.emplace_back([&s, &out] {
+      for (int i = 0; i < 200; ++i) out = mean_ci_student(s, 0.95);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const ConfidenceInterval& ci : got) {
+    EXPECT_EQ(ci.lo, serial.lo);
+    EXPECT_EQ(ci.hi, serial.hi);
+  }
 }
 
 TEST(MeanCiStudent, CoverageProbabilityOnNormalSamples) {

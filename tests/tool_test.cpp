@@ -440,6 +440,42 @@ TEST(ToolProtocols, TwoLevelWinsOnSilentDominatedPlatform) {
   EXPECT_LT(cell(two_pos), cell(vc_pos));
 }
 
+TEST(ToolProtocols, EveryRowHonoursTheSystemAndBackendOptions) {
+  // A failure law, a correlated world and the DES backend each change
+  // every row's simulated overhead: no protocol silently ignores them.
+  const auto simulated_cells = [](const std::vector<std::string>& extra) {
+    std::vector<std::string> args = {"protocols", "--platform=hera",
+                                     "--scenario=3", "--procs=512",
+                                     "--runs=20", "--patterns=30"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    const ToolRun r = run(args);
+    EXPECT_EQ(r.code, 0) << r.err;
+    std::vector<std::string> cells;
+    for (const char* row : {"VC (verify + checkpoint)", "multi-verification",
+                            "two-level checkpointing"}) {
+      const auto pos = r.out.find(row);
+      EXPECT_NE(pos, std::string::npos) << row;
+      if (pos == std::string::npos) continue;
+      // "H simulated" is the last cell: "<mean> ±<half-width>".
+      const std::string line = r.out.substr(pos, r.out.find('\n', pos) - pos);
+      cells.push_back(line.substr(line.rfind(' ', line.rfind(" ±") - 1) + 1));
+    }
+    return cells;
+  };
+  const std::vector<std::string> base = simulated_cells({});
+  ASSERT_EQ(base.size(), 3u);
+  for (const std::vector<std::string>& extra :
+       {std::vector<std::string>{"--failure-dist=weibull:k=0.5"},
+        std::vector<std::string>{"--shock=rho=0.6,group=0.05"},
+        std::vector<std::string>{"--des"}}) {
+    const std::vector<std::string> got = simulated_cells(extra);
+    ASSERT_EQ(got.size(), 3u);
+    for (std::size_t row = 0; row < 3; ++row) {
+      EXPECT_NE(got[row], base[row]) << extra[0] << " row " << row;
+    }
+  }
+}
+
 // -- plan ----------------------------------------------------------------
 
 TEST(ToolPlan, ReportsMakespanAndCheckpointCount) {
