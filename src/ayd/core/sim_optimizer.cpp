@@ -22,8 +22,11 @@ struct Candidate {
   bool ci_converged = false;
 };
 
-/// Shared evaluation context: counts candidates and replicas, reuses one
-/// scratch arena for every adaptive call.
+/// Shared evaluation context: counts candidates and replicas. The pool
+/// gets whichever level has the work: the replica rounds of a candidate
+/// (the runner keeps a round inline while it is too small to pay for a
+/// task dispatch), or, when even a candidate's first round cannot keep
+/// the pool busy, independent candidates (evaluate_all).
 struct SearchContext {
   SearchContext(const model::System& s, double p, const SimSearchOptions& o,
                 exec::ThreadPool* pl)
@@ -34,7 +37,8 @@ struct SearchContext {
     // common random numbers the paired tests already relied on become
     // literal shared memory instead of recomputed transforms. Results
     // are bit-identical to per-candidate sampling under the scalar tier
-    // (sim/variate_pool.hpp). A caller-supplied sweep-level pool wins.
+    // (sim/variate_pool.hpp). The pool is thread-safe, so concurrent
+    // candidates share it too. A caller-supplied sweep-level pool wins.
     if (replication.shared_units == nullptr && !sys.extended() &&
         sim::UnitVariatePool::eligible(sys.failure().dist())) {
       owned_pool = std::make_unique<sim::UnitVariatePool>(
@@ -47,27 +51,62 @@ struct SearchContext {
   double procs;
   const SimSearchOptions& opt;
   exec::ThreadPool* pool;
-  sim::ReplicationScratch scratch;
+  sim::ReplicationScratch scratch;  ///< evaluate()'s arena
   std::unique_ptr<sim::UnitVariatePool> owned_pool;
   sim::ReplicationOptions replication;
   int evaluations = 0;
   std::uint64_t total_replicas = 0;
 
-  Candidate evaluate(double log_t) {
+  /// Simulates one candidate. A pure function of (system, pattern,
+  /// options), whichever thread runs it; on a pool worker its replicas
+  /// run inline.
+  Candidate simulate(double log_t, sim::ReplicationScratch& arena) const {
     const core::Pattern pattern{std::exp(log_t), procs};
     const sim::ReplicationResult res = sim::simulate_overhead_adaptive(
-        sys, pattern, replication, opt.adaptive, pool, &scratch);
+        sys, pattern, replication, opt.adaptive, pool, &arena);
     Candidate c;
     c.log_t = log_t;
     c.overhead = res.overhead;
     c.ci_converged = res.ci_converged;
-    c.replica_overheads.reserve(scratch.outcomes.size());
-    for (const sim::ReplicaOutcome& o : scratch.outcomes) {
+    c.replica_overheads.reserve(arena.outcomes.size());
+    for (const sim::ReplicaOutcome& o : arena.outcomes) {
       c.replica_overheads.push_back(o.overhead);
     }
-    ++evaluations;
-    total_replicas += res.overhead.count;
     return c;
+  }
+
+  void count(const Candidate& c) {
+    ++evaluations;
+    total_replicas += c.overhead.count;
+  }
+
+  /// One candidate, on the caller.
+  Candidate evaluate(double log_t) {
+    Candidate c = simulate(log_t, scratch);
+    count(c);
+    return c;
+  }
+
+  /// Independent candidates (ascending log T), returned and counted in
+  /// input order. When a candidate's first replica round is too small to
+  /// give every worker a task, the candidates run concurrently on the
+  /// pool, each running its replicas serially on its worker, the largest
+  /// periods (the most failures per pattern, the longest evaluations)
+  /// first; otherwise one after another, each fanning its rounds out.
+  /// Either way a failure reports the smallest failing period.
+  std::vector<Candidate> evaluate_all(const std::vector<double>& log_ts) {
+    const bool small_rounds =
+        pool != nullptr &&
+        opt.adaptive.min_replicas * replication.patterns_per_replica <
+            pool->size() * sim::kMinPatternsPerTask;
+    std::vector<Candidate> out(log_ts.size());
+    exec::parallel_for_descending(small_rounds ? pool : nullptr,
+                                  log_ts.size(), [&](std::size_t k) {
+                                    sim::ReplicationScratch arena;
+                                    out[k] = simulate(log_ts[k], arena);
+                                  });
+    for (const Candidate& c : out) count(c);
+    return out;
   }
 };
 
@@ -157,10 +196,11 @@ SimPeriodOptimum sim_optimal_period(const model::System& sys, double procs,
   // not a domain edge — the non-exponential optimum occasionally drifts
   // past bracket_span for extreme shapes.
   const double step = (hi - lo) / static_cast<double>(opt.coarse_points - 1);
-  std::vector<Candidate> scan;
-  for (int i = 0; i < opt.coarse_points; ++i) {
-    scan.push_back(ctx.evaluate(lo + step * static_cast<double>(i)));
+  std::vector<double> coarse(static_cast<std::size_t>(opt.coarse_points));
+  for (std::size_t i = 0; i < coarse.size(); ++i) {
+    coarse[i] = lo + step * static_cast<double>(i);
   }
+  std::vector<Candidate> scan = ctx.evaluate_all(coarse);
   const auto best_index = [&scan]() {
     std::size_t best = 0;
     for (std::size_t i = 1; i < scan.size(); ++i) {
@@ -190,8 +230,10 @@ SimPeriodOptimum sim_optimal_period(const model::System& sys, double procs,
 
   constexpr double kGolden = 0.6180339887498949;  // (sqrt(5) - 1) / 2
   const double level = opt.replication.ci_level;
-  Candidate c = ctx.evaluate(b - kGolden * (b - a));
-  Candidate d = ctx.evaluate(a + kGolden * (b - a));
+  std::vector<Candidate> pair =
+      ctx.evaluate_all({b - kGolden * (b - a), a + kGolden * (b - a)});
+  Candidate c = std::move(pair[0]);
+  Candidate d = std::move(pair[1]);
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
     if (b - a <= opt.x_tol) {
       out.converged = true;
@@ -289,11 +331,19 @@ SimAllocationOptimum sim_optimal_allocation(
     period_opt.replication.shared_units = ladder_pool.get();
   }
 
+  // The rungs' period searches run concurrently, largest P (the most
+  // failures, the longest search) first, each serially on its worker
+  // (its own parallel calls come from a pool worker, so they run inline).
+  // Reduced in rung order below.
+  const std::size_t n = rungs.size();
+  std::vector<SimPeriodOptimum> inner(n);
+  exec::parallel_for_descending(pool, n, [&](std::size_t k) {
+    inner[k] = sim_optimal_period(sys, rungs[k], period_opt, pool);
+  });
+
   out.converged = true;
   std::size_t best = 0;
-  std::vector<SimPeriodOptimum> inner(rungs.size());
-  for (std::size_t i = 0; i < rungs.size(); ++i) {
-    inner[i] = sim_optimal_period(sys, rungs[i], period_opt, pool);
+  for (std::size_t i = 0; i < n; ++i) {
     out.total_replicas += inner[i].total_replicas;
     out.outer_evaluations += 1;
     if (!inner[i].converged) out.converged = false;

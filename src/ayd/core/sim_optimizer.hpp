@@ -25,6 +25,17 @@
 // Everything downstream of the seed is deterministic: same system, same
 // options ⇒ the same candidate sequence, the same replica counts, the
 // same optimum, on any machine and thread count.
+//
+// Threads go where a task is worth its dispatch (a replica of a few
+// dozen patterns costs microseconds, less than the dispatch). The P
+// ladder's rungs run concurrently. When a candidate's first replica
+// round is too small to give every worker sim::kMinPatternsPerTask
+// patterns, the coarse scan's candidates and the first golden-section
+// pair run concurrently too, each running its replicas serially on one
+// thread; otherwise they run one after another and the pool runs their
+// replica rounds. The remaining single evaluations (the closed-form CI
+// attach, edge expansions, later golden steps) run on the caller and
+// hand the pool the rounds large enough to split.
 
 #pragma once
 
@@ -105,9 +116,12 @@ struct SimPeriodOptimum {
 };
 
 /// Minimises the simulated overhead over T at fixed `procs` under the
-/// system's configured failure distribution. `pool` parallelises the
-/// replicas of each candidate evaluation (results are identical with or
-/// without it).
+/// system's configured failure distribution. `pool` runs the coarse
+/// scan's candidates and the first golden-section pair concurrently when
+/// their replica rounds are small, and the large replica rounds
+/// otherwise (results are identical with or without it, at any thread
+/// count). Called from one of the pool's own workers, the search runs
+/// serially on that worker.
 [[nodiscard]] SimPeriodOptimum sim_optimal_period(
     const model::System& sys, double procs, const SimSearchOptions& opt = {},
     exec::ThreadPool* pool = nullptr);
@@ -147,7 +161,9 @@ struct SimAllocationOptimum {
 
 /// Minimises the simulated overhead jointly over (T, P): an outer scan of
 /// a geometric P ladder seeded by the exponential closed form, with
-/// sim_optimal_period inside.
+/// sim_optimal_period inside. `pool` runs the rungs concurrently, each
+/// rung's period search serially on its worker (results are identical
+/// with or without it).
 [[nodiscard]] SimAllocationOptimum sim_optimal_allocation(
     const model::System& sys, const SimAllocationSearchOptions& opt = {},
     exec::ThreadPool* pool = nullptr);

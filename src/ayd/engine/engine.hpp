@@ -38,10 +38,12 @@ using EvalFn = std::function<Record(const Point&)>;
 /// order. With a pool, points run in parallel; the first evaluation
 /// exception is rethrown. A null pool runs serially.
 ///
-/// Never pass the same pool both here and as evaluate_point's sim_pool:
-/// nested parallel_for on one pool can deadlock once every worker is
-/// occupied by an outer point. Pick the level with more work — points
-/// for wide grids, replicas (serial points + sim_pool) for tiny grids.
+/// Passing the same pool both here and as evaluate_point's sim_pool is
+/// safe but pointless: a parallel_for nested inside one of the pool's
+/// workers runs inline. Pick the level with more work — points for wide
+/// grids, serial points + sim_pool for tiny grids (sim_pool runs a
+/// simulate point's replicas, a sim-optimize point's candidates, P rungs
+/// or large replica rounds).
 [[nodiscard]] std::vector<Record> run_grid(const GridSpec& grid,
                                            exec::ThreadPool* pool,
                                            const EvalFn& eval);

@@ -122,9 +122,10 @@ struct PointEval {
 
 /// Runs the selected computations for `sys`. `fixed_procs` switches the
 /// numerical stage from optimal_allocation to optimal_period. `sim_pool`
-/// parallelises *within* one simulation call — leave it null inside grid
-/// runs (the engine already fans points out) and pass a pool for
-/// single-point evaluations like `ayd simulate`.
+/// parallelises *within* one point: a simulate point's replicas, or a
+/// sim-optimize point's candidate periods, P rungs or large replica
+/// rounds. Leave it null inside grid runs (the engine already fans points
+/// out) and pass a pool for single-point evaluations like `ayd simulate`.
 [[nodiscard]] PointEval evaluate_point(
     const model::System& sys, const EvalSpec& spec,
     std::optional<double> fixed_procs = std::nullopt,

@@ -6,6 +6,14 @@
 
 namespace ayd::exec {
 
+namespace {
+
+/// The pool whose worker loop runs on this thread; null on every other
+/// thread. parallel_for_chunks reads it to spot nested calls.
+thread_local const ThreadPool* t_worker_pool = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(unsigned threads) {
   unsigned n = threads;
   if (n == 0) {
@@ -27,6 +35,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
+  t_worker_pool = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -42,9 +51,20 @@ void ThreadPool::worker_loop() {
 
 void parallel_for_chunks(
     ThreadPool& pool, std::size_t n,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
+    const std::function<void(std::size_t, std::size_t)>& fn,
+    std::size_t min_chunk) {
   if (n == 0) return;
-  const std::size_t chunks = std::min(n, 4 * pool.size());
+  const std::size_t chunks = std::clamp<std::size_t>(
+      n / std::max<std::size_t>(min_chunk, 1), 1, 4 * pool.size());
+  // A call from one of this pool's own workers runs inline as one chunk:
+  // queueing chunks and blocking on them could deadlock once every worker
+  // is such a caller. The outer level already keeps the pool busy. A
+  // single chunk runs inline too: handing it to a worker only adds the
+  // dispatch.
+  if (t_worker_pool == &pool || chunks == 1) {
+    fn(0, n);
+    return;
+  }
   const std::size_t chunk = (n + chunks - 1) / chunks;
   std::vector<std::future<void>> futures;
   futures.reserve(chunks);
@@ -61,6 +81,35 @@ void parallel_for_chunks(
     }
   }
   if (first_error) std::rethrow_exception(first_error);
+}
+
+void parallel_for_chunks(
+    ThreadPool* pool, std::size_t n,
+    const std::function<void(std::size_t, std::size_t)>& fn,
+    std::size_t min_chunk) {
+  if (pool != nullptr) {
+    parallel_for_chunks(*pool, n, fn, min_chunk);
+  } else if (n > 0) {
+    fn(0, n);
+  }
+}
+
+void parallel_for_descending(ThreadPool* pool, std::size_t n,
+                             const std::function<void(std::size_t)>& fn) {
+  std::vector<std::exception_ptr> errors(n);
+  parallel_for_chunks(pool, n, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
+      const std::size_t i = n - 1 - k;
+      try {
+        fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 void parallel_for(ThreadPool& pool, std::size_t n,

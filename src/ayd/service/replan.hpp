@@ -49,8 +49,9 @@ struct ReplanOptions {
 };
 
 /// Streaming telemetry -> schedule loop. Single-threaded by design: feed
-/// gaps from one thread; `pool` only parallelises the simulation replicas
-/// inside each re-optimization (bit-identical results at any size).
+/// gaps from one thread; `pool` only runs the candidate periods (or the
+/// large replica rounds) of each re-optimization concurrently
+/// (bit-identical results at any size).
 class Replanner {
  public:
   /// `base` is the deployed scenario: its failure shape/rate are the

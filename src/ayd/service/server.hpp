@@ -15,8 +15,8 @@
 // exec::ThreadPool and writes each reply as it completes, so replies can
 // arrive out of request order (the id correlates them). Each request's
 // evaluation runs serially on its worker — request-level parallelism,
-// not replica-level — because nesting a parallel_for on the same pool
-// that runs the request could deadlock once every worker is busy.
+// not replica-level: the other workers are busy with other requests (a
+// parallel_for nested on the same pool would run inline anyway).
 // Identical concurrent requests collapse to one computation
 // (single-flight); distinct requests scale across workers and cache
 // shards. The wire protocol is specified in docs/service.md.

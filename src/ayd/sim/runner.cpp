@@ -77,11 +77,10 @@ void run_replicas(const Sys& sys, const Pat& pattern,
                               out);
     }
   };
-  if (pool != nullptr) {
-    exec::parallel_for_chunks(*pool, count, run_chunk);
-  } else {
-    run_chunk(0, count);
-  }
+  const std::size_t min_chunk =
+      (kMinPatternsPerTask + opt.patterns_per_replica - 1) /
+      opt.patterns_per_replica;
+  exec::parallel_for_chunks(pool, count, run_chunk, min_chunk);
 }
 
 /// A VC pattern on a plain System keeps the bit-pinned simulators; an

@@ -112,6 +112,13 @@ struct ReplicationScratch {
   std::vector<ReplicaOutcome> outcomes;
 };
 
+/// Patterns a pool task of a replica round holds at least. A replica of a
+/// few dozen patterns costs a few microseconds, less than dispatching a
+/// pool task (docs/architecture.md, "Where the threads go"), so the
+/// runners give each task tens of microseconds of simulation; a round
+/// smaller than two such tasks runs inline on the caller.
+inline constexpr std::size_t kMinPatternsPerTask = 1024;
+
 /// Simulates `replicas` independent applications of
 /// `patterns_per_replica` patterns each and summarises the measured
 /// execution overhead against the analytic prediction. If `pool` is

@@ -58,6 +58,9 @@ class UnitVariatePool {
   /// factor through unit variates (variable word consumption).
   UnitVariatePool(const model::FailureDistSpec& spec, std::uint64_t seed);
 
+  /// Hands the chunks back for the next pool to reuse (variate_pool.cpp).
+  ~UnitVariatePool();
+
   /// True when the spec factors through the unit-variate API, i.e. a
   /// pool can serve it.
   [[nodiscard]] static bool eligible(const model::FailureDistSpec& spec) {

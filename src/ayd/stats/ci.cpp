@@ -1,7 +1,9 @@
 #include "ayd/stats/ci.hpp"
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <unordered_map>
 
 #include "ayd/math/roots.hpp"
 #include "ayd/util/contracts.hpp"
@@ -75,6 +77,41 @@ double student_t_cdf(double t, double df) {
   return t >= 0.0 ? 1.0 - tail : tail;
 }
 
+/// Upper-tail quantile (p > 0.5) by inverting the exact CDF: bracket
+/// [0, hi] with hi grown geometrically from the normal seed (the t
+/// quantile always exceeds the normal one in the upper tail), then Brent.
+double solve_upper_quantile(double p, double df) {
+  double hi = std::max(1.0, 2.0 * normal_quantile(p));
+  for (int i = 0; i < 2048 && student_t_cdf(hi, df) < p; ++i) hi *= 2.0;
+
+  math::RootOptions opt;
+  opt.x_tol = 1e-12;
+  opt.f_tol = 1e-14;
+  const math::RootResult root = math::brent_root(
+      [&](double t) { return student_t_cdf(t, df) - p; }, 0.0, hi, opt);
+  return root.x;
+}
+
+/// Exact-bits key of one quantile question.
+struct QuantileKey {
+  double p;
+  double df;
+  bool operator==(const QuantileKey& o) const {
+    return p == o.p && df == o.df;
+  }
+};
+
+struct QuantileKeyHash {
+  std::size_t operator()(const QuantileKey& k) const {
+    return std::hash<double>{}(k.p) * 31u ^ std::hash<double>{}(k.df);
+  }
+};
+
+/// Entries a thread keeps before starting over. Callers ask for a few
+/// levels at degrees of freedom up to a replica cap (thousands), so a
+/// long-lived thread stays far below it; the bound only caps memory.
+constexpr std::size_t kQuantileCacheCap = 1u << 14;
+
 }  // namespace
 
 double student_t_quantile(double p, double df) {
@@ -85,17 +122,17 @@ double student_t_quantile(double p, double df) {
   // Symmetry: solve in the upper tail only.
   if (p < 0.5) return -student_t_quantile(1.0 - p, df);
 
-  // Bracket [0, hi] with hi grown geometrically from the normal seed
-  // (the t quantile always exceeds the normal one in the upper tail).
-  double hi = std::max(1.0, 2.0 * normal_quantile(p));
-  for (int i = 0; i < 2048 && student_t_cdf(hi, df) < p; ++i) hi *= 2.0;
-
-  math::RootOptions opt;
-  opt.x_tol = 1e-12;
-  opt.f_tol = 1e-14;
-  const math::RootResult root = math::brent_root(
-      [&](double t) { return student_t_cdf(t, df) - p; }, 0.0, hi, opt);
-  return root.x;
+  // Memoised per thread by exact (p, df): every adaptive replication
+  // round and paired test asks again for the same few quantiles, and the
+  // inversion costs microseconds. The cached double is the value the
+  // solver returns, so results are bit-identical with or without it.
+  thread_local std::unordered_map<QuantileKey, double, QuantileKeyHash> memo;
+  const QuantileKey key{p, df};
+  if (const auto it = memo.find(key); it != memo.end()) return it->second;
+  const double t = solve_upper_quantile(p, df);
+  if (memo.size() >= kQuantileCacheCap) memo.clear();
+  memo.emplace(key, t);
+  return t;
 }
 
 ConfidenceInterval mean_ci_student(const RunningStats& stats, double level) {

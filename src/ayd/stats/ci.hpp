@@ -22,7 +22,9 @@ namespace ayd::stats {
 /// the value t with P(T_df <= t) = p. Computed by inverting the exact CDF
 /// (regularised incomplete beta) with a Brent root search seeded by the
 /// normal quantile; accurate to ~1e-10 over df >= 1, p in (0, 1).
-/// Converges to normal_quantile(p) as df grows.
+/// Converges to normal_quantile(p) as df grows. Memoised per thread by
+/// exact (p, df); a cached answer is the same double a fresh inversion
+/// returns.
 [[nodiscard]] double student_t_quantile(double p, double df);
 
 /// Student-t CI for the mean of the accumulated sample (df = n - 1).

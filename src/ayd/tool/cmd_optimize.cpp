@@ -130,8 +130,9 @@ int cmd_optimize(const std::vector<std::string>& args, std::ostream& out) {
         "is cached)");
   }
   const OptimizeRequest req = optimize_request_from_args(parser);
-  // The pool only ever parallelises the simulated search's replicas;
-  // don't spin up workers for the purely analytic paths.
+  // The pool only ever runs the simulated search's candidate periods,
+  // P rungs and large replica rounds; don't spin up workers for the
+  // purely analytic paths.
   std::unique_ptr<exec::ThreadPool> pool_storage;
   if (req.simulate) {
     pool_storage = std::make_unique<exec::ThreadPool>(

@@ -45,9 +45,10 @@ void add_optimize_options(cli::ArgParser& parser);
 /// Computes the requested optima and writes the machine-readable record
 /// (the body of `ayd optimize --json`): a "system" echo plus
 /// "first_order" / "higher_order" / "numerical" objects and, when
-/// `req.simulate`, the "simulated" object with CI bounds. `pool`
-/// parallelises the simulated search's replicas (null runs serially;
-/// results are bit-identical either way).
+/// `req.simulate`, the "simulated" object with CI bounds. `pool` runs
+/// the simulated search's candidate periods, P rungs and large replica
+/// rounds concurrently (null runs serially; results are bit-identical
+/// either way).
 void write_optimize_record(io::JsonWriter& w, const model::System& sys,
                            const OptimizeRequest& req,
                            exec::ThreadPool* pool = nullptr);

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <string>
 
 #include "ayd/core/overhead.hpp"
 #include "ayd/model/platform.hpp"
@@ -97,17 +98,131 @@ TEST(SimOptimalPeriod, DeterministicAcrossRepeatRuns) {
   EXPECT_EQ(a.ci_limited, b.ci_limited);
 }
 
+void expect_same_summary(const stats::Summary& a, const stats::Summary& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.mean, b.mean);  // bitwise, as are all the doubles below
+  EXPECT_EQ(a.stddev, b.stddev);
+  EXPECT_EQ(a.stderr_mean, b.stderr_mean);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.ci.lo, b.ci.lo);
+  EXPECT_EQ(a.ci.hi, b.ci.hi);
+  EXPECT_EQ(a.ci.level, b.ci.level);
+}
+
+void expect_same_optimum(const SimPeriodOptimum& a, const SimPeriodOptimum& b) {
+  EXPECT_EQ(a.period, b.period);
+  expect_same_summary(a.overhead, b.overhead);
+  EXPECT_EQ(a.seed_period, b.seed_period);
+  EXPECT_EQ(a.used_closed_form, b.used_closed_form);
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_EQ(a.ci_limited, b.ci_limited);
+  EXPECT_EQ(a.ci_converged, b.ci_converged);
+  EXPECT_EQ(a.at_boundary, b.at_boundary);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.total_replicas, b.total_replicas);
+}
+
+void expect_same_optimum(const SimAllocationOptimum& a,
+                         const SimAllocationOptimum& b) {
+  EXPECT_EQ(a.procs, b.procs);
+  EXPECT_EQ(a.period, b.period);
+  expect_same_summary(a.overhead, b.overhead);
+  EXPECT_EQ(a.seed_procs, b.seed_procs);
+  EXPECT_EQ(a.used_closed_form, b.used_closed_form);
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_EQ(a.ci_converged, b.ci_converged);
+  EXPECT_EQ(a.at_boundary, b.at_boundary);
+  EXPECT_EQ(a.period_at_boundary, b.period_at_boundary);
+  EXPECT_EQ(a.outer_evaluations, b.outer_evaluations);
+  EXPECT_EQ(a.total_replicas, b.total_replicas);
+}
+
+/// Runs `solve(pool)` without a pool and on pools of 1, 2 and 4 threads;
+/// every field of every result must equal the serial one.
+template <typename Solve>
+void expect_thread_invariant(const Solve& solve) {
+  const auto serial = solve(nullptr);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " thread(s)");
+    exec::ThreadPool pool(threads);
+    expect_same_optimum(serial, solve(&pool));
+  }
+}
+
 TEST(SimOptimalPeriod, ThreadPoolDoesNotChangeTheOptimum) {
   const System sys =
       System::from_platform(model::hera(), Scenario::kS3)
           .with_failure_dist(model::FailureDistSpec::weibull(0.7));
-  const SimPeriodOptimum serial =
-      sim_optimal_period(sys, kProcs, quick_search());
-  exec::ThreadPool pool(3);
-  const SimPeriodOptimum parallel =
-      sim_optimal_period(sys, kProcs, quick_search(), &pool);
-  EXPECT_EQ(serial.period, parallel.period);  // bitwise
-  EXPECT_EQ(serial.total_replicas, parallel.total_replicas);
+  expect_thread_invariant([&](exec::ThreadPool* pool) {
+    return sim_optimal_period(sys, kProcs, quick_search(), pool);
+  });
+}
+
+TEST(SimOptimalPeriod, ThreadPoolDoesNotChangeTheOptimumWithLargeRounds) {
+  // A first round of 40 x 60 patterns gives a 1- or 2-thread pool a task
+  // per worker, so the candidates run one after another with their
+  // replica rounds fanned out; on 4 threads it does not, so they run
+  // concurrently instead.
+  const System sys =
+      System::from_platform(model::hera(), Scenario::kS3)
+          .with_failure_dist(model::FailureDistSpec::weibull(0.7));
+  SimSearchOptions opt = quick_search();
+  opt.adaptive.min_replicas = 40;
+  expect_thread_invariant([&](exec::ThreadPool* pool) {
+    return sim_optimal_period(sys, kProcs, opt, pool);
+  });
+}
+
+TEST(SimOptimalPeriod, DivergingCandidatesReportTheSmallestPeriod) {
+  // Replayed failure gaps never exceed 1.5x their mean, so a pattern of
+  // period 2/rate or 16/rate never completes: a warm start at 2/rate
+  // makes the upper two of three coarse candidates diverge (the replay
+  // also keeps the search off the CRN pool, which would otherwise store
+  // every variate the diverging patterns draw). A one-thread pool runs
+  // the largest period first, so it fails first, yet the search reports
+  // the smaller one, as a serial ascending scan would. (Each diverging
+  // pattern spends its full attempt cap, so this runs one pool only.)
+  const System sys =
+      System::from_platform(model::hera(), Scenario::kS3)
+          .with_failure_dist(
+              model::FailureDistSpec::trace_replay({0.5, 1.0, 1.5}));
+  SimSearchOptions opt = quick_search();
+  opt.coarse_points = 3;
+  opt.warm_start = 2.0 / sys.fail_stop_rate(kProcs);
+  opt.warm_bracket_span = 8.0;
+  exec::ThreadPool pool(1);
+  try {
+    (void)sim_optimal_period(sys, kProcs, opt, &pool);
+    FAIL() << "no candidate diverged";
+  } catch (const util::SimulationDiverged& e) {
+    const std::string what = e.what();
+    const std::size_t at = what.find("T=");
+    ASSERT_NE(at, std::string::npos) << what;
+    EXPECT_NEAR(std::stod(what.substr(at + 2)) / opt.warm_start, 1.0, 1e-4)
+        << what;
+  }
+}
+
+TEST(SimOptimalPeriod, ThreadPoolDoesNotChangeAStaleWarmStartedOptimum) {
+  // The hint sits 50x below the optimum, so the search walks out of its
+  // bracket through the serial edge expansions.
+  const System sys =
+      System::from_platform(model::hera(), Scenario::kS3)
+          .with_failure_dist(model::FailureDistSpec::weibull(1.0));
+  SimSearchOptions warm = quick_search();
+  warm.warm_start = optimal_period(sys, kProcs).period / 50.0;
+  warm.max_iterations = 40;
+  expect_thread_invariant([&](exec::ThreadPool* pool) {
+    return sim_optimal_period(sys, kProcs, warm, pool);
+  });
+}
+
+TEST(SimOptimalPeriod, ThreadPoolDoesNotChangeTheClosedFormAttach) {
+  const System sys = System::from_platform(model::hera(), Scenario::kS3);
+  expect_thread_invariant([&](exec::ThreadPool* pool) {
+    return sim_optimal_period(sys, kProcs, quick_search(), pool);
+  });
 }
 
 TEST(SimOptimalPeriod, ForcedSearchOnExponentialStaysNearClosedForm) {
@@ -208,6 +323,24 @@ TEST(SimOptimalAllocation, WeibullLadderSearchReturnsIntegerAllocation) {
   EXPECT_GT(sim.period, 0.0);
   EXPECT_GT(sim.overhead.mean, 0.0);
   EXPECT_GT(sim.seed_procs, 0.0);
+}
+
+TEST(SimOptimalAllocation, ThreadPoolDoesNotChangeTheOptimum) {
+  // The rungs' period searches run concurrently and each one's own
+  // candidate scans nest inside a pool worker.
+  const System sys =
+      System::from_platform(model::hera(), Scenario::kS3)
+          .with_failure_dist(model::FailureDistSpec::lognormal(1.2));
+  SimAllocationSearchOptions opt;
+  opt.period = quick_search();
+  opt.period.adaptive.min_replicas = 8;
+  opt.period.adaptive.max_replicas = 128;
+  opt.period.adaptive.ci_rel_tol = 0.08;
+  opt.period.max_iterations = 8;
+  opt.rungs_per_side = 2;
+  expect_thread_invariant([&](exec::ThreadPool* pool) {
+    return sim_optimal_allocation(sys, opt, pool);
+  });
 }
 
 // -- Warm-started search (the online re-planning loop's fast path) -------

@@ -41,6 +41,46 @@ TEST(StudentTQuantile, RejectsInvalidArguments) {
   EXPECT_THROW((void)student_t_quantile(0.9, 0.0), util::InvalidArgument);
 }
 
+/// student_t_quantile over df = 1..1024 at the usual CI levels, in a
+/// fixed order.
+std::vector<double> quantile_table() {
+  std::vector<double> out;
+  for (const double p : {0.95, 0.975, 0.995}) {
+    for (int df = 1; df <= 1024; ++df) {
+      out.push_back(student_t_quantile(p, static_cast<double>(df)));
+    }
+  }
+  return out;
+}
+
+TEST(StudentTQuantile, MemoisedAnswersEqualFreshOnesBitwise) {
+  // The memo is per thread, so a new thread's first pass solves every
+  // quantile afresh; its second pass is served from the memo. Four
+  // threads do both at once (the concurrency tier runs this under TSan)
+  // and must agree with a fresh pass bit for bit.
+  std::vector<double> fresh;
+  std::thread([&fresh] { fresh = quantile_table(); }).join();
+  ASSERT_EQ(fresh.size(), 3u * 1024u);
+
+  std::vector<std::vector<double>> first(4), second(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < first.size(); ++t) {
+    threads.emplace_back([&first, &second, t] {
+      first[t] = quantile_table();
+      second[t] = quantile_table();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t t = 0; t < first.size(); ++t) {
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      ASSERT_EQ(first[t][i], fresh[i]) << "thread " << t << ", entry " << i;
+      ASSERT_EQ(second[t][i], fresh[i]) << "thread " << t << ", entry " << i;
+    }
+  }
+  // The lower tail shares the upper tail's memo entry.
+  EXPECT_EQ(student_t_quantile(0.025, 7.0), -student_t_quantile(0.975, 7.0));
+}
+
 TEST(MeanCiStudent, WiderThanNormalTheoryAtSmallN) {
   RunningStats s;
   for (const double x : {1.0, 2.0, 4.0, 8.0, 3.0}) s.add(x);
