@@ -119,11 +119,10 @@ int main(int argc, char** argv) {
             "scenarios 3 and 5 slopes -1/3 and -1/3; overhead tends to "
             "alpha as lambda -> 0.\n");
 
-        // Grep-able speedup row, comparable across runs like the
-        // committed bench/baselines/sim_baseline.csv anchors: sweep wall
-        // time and replication throughput, plus the number of shared
-        // variate pools when --crn made the sweep a single sampling pass
-        // per (failure-dist shape, seed).
+        // Grep-able speedup row, comparable across runs on one machine:
+        // sweep wall time and replication throughput, plus the number of
+        // shared variate pools when --crn made the sweep a single
+        // sampling pass per (failure-dist shape, seed).
         {
           const double sweep_s = bench::seconds_since(sweep_t0);
           const auto opts = ctx.replication();

@@ -112,10 +112,10 @@ int main(int argc, char** argv) {
             "drift is positive and grows as k falls, while FO and "
             "re-optimised patterns stay close to each other.\n");
 
-        // Grep-able speedup row (see bench/baselines/README.md): sweep
-        // wall time and replication throughput per variate tier; with
-        // --crn each swept shape owns one shared pool, so the pool count
-        // equals the number of sampling passes the sweep paid for.
+        // Grep-able speedup row, comparable across runs on one machine:
+        // sweep wall time and replication throughput per variate tier;
+        // with --crn each swept shape owns one shared pool, so the pool
+        // count equals the number of sampling passes the sweep paid for.
         {
           const double sweep_s = bench::seconds_since(sweep_t0);
           const auto opts = ctx.replication();

@@ -4,16 +4,12 @@
 // so the perf trajectory of the simulator hot path is tracked across
 // commits.
 //
-// Each configuration is timed twice: once under the auto-detected SIMD
-// variate tier (AVX2 where the host has it) and once under the forced
-// scalar reference tier, so the JSON carries the vectorization gain
-// (simd_vs_scalar) separately from machine drift. The committed baseline
-// (bench/baselines/sim_baseline.csv — scalar reference tier, quick scale,
-// single thread; see bench/baselines/README.md for the regeneration
-// policy) is loaded when present and each configuration reports its
-// speedup against it. Comparisons are only meaningful on a comparable
-// machine — the JSON carries the numbers either way; CI greps the
-// "SIM-BENCH" summary lines.
+// Each configuration that reads the variate tier is timed twice: once
+// under the auto-detected SIMD tier (AVX2 where the host has it) and once
+// under the forced scalar reference tier, so the JSON carries the
+// vectorization gain (simd_vs_scalar) measured within one run on one
+// machine. The stream-fed fast path calls no vectorized kernel, so its
+// rows are timed once. CI greps the "SIM-BENCH" summary lines.
 //
 // A second section times a fig5-style lambda sweep under Weibull failures
 // twice — independent per-point sampling vs common random numbers (one
@@ -24,9 +20,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,7 +28,6 @@
 
 #include "ayd/core/first_order.hpp"
 #include "ayd/engine/engine.hpp"
-#include "ayd/io/csv.hpp"
 #include "ayd/io/json.hpp"
 #include "ayd/model/platform.hpp"
 #include "ayd/model/scenario.hpp"
@@ -53,8 +46,8 @@ struct Config {
   std::string backend;  ///< "fast" | "des"
   std::string regime;   ///< "paper" | "failure-rich"
   sim::Backend kind;
-  /// Multiplier on the platform's lambda_ind; the failure-rich regime
-  /// stresses the block pipeline (most draws need a transform).
+  /// Multiplier on the platform's lambda_ind; in the failure-rich regime
+  /// most draws need a transform.
   double lambda_scale = 1.0;
 };
 
@@ -68,10 +61,9 @@ struct Measurement {
   Throughput active;                 ///< under the auto-detected tier
   std::optional<Throughput> scalar;  ///< forced scalar reference tier
   /// True when the configuration never touches the variate tier (the
-  /// exponential fast path is transcendental-free by construction), so a
-  /// scalar re-measure would only report timing noise.
+  /// stream-fed fast path calls no vectorized kernel), so a scalar
+  /// re-measure would only report timing noise.
   bool tier_invariant = false;
-  std::optional<double> baseline_runs_per_sec;
 };
 
 /// Best-of-`reps` throughput of serial simulate_overhead calls under the
@@ -111,7 +103,7 @@ Measurement measure(const Config& cfg, const model::System& sys,
                     const sim::ReplicationOptions& opt, int reps) {
   Measurement m;
   m.config = cfg;
-  m.tier_invariant = cfg.dist == "exponential" && cfg.backend == "fast";
+  m.tier_invariant = cfg.backend == "fast";
   m.active = time_config(sys, pattern, opt, reps);
   if (!m.tier_invariant &&
       rng::simd::active_tier() != rng::simd::Tier::kScalar) {
@@ -146,8 +138,7 @@ SweepResult time_crn_sweep(const sim::ReplicationOptions& replication,
   // sampling pass across the grid pays. Below the band, per-pattern
   // decision logic (common to both modes) dilutes the ratio; above it,
   // recovery draws — cheap on both sides — take over and the two modes
-  // converge, until the block-pipeline gate vectorizes the independent
-  // path outright. The planner is Theorem 1 (closed form), so the timed
+  // converge. The planner is Theorem 1 (closed form), so the timed
   // work is the simulation itself, as in the paper's figures.
   const double lambda0 = base.failure().lambda_ind();
   engine::GridSpec grid;
@@ -205,37 +196,6 @@ SweepResult time_crn_sweep(const sim::ReplicationOptions& replication,
   return r;
 }
 
-/// Loads "dist,backend,regime,runs_per_sec" rows (header skipped) from
-/// the committed scalar-reference-tier baseline, if present.
-std::map<std::vector<std::string>, double> load_baseline(
-    const std::string& requested) {
-  std::map<std::vector<std::string>, double> out;
-  std::vector<std::string> candidates;
-  if (!requested.empty()) {
-    candidates.push_back(requested);
-  } else {
-    candidates = {"bench/baselines/sim_baseline.csv",
-                  "../bench/baselines/sim_baseline.csv",
-                  "../../bench/baselines/sim_baseline.csv"};
-  }
-  for (const std::string& path : candidates) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) continue;
-    std::ostringstream os;
-    os << in.rdbuf();
-    const auto rows = io::parse_csv(os.str());
-    for (std::size_t i = 1; i < rows.size(); ++i) {
-      if (rows[i].size() < 4) continue;
-      // Tolerate stray or annotated rows: skip anything non-numeric.
-      const auto value = util::parse_strict_double(rows[i][3]);
-      if (!value.has_value()) continue;
-      out[{rows[i][0], rows[i][1], rows[i][2]}] = *value;
-    }
-    if (!out.empty()) return out;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -252,9 +212,6 @@ int main(int argc, char** argv) {
         p.add_option("reps", "5", "timing repetitions (best is kept)");
         p.add_option("sweep-reps", "3",
                      "timing repetitions of the CRN sweep (best is kept)");
-        p.add_option("baseline", "",
-                     "scalar-reference-tier baseline CSV (default: "
-                     "bench/baselines/sim_baseline.csv if found)");
       },
       [](const cli::ArgParser& args, const cli::ExperimentContext& ctx) {
         const model::Platform platform = model::hera();
@@ -271,8 +228,8 @@ int main(int argc, char** argv) {
             {"exponential", "des", "paper", sim::Backend::kDes},
             {"weibull:k=0.7", "fast", "paper", sim::Backend::kFast},
             {"weibull:k=0.7", "des", "paper", sim::Backend::kDes},
-            // x600 the platform rate: ~60% of draws land below threshold,
-            // the regime where the fast path's SIMD block pipeline engages.
+            // x600 the platform rate: ~60% of draws land below threshold
+            // and need the quantile inversion.
             {"weibull:k=0.7", "fast", "failure-rich", sim::Backend::kFast,
              600.0},
             {"lognormal:s=1.2", "fast", "paper", sim::Backend::kFast},
@@ -280,7 +237,6 @@ int main(int argc, char** argv) {
             {"lognormal:s=1.2", "fast", "failure-rich", sim::Backend::kFast,
              600.0},
         };
-        const auto baseline = load_baseline(args.option("baseline"));
         const int reps = static_cast<int>(args.option_int("reps"));
         const char* tier = rng::simd::tier_name(rng::simd::active_tier());
 
@@ -300,9 +256,7 @@ int main(int argc, char** argv) {
               core::optimal_period_first_order(sys, platform.measured_procs),
               platform.measured_procs};
           opt.backend = cfg.kind;
-          Measurement m = measure(cfg, sys, pattern, opt, reps);
-          const auto hit = baseline.find({cfg.dist, cfg.backend, cfg.regime});
-          if (hit != baseline.end()) m.baseline_runs_per_sec = hit->second;
+          const Measurement m = measure(cfg, sys, pattern, opt, reps);
           results.push_back(m);
 
           std::string extras;
@@ -313,12 +267,6 @@ int main(int argc, char** argv) {
                                                   m.scalar->runs_per_sec,
                                               3) +
                       "x scalar tier";
-          }
-          if (m.baseline_runs_per_sec.has_value()) {
-            extras += "  " + util::format_sig(m.active.runs_per_sec /
-                                                  *m.baseline_runs_per_sec,
-                                              3) +
-                      "x baseline";
           }
           std::printf("SIM-BENCH %-15s %-4s %-12s [%s]: %10.0f runs/s  "
                       "%12.0f patterns/s%s\n",
@@ -354,10 +302,6 @@ int main(int argc, char** argv) {
                 static_cast<std::uint64_t>(opt.patterns_per_replica));
         json.kv("seed", static_cast<std::uint64_t>(opt.seed));
         json.kv("threads", static_cast<std::uint64_t>(1));
-        json.kv("baseline_note",
-                "baseline = scalar reference tier (AYD_SIMD=off) measured "
-                "with this harness on the reference machine; cross-machine "
-                "speedups are indicative only");
         json.key("results");
         json.begin_array();
         for (const Measurement& m : results) {
@@ -373,11 +317,6 @@ int main(int argc, char** argv) {
             json.kv("scalar_runs_per_sec", m.scalar->runs_per_sec);
             json.kv("simd_vs_scalar",
                     m.active.runs_per_sec / m.scalar->runs_per_sec);
-          }
-          if (m.baseline_runs_per_sec.has_value()) {
-            json.kv("baseline_runs_per_sec", *m.baseline_runs_per_sec);
-            json.kv("speedup_vs_baseline",
-                    m.active.runs_per_sec / *m.baseline_runs_per_sec);
           }
           json.end_object();
         }

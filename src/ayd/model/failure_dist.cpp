@@ -84,9 +84,6 @@ class ExponentialDist final : public FailureDistribution {
     rng.fill_uniform01(z, n);
     rng::simd::exponential_units(z, n);
   }
-  void units_from_uniforms(double* z, std::size_t n) const override {
-    rng::simd::exponential_units(z, n);
-  }
   void from_unit_bulk(const double* z, double* out,
                       std::size_t n) const override {
     // IEEE division is exactly rounded, so this loop is bitwise equal to
@@ -150,9 +147,6 @@ class WeibullDist final : public FailureDistribution {
   void sample_units_fast(rng::RngStream& rng, double* z,
                          std::size_t n) const override {
     rng.fill_uniform01(z, n);
-    rng::simd::weibull_units(z, n, inv_k_);
-  }
-  void units_from_uniforms(double* z, std::size_t n) const override {
     rng::simd::weibull_units(z, n, inv_k_);
   }
   void from_unit_bulk(const double* z, double* out,
@@ -221,9 +215,6 @@ class LogNormalDist final : public FailureDistribution {
   void sample_units_fast(rng::RngStream& rng, double* z,
                          std::size_t n) const override {
     rng.fill_uniform01(z, n);
-    rng::simd::lognormal_units(z, n);
-  }
-  void units_from_uniforms(double* z, std::size_t n) const override {
     rng::simd::lognormal_units(z, n);
   }
   void from_unit_bulk(const double* z, double* out,
@@ -334,12 +325,6 @@ double FailureDistribution::from_unit(double) const {
 void FailureDistribution::sample_units_fast(rng::RngStream& rng, double* z,
                                             std::size_t n) const {
   sample_units(rng, z, n);
-}
-
-void FailureDistribution::units_from_uniforms(double*, std::size_t) const {
-  throw util::LogicError(
-      "units_from_uniforms: distribution has no unit-variate "
-      "factorization (check unit_samplable() first)");
 }
 
 void FailureDistribution::from_unit_bulk(const double* z, double* out,

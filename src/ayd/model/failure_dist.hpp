@@ -134,13 +134,6 @@ class FailureDistribution {
   /// sample_units (so non-analytic kinds keep their exact behaviour).
   virtual void sample_units_fast(rng::RngStream& rng, double* z,
                                  std::size_t n) const;
-  /// Transforms `n` uniform01 values in place into unit variates —
-  /// exactly the transform sample_units_fast applies after its fill.
-  /// Lets callers that already own the uniform words (the variate pool,
-  /// the fast simulator's block pipeline) run the tier-dispatched bulk
-  /// transform without touching a stream. Only meaningful when
-  /// unit_samplable(); the default throws util::LogicError.
-  virtual void units_from_uniforms(double* z, std::size_t n) const;
   /// Bulk from_unit: out[i] = from_unit(z[i]) elementwise. Exact (any
   /// tier) for the linear scalings (exponential, Weibull); the
   /// lognormal's exp runs vectorized under a SIMD tier. Default loops

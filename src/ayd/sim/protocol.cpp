@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "ayd/rng/simd.hpp"
 #include "ayd/util/contracts.hpp"
@@ -15,15 +16,6 @@ namespace {
 
 constexpr std::uint64_t kNoEvent = std::numeric_limits<std::uint64_t>::max();
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Minimum mean fraction of below-threshold (transform-needing) draws
-/// for the fast simulator's SIMD block pipeline to beat the
-/// scalar-dispatch loop. The block path transforms every lane, so it
-/// wins once the scalar loop would pay the per-element transform on
-/// roughly half the draws; measured crossover on the reference container
-/// is ~0.5 for the Weibull (the only shape whose transform is expensive
-/// enough to vectorize profitably), and the gate adds margin.
-constexpr double kBlockModeMinTransformFraction = 0.55;
 
 [[noreturn]] void throw_diverged(const core::Pattern& pattern, double lf,
                                  double ls) {
@@ -297,18 +289,25 @@ PatternStats DesProtocolSimulator::simulate_pattern(rng::RngStream& rng,
   }
 }
 
+PatternStats DesProtocolSimulator::simulate_replica(rng::RngStream& rng,
+                                                    std::size_t n) {
+  PatternStats totals;
+  for (std::size_t p = 0; p < n; ++p) {
+    totals.merge(simulate_pattern(rng));
+  }
+  return totals;
+}
+
 FastProtocolSimulator::FastProtocolSimulator(const model::System& sys,
                                              const core::Pattern& pattern)
     : pattern_(pattern),
       lf_(sys.fail_stop_rate(pattern.procs)),
       ls_(sys.silent_rate(pattern.procs)),
       t_(pattern.period),
-      v_(sys.verification_cost(pattern.procs)),
-      c_(sys.checkpoint_cost(pattern.procs)),
       r_(sys.recovery_cost(pattern.procs)),
       d_(sys.downtime()),
-      tv_(t_ + v_),
-      tvc_(t_ + v_ + c_),
+      tv_(t_ + sys.verification_cost(pattern.procs)),
+      tvc_(tv_ + sys.checkpoint_cost(pattern.procs)),
       fail_dist_(sys.failure().dist().instantiate(lf_)),
       silent_dist_(sys.failure().dist().instantiate(ls_)),
       lazy_(sources_unit_samplable(lf_, *fail_dist_, ls_, *silent_dist_)) {
@@ -320,7 +319,7 @@ FastProtocolSimulator::FastProtocolSimulator(const model::System& sys,
     }
     if (ls_ > 0.0) mthr_silent_ = safe_word_threshold(*silent_dist_, t_);
 
-    // Devirtualized from_unit scaling for the pool and block loops. The
+    // Devirtualized from_unit scaling for the pool walks. The
     // expressions reproduce the scalar from_unit bit-for-bit: the
     // Weibull multiplies by its scale (from_unit(1.0) == the scale
     // exactly), the exponential divides by its rate, and the lognormal
@@ -344,35 +343,6 @@ FastProtocolSimulator::FastProtocolSimulator(const model::System& sys,
     };
     if (lf_ > 0.0) scaling_of(*fail_dist_, fail_scaling_, fail_factor_);
     if (ls_ > 0.0) scaling_of(*silent_dist_, silent_scaling_, silent_factor_);
-
-    if (lf_ > 0.0 || ls_ > 0.0) {
-      unit_src_ = lf_ > 0.0 ? fail_dist_.get() : silent_dist_.get();
-      // The block pipeline pays a fixed per-draw staging cost (engine
-      // words staged through arrays instead of registers) and transforms
-      // every lane, so it only beats the scalar-dispatch loop when the
-      // unit transform is genuinely expensive per element — the
-      // Weibull's pow; the lognormal's scalar quantile is already cheap
-      // — AND enough draws land below threshold that the historical loop
-      // would pay that cost often. Each attempt draws once per active
-      // channel, so the mean of the active thresholds (as a fraction of
-      // the 2^53 word space) is exactly the expected transformed-draw
-      // rate. The exponential never enables it, so its fast path stays
-      // byte-identical to the scalar tier under every tier; the shapes
-      // that stay scalar here still reach the vectorized kernels through
-      // the DES prefetcher and the CRN variate pools, which batch
-      // naturally with no staging penalty.
-      std::uint64_t thr_sum = 0;
-      int channels = 0;
-      if (lf_ > 0.0) thr_sum += mthr_fail_, ++channels;
-      if (ls_ > 0.0) thr_sum += mthr_silent_, ++channels;
-      const double mean_transform_fraction =
-          static_cast<double>(thr_sum) * 0x1.0p-53 /
-          static_cast<double>(channels);
-      block_mode_ = !unit_src_->memoryless() &&
-                    unit_src_->kind() == model::FailureDistKind::kWeibull &&
-                    mean_transform_fraction >= kBlockModeMinTransformFraction &&
-                    rng::simd::active_tier() != rng::simd::Tier::kScalar;
-    }
   }
 }
 
@@ -383,632 +353,323 @@ void FastProtocolSimulator::set_unit_cursor(UnitVariatePool::Cursor* cursor) {
   pool_cursor_ = cursor;
 }
 
-PatternStats FastProtocolSimulator::simulate_pattern(rng::RngStream& rng) {
-  if (!lazy_) return simulate_pattern_general(rng);
-  // One pattern is the n == 1 replica (merging into zeroed totals is the
-  // identity, bitwise: every counter starts at 0 and wall_time > 0).
-  return simulate_replica(rng, 1);
-}
+namespace {
 
-PatternStats FastProtocolSimulator::simulate_pattern_general(
-    rng::RngStream& rng) {
-  PatternStats stats;
+/// A CRN cursor walked through a local copy, so its position and chunk
+/// pointer live in registers between the rare refills; the destructor
+/// writes the position back even if the divergence bound throws.
+struct CursorCopy {
+  UnitVariatePool::Cursor cur;
+  UnitVariatePool::Cursor& shared;
+
+  explicit CursorCopy(UnitVariatePool::Cursor& c) : cur(c), shared(c) {}
+  CursorCopy(const CursorCopy&) = delete;
+  CursorCopy& operator=(const CursorCopy&) = delete;
+  ~CursorCopy() { shared = cur; }
+};
+
+}  // namespace
+
+// Draw sources of the attempt machine below. Each supplies, in its own
+// draw space (time for the exact sources, unit variates for UnitPool):
+//   t, tv, tvc, r    the window bounds the decisions compare against;
+//   attempt(x, s)    a fresh attempt's fail-stop and silent arrivals, fail
+//                    first (+inf when the source is inactive, or when the
+//                    arrival provably lies beyond every window);
+//   recovery()       one recovery try's fail-stop arrival;
+//   masks(s, x)      the silent arrival precedes the fail-stop;
+// plus the pattern's wall clock: fail(x), detect(), recovered(), and
+// finish(attempts, fail_stops, detections), which returns the pattern's
+// wall time and restarts the clock. Each source copies what it reads into
+// itself and is a local of the machine, so the compiler can keep the
+// engine or cursor state and every constant in registers.
+
+/// What the exact sources share: the window bounds in time, the two laws,
+/// and the wall clock as a running sum in the order the pattern's time
+/// elapses (the historical accumulation, bit-for-bit).
+struct FastProtocolSimulator::ExactSource {
+  double t, tv, tvc, r, d;
+  const model::FailureDistribution* fail_dist;
+  const model::FailureDistribution* silent_dist;
+  bool have_fail, have_silent;
   double wall = 0.0;
 
-  // A fresh arrival per attempt / per recovery try. Exponential draws go
-  // through the historical inverse-CDF path (identical words consumed);
-  // other distributions sample by quantile inversion. Zero-rate sources
-  // skip the stream entirely, as they always did.
-  const auto sample_fail = [&] {
-    return lf_ > 0.0 ? fail_dist_->sample(rng) : kInf;
-  };
-  const auto sample_silent = [&] {
-    return ls_ > 0.0 ? silent_dist_->sample(rng) : kInf;
-  };
-  // Repeated recovery attempts until one completes without a fail-stop.
-  const auto run_recovery = [&] {
-    for (;;) {
-      const double y = sample_fail();
-      if (y < r_) {
-        if (stats.fail_stop_errors >= kMaxPatternAttempts) {
-          throw_diverged(pattern_, lf_, ls_);
-        }
-        ++stats.fail_stop_errors;
-        ++stats.recovery_fail_stops;
-        wall += y + d_;
-        continue;
-      }
-      wall += r_;
+  explicit ExactSource(const FastProtocolSimulator& sim)
+      : t(sim.t_),
+        tv(sim.tv_),
+        tvc(sim.tvc_),
+        r(sim.r_),
+        d(sim.d_),
+        fail_dist(sim.fail_dist_.get()),
+        silent_dist(sim.silent_dist_.get()),
+        have_fail(sim.lf_ > 0.0),
+        have_silent(sim.ls_ > 0.0) {}
+
+  [[nodiscard]] static bool masks(double s, double x) { return s < x; }
+  void fail(double x) { wall += x + d; }
+  void detect() { wall += tv; }
+  void recovered() { wall += r; }
+  [[nodiscard]] double finish(std::uint64_t, std::uint64_t, std::uint64_t) {
+    const double w = wall + tvc;
+    wall = 0.0;
+    return w;
+  }
+};
+
+/// The threshold-filtered stream. Each draw consumes exactly the word
+/// the historical sampler would, but the quantile inversion only runs
+/// when the word lands below the precomputed CDF threshold, i.e. when the
+/// arrival *can* strike inside the window the decision needs. A draw left
+/// at +inf behaves in every comparison exactly like the exact value
+/// would. The engine state is copied into the source so the common case
+/// — two words, two integer compares per attempt — runs in registers;
+/// the destructor writes it back even if the divergence bound throws.
+struct FastProtocolSimulator::ThresholdStream : ExactSource {
+  rng::Xoshiro256 eng;
+  rng::RngStream& stream;
+  std::uint64_t mthr_fail, mthr_silent, mthr_rec;
+
+  ThresholdStream(const FastProtocolSimulator& sim, rng::RngStream& rng)
+      : ExactSource(sim),
+        eng(rng.engine()),
+        stream(rng),
+        mthr_fail(sim.mthr_fail_),
+        mthr_silent(sim.mthr_silent_),
+        mthr_rec(sim.mthr_rec_) {}
+  ThresholdStream(const ThresholdStream&) = delete;
+  ThresholdStream& operator=(const ThresholdStream&) = delete;
+  ~ThresholdStream() { stream.engine() = eng; }
+
+  double draw(const model::FailureDistribution* dist, std::uint64_t mthr) {
+    const std::uint64_t m = eng() >> 11;
+    return m < mthr ? dist->sample_value(static_cast<double>(m) * 0x1.0p-53)
+                    : kInf;
+  }
+  void attempt(double& x, double& s) {
+    x = have_fail ? draw(fail_dist, mthr_fail) : kInf;
+    s = have_silent ? draw(silent_dist, mthr_silent) : kInf;
+  }
+  double recovery() { return have_fail ? draw(fail_dist, mthr_rec) : kInf; }
+};
+
+/// The stream drawing every arrival through sample(): the historical
+/// loop, for sources that cannot be threshold-filtered (trace replay's
+/// variable word consumption).
+struct FastProtocolSimulator::FullStream : ExactSource {
+  rng::RngStream& rng;
+
+  FullStream(const FastProtocolSimulator& sim, rng::RngStream& stream)
+      : ExactSource(sim), rng(stream) {}
+
+  void attempt(double& x, double& s) {
+    x = have_fail ? fail_dist->sample(rng) : kInf;
+    s = have_silent ? silent_dist->sample(rng) : kInf;
+  }
+  double recovery() { return have_fail ? fail_dist->sample(rng) : kInf; }
+};
+
+/// The CRN pool, exact: the unit transforms were paid once, in the
+/// shared pool, so each draw is one cursor read plus the cheap from_unit
+/// scaling. Computing every arrival (no threshold filter) is
+/// bit-identical to the threshold-filtered stream in the scalar tier: the
+/// filter only suppresses values that lose every comparison they appear
+/// in, and here the value is nearly free.
+struct FastProtocolSimulator::ExactPool : ExactSource, CursorCopy {
+  UnitScaling fail_scaling, silent_scaling;
+  double fail_factor, silent_factor;
+
+  explicit ExactPool(const FastProtocolSimulator& sim)
+      : ExactSource(sim),
+        CursorCopy(*sim.pool_cursor_),
+        fail_scaling(sim.fail_scaling_),
+        silent_scaling(sim.silent_scaling_),
+        fail_factor(sim.fail_factor_),
+        silent_factor(sim.silent_factor_) {}
+
+  static double scale(UnitScaling sc, double factor,
+                      const model::FailureDistribution* dist, double z) {
+    switch (sc) {
+      case UnitScaling::kLinear: return factor * z;
+      case UnitScaling::kDivide: return z / factor;
+      default: return dist->from_unit(z);
+    }
+  }
+  void attempt(double& x, double& s) {
+    x = have_fail ? scale(fail_scaling, fail_factor, fail_dist, cur.next())
+                  : kInf;
+    s = have_silent
+            ? scale(silent_scaling, silent_factor, silent_dist, cur.next())
+            : kInf;
+  }
+  double recovery() {
+    return have_fail ? scale(fail_scaling, fail_factor, fail_dist, cur.next())
+                     : kInf;
+  }
+};
+
+/// The CRN pool in unit space (SIMD golden tier only). The windows are
+/// rescaled into unit space once — z < w/f decides what f·z < w decides,
+/// up to one rounding of the bound — so a draw is a raw sequential read
+/// and a compare. Arrival times are materialized (with the exact
+/// from_unit expressions) only where two channels are compared. The wall
+/// clock decomposes into counter-weighted constants plus the sum of the
+/// consumed fail-stop arrivals: every fail stop adds its arrival and one
+/// downtime, every non-completing attempt runs one clean recovery, every
+/// detection adds T+V and the completing attempt T+V+C. So the hot loop
+/// only sums raw unit variates and the sum is scaled once per pattern.
+/// Decisions and roundings can differ from the exact walk within an ulp
+/// of a bound; that freedom belongs to the SIMD tier, whose results are
+/// its own golden tier — the scalar reference tier never selects this.
+struct FastProtocolSimulator::UnitPool : CursorCopy {
+  double t, tv, tvc, r;  ///< window bounds, in unit space
+  double wall_tv, wall_tvc, wall_r, d;
+  UnitScaling fail_scaling, silent_scaling;
+  double fail_factor, silent_factor;
+  bool have_fail, have_silent;
+  double z_sum = 0.0;
+
+  /// A window bound in unit space; an inactive channel's bound is 0,
+  /// which its +inf draw never undercuts.
+  static double bound(bool active, UnitScaling sc, double factor,
+                      double window) {
+    if (!active) return 0.0;
+    return sc == UnitScaling::kLinear ? window / factor : window * factor;
+  }
+  static double arrival(UnitScaling sc, double factor, double z) {
+    return sc == UnitScaling::kLinear ? factor * z : z / factor;
+  }
+
+  explicit UnitPool(const FastProtocolSimulator& sim)
+      : CursorCopy(*sim.pool_cursor_),
+        t(bound(sim.ls_ > 0.0, sim.silent_scaling_, sim.silent_factor_,
+                sim.t_)),
+        tv(bound(sim.lf_ > 0.0, sim.fail_scaling_, sim.fail_factor_, sim.tv_)),
+        tvc(bound(sim.lf_ > 0.0, sim.fail_scaling_, sim.fail_factor_,
+                  sim.tvc_)),
+        r(bound(sim.lf_ > 0.0, sim.fail_scaling_, sim.fail_factor_, sim.r_)),
+        wall_tv(sim.tv_),
+        wall_tvc(sim.tvc_),
+        wall_r(sim.r_),
+        d(sim.d_),
+        fail_scaling(sim.fail_scaling_),
+        silent_scaling(sim.silent_scaling_),
+        fail_factor(sim.fail_factor_),
+        silent_factor(sim.silent_factor_),
+        have_fail(sim.lf_ > 0.0),
+        have_silent(sim.ls_ > 0.0) {}
+
+  void attempt(double& x, double& s) {
+    if (have_fail && have_silent) {
+      cur.next2(x, s);
       return;
     }
-  };
-
-  for (;;) {
-    if (stats.attempts >= kMaxPatternAttempts) {
-      throw_diverged(pattern_, lf_, ls_);
-    }
-    ++stats.attempts;
-    const double x = sample_fail();
-    const double s_arrival = sample_silent();
-    const bool silent = s_arrival < t_;
-
-    if (x < t_ + v_) {
-      // Fail-stop during compute or verification.
-      ++stats.fail_stop_errors;
-      if (silent && s_arrival < x) ++stats.masked_silent;
-      wall += x + d_;
-      run_recovery();
-      continue;
-    }
-    if (silent) {
-      // Survived to the end of verification; the silent error is caught.
-      ++stats.silent_detections;
-      wall += t_ + v_;
-      run_recovery();
-      continue;
-    }
-    if (x < t_ + v_ + c_) {
-      // Fail-stop while storing the checkpoint.
-      ++stats.fail_stop_errors;
-      wall += x + d_;
-      run_recovery();
-      continue;
-    }
-    wall += t_ + v_ + c_;
-    stats.wall_time = wall;
-    return stats;
+    x = have_fail ? cur.next() : kInf;
+    s = have_silent ? cur.next() : kInf;
   }
-}
+  double recovery() { return have_fail ? cur.next() : kInf; }
+  [[nodiscard]] bool masks(double s, double x) const {
+    return arrival(silent_scaling, silent_factor, s) <
+           arrival(fail_scaling, fail_factor, x);
+  }
+  void fail(double x) { z_sum += x; }
+  static void detect() {}
+  static void recovered() {}
+  [[nodiscard]] double finish(std::uint64_t attempts, std::uint64_t fail_stops,
+                              std::uint64_t detections) {
+    // Without a fail-stop channel the sum is empty and its scaling
+    // undefined (an inactive channel has no factor).
+    const double w = (have_fail ? arrival(fail_scaling, fail_factor, z_sum)
+                                : 0.0) +
+                     d * static_cast<double>(fail_stops) +
+                     wall_r * static_cast<double>(attempts - 1) +
+                     wall_tv * static_cast<double>(detections) + wall_tvc;
+    z_sum = 0.0;
+    return w;
+  }
+};
 
-PatternStats DesProtocolSimulator::simulate_replica(rng::RngStream& rng,
-                                                    std::size_t n) {
+template <class Source, class... Args>
+PatternStats FastProtocolSimulator::run(std::size_t n, Args&&... args) const {
+  Source src(*this, std::forward<Args>(args)...);
   PatternStats totals;
   for (std::size_t p = 0; p < n; ++p) {
-    totals.merge(simulate_pattern(rng));
+    // Per-pattern counters live in registers; PatternStats is only
+    // touched once per pattern.
+    std::uint64_t attempts = 0;
+    std::uint64_t fail_stops = 0;
+    std::uint64_t recovery_fails = 0;
+    std::uint64_t detections = 0;
+    std::uint64_t masked = 0;
+
+    for (;;) {
+      if (attempts >= kMaxPatternAttempts) {
+        throw_diverged(pattern_, lf_, ls_);
+      }
+      ++attempts;
+      // A fresh fail-stop and silent arrival per attempt (the renewal
+      // point; for the exponential, memorylessness makes this equivalent
+      // to a persistent arrival clock).
+      double x, s;
+      src.attempt(x, s);
+      const bool silent = s < src.t;
+      if (x < src.tv) {
+        // Fail-stop during compute or verification; it masks a silent
+        // error that struck before it.
+        ++fail_stops;
+        if (silent && src.masks(s, x)) ++masked;
+        src.fail(x);
+      } else if (silent) {
+        // Survived to the end of verification; the silent error is
+        // caught.
+        ++detections;
+        src.detect();
+      } else if (x < src.tvc) {
+        // Fail-stop while storing the checkpoint.
+        ++fail_stops;
+        src.fail(x);
+      } else {
+        break;
+      }
+      // Downtime after a fail-stop is in fail(); then recovery tries,
+      // each with a fresh fail-stop arrival, until one completes.
+      for (;;) {
+        const double y = src.recovery();
+        if (!(y < src.r)) break;
+        if (fail_stops >= kMaxPatternAttempts) {
+          throw_diverged(pattern_, lf_, ls_);
+        }
+        ++fail_stops;
+        ++recovery_fails;
+        src.fail(y);
+      }
+      src.recovered();
+    }
+
+    totals.wall_time += src.finish(attempts, fail_stops, detections);
+    totals.attempts += attempts;
+    totals.fail_stop_errors += fail_stops;
+    totals.recovery_fail_stops += recovery_fails;
+    totals.silent_detections += detections;
+    totals.masked_silent += masked;
   }
   return totals;
 }
 
 PatternStats FastProtocolSimulator::simulate_replica(rng::RngStream& rng,
                                                      std::size_t n) {
-  PatternStats totals;
-  if (!lazy_) {
-    for (std::size_t p = 0; p < n; ++p) {
-      totals.merge(simulate_pattern_general(rng));
-    }
-    return totals;
-  }
-  if (pool_cursor_ != nullptr) return simulate_replica_pool(n);
-  if (block_mode_) return simulate_replica_block(rng, n);
-
-  // The threshold-filtered replica loop. Each draw consumes exactly the
-  // word the historical sampler would have, but the expensive quantile
-  // inversion only happens when the word lands below the precomputed CDF
-  // threshold — i.e. when the arrival *can* strike inside the window the
-  // decision needs. A draw left at +inf behaves in every comparison
-  // below exactly like the exact value would (the threshold guarantees
-  // the exact value lies beyond every window it is compared against).
-  //
-  // The engine state is copied into a local so the common case — two
-  // words, two integer compares, one accumulate per pattern — runs
-  // entirely in registers; the guard object writes the state back even
-  // if the divergence bound throws mid-replica.
-  rng::Xoshiro256 eng = rng.engine();
-  struct SyncEngine {
-    rng::Xoshiro256& local;
-    rng::RngStream& stream;
-    ~SyncEngine() { stream.engine() = local; }
-  } sync{eng, rng};
-
-  const bool have_fail = lf_ > 0.0;
-  const bool have_silent = ls_ > 0.0;
-  const std::uint64_t mthr_fail = mthr_fail_;
-  const std::uint64_t mthr_silent = mthr_silent_;
-  const std::uint64_t mthr_rec = mthr_rec_;
-  const double t = t_, tv = tv_, tvc = tvc_, r = r_, d = d_;
-
-  for (std::size_t p = 0; p < n; ++p) {
-    // Per-pattern accumulators live in registers; PatternStats is only
-    // touched once per pattern, at the merge below.
-    double wall = 0.0;
-    std::uint64_t attempts = 0;
-    std::uint64_t fail_stops = 0;
-    std::uint64_t recovery_fails = 0;
-    std::uint64_t detections = 0;
-    std::uint64_t masked = 0;
-
-    const auto run_recovery = [&] {
-      for (;;) {
-        double y = kInf;
-        if (have_fail) {
-          const std::uint64_t m = eng() >> 11;
-          if (m < mthr_rec) {
-            y = fail_dist_->sample_value(static_cast<double>(m) * 0x1.0p-53);
-          }
-        }
-        if (y < r) {
-          if (fail_stops >= kMaxPatternAttempts) {
-            throw_diverged(pattern_, lf_, ls_);
-          }
-          ++fail_stops;
-          ++recovery_fails;
-          wall += y + d;
-          continue;
-        }
-        wall += r;
-        return;
-      }
-    };
-
-    for (;;) {
-      if (attempts >= kMaxPatternAttempts) {
-        throw_diverged(pattern_, lf_, ls_);
-      }
-      ++attempts;
-      // First fail-stop arrival within this attempt (the renewal point;
-      // for the exponential, memorylessness makes this equivalent to a
-      // persistent arrival clock).
-      double x = kInf;
-      if (have_fail) {
-        const std::uint64_t m = eng() >> 11;
-        if (m < mthr_fail) {
-          x = fail_dist_->sample_value(static_cast<double>(m) * 0x1.0p-53);
-        }
-      }
-      // First silent arrival within the computation.
-      double s_arrival = kInf;
-      if (have_silent) {
-        const std::uint64_t m = eng() >> 11;
-        if (m < mthr_silent) {
-          s_arrival =
-              silent_dist_->sample_value(static_cast<double>(m) * 0x1.0p-53);
-        }
-      }
-      const bool silent = s_arrival < t;
-
-      if (x < tv) {
-        // Fail-stop during compute or verification.
-        ++fail_stops;
-        if (silent && s_arrival < x) ++masked;
-        wall += x + d;
-        run_recovery();
-        continue;
-      }
-      if (silent) {
-        // Survived to the end of verification; the silent error is
-        // caught.
-        ++detections;
-        wall += tv;
-        run_recovery();
-        continue;
-      }
-      if (x < tvc) {
-        // Fail-stop while storing the checkpoint.
-        ++fail_stops;
-        wall += x + d;
-        run_recovery();
-        continue;
-      }
-      wall += tvc;
-      break;
-    }
-
-    totals.wall_time += wall;
-    totals.attempts += attempts;
-    totals.fail_stop_errors += fail_stops;
-    totals.recovery_fail_stops += recovery_fails;
-    totals.silent_detections += detections;
-    totals.masked_silent += masked;
-  }
-  return totals;
-}
-
-PatternStats FastProtocolSimulator::simulate_replica_pool(std::size_t n) {
-  // Under a SIMD tier the unit-space walk below is preferred: it makes
-  // the same decisions up to the rounding of the rescaled window bounds,
-  // which is exactly the freedom the SIMD golden tier declares. The
-  // scalar reference tier must stay bit-identical to per-point sampling
-  // (tests/engine_crn_test.cpp), so it keeps the exact loop.
+  if (!lazy_) return run<FullStream>(n, rng);
+  if (pool_cursor_ == nullptr) return run<ThresholdStream>(n, rng);
+  // Under a SIMD tier the unit-space walk is preferred: it makes the same
+  // decisions up to the rounding of the rescaled window bounds, which is
+  // exactly the freedom the SIMD golden tier declares. The scalar
+  // reference tier must stay bit-identical to stream sampling
+  // (tests/engine_crn_test.cpp), so it keeps the exact walk.
   if (rng::simd::active_tier() != rng::simd::Tier::kScalar &&
       (lf_ <= 0.0 || fail_scaling_ != UnitScaling::kVirtual) &&
       (ls_ <= 0.0 || silent_scaling_ != UnitScaling::kVirtual)) {
-    return simulate_replica_pool_units(n);
+    return run<UnitPool>(n);
   }
-  // CRN replica loop: the expensive unit transforms were paid once, in
-  // the shared pool; each draw here is one cursor read plus the cheap
-  // from_unit scaling. Computing every arrival exactly (no threshold
-  // filter) is bit-identical to the filtered loop in the scalar tier:
-  // the filter only ever suppresses computing values that lose every
-  // comparison they appear in, and here the value is nearly free.
-  // The cursor is walked through a local copy (as the filtered loop does
-  // with the engine state) so its position and chunk pointer live in
-  // registers between the rare refills; the guard writes the position
-  // back even if the divergence bound throws mid-replica. The scaling
-  // selectors and factors are hoisted for the same reason — they are
-  // loop-invariant, but the compiler cannot prove that across the stats
-  // stores without the local copies.
-  UnitVariatePool::Cursor cur = *pool_cursor_;
-  struct SyncCursor {
-    UnitVariatePool::Cursor& local;
-    UnitVariatePool::Cursor& shared;
-    ~SyncCursor() { shared = local; }
-  } sync{cur, *pool_cursor_};
-  PatternStats totals;
-
-  const bool have_fail = lf_ > 0.0;
-  const bool have_silent = ls_ > 0.0;
-  const UnitScaling fail_scaling = fail_scaling_;
-  const UnitScaling silent_scaling = silent_scaling_;
-  const double fail_factor = fail_factor_;
-  const double silent_factor = silent_factor_;
-  const double t = t_, tv = tv_, tvc = tvc_, r = r_, d = d_;
-
-  const auto fail_arrival = [&]() -> double {
-    if (!have_fail) return kInf;
-    const double z = cur.next();
-    switch (fail_scaling) {
-      case UnitScaling::kLinear: return fail_factor * z;
-      case UnitScaling::kDivide: return z / fail_factor;
-      default: return fail_dist_->from_unit(z);
-    }
-  };
-  const auto silent_arrival = [&]() -> double {
-    if (!have_silent) return kInf;
-    const double z = cur.next();
-    switch (silent_scaling) {
-      case UnitScaling::kLinear: return silent_factor * z;
-      case UnitScaling::kDivide: return z / silent_factor;
-      default: return silent_dist_->from_unit(z);
-    }
-  };
-
-  for (std::size_t p = 0; p < n; ++p) {
-    double wall = 0.0;
-    std::uint64_t attempts = 0;
-    std::uint64_t fail_stops = 0;
-    std::uint64_t recovery_fails = 0;
-    std::uint64_t detections = 0;
-    std::uint64_t masked = 0;
-
-    const auto run_recovery = [&] {
-      for (;;) {
-        const double y = fail_arrival();
-        if (y < r) {
-          if (fail_stops >= kMaxPatternAttempts) {
-            throw_diverged(pattern_, lf_, ls_);
-          }
-          ++fail_stops;
-          ++recovery_fails;
-          wall += y + d;
-          continue;
-        }
-        wall += r;
-        return;
-      }
-    };
-
-    for (;;) {
-      if (attempts >= kMaxPatternAttempts) {
-        throw_diverged(pattern_, lf_, ls_);
-      }
-      ++attempts;
-      const double x = fail_arrival();
-      const double s_arrival = silent_arrival();
-      const bool silent = s_arrival < t;
-
-      if (x < tv) {
-        ++fail_stops;
-        if (silent && s_arrival < x) ++masked;
-        wall += x + d;
-        run_recovery();
-        continue;
-      }
-      if (silent) {
-        ++detections;
-        wall += tv;
-        run_recovery();
-        continue;
-      }
-      if (x < tvc) {
-        ++fail_stops;
-        wall += x + d;
-        run_recovery();
-        continue;
-      }
-      wall += tvc;
-      break;
-    }
-
-    totals.wall_time += wall;
-    totals.attempts += attempts;
-    totals.fail_stop_errors += fail_stops;
-    totals.recovery_fail_stops += recovery_fails;
-    totals.silent_detections += detections;
-    totals.masked_silent += masked;
-  }
-  return totals;
-}
-
-PatternStats FastProtocolSimulator::simulate_replica_pool_units(
-    std::size_t n) {
-  // Unit-space CRN walk (SIMD golden tier). Instead of scaling every
-  // pool read into an arrival time and comparing it against the pattern
-  // windows, the windows are rescaled into unit space once — z < w/f
-  // decides what f·z < w decides, up to one rounding of the bound — so
-  // the hot path is a raw sequential read and a compare. Arrival times
-  // are materialized (with the exact from_unit expressions) only on the
-  // branches that add them to the wall clock or compare across channels,
-  // i.e. at the failure rate, not the draw rate. Decisions can differ
-  // from the exact loop only when a draw lands within an ulp of a
-  // window bound; that freedom belongs to the SIMD tier, whose results
-  // are its own golden tier — the scalar reference tier never routes
-  // here.
-  UnitVariatePool::Cursor cur = *pool_cursor_;
-  struct SyncCursor {
-    UnitVariatePool::Cursor& local;
-    UnitVariatePool::Cursor& shared;
-    ~SyncCursor() { shared = local; }
-  } sync{cur, *pool_cursor_};
-  PatternStats totals;
-
-  const bool have_fail = lf_ > 0.0;
-  const bool have_silent = ls_ > 0.0;
-  const bool both = have_fail && have_silent;
-  const UnitScaling fsc = fail_scaling_;
-  const UnitScaling ssc = silent_scaling_;
-  const double ff = fail_factor_;
-  const double sf = silent_factor_;
-  // A window bound in unit space; inactive channels draw kInf, which
-  // loses against any finite (or zero) bound just as the exact loop's
-  // kInf arrival loses against any window.
-  const auto unit_bound = [](UnitScaling sc, double factor, double window) {
-    return sc == UnitScaling::kLinear ? window / factor : window * factor;
-  };
-  const auto arrival_of = [](UnitScaling sc, double factor, double z) {
-    return sc == UnitScaling::kLinear ? factor * z : z / factor;
-  };
-  const double tv_z = have_fail ? unit_bound(fsc, ff, tv_) : 0.0;
-  const double tvc_z = have_fail ? unit_bound(fsc, ff, tvc_) : 0.0;
-  const double r_z = have_fail ? unit_bound(fsc, ff, r_) : 0.0;
-  const double t_z = have_silent ? unit_bound(ssc, sf, t_) : 0.0;
-  const double tv = tv_, tvc = tvc_, r = r_, d = d_;
-
-  for (std::size_t p = 0; p < n; ++p) {
-    // The wall clock decomposes into counter-weighted constants plus the
-    // sum of the consumed arrivals: every fail stop adds its arrival and
-    // one downtime d, every recovery that ends clean adds one r (each
-    // non-completing attempt runs recovery exactly once, so that count
-    // is attempts - 1), every detection adds one tv, and the completing
-    // attempt adds tvc. Accumulating the raw unit variates and scaling
-    // the sum once per pattern keeps the hot loop's only loop-carried
-    // float chain at one add per fail stop; the resulting rounding
-    // differs from the exact loop's running sum, which is within the
-    // SIMD tier's golden freedom.
-    double z_sum = 0.0;
-    std::uint64_t attempts = 0;
-    std::uint64_t fail_stops = 0;
-    std::uint64_t recovery_fails = 0;
-    std::uint64_t detections = 0;
-    std::uint64_t masked = 0;
-
-    const auto run_recovery = [&] {
-      for (;;) {
-        const double y_z = have_fail ? cur.next() : kInf;
-        if (y_z < r_z) {
-          if (fail_stops >= kMaxPatternAttempts) {
-            throw_diverged(pattern_, lf_, ls_);
-          }
-          ++fail_stops;
-          ++recovery_fails;
-          z_sum += y_z;
-          continue;
-        }
-        return;
-      }
-    };
-
-    for (;;) {
-      if (attempts >= kMaxPatternAttempts) {
-        throw_diverged(pattern_, lf_, ls_);
-      }
-      ++attempts;
-      double x_z, s_z;
-      if (both) {
-        cur.next2(x_z, s_z);
-      } else {
-        x_z = have_fail ? cur.next() : kInf;
-        s_z = have_silent ? cur.next() : kInf;
-      }
-      const bool silent = s_z < t_z;
-
-      if (x_z < tv_z) {
-        ++fail_stops;
-        if (silent &&
-            arrival_of(ssc, sf, s_z) < arrival_of(fsc, ff, x_z)) {
-          ++masked;
-        }
-        z_sum += x_z;
-        run_recovery();
-        continue;
-      }
-      if (silent) {
-        ++detections;
-        run_recovery();
-        continue;
-      }
-      if (x_z < tvc_z) {
-        ++fail_stops;
-        z_sum += x_z;
-        run_recovery();
-        continue;
-      }
-      break;
-    }
-
-    totals.wall_time += arrival_of(fsc, ff, z_sum) +
-                        d * static_cast<double>(fail_stops) +
-                        r * static_cast<double>(attempts - 1) +
-                        tv * static_cast<double>(detections) + tvc;
-    totals.attempts += attempts;
-    totals.fail_stop_errors += fail_stops;
-    totals.recovery_fail_stops += recovery_fails;
-    totals.silent_detections += detections;
-    totals.masked_silent += masked;
-  }
-  return totals;
-}
-
-PatternStats FastProtocolSimulator::simulate_replica_block(rng::RngStream& rng,
-                                                           std::size_t n) {
-  // SIMD-tier block pipeline for expensive non-memoryless transforms.
-  // Words leave the engine in the historical order but in blocks of
-  // kVariateBlockSize, and every lane is pushed through one full-width
-  // vectorized units_from_uniforms call — transforming all lanes beats
-  // compacting the below-threshold ones, because the vector kernel at
-  // full width costs less than the scatter/gather and the ragged-count
-  // calls the compaction needs. The attempt loop below then never calls
-  // a transcendental: a draw is two array reads, and a below-threshold
-  // arrival is one multiply (Weibull) away.
-  //
-  // Like the DES prefetcher, buffered words survive call boundaries via
-  // the engine-state fingerprint, so simulate_pattern n times ==
-  // simulate_replica(rng, n) and stream switches self-heal.
-  if (block_len_ > block_pos_ && rng.engine().state() != expected_state_) {
-    block_pos_ = block_len_ = 0;
-  }
-
-  rng::Xoshiro256 eng = rng.engine();
-  struct SyncEngine {
-    rng::Xoshiro256& local;
-    rng::RngStream& stream;
-    ~SyncEngine() { stream.engine() = local; }
-  } sync{eng, rng};
-
-  PatternStats totals;
-  const bool have_fail = lf_ > 0.0;
-  const bool have_silent = ls_ > 0.0;
-  const std::uint64_t mthr_fail = mthr_fail_;
-  const std::uint64_t mthr_silent = mthr_silent_;
-  const std::uint64_t mthr_rec = mthr_rec_;
-  const double t = t_, tv = tv_, tvc = tvc_, r = r_, d = d_;
-
-  const auto refill = [&] {
-    for (std::size_t i = 0; i < rng::kVariateBlockSize; ++i) {
-      const std::uint64_t m = eng() >> 11;
-      block_m_[i] = m;
-      block_z_[i] = static_cast<double>(m) * 0x1.0p-53;
-    }
-    unit_src_->units_from_uniforms(block_z_.data(), rng::kVariateBlockSize);
-    block_pos_ = 0;
-    block_len_ = rng::kVariateBlockSize;
-    expected_state_ = eng.state();
-  };
-  // Every lane carries a valid unit variate; above-threshold draws just
-  // never read theirs.
-  const auto next_draw = [&](std::uint64_t& m, double& z) {
-    if (block_pos_ == block_len_) refill();
-    m = block_m_[block_pos_];
-    z = block_z_[block_pos_];
-    ++block_pos_;
-  };
-  const auto scale_fail = [&](double z) {
-    switch (fail_scaling_) {
-      case UnitScaling::kLinear: return fail_factor_ * z;
-      case UnitScaling::kDivide: return z / fail_factor_;
-      default: return fail_dist_->from_unit(z);
-    }
-  };
-  const auto scale_silent = [&](double z) {
-    switch (silent_scaling_) {
-      case UnitScaling::kLinear: return silent_factor_ * z;
-      case UnitScaling::kDivide: return z / silent_factor_;
-      default: return silent_dist_->from_unit(z);
-    }
-  };
-
-  for (std::size_t p = 0; p < n; ++p) {
-    double wall = 0.0;
-    std::uint64_t attempts = 0;
-    std::uint64_t fail_stops = 0;
-    std::uint64_t recovery_fails = 0;
-    std::uint64_t detections = 0;
-    std::uint64_t masked = 0;
-
-    const auto run_recovery = [&] {
-      for (;;) {
-        double y = kInf;
-        if (have_fail) {
-          std::uint64_t m;
-          double z;
-          next_draw(m, z);
-          if (m < mthr_rec) y = scale_fail(z);
-        }
-        if (y < r) {
-          if (fail_stops >= kMaxPatternAttempts) {
-            throw_diverged(pattern_, lf_, ls_);
-          }
-          ++fail_stops;
-          ++recovery_fails;
-          wall += y + d;
-          continue;
-        }
-        wall += r;
-        return;
-      }
-    };
-
-    for (;;) {
-      if (attempts >= kMaxPatternAttempts) {
-        throw_diverged(pattern_, lf_, ls_);
-      }
-      ++attempts;
-      double x = kInf;
-      if (have_fail) {
-        std::uint64_t m;
-        double z;
-        next_draw(m, z);
-        if (m < mthr_fail) x = scale_fail(z);
-      }
-      double s_arrival = kInf;
-      if (have_silent) {
-        std::uint64_t m;
-        double z;
-        next_draw(m, z);
-        if (m < mthr_silent) s_arrival = scale_silent(z);
-      }
-      const bool silent = s_arrival < t;
-
-      if (x < tv) {
-        ++fail_stops;
-        if (silent && s_arrival < x) ++masked;
-        wall += x + d;
-        run_recovery();
-        continue;
-      }
-      if (silent) {
-        ++detections;
-        wall += tv;
-        run_recovery();
-        continue;
-      }
-      if (x < tvc) {
-        ++fail_stops;
-        wall += x + d;
-        run_recovery();
-        continue;
-      }
-      wall += tvc;
-      break;
-    }
-
-    totals.wall_time += wall;
-    totals.attempts += attempts;
-    totals.fail_stop_errors += fail_stops;
-    totals.recovery_fail_stops += recovery_fails;
-    totals.silent_detections += detections;
-    totals.masked_silent += masked;
-  }
-  return totals;
+  return run<ExactPool>(n);
 }
 
 }  // namespace ayd::sim

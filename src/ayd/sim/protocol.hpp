@@ -35,13 +35,18 @@
 //    quantile inversion (log / pow / normal-quantile) runs in bulk over
 //    a cache-resident block, and only the cheap rate scaling happens per
 //    draw.
-//  * FastProtocolSimulator filters each draw through a precomputed CDF
-//    threshold: an attempt whose uniforms say "no error strikes before
-//    the checkpoint is stored" — the overwhelmingly common case at
-//    realistic rates — costs two uniforms and two compares, with no
-//    transcendental calls at all. Draws near a decision boundary or
-//    inside an error window fall back to the exact historical
-//    arithmetic on the very same uniform, so results cannot drift.
+//  * FastProtocolSimulator runs one attempt/recovery state machine over
+//    a draw source: the stream filtered by CDF thresholds, the stream
+//    drawing every arrival (trace replay), or a CRN pool cursor walked
+//    exactly or, under a SIMD tier, in unit space. The threshold filter
+//    makes an attempt whose uniforms say "no error strikes before the
+//    checkpoint is stored" — the overwhelmingly common case at realistic
+//    rates — cost two uniforms and two compares, with no transcendental
+//    calls at all. Draws near a decision boundary or inside an error
+//    window fall back to the exact historical arithmetic on the very
+//    same uniform, so results cannot drift. The stream-fed sources call
+//    no vectorized kernel, so their results are the same bits under
+//    every SIMD tier.
 
 #pragma once
 
@@ -188,7 +193,11 @@ class FastProtocolSimulator {
  public:
   FastProtocolSimulator(const model::System& sys, const core::Pattern& pattern);
 
-  [[nodiscard]] PatternStats simulate_pattern(rng::RngStream& rng);
+  /// One pattern is the n == 1 replica (merging into zeroed totals is the
+  /// identity, bitwise: every counter starts at 0 and wall_time > 0).
+  [[nodiscard]] PatternStats simulate_pattern(rng::RngStream& rng) {
+    return simulate_replica(rng, 1);
+  }
 
   /// Simulates `n` patterns back to back and merges their stats —
   /// equivalent to n simulate_pattern calls, with the loop inside the
@@ -196,12 +205,9 @@ class FastProtocolSimulator {
   [[nodiscard]] PatternStats simulate_replica(rng::RngStream& rng,
                                               std::size_t n);
 
-  /// Discards words prefetched by the SIMD block pipeline (scalar-tier
-  /// runs never prefetch, so this is a no-op there). Stream switches are
-  /// also detected automatically via the engine-state fingerprint, like
-  /// the DES simulator; the replication driver calls this at every
-  /// replica switch.
-  void begin_replica() { block_pos_ = block_len_ = 0; }
+  /// Nothing is prefetched across replicas; sim/runner calls it at every
+  /// replica switch, as it does for the DES simulator.
+  void begin_replica() {}
 
   /// Pool mode (common random numbers): see
   /// DesProtocolSimulator::set_unit_cursor. In the scalar tier, pool-fed
@@ -211,32 +217,20 @@ class FastProtocolSimulator {
   [[nodiscard]] const core::Pattern& pattern() const { return pattern_; }
 
  private:
-  /// The historical draw-everything loop; used when a source cannot be
-  /// threshold-filtered (trace replay's variable word consumption).
-  [[nodiscard]] PatternStats simulate_pattern_general(rng::RngStream& rng);
-
-  /// CRN replica loop: every draw comes from the shared pool sequence.
-  [[nodiscard]] PatternStats simulate_replica_pool(std::size_t n);
-
-  /// CRN replica loop in unit space (SIMD golden tier only): the window
-  /// bounds are rescaled into the pool's unit-variate space once per
-  /// replica call, so the hot path compares raw pool reads and only
-  /// branches that consume an arrival time compute the scaling multiply.
-  [[nodiscard]] PatternStats simulate_replica_pool_units(std::size_t n);
-
-  /// SIMD-tier replica loop: words are pulled from the engine in blocks,
-  /// the below-threshold lanes are transformed in bulk with the
-  /// vectorized kernels, and the attempt loop consumes (mantissa, unit
-  /// variate) pairs with no per-draw transcendental calls.
-  [[nodiscard]] PatternStats simulate_replica_block(rng::RngStream& rng,
-                                                    std::size_t n);
+  /// The one attempt/recovery machine, run over a draw source built from
+  /// this simulator and `args` (protocol.cpp documents the interface).
+  template <class Source, class... Args>
+  [[nodiscard]] PatternStats run(std::size_t n, Args&&... args) const;
+  struct ExactSource;      ///< what the time-space sources share
+  struct ThresholdStream;  ///< stream, filtered by CDF thresholds
+  struct FullStream;       ///< stream, every arrival drawn (trace replay)
+  struct ExactPool;        ///< CRN pool, exact arrivals
+  struct UnitPool;         ///< CRN pool in unit space (SIMD tier)
 
   core::Pattern pattern_;
   double lf_;
   double ls_;
   double t_;
-  double v_;
-  double c_;
   double r_;
   double d_;
   double tv_;   ///< T + V (precomputed with the historical expression)
@@ -254,33 +248,15 @@ class FastProtocolSimulator {
   std::uint64_t mthr_silent_ = 0;  ///< silent arrival before T possible
   std::uint64_t mthr_rec_ = 0;     ///< fail-stop before R possible
 
-  /// How from_unit scales a unit variate, devirtualized for the pool and
-  /// block hot loops (the scalar expressions are kept bit-for-bit:
-  /// Weibull multiplies by its scale, the exponential divides by its
-  /// rate, the lognormal stays a virtual call).
+  /// How from_unit scales a unit variate, devirtualized for the pool
+  /// walks (the scalar expressions are kept bit-for-bit: Weibull
+  /// multiplies by its scale, the exponential divides by its rate, the
+  /// lognormal stays a virtual call).
   enum class UnitScaling : int { kLinear, kDivide, kVirtual };
-
-  // --- SIMD block pipeline (non-memoryless sources, SIMD tier only) ----
-  //
-  // The exponential fast path never enables this (its draws are already
-  // transcendental-free), so exponential results stay byte-identical to
-  // the scalar tier under every tier.
-  bool block_mode_ = false;     ///< pipeline enabled at construction
-  /// Unit-transform source for the bulk kernels (fail and silent sources
-  /// share one spec, hence one unit transform).
-  const model::FailureDistribution* unit_src_ = nullptr;
   UnitScaling fail_scaling_ = UnitScaling::kVirtual;
   double fail_factor_ = 0.0;    ///< scale (kLinear) or rate (kDivide)
   UnitScaling silent_scaling_ = UnitScaling::kVirtual;
   double silent_factor_ = 0.0;
-  /// Pre-shifted 53-bit mantissas and the bulk-transformed unit variates
-  /// (above-threshold draws never read their variate).
-  std::array<std::uint64_t, rng::kVariateBlockSize> block_m_{};
-  std::array<double, rng::kVariateBlockSize> block_z_{};
-  std::size_t block_pos_ = 0;
-  std::size_t block_len_ = 0;
-  /// Stale-prefetch fingerprint, exactly like the DES simulator's.
-  std::array<std::uint64_t, 4> expected_state_{};
   /// Non-null in pool (CRN) mode: draws come from the shared sequence.
   UnitVariatePool::Cursor* pool_cursor_ = nullptr;
 };

@@ -1,8 +1,8 @@
 // Equivalence of the SIMD-tier bulk sampling with the pinned scalar
 // reference (the two-golden-tier policy, docs/reproducing-the-paper.md):
 //
-//  * Under the forced scalar tier, sample_units_fast / units_from_uniforms
-//    / from_unit_bulk are bit-identical to the pinned scalar methods —
+//  * Under the forced scalar tier, sample_units_fast / from_unit_bulk
+//    are bit-identical to the pinned scalar methods —
 //    the tier dispatch must be invisible when it selects the reference.
 //  * Under the AVX2 tier, the vectorized transcendental kernels may
 //    differ from libm, but only within tight relative-error bounds that
@@ -72,17 +72,14 @@ TEST(FailureDistSimd, ScalarTierBulkPathsAreBitIdenticalToPinnedMethods) {
   rng::simd::force_tier(rng::simd::Tier::kScalar);
   for (const SpecCase& c : cases()) {
     const auto dist = c.spec.instantiate(kRate);
-    std::vector<double> za(kN), zb(kN), u(kN);
-    rng::RngStream ra(2024), rb(2024), ru(2024);
+    std::vector<double> za(kN), zb(kN);
+    rng::RngStream ra(2024), rb(2024);
     dist->sample_units(ra, za.data(), kN);
     dist->sample_units_fast(rb, zb.data(), kN);
-    ru.fill_uniform01(u.data(), kN);
-    dist->units_from_uniforms(u.data(), kN);
     // Same engine words consumed, same values produced — bitwise.
     EXPECT_EQ(ra.engine().state(), rb.engine().state()) << c.spec.to_string();
     for (std::size_t i = 0; i < kN; ++i) {
       ASSERT_EQ(za[i], zb[i]) << c.spec.to_string() << " unit " << i;
-      ASSERT_EQ(za[i], u[i]) << c.spec.to_string() << " transform " << i;
     }
     std::vector<double> out(kN);
     dist->from_unit_bulk(za.data(), out.data(), kN);
@@ -159,7 +156,8 @@ TEST(FailureDistSimd, DegenerateAndTraceKindsKeepScalarSemantics) {
   const auto never = FailureDistSpec::weibull(0.7).instantiate(0.0);
   EXPECT_FALSE(never->unit_samplable());
   double z[4] = {0.1, 0.2, 0.3, 0.4};
-  EXPECT_THROW(never->units_from_uniforms(z, 4), util::Error);
+  rng::RngStream rng(1);
+  EXPECT_THROW(never->sample_units_fast(rng, z, 4), util::Error);
 }
 
 }  // namespace

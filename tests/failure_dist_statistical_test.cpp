@@ -99,8 +99,7 @@ TEST(FailureDistKs, LogNormalBothPaths) {
 
 /// The SIMD sampling path: bulk unit variates through the tier-dispatched
 /// vectorized kernels, scaled by from_unit_bulk — exactly what the DES
-/// refill, the variate pool, and the fast simulator's block pipeline run
-/// in production under the AVX2 tier.
+/// refill and the variate pool run in production under the AVX2 tier.
 std::vector<double> sample_simd_path(const FailureDistribution& dist,
                                      std::uint64_t stream_id) {
   rng::RngStream rng(kSeed, stream_id);

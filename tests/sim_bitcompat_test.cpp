@@ -17,11 +17,15 @@
 // whole suite runs with the SIMD tier forced off, because the vectorized
 // transcendental kernels are allowed to differ from libm by a few ULP
 // and carry their own golden tier (tests/failure_dist_simd_test.cpp).
-// The exponential fast path never calls a vectorized transform, so its
-// pin holds under every tier — one case below checks that explicitly.
+// The stream-fed fast path never calls a vectorized transform, so its
+// pins hold under every tier, for every law — one case below checks
+// that explicitly. The pool-fed (CRN) fast path does read vectorized
+// variates, so it carries separate pins under the forced AVX2 tier.
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -30,6 +34,7 @@
 #include "ayd/rng/simd.hpp"
 #include "ayd/sim/protocol.hpp"
 #include "ayd/sim/runner.hpp"
+#include "ayd/sim/variate_pool.hpp"
 
 namespace ayd::sim {
 namespace {
@@ -47,10 +52,12 @@ using model::ResilienceCosts;
 using model::Speedup;
 using model::System;
 
-System pinned_system(const FailureDistSpec& spec) {
+System pinned_system(const FailureDistSpec& spec, double lambda = 1e-7,
+                     double fail_stop_fraction = 0.4) {
   ResilienceCosts costs{CostModel::constant(300.0), CostModel::constant(300.0),
                         CostModel::constant(30.0)};
-  return System(FailureModel(1e-7, 0.4), costs, 1800.0, Speedup::amdahl(0.1))
+  return System(FailureModel(lambda, fail_stop_fraction), costs, 1800.0,
+                Speedup::amdahl(0.1))
       .with_failure_dist(spec);
 }
 
@@ -76,6 +83,33 @@ constexpr Pin kPins[] = {
     {"weibull_15", Backend::kDes, 0x1.bbdabd7fd7dabp+22, 363, 21, 0, 42, 1},
     {"lognormal_12", Backend::kFast, 0x1.52078d3e7fdefp+23, 587, 129, 0, 158, 25},
     {"lognormal_12", Backend::kDes, 0x1.6d0dd94723a49p+23, 637, 148, 0, 189, 28},
+};
+
+/// Pool-fed (CRN) fast-simulator totals under the forced AVX2 tier:
+/// UnitVariatePool(spec, 42), replica cursors 0..3 with 75 patterns each,
+/// pattern (T=20000, P=256). The exponential and the Weibull take the
+/// unit-space walk, the lognormal the exact walk over AVX2-generated
+/// variates. Generated at commit 6c7836e, except the silent-only row:
+/// there the unit-space walk scaled an empty fail-stop sum by the
+/// inactive channel's zero factor and returned NaN. That row pins the
+/// repaired value, which equals the scalar tier's exact walk bit-for-bit.
+struct PoolPin {
+  const char* name;
+  double fail_stop_fraction;
+  double wall_time;
+  std::uint64_t attempts;
+  std::uint64_t fail_stops;
+  std::uint64_t recovery_fail_stops;
+  std::uint64_t silent_detections;
+  std::uint64_t masked_silent;
+};
+
+constexpr PoolPin kAvx2PoolPins[] = {
+    {"exponential", 0.4, 0x1.1818ee1d784aap+23, 492, 102, 2, 92, 11},
+    {"weibull_07", 0.4, 0x1.75a05700559fbp+23, 725, 235, 10, 200, 41},
+    {"weibull_07", 1.0, 0x1.11838f98fc42p+23, 615, 327, 12, 0, 0},
+    {"weibull_07", 0.0, 0x1.79d654p+23, 609, 0, 0, 309, 0},
+    {"lognormal_12", 0.4, 0x1.515dffdd7c6dp+23, 591, 139, 0, 152, 29},
 };
 
 FailureDistSpec spec_for(const std::string& name) {
@@ -336,28 +370,104 @@ TEST(SimBitCompat, SimulateReplicaEqualsPatternLoop) {
   }
 }
 
-// The exponential *fast* path never calls a transcendental (the CDF
-// threshold filter decides almost every draw from the raw word, and the
-// exceptions go through the pinned scalar sample_value), so its
-// pre-overhaul pin must hold under the auto-detected tier too — the
-// byte-identical-by-default guarantee for the paper's model on the
-// default backend. (The DES backend's batched refill does route -log
-// through the tier-dispatched kernel, so its pin is scalar-tier only,
-// like the non-exponential ones.)
-TEST(SimBitCompat, ExponentialFastPinHoldsUnderAutoDetectedTier) {
-  rng::simd::clear_forced_tier();
-  const System sys = pinned_system(FailureDistSpec::exponential());
-  for (const Pin& pin : kPins) {
-    if (std::string(pin.name) != "exponential" || pin.backend != Backend::kFast)
-      continue;
-    PatternStats totals;
+// The stream-fed fast path never calls a vectorized kernel: the CDF
+// threshold filter decides most draws from the raw word, and the rest go
+// through the pinned scalar sample_value (trace replay draws through the
+// scalar sample). So its totals and its stream position are the same bits
+// under every tier and for every law — the scalar pins hold under AVX2,
+// and so do failure-rich regimes where most draws need the inversion.
+// (The DES backend's batched refill and the CRN pools do route transforms
+// through the tier-dispatched kernels, so their bits are tier-specific.)
+TEST(SimBitCompat, StreamFedFastPathIsTierInvariantForEveryLaw) {
+  if (!rng::simd::avx2_available()) {
+    GTEST_SKIP() << "AVX2 not available on this host";
+  }
+  const core::Pattern pattern{20000.0, 256.0};
+  const auto run = [&](const System& sys, rng::simd::Tier tier) {
+    rng::simd::force_tier(tier);
+    FastProtocolSimulator simulator(sys, pattern);
     rng::RngStream rng(42);
-    FastProtocolSimulator simulator(sys, {20000.0, 256.0});
-    for (int i = 0; i < 300; ++i) {
-      totals.merge(simulator.simulate_pattern(rng));
-    }
+    PatternStats totals;
+    for (int i = 0; i < 300; ++i) totals.merge(simulator.simulate_pattern(rng));
+    return std::pair{totals, rng.engine().state()};
+  };
+
+  for (const Pin& pin : kPins) {
+    if (pin.backend != Backend::kFast) continue;
+    const PatternStats totals =
+        run(pinned_system(spec_for(pin.name)), rng::simd::Tier::kAvx2).first;
     EXPECT_EQ(totals.wall_time, pin.wall_time) << pin.name;
     EXPECT_EQ(totals.attempts, pin.attempts) << pin.name;
+    EXPECT_EQ(totals.fail_stop_errors, pin.fail_stops) << pin.name;
+    EXPECT_EQ(totals.recovery_fail_stops, pin.recovery_fail_stops)
+        << pin.name;
+    EXPECT_EQ(totals.silent_detections, pin.silent_detections) << pin.name;
+    EXPECT_EQ(totals.masked_silent, pin.masked_silent) << pin.name;
+  }
+
+  // Failure-rich regimes (x5 the pinned rate: most draws land below the
+  // threshold and need the quantile inversion), fail-stop-only and
+  // silent-only worlds, and trace replay: AVX2 equals scalar bitwise.
+  const struct {
+    const char* label;
+    System sys;
+  } cases[] = {
+      {"weibull_07 failure-rich",
+       pinned_system(FailureDistSpec::weibull(0.7), 5e-7)},
+      {"weibull_15 failure-rich",
+       pinned_system(FailureDistSpec::weibull(1.5), 5e-7)},
+      {"lognormal_12 failure-rich",
+       pinned_system(FailureDistSpec::lognormal(1.2), 5e-7)},
+      {"weibull_07 fail-stop only",
+       pinned_system(FailureDistSpec::weibull(0.7), 5e-7, 1.0)},
+      {"weibull_07 silent only",
+       pinned_system(FailureDistSpec::weibull(0.7), 5e-7, 0.0)},
+      {"trace replay",
+       pinned_system(FailureDistSpec::trace_replay(
+                         {300.0, 4000.0, 90000.0, 12000.0, 650.0}),
+                     5e-7)},
+  };
+  for (const auto& c : cases) {
+    const auto [scalar, scalar_state] = run(c.sys, rng::simd::Tier::kScalar);
+    const auto [simd, simd_state] = run(c.sys, rng::simd::Tier::kAvx2);
+    EXPECT_EQ(simd.wall_time, scalar.wall_time) << c.label;
+    EXPECT_EQ(simd.attempts, scalar.attempts) << c.label;
+    EXPECT_EQ(simd.fail_stop_errors, scalar.fail_stop_errors) << c.label;
+    EXPECT_EQ(simd.recovery_fail_stops, scalar.recovery_fail_stops)
+        << c.label;
+    EXPECT_EQ(simd.silent_detections, scalar.silent_detections) << c.label;
+    EXPECT_EQ(simd.masked_silent, scalar.masked_silent) << c.label;
+    EXPECT_EQ(simd_state, scalar_state) << c.label;
+  }
+  rng::simd::force_tier(rng::simd::Tier::kScalar);
+}
+
+TEST(SimBitCompat, PoolFedFastPinsHoldUnderAvx2Tier) {
+  if (!rng::simd::avx2_available()) {
+    GTEST_SKIP() << "AVX2 not available on this host";
+  }
+  rng::simd::force_tier(rng::simd::Tier::kAvx2);
+  for (const PoolPin& pin : kAvx2PoolPins) {
+    const FailureDistSpec spec = spec_for(pin.name);
+    const System sys = pinned_system(spec, 1e-7, pin.fail_stop_fraction);
+    UnitVariatePool pool(spec, 42);
+    FastProtocolSimulator simulator(sys, {20000.0, 256.0});
+    rng::RngStream unused(0);
+    PatternStats totals;
+    for (std::size_t replica = 0; replica < 4; ++replica) {
+      UnitVariatePool::Cursor cursor = pool.cursor(replica);
+      simulator.set_unit_cursor(&cursor);
+      totals.merge(simulator.simulate_replica(unused, 75));
+    }
+    simulator.set_unit_cursor(nullptr);
+    const std::string label =
+        std::string(pin.name) + " f=" + std::to_string(pin.fail_stop_fraction);
+    EXPECT_EQ(totals.wall_time, pin.wall_time) << label;
+    EXPECT_EQ(totals.attempts, pin.attempts) << label;
+    EXPECT_EQ(totals.fail_stop_errors, pin.fail_stops) << label;
+    EXPECT_EQ(totals.recovery_fail_stops, pin.recovery_fail_stops) << label;
+    EXPECT_EQ(totals.silent_detections, pin.silent_detections) << label;
+    EXPECT_EQ(totals.masked_silent, pin.masked_silent) << label;
   }
   rng::simd::force_tier(rng::simd::Tier::kScalar);
 }
