@@ -1,15 +1,18 @@
 // Microbenchmark of the simulation stack: single-thread replication
 // throughput (runs/sec and patterns/sec) of both protocol back-ends under
-// exponential, Weibull and log-normal arrivals, emitted as BENCH_sim.json
-// so the perf trajectory of the simulator hot path is tracked across
-// commits.
+// exponential, Weibull and log-normal arrivals, plus the segmented
+// interpreters (multi-verification n=2, two-level n=2, a shock world and
+// the segmented DES) at the failure-rich Weibull system, emitted as
+// BENCH_sim.json so the perf trajectory of the simulator hot path is
+// tracked across commits.
 //
-// Each configuration that reads the variate tier is timed twice: once
-// under the auto-detected SIMD tier (AVX2 where the host has it) and once
-// under the forced scalar reference tier, so the JSON carries the
-// vectorization gain (simd_vs_scalar) measured within one run on one
-// machine. The stream-fed fast path calls no vectorized kernel, so its
-// rows are timed once. CI greps the "SIM-BENCH" summary lines.
+// Each configuration that reads the variate tier (the plain DES) is timed
+// twice: once under the auto-detected SIMD tier (AVX2 where the host has
+// it) and once under the forced scalar reference tier, so the JSON carries
+// the vectorization gain (simd_vs_scalar) measured within one run on one
+// machine. The stream-fed fast path and the segmented interpreters call no
+// vectorized kernel, so their rows are timed once. CI greps the
+// "SIM-BENCH" summary lines.
 //
 // A second section times a fig5-style lambda sweep under Weibull failures
 // twice — independent per-point sampling vs common random numbers (one
@@ -27,12 +30,15 @@
 #include "bench_common.hpp"
 
 #include "ayd/core/first_order.hpp"
+#include "ayd/core/two_level.hpp"
 #include "ayd/engine/engine.hpp"
 #include "ayd/io/json.hpp"
 #include "ayd/model/platform.hpp"
 #include "ayd/model/scenario.hpp"
 #include "ayd/rng/simd.hpp"
+#include "ayd/sim/multi_protocol.hpp"
 #include "ayd/sim/runner.hpp"
+#include "ayd/sim/two_level_protocol.hpp"
 #include "ayd/util/strings.hpp"
 #include "ayd/util/version.hpp"
 
@@ -49,6 +55,10 @@ struct Config {
   /// Multiplier on the platform's lambda_ind; in the failure-rich regime
   /// most draws need a transform.
   double lambda_scale = 1.0;
+  /// "vc" (the plain simulators) or a segmented world: "multi" (n=2
+  /// verified segments), "two-level" (n=2, L = V) or "shock" (VC under a
+  /// correlated shock stream).
+  std::string world = "vc";
 };
 
 struct Throughput {
@@ -66,14 +76,28 @@ struct Measurement {
   bool tier_invariant = false;
 };
 
-/// Best-of-`reps` throughput of serial simulate_overhead calls under the
-/// currently active variate tier; the outer iteration count is calibrated
-/// so one rep runs long enough to time reliably.
-Throughput time_config(const model::System& sys, const core::Pattern& pattern,
+/// Best-of-`reps` throughput of serial replication calls (the driver of
+/// cfg.world) under the currently active variate tier; the outer
+/// iteration count is calibrated so one rep runs long enough to time
+/// reliably.
+Throughput time_config(const Config& cfg, const model::System& sys,
+                       const core::Pattern& pattern,
                        const sim::ReplicationOptions& opt, int reps) {
   sim::ReplicationScratch scratch;
+  const model::System shocked = sys.with_shock({0.6, 0.05, {}});
   const auto one_call = [&] {
-    (void)sim::simulate_overhead(sys, pattern, opt, nullptr, &scratch);
+    if (cfg.world == "multi") {
+      (void)sim::simulate_multi_overhead(
+          sys, {pattern.period, pattern.procs, 2}, opt);
+    } else if (cfg.world == "two-level") {
+      (void)sim::simulate_two_level_overhead(
+          core::TwoLevelSystem::with_memory_level1(sys),
+          {pattern.period, pattern.procs, 2}, opt);
+    } else if (cfg.world == "shock") {
+      (void)sim::simulate_overhead(shocked, pattern, opt, nullptr, &scratch);
+    } else {
+      (void)sim::simulate_overhead(sys, pattern, opt, nullptr, &scratch);
+    }
   };
 
   // Calibrate: aim for ~0.25 s per rep.
@@ -103,12 +127,12 @@ Measurement measure(const Config& cfg, const model::System& sys,
                     const sim::ReplicationOptions& opt, int reps) {
   Measurement m;
   m.config = cfg;
-  m.tier_invariant = cfg.backend == "fast";
-  m.active = time_config(sys, pattern, opt, reps);
+  m.tier_invariant = cfg.backend == "fast" || cfg.world != "vc";
+  m.active = time_config(cfg, sys, pattern, opt, reps);
   if (!m.tier_invariant &&
       rng::simd::active_tier() != rng::simd::Tier::kScalar) {
     rng::simd::force_tier(rng::simd::Tier::kScalar);
-    m.scalar = time_config(sys, pattern, opt, reps);
+    m.scalar = time_config(cfg, sys, pattern, opt, reps);
     rng::simd::clear_forced_tier();
   }
   return m;
@@ -236,6 +260,18 @@ int main(int argc, char** argv) {
             {"lognormal:s=1.2", "des", "paper", sim::Backend::kDes},
             {"lognormal:s=1.2", "fast", "failure-rich", sim::Backend::kFast,
              600.0},
+            // The segmented interpreters and the plain DES at the
+            // failure-rich Weibull system.
+            {"weibull:k=0.7", "fast", "failure-rich", sim::Backend::kFast,
+             600.0, "multi"},
+            {"weibull:k=0.7", "fast", "failure-rich", sim::Backend::kFast,
+             600.0, "two-level"},
+            {"weibull:k=0.7", "fast", "failure-rich", sim::Backend::kFast,
+             600.0, "shock"},
+            {"weibull:k=0.7", "des", "failure-rich", sim::Backend::kDes,
+             600.0},
+            {"weibull:k=0.7", "des", "failure-rich", sim::Backend::kDes,
+             600.0, "multi"},
         };
         const int reps = static_cast<int>(args.option_int("reps"));
         const char* tier = rng::simd::tier_name(rng::simd::active_tier());
@@ -268,11 +304,14 @@ int main(int argc, char** argv) {
                                               3) +
                       "x scalar tier";
           }
+          const std::string world =
+              cfg.world == "vc" ? "" : "  world=" + cfg.world;
           std::printf("SIM-BENCH %-15s %-4s %-12s [%s]: %10.0f runs/s  "
-                      "%12.0f patterns/s%s\n",
+                      "%12.0f patterns/s%s%s\n",
                       cfg.dist.c_str(), cfg.backend.c_str(),
                       cfg.regime.c_str(), tier, m.active.runs_per_sec,
-                      m.active.patterns_per_sec, extras.c_str());
+                      m.active.patterns_per_sec, extras.c_str(),
+                      world.c_str());
         }
 
         const SweepResult sweep = time_crn_sweep(
@@ -309,6 +348,7 @@ int main(int argc, char** argv) {
           json.kv("dist", m.config.dist);
           json.kv("backend", m.config.backend);
           json.kv("regime", m.config.regime);
+          json.kv("world", m.config.world);
           json.kv("tier_invariant", m.tier_invariant);
           json.kv("runs_per_sec", m.active.runs_per_sec);
           json.kv("patterns_per_sec", m.active.patterns_per_sec);

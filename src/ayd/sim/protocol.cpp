@@ -14,7 +14,6 @@ namespace ayd::sim {
 
 namespace {
 
-constexpr std::uint64_t kNoEvent = std::numeric_limits<std::uint64_t>::max();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 [[noreturn]] void throw_diverged(const core::Pattern& pattern, double lf,
@@ -75,7 +74,6 @@ DesProtocolSimulator::DesProtocolSimulator(const model::System& sys,
   if (batched_) {
     unit_src_ = lf_ > 0.0 ? fail_dist_.get() : silent_dist_.get();
   }
-  queue_.reserve(8);
 }
 
 void DesProtocolSimulator::set_unit_cursor(UnitVariatePool::Cursor* cursor) {
@@ -108,10 +106,9 @@ PatternStats DesProtocolSimulator::simulate_pattern(rng::RngStream& rng,
   enum class Phase { kWork, kVerify, kCheckpoint, kRecovery };
 
   PatternStats stats;
-  // Fresh id epoch per pattern: ids (and so tie-breaks) are identical to
-  // the historical fresh-queue-per-pattern behaviour, but the arena is
-  // reused — no allocation once warm.
-  queue_.clear();
+  // Fresh schedule counter per pattern: ids (and so tie-breaks) are
+  // identical to the historical fresh-queue-per-pattern behaviour.
+  pending_.reset();
   // Stale-prefetch guard: variates buffered from a previous call are
   // only valid if `rng` is the same stream at the same position. A
   // fingerprint mismatch means the caller switched streams without
@@ -126,39 +123,34 @@ PatternStats DesProtocolSimulator::simulate_pattern(rng::RngStream& rng,
   Phase phase = Phase::kWork;
   double phase_start = clock;
   bool silent_struck = false;
-  std::uint64_t phase_end_id = kNoEvent;
-  std::uint64_t silent_id = kNoEvent;
-  std::uint64_t fail_stop_id = kNoEvent;
 
   // `discard_at` is the exact event time at which the scheduled arrival
   // would be discarded anyway: under renewal the pending fail-stop dies
   // at the next renewal point (attempt end ((clock+T)+V)+C or recovery
   // end clock+R — computed with the same additions the phase-end chain
   // will perform, so the comparison is exact). An arrival strictly
-  // beyond that point can never fire, so skipping its push spares the
-  // heap the schedule-then-discard round trip; the draw still consumed
-  // its words. The comparison must be strict: a fail-stop pushed at an
-  // attempt start carries an *older* id than the verify/checkpoint
-  // phase-ends pushed later, so on an exact time tie at the attempt end
-  // the fail-stop pops first and must strike (trace-replay
-  // distributions have atoms, so exact ties carry real probability).
-  // At a tie on a recovery end the recovery phase-end is older and pops
-  // first, and the pushed arrival is then cancelled by the renewal —
-  // bit-identical to the historical schedule-then-cancel path.
-  // Memoryless sources keep their pending arrival across renewal points
-  // and are always pushed.
+  // beyond that point can never fire, so it is not scheduled; the draw
+  // still consumed its words. The comparison must be strict: a fail-stop
+  // scheduled at an attempt start carries an *older* id than the
+  // verify/checkpoint phase-ends scheduled later, so on an exact time tie
+  // at the attempt end the fail-stop pops first and must strike
+  // (trace-replay distributions have atoms, so exact ties carry real
+  // probability). At a tie on a recovery end the recovery phase-end is
+  // older and pops first, and the scheduled arrival is then cancelled by
+  // the renewal. Memoryless sources keep their pending arrival across
+  // renewal points and are always scheduled.
   const auto schedule_fail_stop = [&](double discard_at) {
     if (lf_ > 0.0) {
       const double arrival = clock + draw(*fail_dist_, rng);
       if (renewal_ && arrival > discard_at) return;
-      fail_stop_id = queue_.push(arrival, EventType::kFailStop);
+      pending_.schedule(kFailStopSlot, arrival);
     }
   };
   const auto attempt_end = [&] { return ((clock + t_) + v_) + c_; };
   const auto begin_phase = [&](Phase next, double duration) {
     phase = next;
     phase_start = clock;
-    phase_end_id = queue_.push(clock + duration, EventType::kPhaseEnd);
+    pending_.schedule(kPhaseEndSlot, clock + duration);
   };
   const auto begin_attempt = [&] {
     if (stats.attempts >= kMaxPatternAttempts) {
@@ -171,18 +163,9 @@ PatternStats DesProtocolSimulator::simulate_pattern(rng::RngStream& rng,
       const double arrival = clock + draw(*silent_dist_, rng);
       // A silent arrival at or beyond the work phase-end can never fire:
       // the phase-end (same time or earlier, and the older id) pops
-      // first and cancels it. Skipping the push spares the heap the
-      // schedule-then-cancel round trip of almost every silent arrival;
+      // first and cancels it. Not scheduling it saves the round trip;
       // the draw itself still happened, so the stream is unchanged.
-      if (arrival < clock + t_) {
-        silent_id = queue_.push(arrival, EventType::kSilent);
-      }
-    }
-  };
-  const auto cancel_if_pending = [&](std::uint64_t& id) {
-    if (id != kNoEvent) {
-      queue_.cancel(id);
-      id = kNoEvent;
+      if (arrival < clock + t_) pending_.schedule(kSilentSlot, arrival);
     }
   };
   // Renewal point for non-memoryless distributions: discard the pending
@@ -191,7 +174,7 @@ PatternStats DesProtocolSimulator::simulate_pattern(rng::RngStream& rng,
   // their pending draw (the historical exponential path, bit-for-bit).
   const auto renew_fail_stop = [&](double discard_at) {
     if (!renewal_) return;
-    cancel_if_pending(fail_stop_id);
+    pending_.cancel(kFailStopSlot);
     schedule_fail_stop(discard_at);
   };
   const auto trace_segment = [&](double begin, double end, SegmentKind kind) {
@@ -211,13 +194,12 @@ PatternStats DesProtocolSimulator::simulate_pattern(rng::RngStream& rng,
   schedule_fail_stop(attempt_end());
 
   for (;;) {
-    const auto event = queue_.pop();
+    const auto event = pending_.pop();
     AYD_ENSURE(event.has_value(), "protocol simulation ran out of events");
     clock = event->time;
 
-    switch (event->type) {
-      case EventType::kSilent: {
-        silent_id = kNoEvent;
+    switch (event->slot) {
+      case kSilentSlot: {
         // Fires only during the work phase: it is scheduled at work start
         // and cancelled when the phase ends or is preempted.
         AYD_ENSURE(phase == Phase::kWork, "silent error outside computation");
@@ -225,8 +207,7 @@ PatternStats DesProtocolSimulator::simulate_pattern(rng::RngStream& rng,
         break;
       }
 
-      case EventType::kFailStop: {
-        fail_stop_id = kNoEvent;
+      case kFailStopSlot: {
         if (stats.fail_stop_errors >= kMaxPatternAttempts) {
           throw_diverged(pattern_, lf_, ls_);
         }
@@ -238,8 +219,8 @@ PatternStats DesProtocolSimulator::simulate_pattern(rng::RngStream& rng,
           ++stats.masked_silent;
           silent_struck = false;
         }
-        cancel_if_pending(phase_end_id);
-        cancel_if_pending(silent_id);
+        pending_.cancel(kPhaseEndSlot);
+        pending_.cancel(kSilentSlot);
         // The partial phase execution is lost.
         trace_segment(phase_start, clock,
                       phase == Phase::kWork ? SegmentKind::kWasted
@@ -252,11 +233,10 @@ PatternStats DesProtocolSimulator::simulate_pattern(rng::RngStream& rng,
         break;
       }
 
-      case EventType::kPhaseEnd: {
-        phase_end_id = kNoEvent;
+      default: {  // kPhaseEndSlot
         switch (phase) {
           case Phase::kWork:
-            cancel_if_pending(silent_id);
+            pending_.cancel(kSilentSlot);
             trace_segment(phase_start, clock,
                           silent_struck ? SegmentKind::kWasted
                                         : SegmentKind::kCompute);

@@ -28,13 +28,14 @@
 // pins and the reference cross-check in tests/sim_bitcompat_test.cpp
 // enforce this):
 //
-//  * DesProtocolSimulator owns an arena EventQueue reused across
-//    patterns and replicas (zero steady-state allocation) and draws
-//    arrivals through a batched unit-variate block — uniforms are pulled
-//    from the stream in the historical order, the expensive part of the
-//    quantile inversion (log / pow / normal-quantile) runs in bulk over
-//    a cache-resident block, and only the cheap rate scaling happens per
-//    draw.
+//  * DesProtocolSimulator keeps its pending events in a three-slot
+//    PendingSet (phase end, silent arrival, fail-stop arrival: each role
+//    has at most one pending event), reused across patterns and replicas
+//    with zero steady-state allocation, and draws arrivals through a
+//    batched unit-variate block — uniforms are pulled from the stream in
+//    the historical order, the expensive part of the quantile inversion
+//    (log / pow / normal-quantile) runs in bulk over a cache-resident
+//    block, and only the cheap rate scaling happens per draw.
 //  * FastProtocolSimulator runs one attempt/recovery state machine over
 //    a draw source: the stream filtered by CDF thresholds, the stream
 //    drawing every arrival (trace replay), or a CRN pool cursor walked
@@ -58,7 +59,7 @@
 #include "ayd/model/system.hpp"
 #include "ayd/rng/block.hpp"
 #include "ayd/rng/stream.hpp"
-#include "ayd/sim/event_queue.hpp"
+#include "ayd/sim/pending_set.hpp"
 #include "ayd/sim/trace.hpp"
 #include "ayd/sim/variate_pool.hpp"
 
@@ -180,7 +181,12 @@ class DesProtocolSimulator {
   std::array<std::uint64_t, 4> expected_state_{};
   /// Non-null in pool (CRN) mode: draws come from the shared sequence.
   UnitVariatePool::Cursor* pool_cursor_ = nullptr;
-  EventQueue queue_;         ///< arena event queue, reused across patterns
+  /// The pending-event roles: the current phase's end, the attempt's
+  /// silent arrival, the fail-stop arrival.
+  static constexpr std::size_t kPhaseEndSlot = 0;
+  static constexpr std::size_t kSilentSlot = 1;
+  static constexpr std::size_t kFailStopSlot = 2;
+  PendingSet<3> pending_;
 };
 
 /// Closed-form per-segment sampler: draws each attempt's fate directly

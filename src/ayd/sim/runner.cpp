@@ -23,7 +23,7 @@ const model::System& base_system(const core::TwoLevelSystem& sys) {
 /// Runs replicas [begin, end) on one reusable simulator and writes their
 /// outcomes. Hoisting the simulator out of the replica loop is what makes
 /// replication allocation-free steady-state: the simulator's arenas
-/// (event queue, batched-variate block) and distribution instantiations
+/// (pending set, batched-variate block) and distribution instantiations
 /// are paid once per chunk, not once per replica. Results are invariant
 /// to the chunking because replica i's RNG stream is a pure function of
 /// (seed, i).

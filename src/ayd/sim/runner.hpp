@@ -105,7 +105,7 @@ struct ReplicaOutcome {
 /// A sweep that evaluates thousands of grid points calls
 /// simulate_overhead once per point; handing each call the same scratch
 /// keeps the steady state allocation-free (the simulators' own arenas —
-/// event queue, variate block — already live inside the per-call
+/// pending set, variate block — already live inside the per-call
 /// simulator). Not thread-safe: use one per calling thread (the engine's
 /// evaluator keeps one per worker).
 struct ReplicationScratch {

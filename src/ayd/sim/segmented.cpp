@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "ayd/util/contracts.hpp"
 #include "ayd/util/error.hpp"
@@ -10,7 +11,6 @@ namespace ayd::sim {
 
 namespace {
 
-constexpr std::uint64_t kNoEvent = std::numeric_limits<std::uint64_t>::max();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 void require_no_pool(const UnitVariatePool::Cursor* cursor) {
@@ -92,6 +92,17 @@ SegmentedWorld::SegmentedWorld(const model::System& sys, double period,
   }
 }
 
+double SegmentedWorld::try_window(int from) const {
+  const int last = segments - 1;
+  double e = 0.0;
+  for (int i = from; i <= last; ++i) {
+    e = (e + work) + verify;
+    if (i < last && !two_level) continue;
+    e = e + (i < last ? level1 : checkpoint);
+  }
+  return e;
+}
+
 void SegmentedWorld::throw_diverged() const {
   std::ostringstream os;
   os << "pattern did not complete within " << kMaxPatternAttempts
@@ -106,33 +117,112 @@ void SegmentedWorld::throw_diverged() const {
 
 // --- SegmentedFastSimulator ----------------------------------------------
 
+SegmentedFastSimulator::SegmentedFastSimulator(detail::SegmentedWorld world)
+    : world_(std::move(world)) {
+  const detail::SegmentedWorld& w = world_;
+  for (const detail::FailSource& src : w.fail_sources) {
+    if (src.dist->rate() > 0.0) {
+      fail_draws_.push_back(
+          {src.dist.get(), src.dist->unit_samplable(), src.is_shock});
+    }
+  }
+  // Window rows: the try from each start segment a try can begin at (a
+  // two-level segment retry starts mid-pattern), then R, R_pfs and L.
+  std::vector<double> windows;
+  for (int from = 0; from < (w.two_level ? w.segments : 1); ++from) {
+    windows.push_back(w.try_window(from));
+  }
+  recovery_row_ = windows.size();
+  windows.insert(windows.end(), {w.recovery, w.pfs_recovery, w.level1});
+  for (const double window : windows) {
+    for (const SourceDraw& src : fail_draws_) {
+      fail_thresholds_.push_back(
+          src.filtered ? safe_word_threshold(*src.dist, window) : 0);
+    }
+  }
+  if (w.silent_active()) {
+    silent_draw_ = {w.silent.get(), w.silent->unit_samplable(), false};
+    if (silent_draw_.filtered) {
+      silent_threshold_ = safe_word_threshold(*w.silent, w.work);
+    }
+  }
+}
+
 void SegmentedFastSimulator::set_unit_cursor(UnitVariatePool::Cursor* cursor) {
   require_no_pool(cursor);
 }
+
+namespace {
+
+/// The stream's engine, copied so the common draw (one word, one integer
+/// compare) runs in registers; a draw through sample() syncs the stream
+/// around the call, and the destructor writes the state back even if the
+/// divergence bound throws.
+struct EngineCopy {
+  rng::Xoshiro256 eng;
+  rng::RngStream& stream;
+
+  explicit EngineCopy(rng::RngStream& rng) : eng(rng.engine()), stream(rng) {}
+  EngineCopy(const EngineCopy&) = delete;
+  EngineCopy& operator=(const EngineCopy&) = delete;
+  ~EngineCopy() { stream.engine() = eng; }
+
+  /// One draw of `dist`. A threshold-filtered draw consumes the word
+  /// sample() would and computes the arrival only when the word lies
+  /// below `threshold`; at or above it the arrival provably lands at or
+  /// beyond the window and is left at +inf, which loses every comparison
+  /// the exact value would lose.
+  double draw(const model::FailureDistribution& dist, bool filtered,
+              std::uint64_t threshold) {
+    if (filtered) {
+      const std::uint64_t m = eng() >> 11;
+      return m < threshold
+                 ? dist.sample_value(static_cast<double>(m) * 0x1.0p-53)
+                 : kInf;
+    }
+    stream.engine() = eng;
+    const double x = dist.sample(stream);
+    eng = stream.engine();
+    return x;
+  }
+};
+
+}  // namespace
 
 PatternStats SegmentedFastSimulator::simulate_replica(rng::RngStream& rng,
                                                       std::size_t n) {
   const detail::SegmentedWorld& w = world_;
   const int last = w.segments - 1;
-  const bool have_silent = w.silent_active();
+  const std::size_t sources = fail_draws_.size();
+  const std::size_t level1_row = recovery_row_ + 2;
+  EngineCopy words(rng);
   PatternStats totals;
 
-  // Earliest arrival over all fail sources this renewal interval, and
-  // whether it came from the shock stream. Zero-rate sources yield +inf
-  // without consuming words; strict < keeps the first source on a tie
-  // (ties have measure zero for the analytic laws).
+  // Earliest arrival over all active fail sources this renewal interval,
+  // drawn against the thresholds of window row `row`, and whether it came
+  // from the shock stream. Strict < keeps the first source on a tie (ties
+  // have measure zero for the analytic laws). A filtered draw beyond the
+  // window can neither win a strike nor change the winner of one.
   bool min_is_shock = false;
-  const auto draw_fail = [&]() -> double {
+  const auto draw_fail = [&](std::size_t row) -> double {
+    const std::uint64_t* thr = fail_thresholds_.data() + row * sources;
     double best = kInf;
     min_is_shock = false;
-    for (const detail::FailSource& src : w.fail_sources) {
-      const double a = src.dist->rate() > 0.0 ? src.dist->sample(rng) : kInf;
+    for (std::size_t j = 0; j < sources; ++j) {
+      const SourceDraw& src = fail_draws_[j];
+      const double a = words.draw(*src.dist, src.filtered, thr[j]);
       if (a < best) {
         best = a;
         min_is_shock = src.is_shock;
       }
     }
     return best;
+  };
+  const auto draw_silent = [&]() -> double {
+    return silent_draw_.dist != nullptr
+               ? words.draw(*silent_draw_.dist, silent_draw_.filtered,
+                            silent_threshold_)
+               : kInf;
   };
 
   // What a try leads to: the pattern is stored, it restarts from scratch,
@@ -150,7 +240,7 @@ PatternStats SegmentedFastSimulator::simulate_replica(rng::RngStream& rng,
       bool pfs = w.tiered() && from_shock;
       for (;;) {
         const double r = w.recovery_cost(pfs);
-        const double y = draw_fail();
+        const double y = draw_fail(recovery_row_ + (pfs ? 1 : 0));
         if (!(y < r)) {
           wall += r;
           return;
@@ -179,7 +269,7 @@ PatternStats SegmentedFastSimulator::simulate_replica(rng::RngStream& rng,
         run_recovery(/*from_shock=*/false);
         return kRestart;
       }
-      const double y = draw_fail();
+      const double y = draw_fail(level1_row);
       if (!(y < w.level1)) {
         wall += w.level1;
         return i;
@@ -188,15 +278,16 @@ PatternStats SegmentedFastSimulator::simulate_replica(rng::RngStream& rng,
       return fail_stop(y, min_is_shock);
     };
     // One try from segment `from`: a single fail-stop arrival covers the
-    // rest of the pattern, a fresh silent arrival each segment's work.
-    // Offsets accumulate from the try start in phase order, so n = 1
-    // reproduces the plain loop's T+V and T+V+C windows exactly.
+    // rest of the pattern (window row `from`), a fresh silent arrival each
+    // segment's work. Offsets accumulate from the try start in phase
+    // order (SegmentedWorld::try_window), so n = 1 reproduces the plain
+    // loop's T+V and T+V+C windows exactly.
     const auto run_try = [&](int from) {
-      const double x = draw_fail();
+      const double x = draw_fail(static_cast<std::size_t>(from));
       const bool x_shock = min_is_shock;
       double e = 0.0;
       for (int i = from; i <= last; ++i) {
-        const double s = have_silent ? w.silent->sample(rng) : kInf;
+        const double s = draw_silent();
         const bool silent = s < w.work;
         const double verified = (e + w.work) + w.verify;
         if (x < verified) {
@@ -254,8 +345,7 @@ PatternStats SegmentedDesSimulator::simulate_pattern(rng::RngStream& rng,
   const detail::SegmentedWorld& w = world_;
   const int last = w.segments - 1;
   PatternStats stats;
-  queue_.clear();
-  pending_.assign(w.fail_sources.size(), kNoEvent);
+  pending_.reset();
 
   double clock = start_time;
   double phase_start = clock;
@@ -264,8 +354,6 @@ PatternStats SegmentedDesSimulator::simulate_pattern(rng::RngStream& rng,
   bool silent_struck = false;
   bool pfs_chain = false;  ///< sticky PFS tier of the current rollback chain
   std::uint64_t tries = 0;
-  std::uint64_t phase_end_id = kNoEvent;
-  std::uint64_t silent_id = kNoEvent;
 
   // Every fail source renews at each try start and each recovery try:
   // any pending arrival is cancelled and a fresh one drawn (the draw
@@ -275,16 +363,11 @@ PatternStats SegmentedDesSimulator::simulate_pattern(rng::RngStream& rng,
   // unscheduled; the strict < matches the fast interpreter's windows.
   const auto renew_fail_sources = [&](double discard_at) {
     for (std::size_t j = 0; j < w.fail_sources.size(); ++j) {
-      if (pending_[j] != kNoEvent) {
-        queue_.cancel(pending_[j]);
-        pending_[j] = kNoEvent;
-      }
+      pending_.cancel(kFailSlot + j);
       const model::FailureDistribution& dist = *w.fail_sources[j].dist;
       if (dist.rate() <= 0.0) continue;
       const double arrival = clock + dist.sample(rng);
-      if (arrival < discard_at) {
-        pending_[j] = queue_.push(arrival, EventType::kFailStop);
-      }
+      if (arrival < discard_at) pending_.schedule(kFailSlot + j, arrival);
     }
   };
   // End of a try that starts now at segment `seg`.
@@ -299,16 +382,14 @@ PatternStats SegmentedDesSimulator::simulate_pattern(rng::RngStream& rng,
   const auto begin_phase = [&](Phase next, double duration) {
     phase = next;
     phase_start = clock;
-    phase_end_id = queue_.push(clock + duration, EventType::kPhaseEnd);
+    pending_.schedule(kPhaseEndSlot, clock + duration);
   };
   const auto begin_segment = [&] {
     silent_struck = false;
     begin_phase(Phase::kWork, w.work);
     if (w.silent_active()) {
       const double arrival = clock + w.silent->sample(rng);
-      if (arrival < clock + w.work) {
-        silent_id = queue_.push(arrival, EventType::kSilent);
-      }
+      if (arrival < clock + w.work) pending_.schedule(kSilentSlot, arrival);
     }
   };
   // A try: a pattern attempt, or a segment retry after a level-1
@@ -328,12 +409,6 @@ PatternStats SegmentedDesSimulator::simulate_pattern(rng::RngStream& rng,
     begin_phase(kind, cost);
     renew_fail_sources(clock + cost);
   };
-  const auto cancel_if_pending = [&](std::uint64_t& id) {
-    if (id != kNoEvent) {
-      queue_.cancel(id);
-      id = kNoEvent;
-    }
-  };
   const auto trace_phase = [&](bool wasted) {
     if (trace == nullptr) return;
     SegmentKind kind = SegmentKind::kRecovery;
@@ -352,61 +427,22 @@ PatternStats SegmentedDesSimulator::simulate_pattern(rng::RngStream& rng,
   begin_try(/*attempt=*/true);
 
   for (;;) {
-    const auto event = queue_.pop();
+    const auto event = pending_.pop();
     AYD_ENSURE(event.has_value(), "segmented simulation ran out of events");
     clock = event->time;
 
-    switch (event->type) {
-      case EventType::kSilent: {
-        silent_id = kNoEvent;
+    switch (event->slot) {
+      case kSilentSlot: {
         AYD_ENSURE(phase == Phase::kWork, "silent error outside computation");
         silent_struck = true;
         break;
       }
 
-      case EventType::kFailStop: {
-        // Identify the striking source by its pending id.
-        std::size_t src = w.fail_sources.size();
-        for (std::size_t j = 0; j < w.fail_sources.size(); ++j) {
-          if (pending_[j] == event->id) {
-            src = j;
-            break;
-          }
-        }
-        AYD_ENSURE(src < w.fail_sources.size(),
-                   "fail-stop event without a source");
-        pending_[src] = kNoEvent;
-        if (stats.fail_stop_errors >= kMaxPatternAttempts) w.throw_diverged();
-        ++stats.fail_stop_errors;
-        if (phase == Phase::kRecovery || phase == Phase::kLevel1) {
-          ++stats.recovery_fail_stops;
-        }
-        if (w.fail_sources[src].is_shock) {
-          ++stats.shock_errors;
-          pfs_chain = pfs_chain || w.tiered();
-        }
-        if (silent_struck) {
-          ++stats.masked_silent;
-          silent_struck = false;
-        }
-        cancel_if_pending(phase_end_id);
-        cancel_if_pending(silent_id);
-        trace_phase(/*wasted=*/true);
-        if (trace != nullptr) {
-          trace->add(clock, clock + w.downtime, SegmentKind::kDowntime);
-        }
-        // Downtime: nothing can fail; all sources renew after it.
-        clock += w.downtime;
-        begin_recovery(Phase::kRecovery, w.recovery_cost(pfs_chain));
-        break;
-      }
-
-      case EventType::kPhaseEnd: {
-        phase_end_id = kNoEvent;
+      case kPhaseEndSlot: {
         trace_phase(silent_struck);
         switch (phase) {
           case Phase::kWork:
-            cancel_if_pending(silent_id);
+            pending_.cancel(kSilentSlot);
             begin_phase(Phase::kVerify, w.verify);
             break;
           case Phase::kVerify:
@@ -442,6 +478,33 @@ PatternStats SegmentedDesSimulator::simulate_pattern(rng::RngStream& rng,
             begin_try(/*attempt=*/false);
             break;
         }
+        break;
+      }
+
+      default: {  // fail source event->slot - kFailSlot strikes
+        const std::size_t src = event->slot - kFailSlot;
+        if (stats.fail_stop_errors >= kMaxPatternAttempts) w.throw_diverged();
+        ++stats.fail_stop_errors;
+        if (phase == Phase::kRecovery || phase == Phase::kLevel1) {
+          ++stats.recovery_fail_stops;
+        }
+        if (w.fail_sources[src].is_shock) {
+          ++stats.shock_errors;
+          pfs_chain = pfs_chain || w.tiered();
+        }
+        if (silent_struck) {
+          ++stats.masked_silent;
+          silent_struck = false;
+        }
+        pending_.cancel(kPhaseEndSlot);
+        pending_.cancel(kSilentSlot);
+        trace_phase(/*wasted=*/true);
+        if (trace != nullptr) {
+          trace->add(clock, clock + w.downtime, SegmentKind::kDowntime);
+        }
+        // Downtime: nothing can fail; all sources renew after it.
+        clock += w.downtime;
+        begin_recovery(Phase::kRecovery, w.recovery_cost(pfs_chain));
         break;
       }
     }

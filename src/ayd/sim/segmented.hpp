@@ -1,4 +1,4 @@
-// The segmented-pattern simulators: one fast and one event-queue
+// The segmented-pattern simulators: one fast and one discrete-event
 // interpreter for every protocol and failure world except the plain VC
 // pattern on a plain System, which keeps the bit-pinned simulators of
 // sim/protocol.hpp. The replication driver (sim/runner.cpp) routes
@@ -38,9 +38,17 @@
 // loop (FastProtocolSimulator) in the same order.
 //
 // Draw discipline: zero-rate sources consume no engine words, every
-// other draw goes through FailureDistribution::sample, and replica i
-// always reads RNG substream (seed, i), so results are byte-identical
-// across runs and thread counts. There is no CRN pool mode: the draw
+// other draw consumes exactly the words FailureDistribution::sample
+// would, and replica i always reads RNG substream (seed, i), so results
+// are byte-identical across runs and thread counts. The fast interpreter
+// filters the draws of unit-samplable sources by CDF threshold
+// (safe_word_threshold, built once per simulator for every window a draw
+// is compared against: the try window from each start segment, R, R_pfs,
+// L, and T/n for the silent source): a word at or above the threshold
+// provably inverts beyond the window, so the arrival is left at +inf and
+// the quantile inversion is skipped; only words below it compute the
+// exact arrival (sample_value). Other sources (trace replay) draw through
+// sample, as does every DES draw. There is no CRN pool mode: the draw
 // sequence interleaves several laws. Every attempt, retry and recovery
 // loop is bounded by kMaxPatternAttempts. The interpreters make
 // independent draw sequences with identical distributional assumptions;
@@ -59,7 +67,7 @@
 #include "ayd/core/two_level.hpp"
 #include "ayd/model/system.hpp"
 #include "ayd/rng/stream.hpp"
-#include "ayd/sim/event_queue.hpp"
+#include "ayd/sim/pending_set.hpp"
 #include "ayd/sim/protocol.hpp"
 #include "ayd/sim/trace.hpp"
 #include "ayd/sim/variate_pool.hpp"
@@ -89,6 +97,10 @@ struct SegmentedWorld {
   /// True when a shock strike escalates the chain to the PFS tier.
   [[nodiscard]] bool tiered() const { return pfs_recovery != recovery; }
   [[nodiscard]] bool silent_active() const { return silent->rate() > 0.0; }
+  /// Length of a try that starts at segment `from` (0 for a pattern
+  /// attempt): the offsets of its verifications and checkpoints summed in
+  /// phase order, exactly as the fast interpreter accumulates them.
+  [[nodiscard]] double try_window(int from) const;
   [[noreturn]] void throw_diverged() const;
 
   std::vector<FailSource> fail_sources;  ///< draw order, the shock last
@@ -120,13 +132,13 @@ class SegmentedFastSimulator {
   /// VC (a one-segment pattern), multi-verification and two-level.
   SegmentedFastSimulator(const model::System& sys,
                          const core::Pattern& pattern)
-      : world_(sys, pattern) {}
+      : SegmentedFastSimulator(detail::SegmentedWorld(sys, pattern)) {}
   SegmentedFastSimulator(const model::System& sys,
                          const core::MultiPattern& pattern)
-      : world_(sys, pattern) {}
+      : SegmentedFastSimulator(detail::SegmentedWorld(sys, pattern)) {}
   SegmentedFastSimulator(const core::TwoLevelSystem& sys,
                          const core::TwoLevelPattern& pattern)
-      : world_(sys, pattern) {}
+      : SegmentedFastSimulator(detail::SegmentedWorld(sys, pattern)) {}
 
   [[nodiscard]] PatternStats simulate_pattern(rng::RngStream& rng) {
     return simulate_replica(rng, 1);
@@ -142,11 +154,30 @@ class SegmentedFastSimulator {
   void set_unit_cursor(UnitVariatePool::Cursor* cursor);
 
  private:
+  explicit SegmentedFastSimulator(detail::SegmentedWorld world);
+
+  /// How one active source draws: threshold-filtered when unit-samplable,
+  /// through sample otherwise.
+  struct SourceDraw {
+    const model::FailureDistribution* dist = nullptr;  ///< null: inactive
+    bool filtered = false;
+    bool is_shock = false;
+  };
+
   detail::SegmentedWorld world_;
+  std::vector<SourceDraw> fail_draws_;  ///< active sources, in draw order
+  /// safe_word_threshold of every window a fail draw is compared against,
+  /// one row of fail_draws_.size() per window: the try window from each
+  /// start segment (one row unless two-level), then R, R_pfs and L.
+  std::vector<std::uint64_t> fail_thresholds_;
+  std::size_t recovery_row_;  ///< row of R; R_pfs and L follow it
+  SourceDraw silent_draw_;
+  std::uint64_t silent_threshold_ = 0;  ///< window T/n
 };
 
-/// Event-queue reference interpreter: one pending arrival per fail source
-/// and one for the current segment's silent source, renewed by the shared
+/// Discrete-event reference interpreter: one pending arrival per fail
+/// source and one for the current segment's silent source (a PendingSet
+/// slot each, plus one for the phase end), renewed by the shared
 /// rule (arrivals at or beyond their renewal window's end are discarded
 /// unscheduled, so a boundary tie never strikes — matching the fast
 /// interpreter's strict-< windows). Distributionally identical to
@@ -178,11 +209,14 @@ class SegmentedDesSimulator {
   void set_unit_cursor(UnitVariatePool::Cursor* cursor);
 
  private:
+  /// Slots of the pending set: the phase end, the segment's silent
+  /// arrival, then fail source j at kFailSlot + j.
+  static constexpr std::size_t kPhaseEndSlot = 0;
+  static constexpr std::size_t kSilentSlot = 1;
+  static constexpr std::size_t kFailSlot = 2;
+
   detail::SegmentedWorld world_;
-  EventQueue queue_;
-  /// Pending fail-stop event id per source (kNoEvent when none); the
-  /// popped event id identifies its source by lookup here.
-  std::vector<std::uint64_t> pending_;
+  PendingSet<> pending_{kFailSlot + world_.fail_sources.size()};
 };
 
 }  // namespace ayd::sim

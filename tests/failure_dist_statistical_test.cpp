@@ -4,8 +4,8 @@
 // Two sampling paths reach a FailureDistribution in production:
 //  * the fast backend draws `dist->sample(rng)` directly (quantile
 //    inversion), and
-//  * the DES backend pushes `clock + dist->sample(rng)` arrivals into an
-//    EventQueue and consumes them in pop order.
+//  * the DES backend schedules `clock + dist->sample(rng)` arrivals in a
+//    PendingSet slot and recovers them in pop order.
 // For each distribution we KS-test 10k fixed-seed samples from both
 // paths against the analytic CDF — a far stronger check than matching a
 // couple of moments, and exactly the check the paper's methodology
@@ -20,7 +20,7 @@
 #include "ayd/model/failure_dist.hpp"
 #include "ayd/rng/simd.hpp"
 #include "ayd/rng/stream.hpp"
-#include "ayd/sim/event_queue.hpp"
+#include "ayd/sim/pending_set.hpp"
 #include "ayd/stats/ks.hpp"
 
 namespace ayd::model {
@@ -39,26 +39,21 @@ std::vector<double> sample_fast_path(const FailureDistribution& dist,
   return xs;
 }
 
-/// The DES-backend path: arrivals scheduled into an EventQueue from a
-/// moving clock and recovered in pop order.
+/// The DES-backend path: each arrival scheduled in a pending-set slot from
+/// a moving clock, popped, and the clock renewed at the pop time.
 std::vector<double> sample_des_path(const FailureDistribution& dist,
                                     std::uint64_t stream_id) {
   rng::RngStream rng(kSeed, stream_id);
-  sim::EventQueue queue;
+  sim::PendingSet<1> pending;
   double clock = 0.0;
-  std::vector<double> scheduled_at;
-  scheduled_at.reserve(kSamples);
-  for (std::size_t i = 0; i < kSamples; ++i) {
-    const double gap = dist.sample(rng);
-    scheduled_at.push_back(clock);
-    (void)queue.push(clock + gap, sim::EventType::kFailStop);
-    clock += gap;  // renewal: the next arrival clock starts here
-  }
   std::vector<double> xs;
   xs.reserve(kSamples);
-  std::size_t i = 0;
-  while (auto event = queue.pop()) {
-    xs.push_back(event->time - scheduled_at[i++]);
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    pending.schedule(0, clock + dist.sample(rng));
+    const auto event = pending.pop();
+    if (!event.has_value()) break;
+    xs.push_back(event->time - clock);
+    clock = event->time;  // renewal: the next arrival clock starts here
   }
   EXPECT_EQ(xs.size(), kSamples);
   return xs;

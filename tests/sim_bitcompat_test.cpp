@@ -1,7 +1,7 @@
 // Bit-compatibility pins for the simulator hot-path overhaul.
 //
-// The arena event queue, the batched unit-variate sampling, and the fast
-// sampler's CDF-threshold filter are all required to be *bit-transparent*:
+// The DES pending set, the batched unit-variate sampling, and the fast
+// samplers' CDF-threshold filter are all required to be *bit-transparent*:
 // same seed, same System, same pattern => the same PatternStats to the
 // last bit as the straightforward implementations they replaced. Two
 // layers of defense:
@@ -22,6 +22,7 @@
 // that explicitly. The pool-fed (CRN) fast path does read vectorized
 // variates, so it carries separate pins under the forced AVX2 tier.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -34,6 +35,7 @@
 #include "ayd/rng/simd.hpp"
 #include "ayd/sim/protocol.hpp"
 #include "ayd/sim/runner.hpp"
+#include "ayd/sim/segmented.hpp"
 #include "ayd/sim/variate_pool.hpp"
 
 namespace ayd::sim {
@@ -110,6 +112,36 @@ constexpr PoolPin kAvx2PoolPins[] = {
     {"weibull_07", 1.0, 0x1.11838f98fc42p+23, 615, 327, 12, 0, 0},
     {"weibull_07", 0.0, 0x1.79d654p+23, 609, 0, 0, 309, 0},
     {"lognormal_12", 0.4, 0x1.515dffdd7c6dp+23, 591, 139, 0, 152, 29},
+};
+
+/// DES totals under the forced AVX2 tier, whose batched unit block runs
+/// the vectorized transforms. Stream-fed: seed 42, 300 patterns
+/// (T=20000, P=256), plus the stream's next word (the block's prefetch
+/// included). Pool-fed (CRN): UnitVariatePool(spec, 42), replica cursors
+/// 0..3 with 75 patterns each. Generated at commit 1f1269b, before the DES
+/// moved off its event queue.
+struct DesPin {
+  const char* name;
+  bool pooled;
+  double wall_time;
+  std::uint64_t attempts;
+  std::uint64_t fail_stops;
+  std::uint64_t recovery_fail_stops;
+  std::uint64_t silent_detections;
+  std::uint64_t masked_silent;
+  std::uint64_t next_word;  ///< stream-fed only
+};
+
+constexpr DesPin kAvx2DesPins[] = {
+    {"exponential", false, 0x1.1117faaff9842p+23, 479, 83, 0, 96, 8,
+     0xb01ed085370815d1},
+    {"exponential", true, 0x1.1ad35e11c52c4p+23, 496, 90, 1, 107, 10, 0},
+    {"weibull_07", false, 0x1.8b842c14d06b4p+23, 757, 248, 12, 221, 49,
+     0x73f7af664400e118},
+    {"weibull_07", true, 0x1.6d805abfbef5p+23, 717, 246, 13, 184, 63, 0},
+    {"lognormal_12", false, 0x1.6d0dd94723a48p+23, 637, 148, 0, 189, 28,
+     0x2ed1934320aff037},
+    {"lognormal_12", true, 0x1.69c2851cb82c6p+23, 640, 161, 0, 179, 34, 0},
 };
 
 FailureDistSpec spec_for(const std::string& name) {
@@ -287,7 +319,7 @@ TEST(SimBitCompat, DesFiresFailStopOnExactAttemptEndTie) {
 }
 
 TEST(SimBitCompat, WordThresholdIsSoundAtTheBoundary) {
-  // Soundness contract of the fast sampler's filter: EVERY word at or
+  // Soundness contract of the fast samplers' filter: EVERY word at or
   // above safe_word_threshold(dist, window) must invert to an arrival
   // >= window. The dangerous region is just above the threshold, where
   // a cdf/quantile inconsistency (the lognormal's erfc cdf vs Acklam
@@ -295,6 +327,18 @@ TEST(SimBitCompat, WordThresholdIsSoundAtTheBoundary) {
   // arrivals as "beyond the window". Scan it densely.
   constexpr std::uint64_t kScan = 300'000;
   constexpr std::uint64_t kWordMax = 1ULL << 53;
+  const auto scan = [&](const model::FailureDistribution& dist, double window,
+                        const std::string& label) {
+    const std::uint64_t mthr = safe_word_threshold(dist, window);
+    std::uint64_t violations = 0;
+    const std::uint64_t end = std::min(kWordMax, mthr + kScan);
+    for (std::uint64_t m = mthr; m < end; ++m) {
+      const double u = static_cast<double>(m) * 0x1.0p-53;
+      if (dist.sample_value(u) < window) ++violations;
+    }
+    EXPECT_EQ(violations, 0u)
+        << label << ": words above the threshold invert inside the window";
+  };
   const FailureDistSpec specs[] = {
       FailureDistSpec::exponential(),   FailureDistSpec::weibull(0.7),
       FailureDistSpec::weibull(1.5),    FailureDistSpec::lognormal(0.5),
@@ -306,16 +350,29 @@ TEST(SimBitCompat, WordThresholdIsSoundAtTheBoundary) {
     for (const double level : cdf_levels) {
       const double window = dist->quantile(level);
       if (!(window > 0.0)) continue;
-      const std::uint64_t mthr = safe_word_threshold(*dist, window);
-      std::uint64_t violations = 0;
-      const std::uint64_t end = std::min(kWordMax, mthr + kScan);
-      for (std::uint64_t m = mthr; m < end; ++m) {
-        const double u = static_cast<double>(m) * 0x1.0p-53;
-        if (dist->sample_value(u) < window) ++violations;
-      }
-      EXPECT_EQ(violations, 0u)
-          << spec.to_string() << " at cdf level " << level
-          << ": words above the threshold invert inside the window";
+      scan(*dist, window,
+           spec.to_string() + " at cdf level " + std::to_string(level));
+    }
+  }
+
+  // The windows the segmented fast interpreter filters against, at the
+  // rates of a world that has them all (two-level n = 3 over a shock +
+  // two-tier world): the silent source's T/n, and for every fail source
+  // (the shock stream included) L, R_pfs and the full try window.
+  for (const auto& spec : specs) {
+    System sys = pinned_system(spec, 3e-7).with_shock({0.6, 0.01, spec});
+    sys = sys.with_two_tier(
+        model::TwoTierCostSpec::from_penalty(sys.costs(), 4.0));
+    const detail::SegmentedWorld world(
+        core::TwoLevelSystem{sys, CostModel::constant(60.0)},
+        core::TwoLevelPattern{20000.0, 256.0, 3});
+    scan(*world.silent, world.work, spec.to_string() + " silent, T/n");
+    for (const detail::FailSource& src : world.fail_sources) {
+      const std::string label =
+          spec.to_string() + (src.is_shock ? " shock" : " fail-stop");
+      scan(*src.dist, world.level1, label + ", L");
+      scan(*src.dist, world.pfs_recovery, label + ", R_pfs");
+      scan(*src.dist, world.try_window(0), label + ", two-level try window");
     }
   }
 }
@@ -468,6 +525,46 @@ TEST(SimBitCompat, PoolFedFastPinsHoldUnderAvx2Tier) {
     EXPECT_EQ(totals.recovery_fail_stops, pin.recovery_fail_stops) << label;
     EXPECT_EQ(totals.silent_detections, pin.silent_detections) << label;
     EXPECT_EQ(totals.masked_silent, pin.masked_silent) << label;
+  }
+  rng::simd::force_tier(rng::simd::Tier::kScalar);
+}
+
+TEST(SimBitCompat, DesPinsHoldUnderAvx2Tier) {
+  if (!rng::simd::avx2_available()) {
+    GTEST_SKIP() << "AVX2 not available on this host";
+  }
+  rng::simd::force_tier(rng::simd::Tier::kAvx2);
+  for (const DesPin& pin : kAvx2DesPins) {
+    const FailureDistSpec spec = spec_for(pin.name);
+    DesProtocolSimulator simulator(pinned_system(spec), {20000.0, 256.0});
+    PatternStats totals;
+    std::uint64_t next_word = 0;
+    if (pin.pooled) {
+      UnitVariatePool pool(spec, 42);
+      rng::RngStream unused(0);
+      for (std::size_t replica = 0; replica < 4; ++replica) {
+        UnitVariatePool::Cursor cursor = pool.cursor(replica);
+        simulator.set_unit_cursor(&cursor);
+        simulator.begin_replica();
+        totals.merge(simulator.simulate_replica(unused, 75));
+      }
+      simulator.set_unit_cursor(nullptr);
+    } else {
+      rng::RngStream rng(42);
+      for (int i = 0; i < 300; ++i) {
+        totals.merge(simulator.simulate_pattern(rng));
+      }
+      next_word = rng.next_u64();
+    }
+    const std::string label =
+        std::string(pin.name) + (pin.pooled ? " pool-fed" : " stream-fed");
+    EXPECT_EQ(totals.wall_time, pin.wall_time) << label;
+    EXPECT_EQ(totals.attempts, pin.attempts) << label;
+    EXPECT_EQ(totals.fail_stop_errors, pin.fail_stops) << label;
+    EXPECT_EQ(totals.recovery_fail_stops, pin.recovery_fail_stops) << label;
+    EXPECT_EQ(totals.silent_detections, pin.silent_detections) << label;
+    EXPECT_EQ(totals.masked_silent, pin.masked_silent) << label;
+    EXPECT_EQ(next_word, pin.next_word) << label;
   }
   rng::simd::force_tier(rng::simd::Tier::kScalar);
 }

@@ -1,9 +1,13 @@
 // Tests of the segmented-pattern interpreters (sim/segmented.hpp): the
-// n = 1 reductions to the VC pattern, hex-float pins of a correlated
-// world, divergence bounds, and the DES trace of a multi-verification
-// pattern.
+// n = 1 reductions to the VC pattern, hex-float pins of every segmented
+// world under every law on both interpreters, divergence bounds, and the
+// DES trace of a multi-verification pattern.
 
 #include "ayd/sim/segmented.hpp"
+
+#include <cstdlib>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -120,6 +124,210 @@ TEST(SegmentedPins, ShockWithTwoTierRecoveryIsBitStable) {
   EXPECT_EQ(des.silent_detections_per_pattern, 0x1.cp-5);
   EXPECT_EQ(des.masked_silent_per_pattern, 0.0);
   EXPECT_EQ(des.attempts_per_pattern, 0x1.18p+0);
+}
+
+// Hex-float pins of every segmented world under every law, on both
+// interpreters: totals over 200 patterns plus the next stream word after
+// them (so a draw consumed or skipped anywhere shows). Trace replay is not
+// unit-samplable, so its rows pin the fast interpreter's full-draw path;
+// the analytic laws pin the threshold-filtered one. Generated at commit
+// 1f1269b, before the fast interpreter filtered its draws and before the
+// DES moved off its event queue.
+enum class World { kMulti2, kMulti3, kTwoLevel, kHetero, kShockPfs };
+enum class Law { kExponential, kWeibull07, kWeibull15, kLognormal12, kTrace };
+
+struct SegmentedPin {
+  World world;
+  Law law;
+  Backend backend;
+  double wall_time;
+  std::uint64_t attempts;
+  std::uint64_t fail_stops;
+  std::uint64_t recovery_fail_stops;
+  std::uint64_t silent_detections;
+  std::uint64_t masked_silent;
+  std::uint64_t shock_errors;
+  std::uint64_t next_word;  ///< the stream's next word after the replica
+};
+
+model::FailureDistSpec pin_law(Law law) {
+  switch (law) {
+    case Law::kExponential: return model::FailureDistSpec::exponential();
+    case Law::kWeibull07: return model::FailureDistSpec::weibull(0.7);
+    case Law::kWeibull15: return model::FailureDistSpec::weibull(1.5);
+    case Law::kLognormal12: return model::FailureDistSpec::lognormal(1.2);
+    case Law::kTrace: break;
+  }
+  return model::FailureDistSpec::trace_replay(
+      {300.0, 4000.0, 90000.0, 12000.0, 650.0});
+}
+
+/// One replica of 200 patterns (T=20000, P=256) of `world` under
+/// `law_id` on interpreter `Sim`, at seed 42 and a per-case substream.
+template <class Sim>
+std::pair<PatternStats, std::uint64_t> run_pin(World world, Law law_id) {
+  const model::FailureDistSpec law = pin_law(law_id);
+  ResilienceCosts costs{CostModel::constant(300.0), CostModel::constant(300.0),
+                        CostModel::constant(30.0)};
+  const System base = System(FailureModel(3e-7, 0.4), costs, 1800.0,
+                             Speedup::amdahl(0.1))
+                          .with_failure_dist(law);
+  constexpr double kT = 20000.0;
+  constexpr double kP = 256.0;
+  const auto finish = [&](Sim sim) {
+    rng::RngStream rng(42, static_cast<std::uint64_t>(world) * 8 +
+                               static_cast<std::uint64_t>(law_id));
+    const PatternStats totals = sim.simulate_replica(rng, 200);
+    return std::pair{totals, rng.next_u64()};
+  };
+  switch (world) {
+    case World::kMulti2:
+      return finish(Sim(base, core::MultiPattern{kT, kP, 2}));
+    case World::kMulti3:
+      return finish(Sim(base, core::MultiPattern{kT, kP, 3}));
+    case World::kTwoLevel:
+      return finish(Sim(core::TwoLevelSystem{base, CostModel::constant(60.0)},
+                        core::TwoLevelPattern{kT, kP, 3}));
+    case World::kHetero: {
+      model::HeterogeneousSpec hetero;
+      hetero.groups = {{0.5, 1.6, law}, {0.5, 0.4, law}};
+      return finish(
+          Sim(base.with_heterogeneity(hetero), core::Pattern{kT, kP}));
+    }
+    case World::kShockPfs: {
+      System sys = base.with_shock({0.6, 0.01, law});
+      sys = sys.with_two_tier(
+          model::TwoTierCostSpec::from_penalty(sys.costs(), 4.0));
+      return finish(Sim(sys, core::Pattern{kT, kP}));
+    }
+  }
+  std::abort();
+}
+
+constexpr SegmentedPin kSegmentedPins[] = {
+  {World::kMulti2, Law::kExponential, Backend::kFast,
+   0x1.94d7f9c938e2p+23, 980, 376, 7, 411, 57, 0, 0x2ccf8af2bddf6f0},
+  {World::kMulti2, Law::kExponential, Backend::kDes,
+   0x1.948b5c0853e66p+23, 969, 370, 11, 410, 56, 0, 0xe09b513f424292c7},
+  {World::kMulti2, Law::kWeibull07, Backend::kFast,
+   0x1.3b4d252bbc8e3p+24, 1849, 960, 70, 759, 230, 0, 0xf1885a9fd9ea881b},
+  {World::kMulti2, Law::kWeibull07, Backend::kDes,
+   0x1.59d17e38fb3b3p+24, 2022, 1085, 84, 821, 273, 0, 0xb6389da0f3d477ae},
+  {World::kMulti2, Law::kWeibull15, Backend::kFast,
+   0x1.0fbdf1819570ap+23, 569, 182, 2, 189, 15, 0, 0x2955004f21c27d3c},
+  {World::kMulti2, Law::kWeibull15, Backend::kDes,
+   0x1.1e8bca7c6310dp+23, 603, 185, 1, 219, 17, 0, 0xa344733fa00d2913},
+  {World::kMulti2, Law::kLognormal12, Backend::kFast,
+   0x1.30199b48e2607p+24, 1636, 756, 0, 680, 194, 0, 0x6cb134cb28973c41},
+  {World::kMulti2, Law::kLognormal12, Backend::kDes,
+   0x1.30abbb1bf9accp+24, 1623, 751, 0, 672, 178, 0, 0x3cffec4e31c729e1},
+  {World::kMulti2, Law::kTrace, Backend::kFast,
+   0x1.9651e5feab257p+25, 6203, 4166, 0, 1837, 1732, 0, 0x624ae44a96ca6094},
+  {World::kMulti2, Law::kTrace, Backend::kDes,
+   0x1.6f4cc6575ce96p+25, 5623, 3818, 0, 1605, 1646, 0, 0xfe0fabe120e60ee0},
+  {World::kMulti3, Law::kExponential, Backend::kFast,
+   0x1.6899408e936e7p+23, 907, 328, 5, 384, 50, 0, 0x4e7cee0ddac54708},
+  {World::kMulti3, Law::kExponential, Backend::kDes,
+   0x1.6e7c21e2ea4f1p+23, 944, 368, 3, 379, 49, 0, 0x3c6e8cbfb43d4fb8},
+  {World::kMulti3, Law::kWeibull07, Backend::kFast,
+   0x1.48b6cffbd443fp+24, 2156, 1021, 72, 1007, 199, 0, 0x2573a5f6b3becd1b},
+  {World::kMulti3, Law::kWeibull07, Backend::kDes,
+   0x1.6956cb4d00c1bp+24, 2380, 1180, 103, 1103, 220, 0, 0x3191c2085dffcb08},
+  {World::kMulti3, Law::kWeibull15, Backend::kFast,
+   0x1.d96f321721959p+22, 481, 151, 0, 130, 14, 0, 0x731cf643025f57cb},
+  {World::kMulti3, Law::kWeibull15, Backend::kDes,
+   0x1.c1d6dff31ab39p+22, 462, 135, 0, 127, 4, 0, 0x8bc4d93330956c4e},
+  {World::kMulti3, Law::kLognormal12, Backend::kFast,
+   0x1.2519255441cabp+24, 1692, 731, 2, 763, 128, 0, 0x26c80bbb7d3d0602},
+  {World::kMulti3, Law::kLognormal12, Backend::kDes,
+   0x1.3f7bb76ec758fp+24, 1832, 761, 1, 872, 141, 0, 0x9ba220cbdf8489a2},
+  {World::kMulti3, Law::kTrace, Backend::kFast,
+   0x1.82297bdf61b35p+26, 14234, 9058, 0, 4976, 3821, 0, 0x7ff476091d9f12f4},
+  {World::kMulti3, Law::kTrace, Backend::kDes,
+   0x1.7b23b918cd36ep+26, 13934, 8767, 0, 4967, 3660, 0, 0x4bd0378e1f17e61},
+  {World::kTwoLevel, Law::kExponential, Backend::kFast,
+   0x1.1040fb6196882p+23, 456, 256, 1, 309, 31, 0, 0xfb4abc90afcd8f05},
+  {World::kTwoLevel, Law::kExponential, Backend::kDes,
+   0x1.13100e1e3b96cp+23, 455, 256, 3, 311, 33, 0, 0x7a1a82f0760e904c},
+  {World::kTwoLevel, Law::kWeibull07, Backend::kFast,
+   0x1.a16dba1e38789p+23, 779, 599, 25, 641, 128, 0, 0xd6c141b09be50a49},
+  {World::kTwoLevel, Law::kWeibull07, Backend::kDes,
+   0x1.a447e3ab8f452p+23, 839, 663, 31, 613, 135, 0, 0x975f461ecf4a040e},
+  {World::kTwoLevel, Law::kWeibull15, Backend::kFast,
+   0x1.83d49a48bd83fp+22, 301, 101, 0, 121, 12, 0, 0x3122e6fd1b3c6e1f},
+  {World::kTwoLevel, Law::kWeibull15, Backend::kDes,
+   0x1.8526ad0b4a003p+22, 305, 107, 2, 118, 5, 0, 0xe1cea7d7fa7e9fb9},
+  {World::kTwoLevel, Law::kLognormal12, Backend::kFast,
+   0x1.72654cba81ba9p+23, 636, 436, 0, 477, 74, 0, 0x23154cb00b4e4627},
+  {World::kTwoLevel, Law::kLognormal12, Backend::kDes,
+   0x1.6c1dde6e0e34cp+23, 642, 442, 0, 456, 76, 0, 0xeef37392018da6d2},
+  {World::kTwoLevel, Law::kTrace, Backend::kFast,
+   0x1.db762ea98137cp+25, 5884, 5684, 0, 3202, 2419, 0, 0xa27ab5b1f59775eb},
+  {World::kTwoLevel, Law::kTrace, Backend::kDes,
+   0x1.d4b4dbf351954p+25, 5970, 5770, 0, 3065, 2350, 0, 0x206d48c04b3f4c3},
+  {World::kHetero, Law::kExponential, Backend::kFast,
+   0x1.d8b323bf241f1p+23, 962, 457, 6, 311, 138, 0, 0x76afbbe47b70eb47},
+  {World::kHetero, Law::kExponential, Backend::kDes,
+   0x1.faad9eeb80755p+23, 1037, 484, 5, 358, 136, 0, 0x9b981f34694bf1f2},
+  {World::kHetero, Law::kWeibull07, Backend::kFast,
+   0x1.419cff8825bb1p+24, 1598, 1118, 99, 379, 358, 0, 0x41fbef0eb5920c12},
+  {World::kHetero, Law::kWeibull07, Backend::kDes,
+   0x1.43db35d5145e8p+24, 1636, 1153, 100, 383, 358, 0, 0xf211f0017a5b12f7},
+  {World::kHetero, Law::kWeibull15, Backend::kFast,
+   0x1.47ba441b8a3efp+23, 580, 171, 0, 209, 52, 0, 0xc3fd0277bb905cf2},
+  {World::kHetero, Law::kWeibull15, Backend::kDes,
+   0x1.4fdcd591fdf0bp+23, 595, 164, 0, 231, 46, 0, 0x57f219bbaa93ff9f},
+  {World::kHetero, Law::kLognormal12, Backend::kFast,
+   0x1.7fc64c7a1be58p+24, 1634, 942, 0, 492, 406, 0, 0xed68e5f861323e9d},
+  {World::kHetero, Law::kLognormal12, Backend::kDes,
+   0x1.76137259b131ap+24, 1580, 893, 0, 487, 392, 0, 0xe974c69e6e784d23},
+  {World::kHetero, Law::kTrace, Backend::kFast,
+   0x1.1a39b1517752ep+25, 4303, 3281, 0, 822, 1400, 0, 0xd9c92438b8a34c04},
+  {World::kHetero, Law::kTrace, Backend::kDes,
+   0x1.1affa3fa9bfc8p+25, 4361, 3336, 0, 825, 1364, 0, 0x270259cac995771e},
+  {World::kShockPfs, Law::kExponential, Backend::kFast,
+   0x1.8cffbeebfff43p+23, 735, 237, 4, 302, 80, 86, 0x4b6cd76cb069d86},
+  {World::kShockPfs, Law::kExponential, Backend::kDes,
+   0x1.808187318da26p+23, 722, 228, 4, 298, 71, 99, 0xaa6950e1f13077db},
+  {World::kShockPfs, Law::kWeibull07, Backend::kFast,
+   0x1.1be84acd167ap+24, 1299, 761, 50, 388, 222, 312, 0xc7b730a61107756a},
+  {World::kShockPfs, Law::kWeibull07, Backend::kDes,
+   0x1.25e8fe8eb9e67p+24, 1317, 740, 58, 435, 230, 287, 0x724c8a0c8852548e},
+  {World::kShockPfs, Law::kWeibull15, Backend::kFast,
+   0x1.3983e1d16979ep+23, 523, 72, 0, 251, 22, 27, 0xe6c1b441388f0be1},
+  {World::kShockPfs, Law::kWeibull15, Backend::kDes,
+   0x1.24c9eb08dae42p+23, 494, 76, 0, 218, 18, 23, 0xb5999b30db67e821},
+  {World::kShockPfs, Law::kLognormal12, Backend::kFast,
+   0x1.1e6ba9ad6e095p+24, 1065, 425, 1, 441, 198, 138, 0x44e83a72e78f36c3},
+  {World::kShockPfs, Law::kLognormal12, Backend::kDes,
+   0x1.241cbe2942e5ap+24, 1074, 397, 1, 478, 180, 133, 0x463fb490ddc91696},
+  {World::kShockPfs, Law::kTrace, Backend::kFast,
+   0x1.6bcdf03c0dfd9p+25, 4691, 3960, 375, 906, 1856, 1352, 0x8bf2bfbad7a96bd9},
+  {World::kShockPfs, Law::kTrace, Backend::kDes,
+   0x1.4d37bdfc40d77p+25, 4382, 3691, 327, 818, 1671, 1243, 0xda0fb71466825832},
+};
+
+TEST(SegmentedPins, EveryWorldAndLawIsBitStableOnBothInterpreters) {
+  constexpr const char* kWorld[] = {"multi n=2", "multi n=3", "two-level",
+                                    "hetero", "shock+pfs"};
+  for (const SegmentedPin& pin : kSegmentedPins) {
+    const auto [totals, next_word] =
+        pin.backend == Backend::kFast
+            ? run_pin<SegmentedFastSimulator>(pin.world, pin.law)
+            : run_pin<SegmentedDesSimulator>(pin.world, pin.law);
+    const std::string label =
+        std::string(kWorld[static_cast<int>(pin.world)]) + " " +
+        pin_law(pin.law).to_string() +
+        (pin.backend == Backend::kFast ? " fast" : " des");
+    EXPECT_EQ(totals.wall_time, pin.wall_time) << label;
+    EXPECT_EQ(totals.attempts, pin.attempts) << label;
+    EXPECT_EQ(totals.fail_stop_errors, pin.fail_stops) << label;
+    EXPECT_EQ(totals.recovery_fail_stops, pin.recovery_fail_stops) << label;
+    EXPECT_EQ(totals.silent_detections, pin.silent_detections) << label;
+    EXPECT_EQ(totals.masked_silent, pin.masked_silent) << label;
+    EXPECT_EQ(totals.shock_errors, pin.shock_errors) << label;
+    EXPECT_EQ(next_word, pin.next_word) << label;
+  }
 }
 
 TEST(SegmentedBounds, MultiPathologicalRatesThrowInsteadOfHanging) {
