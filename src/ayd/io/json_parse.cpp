@@ -355,9 +355,14 @@ const std::vector<JsonValue>& JsonValue::as_array() const {
 }
 
 const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()
-    const {
+    const& {
   if (kind_ != Kind::kObject) fail_kind("object", kind_);
   return object_;
+}
+
+std::vector<std::pair<std::string, JsonValue>> JsonValue::members() && {
+  if (kind_ != Kind::kObject) fail_kind("object", kind_);
+  return std::move(object_);
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {

@@ -50,7 +50,10 @@ class JsonValue {
   [[nodiscard]] const std::vector<JsonValue>& as_array() const;
   /// Object members in source order; throws on kind mismatch.
   [[nodiscard]] const std::vector<std::pair<std::string, JsonValue>>&
-  members() const;
+  members() const&;
+  /// Moves the members out of an expiring object (the service takes a
+  /// parsed request's parameters this way instead of copying them).
+  [[nodiscard]] std::vector<std::pair<std::string, JsonValue>> members() &&;
 
   /// Object member by key (first occurrence); nullptr when absent or when
   /// this value is not an object.

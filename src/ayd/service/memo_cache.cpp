@@ -157,6 +157,16 @@ MemoCache::Lookup MemoCache::get_or_compute(const CanonicalKey& key,
   return {wait_on.get(), /*hit=*/true};
 }
 
+MemoCache::Value MemoCache::find(const CanonicalKey& key) {
+  Shard& shard = shard_for(key.hash);
+  const std::lock_guard lock(shard.mutex);
+  const auto it = shard.entries.find(key.text);
+  if (it == shard.entries.end() || !it->second.ready) return nullptr;
+  ++shard.hits;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+  return it->second.result.get();
+}
+
 CacheStats MemoCache::stats() const {
   CacheStats out;
   for (const auto& shard : shards_) {

@@ -91,6 +91,14 @@ class MemoCache {
   [[nodiscard]] Lookup get_or_compute(const CanonicalKey& key,
                                       const Compute& compute);
 
+  /// Probe only: the value of a completed entry for `key`, counted as
+  /// one hit and touched in the LRU; null when the key is absent or
+  /// still in flight, counting nothing. Never computes and never reads
+  /// the persistent tier (the planning service's front memo probes
+  /// this way and falls back to get_or_compute on null).
+  [[nodiscard]] std::shared_ptr<const std::string> find(
+      const CanonicalKey& key);
+
   /// Snapshot of the counters across all shards.
   [[nodiscard]] CacheStats stats() const;
 

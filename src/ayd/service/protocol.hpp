@@ -49,6 +49,9 @@ class ProtocolError : public util::Error {
   io::JsonValue id_;
 };
 
+/// A request's operation parameters, in source order.
+using Params = std::vector<std::pair<std::string, io::JsonValue>>;
+
 /// One parsed request line.
 struct Request {
   std::string op;
@@ -56,12 +59,13 @@ struct Request {
   /// when the request carried none).
   io::JsonValue id;
   /// Every member except "op" and "id", in source order.
-  std::vector<std::pair<std::string, io::JsonValue>> params;
+  Params params;
 };
 
 /// Parses one NDJSON line. Throws ProtocolError("parse_error") on
 /// malformed JSON or a non-object line, ProtocolError("bad_request")
-/// when "op" is missing or not a string.
+/// when "op" is missing or not a string. The id and the parameters are
+/// moved out of the parsed document, not copied.
 [[nodiscard]] Request parse_request(const std::string& line);
 
 /// Converts request parameters into the CLI argv vocabulary the spec
@@ -70,8 +74,15 @@ struct Request {
 /// print without exponents, other numbers round-trip exactly via %.17g,
 /// false omits the flag, and non-scalar values throw
 /// ProtocolError("bad_request").
-[[nodiscard]] std::vector<std::string> params_to_argv(
-    const std::vector<std::pair<std::string, io::JsonValue>>& params);
+[[nodiscard]] std::vector<std::string> params_to_argv(const Params& params);
+
+/// The bytes of (op, params_to_argv(params)) without materialising the
+/// argv: the op, then every argument length-prefixed, so two requests
+/// share a key exactly when the spec parser would see the same op and
+/// argv. Spellings params_to_argv collapses (underscores, false flags,
+/// 512 vs 512.0) collapse here too, because both run the same
+/// normaliser. Throws exactly what params_to_argv throws.
+[[nodiscard]] std::string argv_key(std::string_view op, const Params& params);
 
 /// Assembles {"id":...,"ok":true,"op":...,"result":...} around
 /// `result_json`.

@@ -51,6 +51,136 @@ void write_summary(io::JsonWriter& w, std::string_view key,
   w.end_object();
 }
 
+/// A resolved planning request: its canonical key, the evaluation a
+/// cache miss runs, and whether the front memo may remember it.
+struct Resolved {
+  CanonicalKey key;
+  MemoCache::Compute compute;
+  /// False when resolution read a file: `trace:PATH` re-reads the CSV on
+  /// every request and its gaps are part of the key, so the argv alone
+  /// does not determine the key. (Shock and --hetero laws are analytic.)
+  bool pure = true;
+};
+
+bool resolution_is_pure(const model::System& sys) {
+  return sys.failure().dist().kind() != model::FailureDistKind::kTraceReplay;
+}
+
+Resolved resolve_optimize(const Request& req) {
+  cli::ArgParser parser("ayd serve: optimize", "service op");
+  tool::add_optimize_options(parser);
+  parse_params(parser, req);
+  const model::System sys = tool::system_from_args(parser);
+  const tool::OptimizeRequest opt = tool::optimize_request_from_args(parser);
+
+  // The field sequence lives in canonical.cpp, shared with
+  // `ayd optimize --cache-dir` so both front-ends address the same
+  // persistent-store records.
+  return {optimize_canonical_key(sys, opt),
+          [sys, opt] {
+            std::ostringstream os;
+            io::JsonWriter w(os, /*pretty=*/false);
+            tool::write_optimize_record(w, sys, opt, /*pool=*/nullptr);
+            return os.str();
+          },
+          resolution_is_pure(sys)};
+}
+
+Resolved resolve_simulate(const Request& req) {
+  cli::ArgParser parser("ayd serve: simulate", "service op");
+  tool::add_system_options(parser);
+  tool::add_simulation_options(parser);
+  tool::add_pattern_options(parser);
+  parse_params(parser, req);
+  const model::System sys = tool::system_from_args(parser);
+
+  // Resolve pattern defaults exactly like `ayd simulate` (the shared
+  // helper), so the canonical key captures the pattern actually run.
+  const tool::ResolvedPattern resolved =
+      tool::resolve_pattern_from_args(parser, sys);
+  const double procs = resolved.procs;
+  const double period = resolved.period;
+  const sim::ReplicationOptions opt = tool::replication_from_args(parser);
+
+  return {CanonicalKeyBuilder("simulate")
+              .system(sys)
+              .field("period", period)
+              .field("procs", procs)
+              .field("runs", static_cast<std::uint64_t>(opt.replicas))
+              .field("patterns",
+                     static_cast<std::uint64_t>(opt.patterns_per_replica))
+              .field("seed", static_cast<std::uint64_t>(opt.seed))
+              .field("backend", backend_name(opt.backend))
+              .finish(),
+          [sys, period, procs, opt] {
+            const sim::ReplicationResult r =
+                sim::simulate_overhead(sys, {period, procs}, opt);
+            std::ostringstream os;
+            io::JsonWriter w(os, /*pretty=*/false);
+            w.begin_object();
+            w.kv("period", period);
+            w.kv("procs", procs);
+            w.kv("replicas", static_cast<std::uint64_t>(opt.replicas));
+            w.kv("patterns_per_replica",
+                 static_cast<std::uint64_t>(opt.patterns_per_replica));
+            w.kv("seed", static_cast<std::uint64_t>(opt.seed));
+            w.kv("backend", backend_name(opt.backend));
+            write_summary(w, "overhead", r.overhead);
+            write_summary(w, "pattern_time", r.pattern_time);
+            w.kv("analytic_overhead", r.analytic_overhead);
+            w.kv("analytic_pattern_time", r.analytic_pattern_time);
+            w.kv("fail_stops_per_pattern", r.fail_stops_per_pattern);
+            w.kv("silent_detections_per_pattern",
+                 r.silent_detections_per_pattern);
+            w.kv("masked_silent_per_pattern", r.masked_silent_per_pattern);
+            w.kv("attempts_per_pattern", r.attempts_per_pattern);
+            w.kv("total_patterns",
+                 static_cast<std::uint64_t>(r.total_patterns));
+            w.end_object();
+            return os.str();
+          },
+          resolution_is_pure(sys)};
+}
+
+Resolved resolve_plan(const Request& req) {
+  cli::ArgParser parser("ayd serve: plan", "service op");
+  tool::add_system_options(parser);
+  tool::add_plan_options(parser);
+  parse_params(parser, req);
+  const model::System sys = tool::system_from_args(parser);
+  const model::Application app{parser.option("name"),
+                               parser.option_double("work"), 0.0};
+  const double max_procs = parser.option_double("max-procs");
+
+  return {CanonicalKeyBuilder("plan")
+              .system(sys)
+              .field("work", app.total_work)
+              .field("max_procs", max_procs)
+              .field("name", app.name)
+              .finish(),
+          [sys, app, max_procs] {
+            // The report math is tool::compute_plan — the same body
+            // `ayd plan` prints as tables.
+            const tool::PlanReport report =
+                tool::compute_plan(sys, app, max_procs);
+            std::ostringstream os;
+            io::JsonWriter w(os, /*pretty=*/false);
+            w.begin_object();
+            w.kv("job", app.name);
+            w.kv("work", app.total_work);
+            w.kv("procs", report.optimum.procs);
+            w.kv("period", report.optimum.period);
+            w.kv("overhead", report.optimum.overhead);
+            w.kv("at_boundary", report.optimum.at_boundary);
+            w.kv("expected_makespan", report.expected_makespan);
+            w.kv("error_free_makespan", report.error_free_makespan);
+            w.kv("checkpoints", std::ceil(report.patterns));
+            w.end_object();
+            return os.str();
+          },
+          resolution_is_pure(sys)};
+}
+
 }  // namespace
 
 PlanningService::PlanningService(const ServiceOptions& options)
@@ -63,22 +193,21 @@ PlanningService::PlanningService(const ServiceOptions& options)
       pool_(options.threads) {}
 
 std::string PlanningService::handle_line(const std::string& line) {
-  io::JsonValue id;  // null until the request parses far enough to know
+  Request req;  // id null until the request parses far enough to know
   try {
-    Request req = parse_request(line);
-    id = req.id;
+    req = parse_request(line);
     return dispatch(req);
   } catch (const ProtocolError& e) {
     // Prefer the id the error carries (parse_request extracts it before
     // any validation can fail); fall back to what this frame saw.
-    return make_error_reply(e.id().is_null() ? id : e.id(), e.code(),
+    return make_error_reply(e.id().is_null() ? req.id : e.id(), e.code(),
                             e.what());
   } catch (const util::Error& e) {
     // Spec-parser rejections (unknown option, malformed value, infeasible
     // combination) are the caller's fault, not the service's.
-    return make_error_reply(id, "bad_request", e.what());
+    return make_error_reply(req.id, "bad_request", e.what());
   } catch (const std::exception& e) {
-    return make_error_reply(id, "internal", e.what());
+    return make_error_reply(req.id, "internal", e.what());
   }
 }
 
@@ -144,131 +273,61 @@ bool PlanningService::serve(std::istream& in, std::ostream& out) {
 }
 
 std::string PlanningService::dispatch(const Request& req) {
-  if (req.op == "optimize") return handle_optimize(req);
-  if (req.op == "simulate") return handle_simulate(req);
-  if (req.op == "plan") return handle_plan(req);
-  if (req.op == "stats") return handle_stats(req);
-  if (req.op == "subscribe") return handle_subscribe(req);
-  throw ProtocolError(
-      "unknown_op",
-      "unknown op \"" + req.op +
-          "\" (expected optimize, simulate, plan, stats, subscribe)");
-}
+  Resolved (*resolve)(const Request&) = nullptr;
+  if (req.op == "optimize") {
+    resolve = resolve_optimize;
+  } else if (req.op == "simulate") {
+    resolve = resolve_simulate;
+  } else if (req.op == "plan") {
+    resolve = resolve_plan;
+  } else if (req.op == "stats") {
+    return handle_stats(req);
+  } else if (req.op == "subscribe") {
+    return handle_subscribe(req);
+  } else {
+    throw ProtocolError(
+        "unknown_op",
+        "unknown op \"" + req.op +
+            "\" (expected optimize, simulate, plan, stats, subscribe)");
+  }
 
-std::string PlanningService::handle_optimize(const Request& req) {
-  cli::ArgParser parser("ayd serve: optimize", "service op");
-  tool::add_optimize_options(parser);
-  parse_params(parser, req);
-  const model::System sys = tool::system_from_args(parser);
-  const tool::OptimizeRequest opt = tool::optimize_request_from_args(parser);
+  // Warm path: a request spelled like one already resolved goes straight
+  // to the cache probe. Throws what the argv bridge below would throw.
+  std::string front = argv_key(req.op, req.params);
+  if (const auto value = front_hit(front)) {
+    return make_ok_reply(req.id, req.op, *value);
+  }
 
-  // The field sequence lives in canonical.cpp, shared with
-  // `ayd optimize --cache-dir` so both front-ends address the same
-  // persistent-store records.
-  const CanonicalKey key = optimize_canonical_key(sys, opt);
-
-  const MemoCache::Lookup lookup = cache_.get_or_compute(key, [&] {
-    std::ostringstream os;
-    io::JsonWriter w(os, /*pretty=*/false);
-    tool::write_optimize_record(w, sys, opt, /*pool=*/nullptr);
-    return os.str();
-  });
+  Resolved resolved = resolve(req);
+  const MemoCache::Lookup lookup =
+      cache_.get_or_compute(resolved.key, resolved.compute);
+  if (resolved.pure) remember(std::move(front), std::move(resolved.key));
   return make_ok_reply(req.id, req.op, *lookup.value);
 }
 
-std::string PlanningService::handle_simulate(const Request& req) {
-  cli::ArgParser parser("ayd serve: simulate", "service op");
-  tool::add_system_options(parser);
-  tool::add_simulation_options(parser);
-  tool::add_pattern_options(parser);
-  parse_params(parser, req);
-  const model::System sys = tool::system_from_args(parser);
-
-  // Resolve pattern defaults exactly like `ayd simulate` (the shared
-  // helper), so the canonical key captures the pattern actually run.
-  const tool::ResolvedPattern resolved =
-      tool::resolve_pattern_from_args(parser, sys);
-  const double procs = resolved.procs;
-  const double period = resolved.period;
-  const sim::ReplicationOptions opt = tool::replication_from_args(parser);
-
-  const CanonicalKey key =
-      CanonicalKeyBuilder("simulate")
-          .system(sys)
-          .field("period", period)
-          .field("procs", procs)
-          .field("runs", static_cast<std::uint64_t>(opt.replicas))
-          .field("patterns",
-                 static_cast<std::uint64_t>(opt.patterns_per_replica))
-          .field("seed", static_cast<std::uint64_t>(opt.seed))
-          .field("backend", backend_name(opt.backend))
-          .finish();
-
-  const MemoCache::Lookup lookup = cache_.get_or_compute(key, [&] {
-    const sim::ReplicationResult r =
-        sim::simulate_overhead(sys, {period, procs}, opt);
-    std::ostringstream os;
-    io::JsonWriter w(os, /*pretty=*/false);
-    w.begin_object();
-    w.kv("period", period);
-    w.kv("procs", procs);
-    w.kv("replicas", static_cast<std::uint64_t>(opt.replicas));
-    w.kv("patterns_per_replica",
-         static_cast<std::uint64_t>(opt.patterns_per_replica));
-    w.kv("seed", static_cast<std::uint64_t>(opt.seed));
-    w.kv("backend", backend_name(opt.backend));
-    write_summary(w, "overhead", r.overhead);
-    write_summary(w, "pattern_time", r.pattern_time);
-    w.kv("analytic_overhead", r.analytic_overhead);
-    w.kv("analytic_pattern_time", r.analytic_pattern_time);
-    w.kv("fail_stops_per_pattern", r.fail_stops_per_pattern);
-    w.kv("silent_detections_per_pattern", r.silent_detections_per_pattern);
-    w.kv("masked_silent_per_pattern", r.masked_silent_per_pattern);
-    w.kv("attempts_per_pattern", r.attempts_per_pattern);
-    w.kv("total_patterns", static_cast<std::uint64_t>(r.total_patterns));
-    w.end_object();
-    return os.str();
-  });
-  return make_ok_reply(req.id, req.op, *lookup.value);
+std::shared_ptr<const std::string> PlanningService::front_hit(
+    const std::string& front) {
+  std::shared_ptr<const CanonicalKey> key;
+  {
+    const std::lock_guard lock(front_mutex_);
+    const auto it = front_.find(front);
+    if (it == front_.end()) return nullptr;
+    key = it->second;
+  }
+  // A stale entry (canonical entry evicted or in flight) probes null and
+  // the caller takes the slow path, which re-resolves and re-remembers.
+  return cache_.find(*key);
 }
 
-std::string PlanningService::handle_plan(const Request& req) {
-  cli::ArgParser parser("ayd serve: plan", "service op");
-  tool::add_system_options(parser);
-  tool::add_plan_options(parser);
-  parse_params(parser, req);
-  const model::System sys = tool::system_from_args(parser);
-  const model::Application app{parser.option("name"),
-                               parser.option_double("work"), 0.0};
-  const double max_procs = parser.option_double("max-procs");
-
-  const CanonicalKey key = CanonicalKeyBuilder("plan")
-                               .system(sys)
-                               .field("work", app.total_work)
-                               .field("max_procs", max_procs)
-                               .field("name", app.name)
-                               .finish();
-
-  const MemoCache::Lookup lookup = cache_.get_or_compute(key, [&] {
-    // The report math is tool::compute_plan — the same body `ayd plan`
-    // prints as tables.
-    const tool::PlanReport report = tool::compute_plan(sys, app, max_procs);
-    std::ostringstream os;
-    io::JsonWriter w(os, /*pretty=*/false);
-    w.begin_object();
-    w.kv("job", app.name);
-    w.kv("work", app.total_work);
-    w.kv("procs", report.optimum.procs);
-    w.kv("period", report.optimum.period);
-    w.kv("overhead", report.optimum.overhead);
-    w.kv("at_boundary", report.optimum.at_boundary);
-    w.kv("expected_makespan", report.expected_makespan);
-    w.kv("error_free_makespan", report.error_free_makespan);
-    w.kv("checkpoints", std::ceil(report.patterns));
-    w.end_object();
-    return os.str();
-  });
-  return make_ok_reply(req.id, req.op, *lookup.value);
+void PlanningService::remember(std::string front, CanonicalKey key) {
+  auto shared = std::make_shared<const CanonicalKey>(std::move(key));
+  const std::lock_guard lock(front_mutex_);
+  // Bounded by --cache-entries: a full memo starts over, and the hot
+  // spellings are re-learned by one slow-path request each.
+  if (front_.size() >= options_.cache_entries && !front_.contains(front)) {
+    front_.clear();
+  }
+  front_.insert_or_assign(std::move(front), std::move(shared));
 }
 
 std::string PlanningService::handle_stats(const Request& req) {
@@ -304,7 +363,7 @@ std::string PlanningService::handle_subscribe(const Request& req) {
   // blob, and params_to_argv deliberately rejects non-scalars.
   const io::JsonValue* events = nullptr;
   const io::JsonValue* telemetry = nullptr;
-  std::vector<std::pair<std::string, io::JsonValue>> scalar_params;
+  Params scalar_params;
   for (const auto& [name, value] : req.params) {
     if (name == "events") {
       events = &value;

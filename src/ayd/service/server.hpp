@@ -11,6 +11,18 @@
 // intervals included, which is what makes serving repeated planning
 // queries (dashboards, sweep reruns, CI) from memory sound.
 //
+// Warm path: resolving a request (argv, ArgParser, System, canonical key)
+// costs far more than the cache probe it ends in, so a front memo maps
+// argv_key(op, params) — the exact argv bytes the spec parser would see
+// — to the canonical key that request resolved to. A repeated request
+// then costs parse, memo lookup, MemoCache::find and reply; a front hit
+// counts as one cache hit, so the stats are unchanged. Only requests that
+// resolved successfully through a pure function of their argv enter the
+// memo: never errors, stats, subscribe or trace:PATH laws (the CSV is
+// re-read per request and its gaps are part of the key). The memo shares
+// the --cache-entries bound and starts over when full; a stale entry
+// (canonical entry evicted or in flight) falls through to the full path.
+//
 // Concurrency model: serve() fans request lines out over an owned
 // exec::ThreadPool and writes each reply as it completes, so replies can
 // arrive out of request order (the id correlates them). Each request's
@@ -27,7 +39,9 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 
 #include "ayd/exec/thread_pool.hpp"
 #include "ayd/service/memo_cache.hpp"
@@ -103,16 +117,25 @@ class PlanningService {
   /// util::Error on failures (handle_line wraps them into envelopes).
   [[nodiscard]] std::string dispatch(const Request& req);
 
-  [[nodiscard]] std::string handle_optimize(const Request& req);
-  [[nodiscard]] std::string handle_simulate(const Request& req);
-  [[nodiscard]] std::string handle_plan(const Request& req);
   [[nodiscard]] std::string handle_stats(const Request& req);
   [[nodiscard]] std::string handle_subscribe(const Request& req);
+
+  /// The cached value of a request already resolved under the argv_key
+  /// `front`; null on a front miss or a stale entry.
+  [[nodiscard]] std::shared_ptr<const std::string> front_hit(
+      const std::string& front);
+  /// Records that `front` resolved to `key` (pure resolutions only).
+  void remember(std::string front, CanonicalKey key);
 
   ServiceOptions options_;
   /// Constructed before cache_, which holds a non-owning pointer to it.
   std::unique_ptr<AnswerStore> store_;
   MemoCache cache_;
+  /// The front memo: argv_key(op, params) -> the canonical key that
+  /// request resolved to, at most options_.cache_entries entries.
+  std::mutex front_mutex_;
+  std::unordered_map<std::string, std::shared_ptr<const CanonicalKey>>
+      front_;
   exec::ThreadPool pool_;
 };
 

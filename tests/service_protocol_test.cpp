@@ -9,7 +9,9 @@
 #include "ayd/service/server.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -125,6 +127,51 @@ TEST(ServiceProtocol, StringAndNumberIdsEchoVerbatim) {
   const std::string str = service.handle_line(
       R"({"op":"plan","id":"req-a","platform":"hera","scenario":3})");
   EXPECT_EQ(str.rfind("{\"id\":\"req-a\",", 0), 0u) << str;
+  // Duplicate members: the first "id" and the first "op" count, and
+  // neither reaches the parameters.
+  const std::string dup = service.handle_line(
+      R"({"id":7,"op":"plan","id":8,"op":"nope","platform":"hera"})");
+  EXPECT_EQ(dup.rfind(R"({"id":7,"ok":true,"op":"plan",)", 0), 0u) << dup;
+}
+
+TEST(ServiceProtocol, ReplyIdBytesMatchJsonWriter) {
+  // The envelopes write the id straight into the reply; the bytes must be
+  // exactly what JsonWriter writes for the same value.
+  const std::vector<io::JsonValue> ids = {
+      io::JsonValue::integer(0),
+      io::JsonValue::integer(-1),
+      io::JsonValue::integer(-9007199254740993),
+      io::JsonValue::integer(std::numeric_limits<std::int64_t>::min()),
+      io::JsonValue::integer(std::numeric_limits<std::int64_t>::max()),
+      io::JsonValue::number(2.5),
+      io::JsonValue::number(-0.1),
+      io::JsonValue::number(1e300),
+      io::JsonValue::string(""),
+      io::JsonValue::string("req-a"),
+      io::JsonValue::string("q\"b\\s/\b\f\n\r\t\x01\x1f caf\xc3\xa9"),
+      io::JsonValue::boolean(true),
+      io::JsonValue::boolean(false),
+      io::JsonValue::null(),
+  };
+  for (const io::JsonValue& id : ids) {
+    const std::string written = compact(id);
+    EXPECT_EQ(make_ok_reply(id, "plan", "{}"),
+              "{\"id\":" + written + R"(,"ok":true,"op":"plan","result":{}})");
+    EXPECT_EQ(make_error_reply(id, "bad_request", "m"),
+              "{\"id\":" + written +
+                  R"(,"ok":false,"error":{"code":"bad_request","message":"m"}})");
+  }
+  // The same through the parser, for ids as clients spell them.
+  PlanningService service({/*threads=*/1});
+  for (const char* literal :
+       {"0", "-7", "-9223372036854775808", "9223372036854775807", "2.5",
+        "1e3", "-0.0", R"("a\"b\u0001")", "true", "false", "null"}) {
+    const std::string reply = service.handle_line(
+        std::string(R"({"op":"nope","id":)") + literal + "}");
+    const std::string written = compact(io::parse_json(literal));
+    EXPECT_EQ(reply.rfind("{\"id\":" + written + ",", 0), 0u)
+        << literal << " -> " << reply;
+  }
 }
 
 TEST(ServiceProtocol, OkReplyCarriesOpAndResult) {
