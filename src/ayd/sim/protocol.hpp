@@ -36,18 +36,22 @@
 //    the historical order, the expensive part of the quantile inversion
 //    (log / pow / normal-quantile) runs in bulk over a cache-resident
 //    block, and only the cheap rate scaling happens per draw.
-//  * FastProtocolSimulator runs one attempt/recovery state machine over
-//    a draw source: the stream filtered by CDF thresholds, the stream
-//    drawing every arrival (trace replay), or a CRN pool cursor walked
-//    exactly or, under a SIMD tier, in unit space. The threshold filter
-//    makes an attempt whose uniforms say "no error strikes before the
-//    checkpoint is stored" — the overwhelmingly common case at realistic
-//    rates — cost two uniforms and two compares, with no transcendental
-//    calls at all. Draws near a decision boundary or inside an error
-//    window fall back to the exact historical arithmetic on the very
-//    same uniform, so results cannot drift. The stream-fed sources call
-//    no vectorized kernel, so their results are the same bits under
-//    every SIMD tier.
+//  * FastProtocolSimulator is the segmented interpreter on its
+//    one-source, one-segment world (SegmentedFastSimulator,
+//    sim/segmented.hpp, which documents its draw sources). Its CDF
+//    threshold filter makes an attempt whose uniforms say "no error
+//    strikes before the checkpoint is stored" — the overwhelmingly
+//    common case at realistic rates — cost two uniforms and two
+//    compares, with no transcendental calls at all. Draws near a
+//    decision boundary or inside an error window fall back to the exact
+//    historical arithmetic on the very same uniform, so results cannot
+//    drift. The stream-fed walk calls no vectorized kernel, so its
+//    results are the same bits under every SIMD tier.
+//
+// The segmented DES does not replace DesProtocolSimulator yet: they
+// differ in two pinned behaviours. Here a memoryless (exponential)
+// pending arrival survives renewal points, and a trace-replay arrival
+// exactly at T+V+C strikes.
 
 #pragma once
 
@@ -82,6 +86,15 @@ inline constexpr std::uint64_t kMaxPatternAttempts = 10'000'000;
 /// by tests/sim_bitcompat_test.cpp.
 [[nodiscard]] std::uint64_t safe_word_threshold(
     const model::FailureDistribution& dist, double window);
+
+namespace detail {
+/// Throws util::SimulationDiverged for a pattern of period T on P
+/// processors with n segments that hit kMaxPatternAttempts tries, at
+/// total fail-stop rate `fail_rate` and silent rate `silent_rate`: the
+/// one divergence message of every simulator.
+[[noreturn]] void throw_diverged(double period, double procs, int segments,
+                                 double fail_rate, double silent_rate);
+}  // namespace detail
 
 /// Counters for one simulated pattern (all re-execution included).
 struct PatternStats {
@@ -189,82 +202,15 @@ class DesProtocolSimulator {
   PendingSet<3> pending_;
 };
 
-/// Closed-form per-segment sampler: draws each attempt's fate directly
-/// instead of walking an event queue (one fresh arrival per attempt and
-/// per recovery try). For the exponential this is the memorylessness
-/// shortcut; non-memoryless distributions fall back to quantile-inversion
-/// sampling with the same renewal points. Distributionally identical to
-/// DesProtocolSimulator (tests compare the two statistically).
-class FastProtocolSimulator {
- public:
-  FastProtocolSimulator(const model::System& sys, const core::Pattern& pattern);
+class SegmentedFastSimulator;
 
-  /// One pattern is the n == 1 replica (merging into zeroed totals is the
-  /// identity, bitwise: every counter starts at 0 and wall_time > 0).
-  [[nodiscard]] PatternStats simulate_pattern(rng::RngStream& rng) {
-    return simulate_replica(rng, 1);
-  }
-
-  /// Simulates `n` patterns back to back and merges their stats —
-  /// equivalent to n simulate_pattern calls, with the loop inside the
-  /// simulator (see DesProtocolSimulator::simulate_replica).
-  [[nodiscard]] PatternStats simulate_replica(rng::RngStream& rng,
-                                              std::size_t n);
-
-  /// Nothing is prefetched across replicas; sim/runner calls it at every
-  /// replica switch, as it does for the DES simulator.
-  void begin_replica() {}
-
-  /// Pool mode (common random numbers): see
-  /// DesProtocolSimulator::set_unit_cursor. In the scalar tier, pool-fed
-  /// results are bit-identical to stream sampling.
-  void set_unit_cursor(UnitVariatePool::Cursor* cursor);
-
-  [[nodiscard]] const core::Pattern& pattern() const { return pattern_; }
-
- private:
-  /// The one attempt/recovery machine, run over a draw source built from
-  /// this simulator and `args` (protocol.cpp documents the interface).
-  template <class Source, class... Args>
-  [[nodiscard]] PatternStats run(std::size_t n, Args&&... args) const;
-  struct ExactSource;      ///< what the time-space sources share
-  struct ThresholdStream;  ///< stream, filtered by CDF thresholds
-  struct FullStream;       ///< stream, every arrival drawn (trace replay)
-  struct ExactPool;        ///< CRN pool, exact arrivals
-  struct UnitPool;         ///< CRN pool in unit space (SIMD tier)
-
-  core::Pattern pattern_;
-  double lf_;
-  double ls_;
-  double t_;
-  double r_;
-  double d_;
-  double tv_;   ///< T + V (precomputed with the historical expression)
-  double tvc_;  ///< T + V + C
-  std::unique_ptr<const model::FailureDistribution> fail_dist_;
-  std::unique_ptr<const model::FailureDistribution> silent_dist_;
-  bool lazy_;  ///< threshold filter usable for every active source
-  /// Safe thresholds in 53-bit word space: a draw whose word w satisfies
-  /// (w >> 11) >= mthr_* is guaranteed to land beyond the corresponding
-  /// window in exact arithmetic, so its arrival time never needs to be
-  /// computed. Comparing the integer mantissa is exact (the uniform is
-  /// (w >> 11) * 2^-53, a lossless scaling) and keeps the hot path free
-  /// of floating-point conversions.
-  std::uint64_t mthr_fail_ = 0;    ///< fail-stop before T+V+C possible
-  std::uint64_t mthr_silent_ = 0;  ///< silent arrival before T possible
-  std::uint64_t mthr_rec_ = 0;     ///< fail-stop before R possible
-
-  /// How from_unit scales a unit variate, devirtualized for the pool
-  /// walks (the scalar expressions are kept bit-for-bit: Weibull
-  /// multiplies by its scale, the exponential divides by its rate, the
-  /// lognormal stays a virtual call).
-  enum class UnitScaling : int { kLinear, kDivide, kVirtual };
-  UnitScaling fail_scaling_ = UnitScaling::kVirtual;
-  double fail_factor_ = 0.0;    ///< scale (kLinear) or rate (kDivide)
-  UnitScaling silent_scaling_ = UnitScaling::kVirtual;
-  double silent_factor_ = 0.0;
-  /// Non-null in pool (CRN) mode: draws come from the shared sequence.
-  UnitVariatePool::Cursor* pool_cursor_ = nullptr;
-};
+/// Closed-form per-attempt sampler of the VC pattern: the segmented
+/// interpreter on its one-source, one-segment world. Distributionally
+/// identical to DesProtocolSimulator (tests compare the two
+/// statistically).
+using FastProtocolSimulator = SegmentedFastSimulator;
 
 }  // namespace ayd::sim
+
+// Last: the segmented interpreter builds on the declarations above.
+#include "ayd/sim/segmented.hpp"  // IWYU pragma: export

@@ -57,12 +57,12 @@ void run_replica_range(const Sys& sys, const Pat& pattern,
 }
 
 /// Runs replicas [first, outcomes.size()) into the tail of `outcomes`
-/// on the Fast or Des simulator, per opt.backend (earlier entries are
-/// kept — this is what lets the adaptive driver append rounds without
-/// re-simulating). Parallel chunks are offset by `first` so replica i
+/// on the fast interpreter or the Des simulator, per opt.backend (earlier
+/// entries are kept — this is what lets the adaptive driver append rounds
+/// without re-simulating). Parallel chunks are offset by `first` so replica i
 /// still draws substream (seed, i) regardless of how many rounds
 /// preceded it.
-template <typename Fast, typename Des, typename Sys, typename Pat>
+template <typename Des, typename Sys, typename Pat>
 void run_replicas(const Sys& sys, const Pat& pattern,
                   const ReplicationOptions& opt, exec::ThreadPool* pool,
                   std::vector<ReplicaOutcome>& outcomes, std::size_t first) {
@@ -73,8 +73,9 @@ void run_replicas(const Sys& sys, const Pat& pattern,
       run_replica_range<Des>(sys, pattern, opt, first + begin, first + end,
                              out);
     } else {
-      run_replica_range<Fast>(sys, pattern, opt, first + begin, first + end,
-                              out);
+      run_replica_range<SegmentedFastSimulator>(sys, pattern, opt,
+                                                first + begin, first + end,
+                                                out);
     }
   };
   const std::size_t min_chunk =
@@ -83,18 +84,19 @@ void run_replicas(const Sys& sys, const Pat& pattern,
   exec::parallel_for_chunks(pool, count, run_chunk, min_chunk);
 }
 
-/// A VC pattern on a plain System keeps the bit-pinned simulators; an
-/// extended System runs the segmented interpreters.
+/// The fast backend is the segmented interpreter for every world; on the
+/// DES backend a VC pattern on a plain System keeps the bit-pinned
+/// DesProtocolSimulator, and an extended System runs the segmented one.
 void run_vc_replicas(const model::System& sys, const core::Pattern& pattern,
                      const ReplicationOptions& opt, exec::ThreadPool* pool,
                      std::vector<ReplicaOutcome>& outcomes,
                      std::size_t first) {
-  if (sys.extended()) {
-    run_replicas<SegmentedFastSimulator, SegmentedDesSimulator>(
-        sys, pattern, opt, pool, outcomes, first);
+  if (opt.backend == Backend::kDes && !sys.extended()) {
+    run_replicas<DesProtocolSimulator>(sys, pattern, opt, pool, outcomes,
+                                       first);
   } else {
-    run_replicas<FastProtocolSimulator, DesProtocolSimulator>(
-        sys, pattern, opt, pool, outcomes, first);
+    run_replicas<SegmentedDesSimulator>(sys, pattern, opt, pool, outcomes,
+                                        first);
   }
 }
 
@@ -162,8 +164,7 @@ ReplicationResult simulate_segmented(const Sys& sys, const Pat& pattern,
   require_replication(base_system(sys), opt, /*pooled=*/false);
   core::validate(pattern);
   std::vector<ReplicaOutcome> outcomes(opt.replicas);
-  run_replicas<SegmentedFastSimulator, SegmentedDesSimulator>(
-      sys, pattern, opt, pool, outcomes, 0);
+  run_replicas<SegmentedDesSimulator>(sys, pattern, opt, pool, outcomes, 0);
   return reduce_outcomes(opt, outcomes, /*student_ci=*/false);
 }
 

@@ -20,12 +20,13 @@
 
 namespace ayd::sim {
 
-/// Every protocol and failure world has both backends. A VC pattern on a
-/// plain System runs the bit-pinned simulators (sim/protocol.hpp);
-/// extended Systems (model/correlated.hpp), multi-verification
+/// Every protocol and failure world has both backends. The fast backend
+/// is the segmented interpreter (sim/segmented.hpp) everywhere. The DES
+/// backend runs the bit-pinned DesProtocolSimulator (sim/protocol.hpp)
+/// for a VC pattern on a plain System, and the segmented DES for extended
+/// Systems (model/correlated.hpp), multi-verification
 /// (sim/multi_protocol.hpp) and two-level patterns
-/// (sim/two_level_protocol.hpp) run the segmented-pattern interpreters
-/// (sim/segmented.hpp).
+/// (sim/two_level_protocol.hpp).
 enum class Backend {
   kFast,  ///< closed-form per-segment sampler (default)
   kDes,   ///< event-queue reference simulator

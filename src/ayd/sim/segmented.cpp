@@ -1,11 +1,11 @@
 #include "ayd/sim/segmented.hpp"
 
+#include <algorithm>
 #include <limits>
-#include <sstream>
 #include <utility>
 
+#include "ayd/rng/simd.hpp"
 #include "ayd/util/contracts.hpp"
-#include "ayd/util/error.hpp"
 
 namespace ayd::sim {
 
@@ -57,6 +57,7 @@ SegmentedWorld::SegmentedWorld(const model::System& sys, double period,
       pfs_recovery(recovery),
       downtime(sys.downtime()) {
   const model::CorrelatedSpec* ext = sys.extension();
+  plain = ext == nullptr && segments == 1 && !two_level;
   const bool shock = ext != nullptr && ext->shock.has_value();
 
   // Per-component (individual) sources carry the (1-rho) remainder of
@@ -104,13 +105,8 @@ double SegmentedWorld::try_window(int from) const {
 }
 
 void SegmentedWorld::throw_diverged() const {
-  std::ostringstream os;
-  os << "pattern did not complete within " << kMaxPatternAttempts
-     << " tries (T=" << period << ", P=" << procs << ", n=" << segments
-     << ", total lambda_f=" << total_fail_rate
-     << ", lambda_s=" << silent->rate()
-     << "); the per-try success probability is too small";
-  throw util::SimulationDiverged(os.str());
+  sim::detail::throw_diverged(period, procs, segments, total_fail_rate,
+                              silent->rate());
 }
 
 }  // namespace detail
@@ -127,29 +123,47 @@ SegmentedFastSimulator::SegmentedFastSimulator(detail::SegmentedWorld world)
     }
   }
   // Window rows: the try from each start segment a try can begin at (a
-  // two-level segment retry starts mid-pattern), then R, R_pfs and L.
-  std::vector<double> windows;
-  for (int from = 0; from < (w.two_level ? w.segments : 1); ++from) {
-    windows.push_back(w.try_window(from));
-  }
-  recovery_row_ = windows.size();
-  windows.insert(windows.end(), {w.recovery, w.pfs_recovery, w.level1});
-  for (const double window : windows) {
+  // two-level segment retry starts mid-pattern), then R, R_pfs and L. A
+  // row the world never reaches (R_pfs without a PFS tier, L without
+  // level-1 checkpoints) is left at 0.
+  const auto add_row = [&](double window, bool reached) {
     for (const SourceDraw& src : fail_draws_) {
-      fail_thresholds_.push_back(
-          src.filtered ? safe_word_threshold(*src.dist, window) : 0);
+      fail_thresholds_.push_back(src.filtered && reached
+                                     ? safe_word_threshold(*src.dist, window)
+                                     : 0);
     }
+  };
+  recovery_row_ = w.two_level ? static_cast<std::size_t>(w.segments) : 1;
+  fail_thresholds_.reserve((recovery_row_ + 3) * fail_draws_.size());
+  for (std::size_t from = 0; from < recovery_row_; ++from) {
+    add_row(w.try_window(static_cast<int>(from)), true);
   }
+  add_row(w.recovery, true);
+  add_row(w.pfs_recovery, w.tiered());
+  add_row(w.level1, w.two_level);
   if (w.silent_active()) {
     silent_draw_ = {w.silent.get(), w.silent->unit_samplable(), false};
     if (silent_draw_.filtered) {
       silent_threshold_ = safe_word_threshold(*w.silent, w.work);
     }
   }
+  const auto unit = [](const SourceDraw& d) {
+    return d.dist == nullptr || d.filtered;
+  };
+  plain_ = w.plain && unit(silent_draw_) &&
+           std::all_of(fail_draws_.begin(), fail_draws_.end(), unit);
+  if (plain_) {
+    fail_law_ = UnitLaw(fail_draws_.empty() ? nullptr : fail_draws_[0].dist);
+    silent_law_ = UnitLaw(silent_draw_.dist);
+  }
 }
 
 void SegmentedFastSimulator::set_unit_cursor(UnitVariatePool::Cursor* cursor) {
-  require_no_pool(cursor);
+  if (!world_.plain) require_no_pool(cursor);
+  AYD_REQUIRE(cursor == nullptr || plain_,
+              "set_unit_cursor: an active source does not factor through "
+              "unit variates");
+  pool_cursor_ = cursor;
 }
 
 namespace {
@@ -187,139 +201,384 @@ struct EngineCopy {
   }
 };
 
+/// A CRN cursor walked through a local copy, so its position and chunk
+/// pointer live in registers between the rare refills; the destructor
+/// writes the position back even if the divergence bound throws.
+struct CursorCopy {
+  UnitVariatePool::Cursor cur;
+  UnitVariatePool::Cursor& shared;
+
+  explicit CursorCopy(UnitVariatePool::Cursor& c) : cur(c), shared(c) {}
+  CursorCopy(const CursorCopy&) = delete;
+  CursorCopy& operator=(const CursorCopy&) = delete;
+  ~CursorCopy() { shared = cur; }
+};
+
+/// The wall clock and window bounds of the time-space sources (the stream
+/// and the exact pool walk): the world's costs copied into the source, and
+/// the pattern's wall clock as a running sum in the order its time
+/// elapses.
+struct TimeClock {
+  double work, verify, checkpoint, level1, recovery, pfs_recovery, downtime;
+  double wall = 0.0;
+
+  explicit TimeClock(const detail::SegmentedWorld& w)
+      : work(w.work),
+        verify(w.verify),
+        checkpoint(w.checkpoint),
+        level1(w.level1),
+        recovery(w.recovery),
+        pfs_recovery(w.pfs_recovery),
+        downtime(w.downtime) {}
+
+  [[nodiscard]] double silent_window() const { return work; }
+  [[nodiscard]] double verified(double e) const { return (e + work) + verify; }
+  [[nodiscard]] double stored(double e, bool mid) const {
+    return e + (mid ? level1 : checkpoint);
+  }
+  [[nodiscard]] double recovery_window(bool pfs) const {
+    return pfs ? pfs_recovery : recovery;
+  }
+  [[nodiscard]] static bool masks(double e, double s, double x) {
+    return e + s < x;
+  }
+  void strike(double x) { wall += x + downtime; }
+  void charge(double t) { wall += t; }
+  [[nodiscard]] double finish(const PatternStats&) {
+    const double w = wall;
+    wall = 0.0;
+    return w;
+  }
+};
+
 }  // namespace
 
-PatternStats SegmentedFastSimulator::simulate_replica(rng::RngStream& rng,
-                                                      std::size_t n) {
-  const detail::SegmentedWorld& w = world_;
-  const int last = w.segments - 1;
-  const std::size_t sources = fail_draws_.size();
-  const std::size_t level1_row = recovery_row_ + 2;
-  EngineCopy words(rng);
-  PatternStats totals;
+/// How from_unit scales a unit variate, devirtualized for the pool walks.
+/// The expressions reproduce the scalar from_unit bit-for-bit: the
+/// Weibull multiplies by its scale (from_unit(1.0) is the scale exactly),
+/// the exponential divides by its rate, and the lognormal stays a virtual
+/// call (its scaling is an exp, not a constant).
+SegmentedFastSimulator::UnitLaw::UnitLaw(const model::FailureDistribution* d)
+    : dist(d) {
+  if (d == nullptr) return;
+  if (d->kind() == model::FailureDistKind::kWeibull) {
+    scaling = Scaling::kLinear;
+    factor = d->from_unit(1.0);
+  } else if (d->kind() == model::FailureDistKind::kExponential) {
+    scaling = Scaling::kDivide;
+    factor = d->rate();
+  }
+}
 
-  // Earliest arrival over all active fail sources this renewal interval,
-  // drawn against the thresholds of window row `row`, and whether it came
-  // from the shock stream. Strict < keeps the first source on a tie (ties
-  // have measure zero for the analytic laws). A filtered draw beyond the
-  // window can neither win a strike nor change the winner of one.
-  bool min_is_shock = false;
-  const auto draw_fail = [&](std::size_t row) -> double {
-    const std::uint64_t* thr = fail_thresholds_.data() + row * sources;
+/// A constant scaling (or none): the unit-space walk can rescale the
+/// windows once.
+bool SegmentedFastSimulator::UnitLaw::linear() const {
+  return dist == nullptr || scaling != Scaling::kVirtual;
+}
+
+double SegmentedFastSimulator::UnitLaw::arrival(double z) const {
+  switch (scaling) {
+    case Scaling::kLinear: return factor * z;
+    case Scaling::kDivide: return z / factor;
+    case Scaling::kVirtual: break;
+  }
+  return dist->from_unit(z);
+}
+
+/// `window` in unit space: z < bound(w) decides what arrival(z) < w
+/// decides, up to one rounding. An inactive law's bound is 0, which its
+/// +inf draw never undercuts.
+double SegmentedFastSimulator::UnitLaw::bound(double window) const {
+  if (dist == nullptr) return 0.0;
+  return scaling == Scaling::kLinear ? window / factor : window * factor;
+}
+
+// Draw sources of the machine below. Each is a local of the machine, so
+// the compiler keeps the engine or cursor state, the laws and every
+// constant in registers. A source supplies, in its own draw space (time,
+// or unit variates for UnitPool):
+//   draw_fail(row)   the earliest fail-stop arrival over the active
+//                    sources against window row `row` (+inf when none is
+//                    active, or when every arrival provably lies beyond
+//                    the window), with `shock` set when the shock stream
+//                    won;
+//   draw_silent()    the segment's silent arrival;
+//   silent_window(), verified(e), stored(e, mid), recovery_window(pfs),
+//   masks(e, s, x)   the bounds the decisions compare against, and whether
+//                    the silent arrival precedes the fail-stop;
+// plus the pattern's wall clock: strike(x) (a fail-stop at offset x, then
+// the downtime), charge(t), and finish(stats), which returns the
+// pattern's wall time and restarts the clock.
+
+/// The stream. On the plain shape every active law is unit-samplable, so
+/// every draw is filtered, and the one fail law, its two thresholds (the
+/// attempt window T+V+C and R) and the silent law are copied into the
+/// source; other shapes walk the simulator's source rows.
+template <bool kPlain>
+struct SegmentedFastSimulator::Stream : EngineCopy, TimeClock {
+  const SourceDraw* fails;
+  std::size_t sources;
+  const std::uint64_t* thresholds;
+  SourceDraw fail_one;
+  std::uint64_t attempt_threshold = 0, recovery_threshold = 0;
+  SourceDraw silent;
+  std::uint64_t silent_threshold;
+  bool shock = false;
+
+  Stream(const SegmentedFastSimulator& sim, rng::RngStream& rng)
+      : EngineCopy(rng),
+        TimeClock(sim.world_),
+        fails(sim.fail_draws_.data()),
+        sources(sim.fail_draws_.size()),
+        thresholds(sim.fail_thresholds_.data()),
+        silent(sim.silent_draw_),
+        silent_threshold(sim.silent_threshold_) {
+    if (kPlain && sources == 1) {
+      fail_one = fails[0];
+      attempt_threshold = thresholds[0];
+      recovery_threshold = thresholds[sim.recovery_row_];
+    }
+  }
+
+  double draw_fail(std::size_t row) {
+    if constexpr (kPlain) {
+      if (fail_one.dist == nullptr) return kInf;
+      return draw(*fail_one.dist, true,
+                  row == 0 ? attempt_threshold : recovery_threshold);
+    }
+    // Strict < keeps the first source on a tie (ties have measure zero
+    // for the analytic laws). A filtered draw beyond the window can
+    // neither win a strike nor change the winner of one.
+    const std::uint64_t* thr = thresholds + row * sources;
     double best = kInf;
-    min_is_shock = false;
+    shock = false;
     for (std::size_t j = 0; j < sources; ++j) {
-      const SourceDraw& src = fail_draws_[j];
-      const double a = words.draw(*src.dist, src.filtered, thr[j]);
+      const double a = draw(*fails[j].dist, fails[j].filtered, thr[j]);
       if (a < best) {
         best = a;
-        min_is_shock = src.is_shock;
+        shock = fails[j].is_shock;
       }
     }
     return best;
-  };
-  const auto draw_silent = [&]() -> double {
-    return silent_draw_.dist != nullptr
-               ? words.draw(*silent_draw_.dist, silent_draw_.filtered,
-                            silent_threshold_)
+  }
+  double draw_silent() {
+    return silent.dist != nullptr
+               ? draw(*silent.dist, kPlain || silent.filtered, silent_threshold)
                : kInf;
-  };
+  }
+};
 
-  // What a try leads to: the pattern is stored, it restarts from scratch,
-  // or (two-level) the segment it reports retries.
-  constexpr int kStored = -1;
-  constexpr int kRestart = -2;
+/// The CRN pool walks (plain shape only): the unit transforms were paid
+/// once, in the shared pool, so a draw is one cursor read.
+struct SegmentedFastSimulator::PoolWalk : CursorCopy {
+  UnitLaw fail, silent;
+  static constexpr bool shock = false;
+
+  explicit PoolWalk(const SegmentedFastSimulator& sim)
+      : CursorCopy(*sim.pool_cursor_),
+        fail(sim.fail_law_),
+        silent(sim.silent_law_) {}
+};
+
+/// The CRN pool, exact: each arrival is the cheap from_unit scaling of a
+/// pooled variate. Computing every arrival (no threshold filter) is
+/// bit-identical to the threshold-filtered stream in the scalar tier: the
+/// filter only suppresses values that lose every comparison they appear
+/// in, and here the value is nearly free.
+struct SegmentedFastSimulator::ExactPool : PoolWalk, TimeClock {
+  explicit ExactPool(const SegmentedFastSimulator& sim)
+      : PoolWalk(sim), TimeClock(sim.world_) {}
+
+  double draw_fail(std::size_t) {
+    return fail.dist != nullptr ? fail.arrival(cur.next()) : kInf;
+  }
+  double draw_silent() {
+    return silent.dist != nullptr ? silent.arrival(cur.next()) : kInf;
+  }
+};
+
+/// The CRN pool in unit space (SIMD tier only). The windows are rescaled
+/// into unit space once (UnitLaw::bound), so a draw is a raw sequential
+/// read and a compare. Arrival times are materialized only where two
+/// channels are compared. The wall clock decomposes into counter-weighted
+/// constants plus the sum of the consumed fail-stop arrivals: every fail
+/// stop adds its arrival and one downtime, every non-completing attempt
+/// runs one clean recovery, every detection adds T+V and the completing
+/// attempt T+V+C. So the machine only sums raw unit variates and the sum
+/// is scaled once per pattern. Decisions and roundings can differ from
+/// the exact walk within an ulp of a bound; that freedom belongs to the
+/// SIMD tier, whose results are its own golden tier — the scalar
+/// reference tier never selects this.
+struct SegmentedFastSimulator::UnitPool : PoolWalk {
+  double t, tv, tvc, r;  ///< window bounds, in unit space
+  double wall_tv, wall_tvc, wall_r, d;
+  double z_sum = 0.0;
+
+  explicit UnitPool(const SegmentedFastSimulator& sim) : PoolWalk(sim) {
+    const detail::SegmentedWorld& w = sim.world_;
+    wall_tv = w.work + w.verify;
+    wall_tvc = wall_tv + w.checkpoint;
+    wall_r = w.recovery;
+    d = w.downtime;
+    t = silent.bound(w.work);
+    tv = fail.bound(wall_tv);
+    tvc = fail.bound(wall_tvc);
+    r = fail.bound(wall_r);
+  }
+
+  double draw_fail(std::size_t) {
+    return fail.dist != nullptr ? cur.next() : kInf;
+  }
+  double draw_silent() { return silent.dist != nullptr ? cur.next() : kInf; }
+  [[nodiscard]] double silent_window() const { return t; }
+  [[nodiscard]] double verified(double) const { return tv; }
+  [[nodiscard]] double stored(double, bool) const { return tvc; }
+  [[nodiscard]] double recovery_window(bool) const { return r; }
+  [[nodiscard]] bool masks(double, double s, double x) const {
+    return silent.arrival(s) < fail.arrival(x);
+  }
+  void strike(double x) { z_sum += x; }
+  static void charge(double) {}
+  [[nodiscard]] double finish(const PatternStats& st) {
+    // Without a fail-stop channel the sum is empty and its scaling
+    // undefined (an inactive channel has no factor).
+    const double w =
+        (fail.dist != nullptr ? fail.arrival(z_sum) : 0.0) +
+        d * static_cast<double>(st.fail_stop_errors) +
+        wall_r * static_cast<double>(st.attempts - 1) +
+        wall_tv * static_cast<double>(st.silent_detections) + wall_tvc;
+    z_sum = 0.0;
+    return w;
+  }
+};
+
+template <bool kPlain, class Source, class... Args>
+PatternStats SegmentedFastSimulator::run(std::size_t n, Args&... args) const {
+  Source src(*this, args...);
+  const detail::SegmentedWorld& w = world_;
+  // The shape: compile-time constants on the plain shape, so its try is
+  // one segment with no level-1 store and its chains never reach R_pfs.
+  const int last = kPlain ? 0 : w.segments - 1;
+  const bool two_level = !kPlain && w.two_level;
+  const bool tiered = !kPlain && w.tiered();
+  const std::size_t recovery_row = kPlain ? 1 : recovery_row_;
+  PatternStats totals;
 
   for (std::size_t p = 0; p < n; ++p) {
     PatternStats st;
-    double wall = 0.0;
+    std::uint64_t retries = 0;  // two-level segment retries
+    int from = 0;               // the segment the next try starts at
+    bool attempt = true;        // the next try is a pattern attempt
+    for (;;) {
+      if (st.attempts + retries >= kMaxPatternAttempts) w.throw_diverged();
+      ++(attempt ? st.attempts : retries);
 
-    // One rollback chain to the pattern start: recovery tries until one
-    // completes without a fail-stop. The PFS tier is sticky in the chain.
-    const auto run_recovery = [&](bool from_shock) {
-      bool pfs = w.tiered() && from_shock;
+      // One try from segment `from`: a single fail-stop arrival covers
+      // the rest of the pattern (window row `from`), a fresh silent
+      // arrival each segment's work. Offsets accumulate from the try
+      // start in phase order (SegmentedWorld::try_window). It ends with
+      // the pattern stored, a fail-stop at offset y, or a silent error
+      // detected at the end of segment i.
+      double y = src.draw_fail(static_cast<std::size_t>(from));
+      bool shock = src.shock;  // the rollback starts from a shock strike
+      bool struck = false;
+      bool detected = false;
+      double e = 0.0;
+      int i = from;
+      for (; i <= last; ++i) {
+        const double s = src.draw_silent();
+        const bool silent = s < src.silent_window();
+        const double verified = src.verified(e);
+        if (y < verified) {
+          if (silent && src.masks(e, s, y)) ++st.masked_silent;
+          struck = true;
+          break;
+        }
+        if (silent) {
+          ++st.silent_detections;
+          src.charge(verified);
+          detected = true;
+          break;
+        }
+        e = verified;
+        if (i < last && !two_level) continue;
+        const double stored = src.stored(e, i < last);
+        if (y < stored) {
+          struck = true;
+          break;
+        }
+        e = stored;
+      }
+      if (!struck && !detected) {
+        src.charge(e);
+        break;
+      }
+
+      // The rollback. A detection under two-level tries one level-1
+      // recovery back to the segment start (a fail-stop during it
+      // escalates); VC and multi roll the pattern back through an R chain
+      // that starts on the burst-buffer tier.
+      if (detected) {
+        shock = false;
+        if (two_level) {
+          y = src.draw_fail(recovery_row + 2);
+          if (!(y < w.level1)) {
+            src.charge(w.level1);
+            from = i;
+            attempt = false;
+            continue;
+          }
+          ++st.recovery_fail_stops;
+          shock = src.shock;
+          struck = true;
+        }
+      }
+      if (struck) {
+        ++st.fail_stop_errors;
+        if (shock) ++st.shock_errors;
+        src.strike(y);
+      }
+      // The R chain: recovery tries until one completes without a
+      // fail-stop. The PFS tier is sticky in the chain.
+      bool pfs = tiered && shock;
       for (;;) {
-        const double r = w.recovery_cost(pfs);
-        const double y = draw_fail(recovery_row_ + (pfs ? 1 : 0));
-        if (!(y < r)) {
-          wall += r;
-          return;
+        y = src.draw_fail(recovery_row + (pfs ? 1 : 0));
+        if (!(y < src.recovery_window(pfs))) {
+          src.charge(src.recovery_window(pfs));
+          break;
         }
         if (st.fail_stop_errors >= kMaxPatternAttempts) w.throw_diverged();
         ++st.fail_stop_errors;
         ++st.recovery_fail_stops;
-        if (min_is_shock) {
+        if (src.shock) {
           ++st.shock_errors;
-          pfs = pfs || w.tiered();
+          pfs = pfs || tiered;
         }
-        wall += y + w.downtime;
+        src.strike(y);
       }
-    };
-    const auto fail_stop = [&](double x, bool shock) {
-      ++st.fail_stop_errors;
-      if (shock) ++st.shock_errors;
-      wall += x + w.downtime;
-      run_recovery(shock);
-      return kRestart;
-    };
-    // A silent detection at segment i (wall already charged): VC / multi
-    // roll the pattern back; two-level tries one level-1 recovery.
-    const auto silent_rollback = [&](int i) {
-      if (!w.two_level) {
-        run_recovery(/*from_shock=*/false);
-        return kRestart;
-      }
-      const double y = draw_fail(level1_row);
-      if (!(y < w.level1)) {
-        wall += w.level1;
-        return i;
-      }
-      ++st.recovery_fail_stops;
-      return fail_stop(y, min_is_shock);
-    };
-    // One try from segment `from`: a single fail-stop arrival covers the
-    // rest of the pattern (window row `from`), a fresh silent arrival each
-    // segment's work. Offsets accumulate from the try start in phase
-    // order (SegmentedWorld::try_window), so n = 1 reproduces the plain
-    // loop's T+V and T+V+C windows exactly.
-    const auto run_try = [&](int from) {
-      const double x = draw_fail(static_cast<std::size_t>(from));
-      const bool x_shock = min_is_shock;
-      double e = 0.0;
-      for (int i = from; i <= last; ++i) {
-        const double s = draw_silent();
-        const bool silent = s < w.work;
-        const double verified = (e + w.work) + w.verify;
-        if (x < verified) {
-          if (silent && e + s < x) ++st.masked_silent;
-          return fail_stop(x, x_shock);
-        }
-        if (silent) {
-          ++st.silent_detections;
-          wall += verified;
-          return silent_rollback(i);
-        }
-        e = verified;
-        if (i < last && !w.two_level) continue;
-        const double stored = e + (i < last ? w.level1 : w.checkpoint);
-        if (x < stored) return fail_stop(x, x_shock);
-        e = stored;
-      }
-      wall += e;
-      return kStored;
-    };
-
-    std::uint64_t tries = 0;
-    for (int next = kRestart; next != kStored;) {
-      if (tries >= kMaxPatternAttempts) w.throw_diverged();
-      ++tries;
-      if (next == kRestart) ++st.attempts;
-      next = run_try(next == kRestart ? 0 : next);
+      from = 0;
+      attempt = true;
     }
-    st.wall_time = wall;
+    st.wall_time = src.finish(st);
     totals.merge(st);
   }
   return totals;
+}
+
+PatternStats SegmentedFastSimulator::simulate_replica(rng::RngStream& rng,
+                                                      std::size_t n) {
+  if (!plain_) return run<false, Stream<false>>(n, rng);
+  if (pool_cursor_ == nullptr) return run<true, Stream<true>>(n, rng);
+  // Under a SIMD tier the unit-space walk is preferred: it makes the same
+  // decisions up to the rounding of the rescaled window bounds, which is
+  // exactly the freedom the SIMD golden tier declares. The scalar
+  // reference tier must stay bit-identical to stream sampling
+  // (tests/engine_crn_test.cpp), so it keeps the exact walk.
+  if (rng::simd::active_tier() != rng::simd::Tier::kScalar &&
+      fail_law_.linear() && silent_law_.linear()) {
+    return run<true, UnitPool>(n);
+  }
+  return run<true, ExactPool>(n);
 }
 
 // --- SegmentedDesSimulator -----------------------------------------------

@@ -1,9 +1,12 @@
 // The segmented-pattern simulators: one fast and one discrete-event
-// interpreter for every protocol and failure world except the plain VC
-// pattern on a plain System, which keeps the bit-pinned simulators of
-// sim/protocol.hpp. The replication driver (sim/runner.cpp) routes
-// multi-verification, two-level checkpointing and every extended System
-// (model/correlated.hpp) here.
+// interpreter for every protocol and failure world. The fast interpreter
+// is the only fast simulator: the plain VC pattern on a plain System is
+// its one-source, one-segment world (FastProtocolSimulator names it
+// there). The discrete-event interpreter runs multi-verification,
+// two-level checkpointing and every extended System (model/correlated.hpp);
+// a VC pattern on a plain System keeps the bit-pinned
+// DesProtocolSimulator of sim/protocol.hpp. The replication driver
+// (sim/runner.cpp) routes accordingly.
 //
 // Plan. A pattern has n segments of work T/n, each followed by a
 // verification V. A two-level pattern stores a level-1 checkpoint L
@@ -33,9 +36,7 @@
 //    recovery try; a try's arrival covers the rest of the pattern;
 //  * the silent source renews at each segment's work start, and its
 //    arrival covers that segment's work only.
-// For the exponential these renewals are invisible (memorylessness). At
-// n = 1 the fast interpreter makes exactly the draws of the plain general
-// loop (FastProtocolSimulator) in the same order.
+// For the exponential these renewals are invisible (memorylessness).
 //
 // Draw discipline: zero-rate sources consume no engine words, every
 // other draw consumes exactly the words FailureDistribution::sample
@@ -48,13 +49,23 @@
 // provably inverts beyond the window, so the arrival is left at +inf and
 // the quantile inversion is skipped; only words below it compute the
 // exact arrival (sample_value). Other sources (trace replay) draw through
-// sample, as does every DES draw. There is no CRN pool mode: the draw
-// sequence interleaves several laws. Every attempt, retry and recovery
-// loop is bounded by kMaxPatternAttempts. The interpreters make
-// independent draw sequences with identical distributional assumptions;
+// sample, as does every DES draw. Every attempt, retry and recovery loop
+// is bounded by kMaxPatternAttempts. The interpreters make independent
+// draw sequences with identical distributional assumptions;
 // tests/sim_backend_equivalence_test.cpp holds them together, and
 // tests/model_correlated_test.cpp validates the source set against
 // closed-form marginals.
+//
+// One fast body. SegmentedFastSimulator runs a single attempt/recovery
+// machine, templated on the world's shape: on the plain shape (a VC
+// pattern on a plain System with unit-samplable laws) one fail source,
+// one segment, no level-1 checkpoint and no PFS tier are compile-time
+// facts. The machine reads
+// its draws and keeps its wall clock through a draw source: the stream
+// (threshold-filtered as above), or, on the plain shape only, a CRN pool
+// cursor (sim/variate_pool.hpp) walked exactly or, under a SIMD tier, in
+// unit space. Every other world refuses a pool cursor: its draw sequence
+// interleaves several laws.
 
 #pragma once
 
@@ -103,6 +114,9 @@ struct SegmentedWorld {
   [[nodiscard]] double try_window(int from) const;
   [[noreturn]] void throw_diverged() const;
 
+  /// A VC pattern on a plain System: one fail source at the System's law,
+  /// one segment, no level-1 checkpoint and no PFS tier.
+  bool plain = false;
   std::vector<FailSource> fail_sources;  ///< draw order, the shock last
   std::unique_ptr<const model::FailureDistribution> silent;
   double total_fail_rate = 0.0;  ///< sum over fail_sources
@@ -133,6 +147,10 @@ class SegmentedFastSimulator {
   SegmentedFastSimulator(const model::System& sys,
                          const core::Pattern& pattern)
       : SegmentedFastSimulator(detail::SegmentedWorld(sys, pattern)) {}
+  /// A template only so that a braced {T, P} picks the VC constructor
+  /// (on an otherwise equal match the non-template wins); {T, P, n}
+  /// still lands here.
+  template <class = void>
   SegmentedFastSimulator(const model::System& sys,
                          const core::MultiPattern& pattern)
       : SegmentedFastSimulator(detail::SegmentedWorld(sys, pattern)) {}
@@ -140,6 +158,8 @@ class SegmentedFastSimulator {
                          const core::TwoLevelPattern& pattern)
       : SegmentedFastSimulator(detail::SegmentedWorld(sys, pattern)) {}
 
+  /// One pattern is the n == 1 replica (merging into zeroed totals is the
+  /// identity, bitwise: every counter starts at 0 and wall_time > 0).
   [[nodiscard]] PatternStats simulate_pattern(rng::RngStream& rng) {
     return simulate_replica(rng, 1);
   }
@@ -150,11 +170,26 @@ class SegmentedFastSimulator {
 
   /// Nothing is prefetched across replicas; exists for the driver.
   void begin_replica() {}
-  /// No CRN pool mode (see file header): only nullptr is accepted.
+  /// Pool mode (common random numbers): see
+  /// DesProtocolSimulator::set_unit_cursor. Accepted only on the plain
+  /// shape with unit-samplable laws (util::InvalidArgument otherwise);
+  /// under the scalar tier, pool-fed results are bit-identical to stream
+  /// sampling.
   void set_unit_cursor(UnitVariatePool::Cursor* cursor);
 
  private:
   explicit SegmentedFastSimulator(detail::SegmentedWorld world);
+
+  /// The one attempt/recovery machine over a draw source built from this
+  /// simulator and `args`; kPlain fixes the plain shape (plain_) at
+  /// compile time (segmented.cpp documents the source interface).
+  template <bool kPlain, class Source, class... Args>
+  [[nodiscard]] PatternStats run(std::size_t n, Args&... args) const;
+  template <bool kPlain>
+  struct Stream;     ///< the stream, threshold-filtered
+  struct PoolWalk;   ///< what the two CRN pool walks share
+  struct ExactPool;  ///< CRN pool, exact arrivals
+  struct UnitPool;   ///< CRN pool in unit space (SIMD tier)
 
   /// How one active source draws: threshold-filtered when unit-samplable,
   /// through sample otherwise.
@@ -162,6 +197,20 @@ class SegmentedFastSimulator {
     const model::FailureDistribution* dist = nullptr;  ///< null: inactive
     bool filtered = false;
     bool is_shock = false;
+  };
+  /// How a pool walk scales a unit variate into an arrival
+  /// (segmented.cpp).
+  struct UnitLaw {
+    enum class Scaling { kLinear, kDivide, kVirtual };
+    const model::FailureDistribution* dist = nullptr;  ///< null: inactive
+    Scaling scaling = Scaling::kVirtual;
+    double factor = 0.0;  ///< scale (kLinear) or rate (kDivide)
+
+    UnitLaw() = default;
+    explicit UnitLaw(const model::FailureDistribution* d);
+    [[nodiscard]] bool linear() const;
+    [[nodiscard]] double arrival(double z) const;
+    [[nodiscard]] double bound(double window) const;
   };
 
   detail::SegmentedWorld world_;
@@ -173,6 +222,12 @@ class SegmentedFastSimulator {
   std::size_t recovery_row_;  ///< row of R; R_pfs and L follow it
   SourceDraw silent_draw_;
   std::uint64_t silent_threshold_ = 0;  ///< window T/n
+  /// The plain shape with unit-samplable laws: the compile-time shape of
+  /// the machine, and the only world that takes a pool cursor.
+  bool plain_ = false;
+  UnitLaw fail_law_, silent_law_;  ///< the plain shape's laws
+  /// Non-null in pool (CRN) mode: draws come from the shared sequence.
+  UnitVariatePool::Cursor* pool_cursor_ = nullptr;
 };
 
 /// Discrete-event reference interpreter: one pending arrival per fail
@@ -205,7 +260,7 @@ class SegmentedDesSimulator {
                                               std::size_t n);
 
   void begin_replica() {}
-  /// See SegmentedFastSimulator::set_unit_cursor.
+  /// No CRN pool mode: only nullptr is accepted.
   void set_unit_cursor(UnitVariatePool::Cursor* cursor);
 
  private:

@@ -84,21 +84,6 @@ class UnitVariatePool {
       return *ptr_++;
     }
 
-    /// Two consecutive variates with a single boundary check — the
-    /// simulator's attempt step always consumes a (fail, silent) pair,
-    /// and pairs straddle a chunk edge at most once per chunk.
-    void next2(double& a, double& b) {
-      if (remaining_ >= 2) {
-        a = ptr_[0];
-        b = ptr_[1];
-        ptr_ += 2;
-        remaining_ -= 2;
-        return;
-      }
-      a = next();
-      b = next();
-    }
-
     [[nodiscard]] bool valid() const { return pool_ != nullptr; }
 
    private:

@@ -144,10 +144,47 @@ constexpr DesPin kAvx2DesPins[] = {
     {"lognormal_12", true, 0x1.69c2851cb82c6p+23, 640, 161, 0, 179, 34, 0},
 };
 
+/// Plain fast-simulator cases the pins above leave open, under the scalar
+/// tier at pattern (T=20000, P=256). Stream-fed: seed 42, 300 patterns,
+/// plus the stream's next word. Pool-fed: UnitVariatePool(spec, 42),
+/// replica cursors 0..3 with 75 patterns each, on the exact walk.
+/// Generated at commit 798c496, before the plain fast simulator became the
+/// one-segment case of the segmented interpreter.
+struct FastPin {
+  const char* name;
+  double lambda;
+  double fail_stop_fraction;
+  bool pooled;
+  double wall_time;
+  std::uint64_t attempts;
+  std::uint64_t fail_stops;
+  std::uint64_t recovery_fail_stops;
+  std::uint64_t silent_detections;
+  std::uint64_t masked_silent;
+  std::uint64_t next_word;  ///< stream-fed only
+};
+
+constexpr FastPin kPlainFastPins[] = {
+    {"trace", 5e-7, 0.4, false, 0x1.d8992e0e0860bp+25, 6607, 6758, 1508, 1057,
+     2642, 0xf4a437cad89aca8a},
+    {"weibull_07", 5e-7, 1.0, false, 0x1.569c1ed5b1e79p+24, 2605, 2616, 311, 0,
+     0, 0x15a9039539ebefbd},
+    {"weibull_07", 5e-7, 0.0, false, 0x1.b1fc46p+25, 2798, 0, 0, 2498, 0,
+     0xd1503714bd47f8bf},
+    {"weibull_07", 1e-7, 0.4, true, 0x1.75a05700559fbp+23, 725, 235, 10, 200,
+     41, 0},
+    {"lognormal_12", 1e-7, 0.4, true, 0x1.515dffdd7c6dp+23, 591, 139, 0, 152,
+     29, 0},
+};
+
 FailureDistSpec spec_for(const std::string& name) {
   if (name == "exponential") return FailureDistSpec::exponential();
   if (name == "weibull_07") return FailureDistSpec::weibull(0.7);
   if (name == "weibull_15") return FailureDistSpec::weibull(1.5);
+  if (name == "trace") {
+    return FailureDistSpec::trace_replay(
+        {300.0, 4000.0, 90000.0, 12000.0, 650.0});
+  }
   return FailureDistSpec::lognormal(1.2);
 }
 
@@ -177,6 +214,43 @@ TEST(SimBitCompat, FixedSeedTotalsMatchPreOverhaulLibrary) {
     EXPECT_EQ(totals.recovery_fail_stops, pin.recovery_fail_stops) << label;
     EXPECT_EQ(totals.silent_detections, pin.silent_detections) << label;
     EXPECT_EQ(totals.masked_silent, pin.masked_silent) << label;
+  }
+}
+
+TEST(SimBitCompat, PlainFastCasesWithoutAnOlderPinAreBitStable) {
+  for (const FastPin& pin : kPlainFastPins) {
+    const FailureDistSpec spec = spec_for(pin.name);
+    FastProtocolSimulator simulator(
+        pinned_system(spec, pin.lambda, pin.fail_stop_fraction),
+        {20000.0, 256.0});
+    PatternStats totals;
+    std::uint64_t next_word = 0;
+    if (pin.pooled) {
+      UnitVariatePool pool(spec, 42);
+      rng::RngStream unused(0);
+      for (std::size_t replica = 0; replica < 4; ++replica) {
+        UnitVariatePool::Cursor cursor = pool.cursor(replica);
+        simulator.set_unit_cursor(&cursor);
+        totals.merge(simulator.simulate_replica(unused, 75));
+      }
+      simulator.set_unit_cursor(nullptr);
+    } else {
+      rng::RngStream rng(42);
+      for (int i = 0; i < 300; ++i) {
+        totals.merge(simulator.simulate_pattern(rng));
+      }
+      next_word = rng.next_u64();
+    }
+    const std::string label = std::string(pin.name) +
+                              " f=" + std::to_string(pin.fail_stop_fraction) +
+                              (pin.pooled ? " pool-fed" : " stream-fed");
+    EXPECT_EQ(totals.wall_time, pin.wall_time) << label;
+    EXPECT_EQ(totals.attempts, pin.attempts) << label;
+    EXPECT_EQ(totals.fail_stop_errors, pin.fail_stops) << label;
+    EXPECT_EQ(totals.recovery_fail_stops, pin.recovery_fail_stops) << label;
+    EXPECT_EQ(totals.silent_detections, pin.silent_detections) << label;
+    EXPECT_EQ(totals.masked_silent, pin.masked_silent) << label;
+    EXPECT_EQ(next_word, pin.next_word) << label;
   }
 }
 

@@ -381,6 +381,35 @@ TEST(SegmentedWorld, RefusesASharedVariatePool) {
   opt.shared_units = &pool;
   EXPECT_THROW((void)simulate_multi_overhead(sys, {15000.0, 256.0, 3}, opt),
                util::InvalidArgument);
+
+  // Direct cursor hand-offs: only a plain VC world with unit-samplable
+  // laws takes one.
+  UnitVariatePool::Cursor cursor = pool.cursor(0);
+  const core::Pattern vc{15000.0, 256.0};
+  for (const model::FailureDistSpec& law :
+       {model::FailureDistSpec::exponential(),
+        model::FailureDistSpec::weibull(0.7),
+        model::FailureDistSpec::lognormal(1.2)}) {
+    SegmentedFastSimulator plain(sys.with_failure_dist(law), vc);
+    EXPECT_NO_THROW(plain.set_unit_cursor(&cursor)) << law.to_string();
+    EXPECT_NO_THROW(plain.set_unit_cursor(nullptr)) << law.to_string();
+  }
+  const auto refuses = [&](SegmentedFastSimulator sim) {
+    EXPECT_THROW(sim.set_unit_cursor(&cursor), util::InvalidArgument);
+    EXPECT_NO_THROW(sim.set_unit_cursor(nullptr));
+  };
+  model::HeterogeneousSpec hetero;
+  hetero.groups = {{0.5, 1.6, sys.failure().dist()},
+                   {0.5, 0.4, sys.failure().dist()}};
+  refuses(MultiVerifSimulator(sys, core::MultiPattern{15000.0, 256.0, 2}));
+  refuses(TwoLevelSimulator(core::TwoLevelSystem::with_memory_level1(sys),
+                            {15000.0, 256.0, 2}));
+  refuses(SegmentedFastSimulator(sys.with_shock({0.6, 0.05}), vc));
+  refuses(SegmentedFastSimulator(sys.with_heterogeneity(hetero), vc));
+  refuses(SegmentedFastSimulator(
+      sys.with_failure_dist(
+          model::FailureDistSpec::trace_replay({300.0, 4000.0, 650.0})),
+      vc));
 }
 
 }  // namespace
