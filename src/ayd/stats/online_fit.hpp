@@ -12,6 +12,17 @@
 // of the mean LLR clears zero AND the mean itself clears a configured
 // noise floor — a stable improvement, not a lucky window.
 //
+// A refit takes each window logarithm and each baseline density once.
+// Each ring slot stores log(gap), computed when the gap arrives. The
+// fitters read the window as (gaps, logs): the exponential reads only the
+// gaps, the lognormal only the logs, and the Weibull shape is a
+// safeguarded Newton solve needing one exp per sample per step. The GLR
+// pass scores the fresh fit from the same logs. Each slot also caches the
+// floored baseline log-density at its gap; a new gap invalidates its own
+// slot, and set_baseline()/rebase() invalidate every slot. The cache is
+// sound only because a baseline is a pure function of x (see
+// set_baseline()).
+//
 // Everything here is deterministic: same gap sequence in, same fits and
 // decisions out, independent of thread count (callers own the threading).
 // The model-layer bridge (MleFit -> FailureDistSpec) lives in
@@ -73,10 +84,12 @@ struct MleFit {
 
 /// Exponential MLE (mean = sample mean). Requires >= 1 positive gap.
 [[nodiscard]] MleFit fit_exponential_mle(std::span<const double> gaps);
-/// Weibull MLE: shape from the profile likelihood equation solved with
-/// Brent (gaps are normalized by their mean first, so large-magnitude
-/// samples cannot overflow x^k), shape clamped to [0.05, 20]. Requires
-/// >= 2 positive gaps.
+/// Weibull MLE: shape from the profile likelihood equation, solved by a
+/// safeguarded Newton iteration on the log gaps (started at the Gumbel
+/// moment estimate of the logs, bisecting whenever a step leaves the sign
+/// bracket, to about 1e-11 relative). The logs are shifted by their
+/// maximum so x^k never overflows. The shape is exactly 0.05 or 20 when
+/// the score has no root inside that clamp. Requires >= 2 positive gaps.
 [[nodiscard]] MleFit fit_weibull_mle(std::span<const double> gaps);
 /// Lognormal MLE (closed form: mean/sd of log gaps), sigma clamped to
 /// [1e-6, 10]. Requires >= 2 positive gaps.
@@ -128,10 +141,14 @@ class OnlineFit {
   /// Log-density of the currently deployed model, used as the GLR null.
   using LogDensity = std::function<double(double)>;
 
+  /// Throws util::InvalidArgument when options.window or
+  /// options.refit_interval is 0.
   explicit OnlineFit(OnlineFitOptions options = {});
 
   /// Installs the deployed model's log-density. Until set, drift can
-  /// never fire (there is nothing to improve on).
+  /// never fire (there is nothing to improve on). The baseline must be a
+  /// pure function of x: its value at each window gap is cached until the
+  /// next set_baseline()/rebase().
   void set_baseline(LogDensity baseline);
 
   /// Feeds one inter-arrival gap. Non-finite or non-positive gaps are
@@ -157,17 +174,31 @@ class OnlineFit {
   [[nodiscard]] const OnlineFitOptions& options() const { return options_; }
 
  private:
-  /// Copies the ring (oldest first) into scratch_ and returns a span.
-  [[nodiscard]] std::span<const double> window_samples() const;
+  /// One window slot: the gap, its log (computed once, shared by every
+  /// fitter) and the floored baseline log-density at the gap (computed at
+  /// most once per installed baseline).
+  struct Slot {
+    double gap = 0.0;
+    double log_gap = 0.0;
+    double baseline = 0.0;
+    bool baseline_cached = false;
+  };
+
+  /// Calls f(slot index) for every occupied slot, oldest first.
+  template <typename F>
+  void for_each_window_slot(F&& f) const;
+  void invalidate_baseline_cache();
 
   OnlineFitOptions options_;
-  std::vector<double> ring_;
+  std::vector<Slot> ring_;
   std::size_t head_ = 0;    ///< next write slot
   std::size_t filled_ = 0;  ///< occupied slots
   std::size_t accepted_ = 0;
   LogDensity baseline_;
   MleFit last_fit_{};
-  mutable std::vector<double> scratch_;
+  /// The window, oldest first, as the fitters read it.
+  mutable std::vector<double> scratch_xs_;
+  mutable std::vector<double> scratch_logs_;
 };
 
 }  // namespace ayd::stats

@@ -6,6 +6,8 @@
 
 #include "ayd/tool/commands.hpp"
 
+#include <cmath>
+
 #include "ayd/core/overhead.hpp"
 #include "ayd/engine/evaluator.hpp"
 #include "ayd/util/error.hpp"
@@ -88,6 +90,12 @@ service::ReplanOptions replan_options_from_args(const cli::ArgParser& parser,
   opt.fit.min_mean_llr = parser.option_double("min-mean-llr");
   if (opt.fit.window == 0) {
     throw util::CliError("--window must be >= 1");
+  }
+  if (opt.fit.refit_interval == 0) {
+    throw util::CliError("--refit-interval must be >= 1");
+  }
+  if (!std::isfinite(opt.fit.min_mean_llr)) {
+    throw util::CliError("--min-mean-llr must be finite");
   }
   if (!(opt.fit.drift_ci_level > 0.0 && opt.fit.drift_ci_level < 1.0)) {
     throw util::CliError("--drift-ci-level must be in (0, 1)");

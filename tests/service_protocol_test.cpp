@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -117,6 +118,26 @@ TEST(ServiceProtocol, NonScalarParameterIsABadRequest) {
   const io::JsonValue v = io::parse_json(
       service.handle_line(R"({"op":"optimize","id":1,"procs":[512]})"));
   EXPECT_EQ(v.at("error").at("code").as_string(), "bad_request");
+}
+
+TEST(ServiceProtocol, SubscribeRefusesEstimatorOptionsItCannotHonour) {
+  // The subscribe op shares `ayd watch`'s option checks: a zero refit
+  // interval or a non-finite noise floor is a bad request naming the
+  // option, not a replay that silently runs something else.
+  PlanningService service({/*threads=*/1});
+  for (const auto& [param, name] :
+       {std::pair{R"("refit-interval":"0")", "--refit-interval"},
+        std::pair{R"("window":"0")", "--window"},
+        std::pair{R"("min-mean-llr":"nan")", "--min-mean-llr"}}) {
+    const io::JsonValue v = io::parse_json(service.handle_line(
+        std::string(R"({"op":"subscribe","id":1,"procs":"1",)") + param +
+        R"(,"events":[3600,3600]})"));
+    EXPECT_FALSE(v.at("ok").as_bool()) << param;
+    EXPECT_EQ(v.at("error").at("code").as_string(), "bad_request") << param;
+    EXPECT_NE(v.at("error").at("message").as_string().find(name),
+              std::string::npos)
+        << param;
+  }
 }
 
 TEST(ServiceProtocol, StringAndNumberIdsEchoVerbatim) {

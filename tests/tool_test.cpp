@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ayd/tool/commands.hpp"
@@ -506,6 +507,28 @@ TEST(ToolPlan, MaxProcsCapsTheAllocation) {
   ASSERT_EQ(r.code, 0) << r.err;
   EXPECT_TRUE(contains(r.out, "P* = 64"));
   EXPECT_TRUE(contains(r.out, "boundary"));
+}
+
+// -- watch ---------------------------------------------------------------
+
+TEST(ToolWatch, RefusesEstimatorOptionsItCannotHonour) {
+  // Each of these used to run (exit 0) with the value silently replaced
+  // or unable to ever re-plan; each must now fail naming its option.
+  const std::string trace =
+      std::string(AYD_TEST_DATA_DIR) + "/replay_stationary_exp.csv";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--window=0", "--window"},
+      {"--refit-interval=0", "--refit-interval"},
+      {"--min-mean-llr=nan", "--min-mean-llr"},
+      {"--min-mean-llr=inf", "--min-mean-llr"},
+  };
+  for (const auto& [arg, name] : cases) {
+    const ToolRun r = run({"watch", "--trace", trace, "--lambda=2.78e-4",
+                           "--procs=1", "--runs=8", "--patterns=32",
+                           "--max-reps=64", arg});
+    EXPECT_NE(r.code, 0) << arg;
+    EXPECT_TRUE(contains(r.err, name)) << arg << ": " << r.err;
+  }
 }
 
 }  // namespace
