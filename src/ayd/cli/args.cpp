@@ -76,7 +76,7 @@ void ArgParser::parse(int argc, const char* const* argv) {
       if (has_value) {
         throw util::CliError("flag --" + name + " does not take a value");
       }
-      spec.flag_set = true;
+      spec.given = true;
       if (name == "help") help_requested_ = true;
       continue;
     }
@@ -87,6 +87,7 @@ void ArgParser::parse(int argc, const char* const* argv) {
       value = args[++i];
     }
     spec.value = value;
+    spec.given = true;
   }
 }
 
@@ -109,7 +110,11 @@ std::string ArgParser::help() const {
 bool ArgParser::flag(const std::string& name) const {
   const Spec& spec = lookup(name);
   AYD_REQUIRE(spec.is_flag, "--" + name + " is not a flag");
-  return spec.flag_set;
+  return spec.given;
+}
+
+bool ArgParser::given(const std::string& name) const {
+  return lookup(name).given;
 }
 
 const std::string& ArgParser::option(const std::string& name) const {

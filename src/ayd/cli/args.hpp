@@ -37,6 +37,9 @@ class ArgParser {
   [[nodiscard]] std::string help() const;
 
   [[nodiscard]] bool flag(const std::string& name) const;
+  /// True when the flag or option `name` appeared in the parsed arguments
+  /// (an option's default value does not count).
+  [[nodiscard]] bool given(const std::string& name) const;
   [[nodiscard]] const std::string& option(const std::string& name) const;
   [[nodiscard]] double option_double(const std::string& name) const;
   [[nodiscard]] std::int64_t option_int(const std::string& name) const;
@@ -47,7 +50,7 @@ class ArgParser {
     std::string help;
     std::string value;
     bool is_flag = false;
-    bool flag_set = false;
+    bool given = false;
   };
 
   [[nodiscard]] const Spec& lookup(const std::string& name) const;

@@ -57,6 +57,11 @@ class PendingSet {
   /// Cancels the pending event of `slot`; a no-op on an empty slot.
   void cancel(std::size_t slot) { slots_[slot] = Slot{}; }
 
+  /// True when `slot` holds a pending event.
+  [[nodiscard]] bool scheduled(std::size_t slot) const {
+    return slots_[slot].id != kEmpty;
+  }
+
   /// Removes and returns the earliest pending event (smallest time, then
   /// smallest id); nullopt when every slot is empty.
   [[nodiscard]] std::optional<Event> pop() {

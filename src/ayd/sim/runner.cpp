@@ -57,12 +57,12 @@ void run_replica_range(const Sys& sys, const Pat& pattern,
 }
 
 /// Runs replicas [first, outcomes.size()) into the tail of `outcomes`
-/// on the fast interpreter or the Des simulator, per opt.backend (earlier
-/// entries are kept — this is what lets the adaptive driver append rounds
-/// without re-simulating). Parallel chunks are offset by `first` so replica i
+/// on the segmented interpreter of opt.backend (earlier entries are kept —
+/// this is what lets the adaptive driver append rounds without
+/// re-simulating). Parallel chunks are offset by `first` so replica i
 /// still draws substream (seed, i) regardless of how many rounds
 /// preceded it.
-template <typename Des, typename Sys, typename Pat>
+template <typename Sys, typename Pat>
 void run_replicas(const Sys& sys, const Pat& pattern,
                   const ReplicationOptions& opt, exec::ThreadPool* pool,
                   std::vector<ReplicaOutcome>& outcomes, std::size_t first) {
@@ -70,8 +70,9 @@ void run_replicas(const Sys& sys, const Pat& pattern,
   const auto run_chunk = [&](std::size_t begin, std::size_t end) {
     ReplicaOutcome* out = outcomes.data() + first + begin;
     if (opt.backend == Backend::kDes) {
-      run_replica_range<Des>(sys, pattern, opt, first + begin, first + end,
-                             out);
+      run_replica_range<SegmentedDesSimulator>(sys, pattern, opt,
+                                               first + begin, first + end,
+                                               out);
     } else {
       run_replica_range<SegmentedFastSimulator>(sys, pattern, opt,
                                                 first + begin, first + end,
@@ -82,22 +83,6 @@ void run_replicas(const Sys& sys, const Pat& pattern,
       (kMinPatternsPerTask + opt.patterns_per_replica - 1) /
       opt.patterns_per_replica;
   exec::parallel_for_chunks(pool, count, run_chunk, min_chunk);
-}
-
-/// The fast backend is the segmented interpreter for every world; on the
-/// DES backend a VC pattern on a plain System keeps the bit-pinned
-/// DesProtocolSimulator, and an extended System runs the segmented one.
-void run_vc_replicas(const model::System& sys, const core::Pattern& pattern,
-                     const ReplicationOptions& opt, exec::ThreadPool* pool,
-                     std::vector<ReplicaOutcome>& outcomes,
-                     std::size_t first) {
-  if (opt.backend == Backend::kDes && !sys.extended()) {
-    run_replicas<DesProtocolSimulator>(sys, pattern, opt, pool, outcomes,
-                                       first);
-  } else {
-    run_replicas<SegmentedDesSimulator>(sys, pattern, opt, pool, outcomes,
-                                        first);
-  }
 }
 
 /// The option checks every driver shares. Only a plain System on a VC
@@ -164,7 +149,7 @@ ReplicationResult simulate_segmented(const Sys& sys, const Pat& pattern,
   require_replication(base_system(sys), opt, /*pooled=*/false);
   core::validate(pattern);
   std::vector<ReplicaOutcome> outcomes(opt.replicas);
-  run_replicas<SegmentedDesSimulator>(sys, pattern, opt, pool, outcomes, 0);
+  run_replicas(sys, pattern, opt, pool, outcomes, 0);
   return reduce_outcomes(opt, outcomes, /*student_ci=*/false);
 }
 
@@ -183,7 +168,7 @@ ReplicationResult simulate_overhead(const model::System& sys,
   std::vector<ReplicaOutcome>& outcomes =
       scratch != nullptr ? scratch->outcomes : local;
   outcomes.resize(opt.replicas);
-  run_vc_replicas(sys, pattern, opt, pool, outcomes, 0);
+  run_replicas(sys, pattern, opt, pool, outcomes, 0);
   ReplicationResult result =
       reduce_outcomes(opt, outcomes, /*student_ci=*/false);
   result.analytic_overhead = core::pattern_overhead(sys, pattern);
@@ -221,7 +206,7 @@ ReplicationResult simulate_overhead_adaptive(const model::System& sys,
   while (true) {
     const std::size_t first = outcomes.size();
     outcomes.resize(target);
-    run_vc_replicas(sys, pattern, opt, pool, outcomes, first);
+    run_replicas(sys, pattern, opt, pool, outcomes, first);
     ++rounds;
 
     stats::RunningStats overhead_stats;

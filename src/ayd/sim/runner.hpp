@@ -20,13 +20,13 @@
 
 namespace ayd::sim {
 
-/// Every protocol and failure world has both backends. The fast backend
-/// is the segmented interpreter (sim/segmented.hpp) everywhere. The DES
-/// backend runs the bit-pinned DesProtocolSimulator (sim/protocol.hpp)
-/// for a VC pattern on a plain System, and the segmented DES for extended
-/// Systems (model/correlated.hpp), multi-verification
-/// (sim/multi_protocol.hpp) and two-level patterns
-/// (sim/two_level_protocol.hpp).
+/// Every protocol and failure world has both backends, each one segmented
+/// interpreter (sim/segmented.hpp) for VC, multi-verification
+/// (sim/multi_protocol.hpp), two-level patterns
+/// (sim/two_level_protocol.hpp) and extended Systems
+/// (model/correlated.hpp). A VC pattern on a plain System is each
+/// interpreter's plain shape, whose draws tests/sim_bitcompat_test.cpp
+/// pins bit-for-bit.
 enum class Backend {
   kFast,  ///< closed-form per-segment sampler (default)
   kDes,   ///< event-queue reference simulator

@@ -1,7 +1,7 @@
 #include "ayd/sim/segmented.hpp"
 
-#include <algorithm>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "ayd/rng/simd.hpp"
@@ -13,10 +13,16 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-void require_no_pool(const UnitVariatePool::Cursor* cursor) {
-  AYD_REQUIRE(cursor == nullptr,
+/// The pool-mode acceptance both interpreters share: only the plain
+/// shape with unit-samplable laws takes a cursor.
+void require_poolable(const detail::SegmentedWorld& w,
+                      const UnitVariatePool::Cursor* cursor) {
+  AYD_REQUIRE(cursor == nullptr || w.plain,
               "segmented patterns and extended worlds have no CRN pool mode "
               "(their draw sequence interleaves several laws)");
+  AYD_REQUIRE(cursor == nullptr || w.unit_plain(),
+              "set_unit_cursor: an active source does not factor through "
+              "unit variates");
 }
 
 }  // namespace
@@ -60,6 +66,14 @@ SegmentedWorld::SegmentedWorld(const model::System& sys, double period,
   plain = ext == nullptr && segments == 1 && !two_level;
   const bool shock = ext != nullptr && ext->shock.has_value();
 
+  // A zero-rate source never strikes and draws nothing, so it is left out.
+  const auto add = [&](const model::FailureDistSpec& spec, double rate,
+                       bool is_shock) {
+    auto dist = spec.instantiate(rate);
+    if (dist->rate() <= 0.0) return;
+    total_fail_rate += dist->rate();
+    fail_sources.push_back({std::move(dist), is_shock});
+  };
   // Per-component (individual) sources carry the (1-rho) remainder of
   // the fail-stop intensity, split across the heterogeneity classes
   // (one class at the base law otherwise, the whole intensity for a
@@ -68,23 +82,18 @@ SegmentedWorld::SegmentedWorld(const model::System& sys, double period,
   const double individual = (1.0 - rho) * sys.fail_stop_rate(procs);
   if (ext != nullptr && ext->heterogeneity.has_value()) {
     for (const model::ComponentGroup& g : ext->heterogeneity->groups) {
-      fail_sources.push_back(
-          {g.dist.instantiate(individual * g.share * g.rate_scale), false});
+      add(g.dist, individual * g.share * g.rate_scale, false);
     }
   } else {
-    fail_sources.push_back({sys.failure().dist().instantiate(individual),
-                            false});
+    add(sys.failure().dist(), individual, false);
   }
   // The shock stream, last in draw order. Its rate is per platform, not
   // per processor (ShockSpec::shock_rate).
   if (shock) {
-    fail_sources.push_back(
-        {ext->shock->dist.instantiate(ext->shock->shock_rate(
-             sys.failure().lambda_ind(), sys.failure().fail_stop_fraction())),
-         true});
-  }
-  for (const FailSource& src : fail_sources) {
-    total_fail_rate += src.dist->rate();
+    add(ext->shock->dist,
+        ext->shock->shock_rate(sys.failure().lambda_ind(),
+                               sys.failure().fail_stop_fraction()),
+        true);
   }
 
   silent = sys.failure().dist().instantiate(sys.silent_rate(procs));
@@ -104,6 +113,12 @@ double SegmentedWorld::try_window(int from) const {
   return e;
 }
 
+bool SegmentedWorld::unit_plain() const {
+  return plain &&
+         (fail_sources.empty() || fail_sources[0].dist->unit_samplable()) &&
+         (!silent_active() || silent->unit_samplable());
+}
+
 void SegmentedWorld::throw_diverged() const {
   sim::detail::throw_diverged(period, procs, segments, total_fail_rate,
                               silent->rate());
@@ -117,10 +132,8 @@ SegmentedFastSimulator::SegmentedFastSimulator(detail::SegmentedWorld world)
     : world_(std::move(world)) {
   const detail::SegmentedWorld& w = world_;
   for (const detail::FailSource& src : w.fail_sources) {
-    if (src.dist->rate() > 0.0) {
-      fail_draws_.push_back(
-          {src.dist.get(), src.dist->unit_samplable(), src.is_shock});
-    }
+    fail_draws_.push_back(
+        {src.dist.get(), src.dist->unit_samplable(), src.is_shock});
   }
   // Window rows: the try from each start segment a try can begin at (a
   // two-level segment retry starts mid-pattern), then R, R_pfs and L. A
@@ -147,11 +160,7 @@ SegmentedFastSimulator::SegmentedFastSimulator(detail::SegmentedWorld world)
       silent_threshold_ = safe_word_threshold(*w.silent, w.work);
     }
   }
-  const auto unit = [](const SourceDraw& d) {
-    return d.dist == nullptr || d.filtered;
-  };
-  plain_ = w.plain && unit(silent_draw_) &&
-           std::all_of(fail_draws_.begin(), fail_draws_.end(), unit);
+  plain_ = w.unit_plain();
   if (plain_) {
     fail_law_ = UnitLaw(fail_draws_.empty() ? nullptr : fail_draws_[0].dist);
     silent_law_ = UnitLaw(silent_draw_.dist);
@@ -159,10 +168,7 @@ SegmentedFastSimulator::SegmentedFastSimulator(detail::SegmentedWorld world)
 }
 
 void SegmentedFastSimulator::set_unit_cursor(UnitVariatePool::Cursor* cursor) {
-  if (!world_.plain) require_no_pool(cursor);
-  AYD_REQUIRE(cursor == nullptr || plain_,
-              "set_unit_cursor: an active source does not factor through "
-              "unit variates");
+  require_poolable(world_, cursor);
   pool_cursor_ = cursor;
 }
 
@@ -583,29 +589,88 @@ PatternStats SegmentedFastSimulator::simulate_replica(rng::RngStream& rng,
 
 // --- SegmentedDesSimulator -----------------------------------------------
 
-void SegmentedDesSimulator::set_unit_cursor(UnitVariatePool::Cursor* cursor) {
-  require_no_pool(cursor);
+SegmentedDesSimulator::SegmentedDesSimulator(detail::SegmentedWorld world)
+    : world_(std::move(world)) {
+  if (!world_.plain) return;
+  const std::vector<detail::FailSource>& fail = world_.fail_sources;
+  keep_arrival_ = !fail.empty() && fail[0].dist->memoryless();
+  if (world_.unit_plain()) {
+    unit_src_ = fail.empty() ? world_.silent.get() : fail[0].dist.get();
+  }
 }
 
-PatternStats SegmentedDesSimulator::simulate_replica(rng::RngStream& rng,
-                                                     std::size_t n) {
-  PatternStats totals;
-  for (std::size_t p = 0; p < n; ++p) {
-    totals.merge(simulate_pattern(rng));
-  }
-  return totals;
+void SegmentedDesSimulator::set_unit_cursor(UnitVariatePool::Cursor* cursor) {
+  require_poolable(world_, cursor);
+  pool_cursor_ = cursor;
+}
+
+inline double SegmentedDesSimulator::draw_plain(
+    const model::FailureDistribution& dist, rng::RngStream& rng) {
+  // Pool (CRN) mode: the unit variate comes from the shared sequence and
+  // the stream is left untouched; only the cheap scaling runs here.
+  if (pool_cursor_ != nullptr) return dist.from_unit(pool_cursor_->next());
+  if (unit_src_ == nullptr) return dist.sample(rng);
+  // The block: uniforms leave the stream in draw order, the expensive
+  // inversion runs in bulk (tier-dispatched: the scalar reference
+  // transform or the vectorized kernels), and each draw is
+  // dist.from_unit(z), the value dist.sample() would produce under the
+  // scalar tier.
+  return dist.from_unit(units_.next([&](double* z, std::size_t n) {
+    unit_src_->sample_units_fast(rng, z, n);
+    expected_state_ = rng.engine().state();
+  }));
 }
 
 PatternStats SegmentedDesSimulator::simulate_pattern(rng::RngStream& rng,
                                                      Trace* trace,
                                                      double start_time) {
+  return world_.plain ? run<true>(rng, 1, trace, start_time)
+                      : run<false>(rng, 1, trace, start_time);
+}
+
+PatternStats SegmentedDesSimulator::simulate_replica(rng::RngStream& rng,
+                                                     std::size_t n) {
+  return world_.plain ? run<true>(rng, n, nullptr, 0.0)
+                      : run<false>(rng, n, nullptr, 0.0);
+}
+
+template <bool kPlain>
+PatternStats SegmentedDesSimulator::run(rng::RngStream& rng, std::size_t n,
+                                        Trace* trace, double start_time) {
   enum class Phase { kWork, kVerify, kCheckpoint, kRecovery, kLevel1 };
 
   const detail::SegmentedWorld& w = world_;
-  const int last = w.segments - 1;
-  PatternStats stats;
-  pending_.reset();
+  // The shape: compile-time constants on the plain shape, whose three
+  // roles live in a fixed set (pop's scan unrolls).
+  const int last = kPlain ? 0 : w.segments - 1;
+  const bool two_level = !kPlain && w.two_level;
+  const std::size_t sources = w.fail_sources.size();
+  const bool silent_on = w.silent_active();
+  PendingSet<3> fixed;
+  auto& pending = *[&] {
+    if constexpr (kPlain) {
+      return &fixed;
+    } else {
+      return &pending_;
+    }
+  }();
+  // Stale-prefetch guard: buffered variates are only valid if `rng` is the
+  // same stream at the same position as the last call left it.
+  if (kPlain && units_.buffered() > 0 &&
+      rng.engine().state() != expected_state_) {
+    units_.reset();
+  }
+  const auto draw = [&](const model::FailureDistribution& dist) {
+    if constexpr (kPlain) {
+      return draw_plain(dist, rng);
+    } else {
+      return dist.sample(rng);
+    }
+  };
 
+  // The state of the pattern in flight; every pattern starts at
+  // `start_time` with an empty pending set and a fresh schedule counter.
+  PatternStats stats;
   double clock = start_time;
   double phase_start = clock;
   Phase phase = Phase::kWork;
@@ -616,39 +681,48 @@ PatternStats SegmentedDesSimulator::simulate_pattern(rng::RngStream& rng,
 
   // Every fail source renews at each try start and each recovery try:
   // any pending arrival is cancelled and a fresh one drawn (the draw
-  // always consumes its words). An arrival at or beyond `discard_at` —
-  // the renewal window's end, computed with the same additions the
-  // phase-end chain performs — can never strike, so it is discarded
-  // unscheduled; the strict < matches the fast interpreter's windows.
+  // always consumes its words). An arrival beyond `discard_at` — the
+  // renewal window's end, computed with the same additions the phase-end
+  // chain performs — can never strike, so it is discarded unscheduled.
+  // Off the plain shape a tie is discarded too, matching the fast
+  // interpreter's strict-< windows. On the plain shape a tie is kept, and
+  // a memoryless arrival is neither redrawn nor discarded: it stays
+  // pending until it strikes (class comment).
   const auto renew_fail_sources = [&](double discard_at) {
-    for (std::size_t j = 0; j < w.fail_sources.size(); ++j) {
-      pending_.cancel(kFailSlot + j);
-      const model::FailureDistribution& dist = *w.fail_sources[j].dist;
-      if (dist.rate() <= 0.0) continue;
-      const double arrival = clock + dist.sample(rng);
-      if (arrival < discard_at) pending_.schedule(kFailSlot + j, arrival);
+    for (std::size_t j = 0; j < sources; ++j) {
+      if (kPlain && keep_arrival_ && pending.scheduled(kFailSlot + j)) {
+        continue;
+      }
+      pending.cancel(kFailSlot + j);
+      const double arrival = clock + draw(*w.fail_sources[j].dist);
+      if (kPlain ? keep_arrival_ || arrival <= discard_at
+                 : arrival < discard_at) {
+        pending.schedule(kFailSlot + j, arrival);
+      }
     }
   };
   // End of a try that starts now at segment `seg`.
   const auto try_end = [&] {
     double e = clock;
-    for (int i = seg; i <= last; ++i) {
+    for (int i = kPlain ? 0 : seg; i <= last; ++i) {
       e = (e + w.work) + w.verify;
-      if (i < last && w.two_level) e = e + w.level1;
+      if (i < last && two_level) e = e + w.level1;
     }
     return e + w.checkpoint;
   };
   const auto begin_phase = [&](Phase next, double duration) {
     phase = next;
     phase_start = clock;
-    pending_.schedule(kPhaseEndSlot, clock + duration);
+    pending.schedule(kPhaseEndSlot, clock + duration);
   };
   const auto begin_segment = [&] {
     silent_struck = false;
     begin_phase(Phase::kWork, w.work);
-    if (w.silent_active()) {
-      const double arrival = clock + w.silent->sample(rng);
-      if (arrival < clock + w.work) pending_.schedule(kSilentSlot, arrival);
+    if (silent_on) {
+      // An arrival at or beyond the phase end never fires: the older
+      // phase end pops first and cancels it.
+      const double arrival = clock + draw(*w.silent);
+      if (arrival < clock + w.work) pending.schedule(kSilentSlot, arrival);
     }
   };
   // A try: a pattern attempt, or a segment retry after a level-1
@@ -683,91 +757,102 @@ PatternStats SegmentedDesSimulator::simulate_pattern(rng::RngStream& rng,
     trace->add(phase_start, clock, kind);
   };
 
-  begin_try(/*attempt=*/true);
+  PatternStats totals;
+  for (std::size_t p = 0; p < n; ++p) {
+    stats = PatternStats{};
+    clock = start_time;
+    tries = 0;
+    pending.reset();
+    begin_try(/*attempt=*/true);
 
-  for (;;) {
-    const auto event = pending_.pop();
-    AYD_ENSURE(event.has_value(), "segmented simulation ran out of events");
-    clock = event->time;
+    bool stored = false;  // the pattern's final checkpoint is stored
+    while (!stored) {
+      const auto event = pending.pop();
+      AYD_ENSURE(event.has_value(), "segmented simulation ran out of events");
+      clock = event->time;
 
-    switch (event->slot) {
-      case kSilentSlot: {
-        AYD_ENSURE(phase == Phase::kWork, "silent error outside computation");
-        silent_struck = true;
-        break;
-      }
+      switch (event->slot) {
+        case kSilentSlot: {
+          AYD_ENSURE(phase == Phase::kWork, "silent error outside computation");
+          silent_struck = true;
+          break;
+        }
 
-      case kPhaseEndSlot: {
-        trace_phase(silent_struck);
-        switch (phase) {
-          case Phase::kWork:
-            pending_.cancel(kSilentSlot);
-            begin_phase(Phase::kVerify, w.verify);
-            break;
-          case Phase::kVerify:
-            if (silent_struck) {
-              ++stats.silent_detections;
-              silent_struck = false;
-              // The try's pending fail arrivals die at this renewal.
-              if (w.two_level) {
-                begin_recovery(Phase::kLevel1, w.level1);
+        case kPhaseEndSlot: {
+          trace_phase(silent_struck);
+          switch (phase) {
+            case Phase::kWork:
+              pending.cancel(kSilentSlot);
+              begin_phase(Phase::kVerify, w.verify);
+              break;
+            case Phase::kVerify:
+              if (silent_struck) {
+                ++stats.silent_detections;
+                silent_struck = false;
+                // The try's pending fail arrivals die at this renewal.
+                if (two_level) {
+                  begin_recovery(Phase::kLevel1, w.level1);
+                } else {
+                  begin_recovery(Phase::kRecovery, w.recovery_cost(pfs_chain));
+                }
+              } else if (seg < last && !two_level) {
+                ++seg;
+                begin_segment();
               } else {
-                begin_recovery(Phase::kRecovery, w.recovery_cost(pfs_chain));
+                begin_phase(Phase::kCheckpoint,
+                            seg < last ? w.level1 : w.checkpoint);
               }
-            } else if (seg < last && !w.two_level) {
+              break;
+            case Phase::kCheckpoint:
+              if (seg == last) {
+                stored = true;
+                break;
+              }
               ++seg;
               begin_segment();
-            } else {
-              begin_phase(Phase::kCheckpoint,
-                          seg < last ? w.level1 : w.checkpoint);
-            }
-            break;
-          case Phase::kCheckpoint:
-            if (seg == last) {
-              stats.wall_time = clock - start_time;
-              return stats;
-            }
-            ++seg;
-            begin_segment();
-            break;
-          case Phase::kRecovery:
-            begin_try(/*attempt=*/true);
-            break;
-          case Phase::kLevel1:
-            begin_try(/*attempt=*/false);
-            break;
+              break;
+            case Phase::kRecovery:
+              begin_try(/*attempt=*/true);
+              break;
+            case Phase::kLevel1:
+              begin_try(/*attempt=*/false);
+              break;
+          }
+          break;
         }
-        break;
-      }
 
-      default: {  // fail source event->slot - kFailSlot strikes
-        const std::size_t src = event->slot - kFailSlot;
-        if (stats.fail_stop_errors >= kMaxPatternAttempts) w.throw_diverged();
-        ++stats.fail_stop_errors;
-        if (phase == Phase::kRecovery || phase == Phase::kLevel1) {
-          ++stats.recovery_fail_stops;
+        default: {  // fail source event->slot - kFailSlot strikes
+          const std::size_t src = event->slot - kFailSlot;
+          if (stats.fail_stop_errors >= kMaxPatternAttempts) w.throw_diverged();
+          ++stats.fail_stop_errors;
+          if (phase == Phase::kRecovery || phase == Phase::kLevel1) {
+            ++stats.recovery_fail_stops;
+          }
+          if (!kPlain && w.fail_sources[src].is_shock) {
+            ++stats.shock_errors;
+            pfs_chain = pfs_chain || w.tiered();
+          }
+          if (silent_struck) {
+            ++stats.masked_silent;
+            silent_struck = false;
+          }
+          pending.cancel(kPhaseEndSlot);
+          pending.cancel(kSilentSlot);
+          trace_phase(/*wasted=*/true);
+          if (trace != nullptr) {
+            trace->add(clock, clock + w.downtime, SegmentKind::kDowntime);
+          }
+          // Downtime: nothing can fail; all sources renew after it.
+          clock += w.downtime;
+          begin_recovery(Phase::kRecovery, w.recovery_cost(pfs_chain));
+          break;
         }
-        if (w.fail_sources[src].is_shock) {
-          ++stats.shock_errors;
-          pfs_chain = pfs_chain || w.tiered();
-        }
-        if (silent_struck) {
-          ++stats.masked_silent;
-          silent_struck = false;
-        }
-        pending_.cancel(kPhaseEndSlot);
-        pending_.cancel(kSilentSlot);
-        trace_phase(/*wasted=*/true);
-        if (trace != nullptr) {
-          trace->add(clock, clock + w.downtime, SegmentKind::kDowntime);
-        }
-        // Downtime: nothing can fail; all sources renew after it.
-        clock += w.downtime;
-        begin_recovery(Phase::kRecovery, w.recovery_cost(pfs_chain));
-        break;
       }
     }
+    stats.wall_time = clock - start_time;
+    totals.merge(stats);
   }
+  return totals;
 }
 
 }  // namespace ayd::sim

@@ -1,12 +1,10 @@
 // The segmented-pattern simulators: one fast and one discrete-event
-// interpreter for every protocol and failure world. The fast interpreter
-// is the only fast simulator: the plain VC pattern on a plain System is
-// its one-source, one-segment world (FastProtocolSimulator names it
-// there). The discrete-event interpreter runs multi-verification,
-// two-level checkpointing and every extended System (model/correlated.hpp);
-// a VC pattern on a plain System keeps the bit-pinned
-// DesProtocolSimulator of sim/protocol.hpp. The replication driver
-// (sim/runner.cpp) routes accordingly.
+// interpreter for every protocol and failure world, and the only ones.
+// The VC pattern on a plain System is each interpreter's one-source,
+// one-segment world, the plain shape (FastProtocolSimulator and
+// DesProtocolSimulator of sim/protocol.hpp name them there); the
+// replication driver (sim/runner.cpp) picks the interpreter by backend
+// alone.
 //
 // Plan. A pattern has n segments of work T/n, each followed by a
 // verification V. A two-level pattern stores a level-1 checkpoint L
@@ -36,39 +34,46 @@
 //    recovery try; a try's arrival covers the rest of the pattern;
 //  * the silent source renews at each segment's work start, and its
 //    arrival covers that segment's work only.
-// For the exponential these renewals are invisible (memorylessness).
+// For the exponential these renewals are invisible (memorylessness); the
+// DES's plain shape therefore keeps a memoryless arrival instead
+// (SegmentedDesSimulator).
 //
 // Draw discipline: zero-rate sources consume no engine words, every
 // other draw consumes exactly the words FailureDistribution::sample
-// would, and replica i always reads RNG substream (seed, i), so results
-// are byte-identical across runs and thread counts. The fast interpreter
-// filters the draws of unit-samplable sources by CDF threshold
-// (safe_word_threshold, built once per simulator for every window a draw
-// is compared against: the try window from each start segment, R, R_pfs,
-// L, and T/n for the silent source): a word at or above the threshold
-// provably inverts beyond the window, so the arrival is left at +inf and
-// the quantile inversion is skipped; only words below it compute the
-// exact arrival (sample_value). Other sources (trace replay) draw through
-// sample, as does every DES draw. Every attempt, retry and recovery loop
-// is bounded by kMaxPatternAttempts. The interpreters make independent
-// draw sequences with identical distributional assumptions;
-// tests/sim_backend_equivalence_test.cpp holds them together, and
-// tests/model_correlated_test.cpp validates the source set against
-// closed-form marginals.
+// would, in draw order (the DES's block on the plain shape pulls them
+// ahead of use), and replica i always reads RNG substream (seed, i), so
+// results are byte-identical across runs and thread counts. The fast
+// interpreter filters the draws of unit-samplable sources by CDF
+// threshold (safe_word_threshold, built once per simulator for every
+// window a draw is compared against: the try window from each start
+// segment, R, R_pfs, L, and T/n for the silent source): a word at or
+// above the threshold provably inverts beyond the window, so the arrival
+// is left at +inf and the quantile inversion is skipped; only words below
+// it compute the exact arrival (sample_value). Other sources (trace
+// replay) draw through sample, as does the DES off the plain shape. Every
+// attempt, retry and recovery loop is bounded by kMaxPatternAttempts. The
+// interpreters make independent draw sequences with identical
+// distributional assumptions; tests/sim_backend_equivalence_test.cpp
+// holds them together, and tests/model_correlated_test.cpp validates the
+// source set against closed-form marginals.
 //
 // One fast body. SegmentedFastSimulator runs a single attempt/recovery
 // machine, templated on the world's shape: on the plain shape (a VC
 // pattern on a plain System with unit-samplable laws) one fail source,
 // one segment, no level-1 checkpoint and no PFS tier are compile-time
-// facts. The machine reads
-// its draws and keeps its wall clock through a draw source: the stream
-// (threshold-filtered as above), or, on the plain shape only, a CRN pool
-// cursor (sim/variate_pool.hpp) walked exactly or, under a SIMD tier, in
-// unit space. Every other world refuses a pool cursor: its draw sequence
-// interleaves several laws.
+// facts. The machine reads its draws and keeps its wall clock through a
+// draw source: the stream (threshold-filtered as above), or, on the plain
+// shape only, a CRN pool cursor (sim/variate_pool.hpp) walked exactly or,
+// under a SIMD tier, in unit space. Every other world refuses a pool
+// cursor: its draw sequence interleaves several laws.
+//
+// One DES body. SegmentedDesSimulator runs a single event machine,
+// templated on the same shape; on the plain shape it keeps the pinned
+// draw, renewal and tie rules its class comment states.
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -77,6 +82,7 @@
 #include "ayd/core/pattern.hpp"
 #include "ayd/core/two_level.hpp"
 #include "ayd/model/system.hpp"
+#include "ayd/rng/block.hpp"
 #include "ayd/rng/stream.hpp"
 #include "ayd/sim/pending_set.hpp"
 #include "ayd/sim/protocol.hpp"
@@ -108,16 +114,21 @@ struct SegmentedWorld {
   /// True when a shock strike escalates the chain to the PFS tier.
   [[nodiscard]] bool tiered() const { return pfs_recovery != recovery; }
   [[nodiscard]] bool silent_active() const { return silent->rate() > 0.0; }
+  /// The plain shape with every active law unit-samplable: the only world
+  /// a CRN pool cursor (and the DES's batched block) can feed.
+  [[nodiscard]] bool unit_plain() const;
   /// Length of a try that starts at segment `from` (0 for a pattern
   /// attempt): the offsets of its verifications and checkpoints summed in
   /// phase order, exactly as the fast interpreter accumulates them.
   [[nodiscard]] double try_window(int from) const;
   [[noreturn]] void throw_diverged() const;
 
-  /// A VC pattern on a plain System: one fail source at the System's law,
-  /// one segment, no level-1 checkpoint and no PFS tier.
+  /// A one-segment VC or multi-verification pattern on a plain System:
+  /// at most one fail source, at the System's law, one segment, no
+  /// level-1 checkpoint and no PFS tier.
   bool plain = false;
-  std::vector<FailSource> fail_sources;  ///< draw order, the shock last
+  /// The active (nonzero-rate) sources in draw order, the shock last.
+  std::vector<FailSource> fail_sources;
   std::unique_ptr<const model::FailureDistribution> silent;
   double total_fail_rate = 0.0;  ///< sum over fail_sources
   double period;                 ///< T
@@ -170,11 +181,13 @@ class SegmentedFastSimulator {
 
   /// Nothing is prefetched across replicas; exists for the driver.
   void begin_replica() {}
-  /// Pool mode (common random numbers): see
-  /// DesProtocolSimulator::set_unit_cursor. Accepted only on the plain
-  /// shape with unit-samplable laws (util::InvalidArgument otherwise);
-  /// under the scalar tier, pool-fed results are bit-identical to stream
-  /// sampling.
+  /// Pool mode (common random numbers): draw unit variates from the
+  /// shared pool cursor instead of sampling the stream. The cursor must
+  /// be positioned at the replica's sequence start and outlive the
+  /// simulation calls; nullptr returns to stream sampling. Accepted only
+  /// on the plain shape with unit-samplable laws (util::InvalidArgument
+  /// otherwise); under the scalar tier, pool-fed results are
+  /// bit-identical to stream sampling.
   void set_unit_cursor(UnitVariatePool::Cursor* cursor);
 
  private:
@@ -232,38 +245,80 @@ class SegmentedFastSimulator {
 
 /// Discrete-event reference interpreter: one pending arrival per fail
 /// source and one for the current segment's silent source (a PendingSet
-/// slot each, plus one for the phase end), renewed by the shared
-/// rule (arrivals at or beyond their renewal window's end are discarded
-/// unscheduled, so a boundary tie never strikes — matching the fast
-/// interpreter's strict-< windows). Distributionally identical to
-/// SegmentedFastSimulator, plus labelled execution traces: level-1 and
-/// final checkpoints both trace as kCheckpoint, both recovery levels as
-/// kRecovery.
+/// slot each, plus one for the phase end), renewed by the shared rule.
+/// Distributionally identical to SegmentedFastSimulator, plus labelled
+/// execution traces: level-1 and final checkpoints both trace as
+/// kCheckpoint, both recovery levels as kRecovery.
+///
+/// Every world but the plain shape draws through sample(), and a renewing
+/// arrival at or beyond its renewal window's end is discarded unscheduled,
+/// so a boundary tie never strikes (the fast interpreter's strict-<
+/// windows).
+///
+/// The plain shape (a VC pattern on a plain System) keeps the draw
+/// sequence tests/sim_bitcompat_test.cpp pins bit-for-bit:
+///  * draws: from a CRN pool cursor when one is set (unit-samplable laws
+///    only); otherwise, when every active law is unit-samplable, through a
+///    batched unit-variate block (rng/block.hpp) that pulls the stream's
+///    words in draw order, fingerprints the engine so that a stream switch
+///    discards stale prefetch, and is dropped by begin_replica(); otherwise
+///    through sample();
+///  * renewal: a memoryless fail law keeps its pending arrival across try
+///    starts and detection recoveries and draws afresh only after a
+///    strike's downtime; other laws renew by the shared rule;
+///  * ties: a renewing arrival is discarded only when strictly beyond its
+///    window's end. An arrival exactly at T+V+C carries an older id than
+///    the verify and checkpoint phase ends, so it pops first and strikes.
 class SegmentedDesSimulator {
  public:
   SegmentedDesSimulator(const model::System& sys,
                         const core::Pattern& pattern)
-      : world_(sys, pattern) {}
+      : SegmentedDesSimulator(detail::SegmentedWorld(sys, pattern)) {}
+  /// A template for the braced-{T, P} tie-break, as in
+  /// SegmentedFastSimulator.
+  template <class = void>
   SegmentedDesSimulator(const model::System& sys,
                         const core::MultiPattern& pattern)
-      : world_(sys, pattern) {}
+      : SegmentedDesSimulator(detail::SegmentedWorld(sys, pattern)) {}
   SegmentedDesSimulator(const core::TwoLevelSystem& sys,
                         const core::TwoLevelPattern& pattern)
-      : world_(sys, pattern) {}
+      : SegmentedDesSimulator(detail::SegmentedWorld(sys, pattern)) {}
 
   /// Simulates one pattern to completion. If `trace` is given, appends
   /// labelled segments starting at `start_time`.
+  ///
+  /// On the plain shape the simulator may prefetch variates from `rng`,
+  /// so `rng` can advance past the words actually consumed. Passing a
+  /// different stream to a later call is safe (the engine fingerprint
+  /// discards the stale prefetch), but interleaving other draws on the
+  /// same stream between calls skips the prefetched words.
   [[nodiscard]] PatternStats simulate_pattern(rng::RngStream& rng,
                                               Trace* trace = nullptr,
                                               double start_time = 0.0);
+  /// n patterns back to back, stats merged (the replication driver's
+  /// loop; equivalent to n simulate_pattern calls, bitwise).
   [[nodiscard]] PatternStats simulate_replica(rng::RngStream& rng,
                                               std::size_t n);
 
-  void begin_replica() {}
-  /// No CRN pool mode: only nullptr is accepted.
+  /// Discards variates prefetched from the current stream; the driver
+  /// calls it at every replica switch.
+  void begin_replica() { units_.reset(); }
+  /// Pool mode (common random numbers): see
+  /// SegmentedFastSimulator::set_unit_cursor, with the same acceptance.
   void set_unit_cursor(UnitVariatePool::Cursor* cursor);
 
  private:
+  explicit SegmentedDesSimulator(detail::SegmentedWorld world);
+
+  /// The one event machine, run for n patterns, each starting at
+  /// `start_time`; kPlain fixes the plain shape at compile time.
+  template <bool kPlain>
+  [[nodiscard]] PatternStats run(rng::RngStream& rng, std::size_t n,
+                                 Trace* trace, double start_time);
+  /// One draw of `dist` on the plain shape: cursor, block or sample().
+  [[nodiscard]] double draw_plain(const model::FailureDistribution& dist,
+                                  rng::RngStream& rng);
+
   /// Slots of the pending set: the phase end, the segment's silent
   /// arrival, then fail source j at kFailSlot + j.
   static constexpr std::size_t kPhaseEndSlot = 0;
@@ -271,6 +326,19 @@ class SegmentedDesSimulator {
   static constexpr std::size_t kFailSlot = 2;
 
   detail::SegmentedWorld world_;
+  /// The plain shape's fail law is memoryless: its arrival is kept.
+  bool keep_arrival_ = false;
+  /// Non-null on the plain shape with unit-samplable laws: the block's
+  /// unit transform (both sources are instantiated from one spec, so
+  /// their unit transform is identical).
+  const model::FailureDistribution* unit_src_ = nullptr;
+  rng::VariateBlock units_;
+  /// Engine state expected on the next call while prefetched variates are
+  /// buffered; a mismatch means the caller switched streams (a 256-bit
+  /// fingerprint, so a cross-stream collision is not a practical concern).
+  std::array<std::uint64_t, 4> expected_state_{};
+  /// Non-null in pool (CRN) mode: draws come from the shared sequence.
+  UnitVariatePool::Cursor* pool_cursor_ = nullptr;
   PendingSet<> pending_{kFailSlot + world_.fail_sources.size()};
 };
 

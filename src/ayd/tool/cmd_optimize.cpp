@@ -130,6 +130,7 @@ int cmd_optimize(const std::vector<std::string>& args, std::ostream& out) {
         "is cached)");
   }
   const OptimizeRequest req = optimize_request_from_args(parser);
+  refuse_unless_simulating(parser, req.simulate, {"threads"});
   // The pool only ever runs the simulated search's candidate periods,
   // P rungs and large replica rounds; don't spin up workers for the
   // purely analytic paths.

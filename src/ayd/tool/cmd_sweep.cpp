@@ -94,6 +94,8 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
   // or correlated-world sweep without simulation would print rows
   // independent of the swept value.
   const bool simulate = parser.flag("simulate") || shape_sweep;
+  refuse_unless_simulating(parser, simulate,
+                           {"des", "crn", "runs", "patterns", "seed"});
 
   // The --from/--to defaults are lambda-oriented; catch out-of-range
   // shape sweeps here with a message naming the flags instead of letting

@@ -4,6 +4,7 @@
 
 #pragma once
 
+#include <initializer_list>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -83,6 +84,13 @@ void add_simulation_options(cli::ArgParser& parser);
 /// Reads them into ReplicationOptions.
 [[nodiscard]] sim::ReplicationOptions replication_from_args(
     const cli::ArgParser& parser);
+
+/// Refuses each of `options` that was given while `simulating` is false:
+/// the option tunes a simulation that does not run, so it would be
+/// silently ignored. The message names the companion ("--des requires
+/// --simulate").
+void refuse_unless_simulating(const cli::ArgParser& parser, bool simulating,
+                              std::initializer_list<const char*> options);
 
 /// Parses a subcommand argument vector with the standard help handling:
 /// returns true if --help was printed (caller should return 0).

@@ -64,8 +64,12 @@ OptimizeRequest optimize_request_from_args(const cli::ArgParser& parser) {
   }
   req.max_procs = parser.option_double("max-procs");
   req.simulate = parser.flag("simulate");
-  // Only resolved (and validated) when the simulated search will run; a
-  // plain analytic request must not reject simulation knobs.
+  refuse_unless_simulating(
+      parser, req.simulate,
+      {"des", "runs", "patterns", "seed", "ci-rel-tol", "max-reps"});
+  // Only resolved (and validated) when the simulated search will run; an
+  // analytic request refuses the simulation options it was given (above)
+  // and never validates their defaults.
   if (req.simulate) {
     core::SimAllocationSearchOptions& opt = req.sim_search;
     opt.max_procs = req.max_procs;

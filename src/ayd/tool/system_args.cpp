@@ -343,6 +343,16 @@ sim::ReplicationOptions replication_from_args(const cli::ArgParser& parser) {
   return opt;
 }
 
+void refuse_unless_simulating(const cli::ArgParser& parser, bool simulating,
+                              std::initializer_list<const char*> options) {
+  if (simulating) return;
+  for (const char* name : options) {
+    if (parser.given(name)) {
+      throw util::CliError(std::string("--") + name + " requires --simulate");
+    }
+  }
+}
+
 bool parse_or_help(cli::ArgParser& parser,
                    const std::vector<std::string>& args, std::ostream& out) {
   parser.parse_args(args);

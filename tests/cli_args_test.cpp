@@ -50,6 +50,16 @@ TEST(ArgParser, FlagsSet) {
   EXPECT_TRUE(p.flag("verbose"));
 }
 
+TEST(ArgParser, GivenSeparatesAnExplicitDefaultFromAnAbsentOption) {
+  ArgParser p = make_parser();
+  parse(p, {"--count=10", "--verbose"});
+  EXPECT_TRUE(p.given("count"));  // explicit, though equal to the default
+  EXPECT_FALSE(p.given("name"));
+  EXPECT_TRUE(p.given("verbose"));
+  EXPECT_FALSE(p.given("help"));
+  EXPECT_THROW((void)p.given("bogus"), util::InvalidArgument);
+}
+
 TEST(ArgParser, UnknownArgumentRejected) {
   ArgParser p = make_parser();
   EXPECT_THROW(parse(p, {"--bogus"}), util::CliError);

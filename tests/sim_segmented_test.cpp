@@ -65,6 +65,33 @@ TEST(SegmentedReduction, MultiOneSegmentIsTheVcPatternBitwise) {
       simulate_multi_overhead(sys, {20000.0, 256.0, 1}, opt);
   EXPECT_EQ(r1.overhead.mean, r2.overhead.mean);
   EXPECT_EQ(r1.pattern_time.mean, r2.pattern_time.mean);
+
+  // The same holds on the DES backend: a one-segment multi pattern on a
+  // plain System is the DES's plain shape, so it keeps the VC DES's draws,
+  // memoryless renewal and ties, under every law.
+  for (const model::FailureDistSpec& law :
+       {model::FailureDistSpec::exponential(),
+        model::FailureDistSpec::weibull(0.7),
+        model::FailureDistSpec::lognormal(1.2)}) {
+    const System lawful = sys.with_failure_dist(law);
+    DesProtocolSimulator vc_des(lawful, {20000.0, 256.0});
+    SegmentedDesSimulator multi_des(lawful,
+                                    core::MultiPattern{20000.0, 256.0, 1});
+    rng::RngStream rc(43), rd(43);
+    for (int i = 0; i < 200; ++i) {
+      const PatternStats a = vc_des.simulate_pattern(rc);
+      const PatternStats b = multi_des.simulate_pattern(rd);
+      expect_same_stats(a, b);
+      EXPECT_EQ(a.attempts, b.attempts) << law.to_string();
+    }
+    opt.backend = Backend::kDes;
+    const ReplicationResult d1 =
+        simulate_overhead(lawful, {20000.0, 256.0}, opt);
+    const ReplicationResult d2 =
+        simulate_multi_overhead(lawful, {20000.0, 256.0, 1}, opt);
+    EXPECT_EQ(d1.overhead.mean, d2.overhead.mean) << law.to_string();
+    EXPECT_EQ(d1.pattern_time.mean, d2.pattern_time.mean) << law.to_string();
+  }
 }
 
 TEST(SegmentedReduction, TwoLevelOneSegmentWithLEqualRIsTheVcPattern) {
@@ -394,7 +421,7 @@ TEST(SegmentedWorld, RefusesASharedVariatePool) {
     EXPECT_NO_THROW(plain.set_unit_cursor(&cursor)) << law.to_string();
     EXPECT_NO_THROW(plain.set_unit_cursor(nullptr)) << law.to_string();
   }
-  const auto refuses = [&](SegmentedFastSimulator sim) {
+  const auto refuses = [&](auto sim) {
     EXPECT_THROW(sim.set_unit_cursor(&cursor), util::InvalidArgument);
     EXPECT_NO_THROW(sim.set_unit_cursor(nullptr));
   };
@@ -407,6 +434,25 @@ TEST(SegmentedWorld, RefusesASharedVariatePool) {
   refuses(SegmentedFastSimulator(sys.with_shock({0.6, 0.05}), vc));
   refuses(SegmentedFastSimulator(sys.with_heterogeneity(hetero), vc));
   refuses(SegmentedFastSimulator(
+      sys.with_failure_dist(
+          model::FailureDistSpec::trace_replay({300.0, 4000.0, 650.0})),
+      vc));
+
+  // The DES takes a cursor on exactly the same worlds.
+  for (const model::FailureDistSpec& law :
+       {model::FailureDistSpec::exponential(),
+        model::FailureDistSpec::weibull(0.7),
+        model::FailureDistSpec::lognormal(1.2)}) {
+    SegmentedDesSimulator plain(sys.with_failure_dist(law), vc);
+    EXPECT_NO_THROW(plain.set_unit_cursor(&cursor)) << law.to_string();
+    EXPECT_NO_THROW(plain.set_unit_cursor(nullptr)) << law.to_string();
+  }
+  refuses(SegmentedDesSimulator(sys, core::MultiPattern{15000.0, 256.0, 2}));
+  refuses(SegmentedDesSimulator(core::TwoLevelSystem::with_memory_level1(sys),
+                                {15000.0, 256.0, 2}));
+  refuses(SegmentedDesSimulator(sys.with_shock({0.6, 0.05}), vc));
+  refuses(SegmentedDesSimulator(sys.with_heterogeneity(hetero), vc));
+  refuses(SegmentedDesSimulator(
       sys.with_failure_dist(
           model::FailureDistSpec::trace_replay({300.0, 4000.0, 650.0})),
       vc));

@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "ayd/io/json_parse.hpp"
+#include "ayd/service/server.hpp"
 #include "ayd/tool/commands.hpp"
 #include "ayd/util/error.hpp"
 
@@ -403,6 +405,78 @@ TEST(ToolSweep, RejectsSinglePointGrid) {
                          "--to=1e-9", "--points=1"});
   EXPECT_EQ(r.code, 1);
   EXPECT_TRUE(contains(r.err, "two points"));
+}
+
+// -- simulation options without a simulation ------------------------------
+
+TEST(ToolSimulationOptions, RefusedWhenNothingIsSimulated) {
+  // Each row's option tunes a simulation that does not run, so it must
+  // fail and name the option and its companion.
+  struct Row {
+    std::vector<std::string> args;
+    std::string option;
+  };
+  const std::vector<std::string> optimize = {"optimize", "--platform=hera",
+                                             "--scenario=1"};
+  const std::vector<std::string> sweep = {"sweep", "--var=lambda",
+                                          "--from=1e-10", "--to=1e-9",
+                                          "--points=2"};
+  const std::vector<Row> rows = {
+      {{"--des"}, "--des"},
+      {{"--runs", "7"}, "--runs"},
+      {{"--patterns", "7"}, "--patterns"},
+      {{"--seed", "5"}, "--seed"},
+      {{"--ci-rel-tol", "0.5"}, "--ci-rel-tol"},
+      {{"--max-reps", "9"}, "--max-reps"},
+      {{"--threads", "3"}, "--threads"},
+  };
+  for (const Row& row : rows) {
+    std::vector<std::string> args = optimize;
+    args.insert(args.end(), row.args.begin(), row.args.end());
+    const ToolRun r = run(args);
+    EXPECT_EQ(r.code, 1) << "optimize " << row.option;
+    EXPECT_TRUE(contains(r.err, row.option + " requires --simulate"))
+        << "optimize " << row.option << ": " << r.err;
+    args.push_back("--simulate");
+    args.insert(args.end(), {"--procs=512", "--runs=4", "--patterns=8",
+                             "--max-reps=8", "--threads=1"});
+    // With --simulate the same option is accepted (a later duplicate of
+    // --runs etc. overrides the row's value, which is fine here).
+    EXPECT_EQ(run(args).code, 0) << "optimize --simulate " << row.option;
+  }
+  const std::vector<Row> sweep_rows = {
+      {{"--des"}, "--des"},
+      {{"--crn"}, "--crn"},
+      {{"--runs", "7"}, "--runs"},
+      {{"--patterns", "9"}, "--patterns"},
+      {{"--seed", "5"}, "--seed"},
+  };
+  for (const Row& row : sweep_rows) {
+    std::vector<std::string> args = sweep;
+    args.insert(args.end(), row.args.begin(), row.args.end());
+    const ToolRun r = run(args);
+    EXPECT_EQ(r.code, 1) << "sweep " << row.option;
+    EXPECT_TRUE(contains(r.err, row.option + " requires --simulate"))
+        << "sweep " << row.option << ": " << r.err;
+    args.insert(args.end(), {"--simulate", "--runs=4", "--patterns=8",
+                             "--threads=1"});
+    EXPECT_EQ(run(args).code, 0) << "sweep --simulate " << row.option;
+  }
+  // A shape variable implies the simulation, so it takes the options.
+  EXPECT_EQ(run({"sweep", "--var=weibull-k", "--from=0.7", "--to=1.5",
+                 "--points=2", "--des", "--runs=4", "--patterns=8",
+                 "--threads=1"})
+                .code,
+            0);
+
+  // The service's optimize op resolves through the same options.
+  service::PlanningService service({/*threads=*/1});
+  const io::JsonValue reply = io::parse_json(service.handle_line(
+      R"({"op":"optimize","id":1,"platform":"hera","scenario":1,"des":true})"));
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  EXPECT_NE(reply.at("error").at("message").as_string().find(
+                "--des requires --simulate"),
+            std::string::npos);
 }
 
 // -- protocols -----------------------------------------------------------
