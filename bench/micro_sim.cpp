@@ -30,15 +30,13 @@
 #include "bench_common.hpp"
 
 #include "ayd/core/first_order.hpp"
-#include "ayd/core/two_level.hpp"
+#include "ayd/core/segmented.hpp"
 #include "ayd/engine/engine.hpp"
 #include "ayd/io/json.hpp"
 #include "ayd/model/platform.hpp"
 #include "ayd/model/scenario.hpp"
 #include "ayd/rng/simd.hpp"
-#include "ayd/sim/multi_protocol.hpp"
 #include "ayd/sim/runner.hpp"
-#include "ayd/sim/two_level_protocol.hpp"
 #include "ayd/util/strings.hpp"
 #include "ayd/util/version.hpp"
 
@@ -87,10 +85,10 @@ Throughput time_config(const Config& cfg, const model::System& sys,
   const model::System shocked = sys.with_shock({0.6, 0.05, {}});
   const auto one_call = [&] {
     if (cfg.world == "multi") {
-      (void)sim::simulate_multi_overhead(
+      (void)sim::simulate_segmented_overhead(
           sys, {pattern.period, pattern.procs, 2}, opt);
     } else if (cfg.world == "two-level") {
-      (void)sim::simulate_two_level_overhead(
+      (void)sim::simulate_segmented_overhead(
           core::TwoLevelSystem::with_memory_level1(sys),
           {pattern.period, pattern.procs, 2}, opt);
     } else if (cfg.world == "shock") {

@@ -16,7 +16,7 @@
 #include "ayd/cli/args.hpp"
 #include "ayd/core/expected_time.hpp"
 #include "ayd/core/first_order.hpp"
-#include "ayd/core/two_level.hpp"
+#include "ayd/core/segmented.hpp"
 #include "ayd/io/table.hpp"
 #include "ayd/model/platform.hpp"
 #include "ayd/model/scenario.hpp"
@@ -62,10 +62,10 @@ int main(int argc, char** argv) {
     if (two_level) {
       const core::TwoLevelSystem two_sys =
           core::TwoLevelSystem::with_memory_level1(sys);
-      const core::TwoLevelOptimum plan =
-          core::optimal_two_level_pattern(two_sys, procs);
-      const core::TwoLevelPattern two_pattern{plan.period, procs,
-                                              plan.segments};
+      const core::SegmentedOptimum plan =
+          core::optimal_segmented_pattern(two_sys, procs);
+      const core::SegmentedPattern two_pattern{plan.period, procs,
+                                               plan.segments};
       std::printf("tracing %llu two-level patterns "
                   "TWOLEVELPATTERN(T=%s, P=%.0f, n=%d) on a degraded Hera "
                   "(lambda_ind = 1e-6)\n\n",
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
         clock += s.wall_time;
         totals.merge(s);
       }
-      expected_one = core::expected_two_level_time(two_sys, two_pattern);
+      expected_one = core::expected_segmented_time(two_sys, two_pattern);
     } else {
       std::printf("tracing %llu patterns of PATTERN(T=%s, P=%.0f) on a "
                   "degraded Hera (lambda_ind = 1e-6)\n\n",

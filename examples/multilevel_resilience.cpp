@@ -6,11 +6,12 @@
 //
 //   1. base VC pattern (Theorem 1) — one verification + one stable
 //      checkpoint per pattern;
-//   2. multi-verification (core/multi_verification.hpp) — n verifications
-//      catch silent errors early, but the rollback still replays the
-//      whole pattern;
-//   3. two-level checkpointing (core/two_level.hpp) — verified in-memory
-//      level-1 checkpoints make the silent rollback local to one segment.
+//   2. multi-verification (core/segmented.hpp on a System) — n
+//      verifications catch silent errors early, but the rollback still
+//      replays the whole pattern;
+//   3. two-level checkpointing (core/segmented.hpp on a TwoLevelSystem) —
+//      verified in-memory level-1 checkpoints make the silent rollback
+//      local to one segment.
 //
 // For each protocol it prints the closed-form plan, the numerically exact
 // optimum, and a simulated confirmation, then shows how the two-level
@@ -21,15 +22,12 @@
 #include <cstdio>
 
 #include "ayd/cli/args.hpp"
-#include "ayd/core/multi_verification.hpp"
 #include "ayd/core/optimizer.hpp"
-#include "ayd/core/two_level.hpp"
+#include "ayd/core/segmented.hpp"
 #include "ayd/io/table.hpp"
 #include "ayd/model/platform.hpp"
 #include "ayd/model/scenario.hpp"
-#include "ayd/sim/multi_protocol.hpp"
 #include "ayd/sim/runner.hpp"
-#include "ayd/sim/two_level_protocol.hpp"
 #include "ayd/util/strings.hpp"
 
 int main(int argc, char** argv) {
@@ -73,9 +71,9 @@ int main(int argc, char** argv) {
                        util::format_sig(base_sim.overhead.ci.half_width(),
                                         2)});
 
-    const core::MultiOptimum mv = core::optimal_multi_pattern(sys, p);
-    const auto mv_sim =
-        sim::simulate_multi_overhead(sys, {mv.period, p, mv.segments}, opt);
+    const core::SegmentedOptimum mv = core::optimal_segmented_pattern(sys, p);
+    const auto mv_sim = sim::simulate_segmented_overhead(
+        sys, {mv.period, p, mv.segments}, opt);
     table.add_row({"2. multi-verification", std::to_string(mv.segments),
                    util::format_sig(mv.period, 4),
                    util::format_sig(mv.overhead, 4),
@@ -84,9 +82,9 @@ int main(int argc, char** argv) {
 
     const core::TwoLevelSystem two_sys =
         core::TwoLevelSystem::with_memory_level1(sys);
-    const core::TwoLevelOptimum two = core::optimal_two_level_pattern(
-        two_sys, p);
-    const auto two_sim = sim::simulate_two_level_overhead(
+    const core::SegmentedOptimum two =
+        core::optimal_segmented_pattern(two_sys, p);
+    const auto two_sim = sim::simulate_segmented_overhead(
         two_sys, {two.period, p, two.segments}, opt);
     table.add_row({"3. two-level", std::to_string(two.segments),
                    util::format_sig(two.period, 4),
@@ -109,8 +107,8 @@ int main(int argc, char** argv) {
       const core::TwoLevelSystem varied_two =
           core::TwoLevelSystem::with_memory_level1(varied);
       const core::PeriodOptimum vc = core::optimal_period(varied, p);
-      const core::TwoLevelOptimum tl =
-          core::optimal_two_level_pattern(varied_two, p);
+      const core::SegmentedOptimum tl =
+          core::optimal_segmented_pattern(varied_two, p);
       gains.add_row({util::format_sig(s, 4), std::to_string(tl.segments),
                      util::format_sig(vc.overhead, 4),
                      util::format_sig(tl.overhead, 4),

@@ -26,15 +26,8 @@ Params params_at(const model::System& sys, double procs) {
           sys.verification_cost(procs), sys.downtime()};
 }
 
-/// M·expm1(x) where M = 1/λf + D and x = λf·w, computed as
-/// w·exprel(x) + D·expm1(x): stable for all λf >= 0 (equals w at λf == 0).
-double m_expm1(double lf, double d, double w) {
-  const double x = lf * w;
-  return w * math::expm1_over_x(x) + d * std::expm1(x);
-}
-
 double recovery_expectation(const Params& p) {
-  return m_expm1(p.lf, p.d, p.r);
+  return math::expected_completion_time(p.lf, p.d, p.r);
 }
 
 double work_expectation(const Params& p, double t) {
@@ -46,7 +39,8 @@ double work_expectation(const Params& p, double t) {
   // The recovery term is dropped when E(R) == 0 so that an overflowed
   // expm1(w+b) == inf cannot turn 0 into NaN.
   const double rec_term = er == 0.0 ? 0.0 : std::expm1(w + b) * er;
-  return std::exp(b) * m_expm1(p.lf, p.d, tv) + rec_term;
+  return std::exp(b) * math::expected_completion_time(p.lf, p.d, tv) +
+         rec_term;
 }
 
 double checkpoint_expectation(const Params& p, double etv) {

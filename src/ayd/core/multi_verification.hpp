@@ -1,96 +1,18 @@
-// Extension: multi-verification patterns.
-//
-// The base VC protocol verifies once, immediately before each checkpoint.
-// Benoit, Cavelan, Robert & Sun (IPDPS'16) — the paper's reference [2]
-// and the basis of its resilience patterns — show that when silent
-// errors dominate it pays to insert *intermediate* verifications:
-// MULTIPATTERN(T, P, n) splits the T seconds of work into n equal
-// segments, each followed by a verification V_P, with a single checkpoint
-// C_P after the last verification. A silent error is then caught at the
-// end of its own segment instead of at the end of the whole pattern,
-// shrinking the expected wasted work from ~T/2·... to ~T(n+1)/(2n)·λs·T.
-// The paper's Section V lists this family ("multi-level resilience
-// protocols") as future work; this module implements it.
-//
-// First-order results (re-derived here, consistent with [2]):
-//   H(T, P, n) ≈ H(P)·[ (nV + C)/T + (λf/2 + λs(n+1)/(2n))·T + 1 ]
-//   T*(n, P)   = sqrt( (nV + C) / (λf/2 + λs(n+1)/(2n)) )
-//   n*         = sqrt( λs·C / ((λf + λs)·V) )      (continuous)
-//   H*         = H(P)·(1 + 2(sqrt(u·C) + sqrt(v·V))),
-//                u = (λf + λs)/2,  v = λs/2.
-// With n = 1 every formula reduces exactly to the base VC results
-// (Theorem 1), which the tests pin.
-//
-// The exact expectation is computed by a backward recursion over the
-// segment states (absorbing Markov chain), built from the same stable
-// expm1 primitives as Proposition 1; n = 1 reproduces
-// expected_pattern_time() to rounding.
+// Forwarding header: multi-verification patterns are the model::System
+// case of core/segmented.hpp. It keeps the older spellings for code that
+// still names them.
 
 #pragma once
 
-#include "ayd/core/pattern.hpp"
-#include "ayd/model/system.hpp"
+#include "ayd/core/segmented.hpp"
 
 namespace ayd::core {
 
-struct MultiPattern {
-  /// Total useful-computation length T of the pattern (> 0), split into
-  /// `segments` equal chunks.
-  double period = 0.0;
-  /// Processor allocation P (>= 1).
-  double procs = 1.0;
-  /// Number of work segments / verifications per checkpoint (>= 1).
-  int segments = 1;
-};
+using MultiOptimum = SegmentedOptimum;
 
-/// Validates a multi-pattern; throws util::InvalidArgument on violation.
-void validate(const MultiPattern& pattern);
-
-/// Exact expected execution time of MULTIPATTERN(T, P, n) under the
-/// paper's error model. Returns +inf when the value (or an intermediate
-/// success probability) exceeds double range.
-[[nodiscard]] double expected_multi_pattern_time(const model::System& sys,
-                                                 const MultiPattern& pattern);
-
-/// Expected execution overhead E / (T·S(P)).
-[[nodiscard]] double multi_pattern_overhead(const model::System& sys,
-                                            const MultiPattern& pattern);
-
-/// First-order overhead H(P)·[(nV+C)/T + (λf/2 + λs(n+1)/(2n))·T + 1].
-[[nodiscard]] double first_order_multi_overhead(const model::System& sys,
-                                                const MultiPattern& pattern);
-
-/// First-order optimal period for fixed (P, n):
-/// T* = sqrt((nV+C)/(λf/2 + λs(n+1)/(2n))). +inf on error-free systems.
-[[nodiscard]] double optimal_period_multi(const model::System& sys,
-                                          double procs, int segments);
-
-/// First-order optimal verification plan for a fixed allocation.
-struct VerificationPlan {
-  int segments = 1;          ///< n*, rounded to the better neighbour
-  double segments_continuous = 1.0;  ///< unrounded n*
-  double period = 0.0;       ///< T*(n*, P)
-  double overhead = 0.0;     ///< predicted H(T*, P, n*)
-};
-
-/// Applies the closed form n* = sqrt(λs·C/((λf+λs)·V)); requires a
-/// positive verification cost (otherwise n is unbounded) and an
-/// error-prone system.
-[[nodiscard]] VerificationPlan optimal_verification_plan(
-    const model::System& sys, double procs);
-
-/// Numerically exact optimum over (T, n) for a fixed allocation: scans
-/// n = 1..max_segments with an inner exact-overhead period optimisation
-/// and early exit once the overhead has been rising for a few steps.
-struct MultiOptimum {
-  int segments = 1;
-  double period = 0.0;
-  double overhead = 0.0;
-  bool converged = false;
-};
-
-[[nodiscard]] MultiOptimum optimal_multi_pattern(const model::System& sys,
-                                                 double procs,
-                                                 int max_segments = 256);
+[[nodiscard]] inline SegmentedOptimum optimal_multi_pattern(
+    const model::System& sys, double procs) {
+  return optimal_segmented_pattern(sys, procs);
+}
 
 }  // namespace ayd::core

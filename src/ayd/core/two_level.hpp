@@ -1,126 +1,18 @@
-// Extension: two-level checkpointing patterns (paper §V, "multi-level
-// resilience protocols").
-//
-// The base VC protocol keeps a single (stable-storage) checkpoint level, so
-// a silent error detected by the verification rolls the whole pattern back.
-// Real fault-tolerant stacks (SCR [16], FTI) are hierarchical: cheap
-// level-1 checkpoints (in-memory / buddy) absorb the frequent, benign
-// rollbacks while the expensive level-2 checkpoint (parallel file system)
-// is only needed when a fail-stop error wipes node memory.
-//
-// TWOLEVELPATTERN(T, P, n) splits the pattern's T seconds of work into n
-// equal segments. Each segment ends with a verification V_P followed by a
-// level-1 checkpoint L_P; the n-th segment stores the level-2 checkpoint
-// C_P instead. Error handling:
-//   * silent error (strikes computation, rate λs_P): detected by the
-//     verification at the end of its segment; a level-1 recovery (cost
-//     L_P) restores the previous segment boundary and ONLY that segment
-//     re-executes;
-//   * fail-stop error (any time, rate λf_P): node memory is lost, so the
-//     level-1 chain is useless — downtime D, level-2 recovery R_P, and the
-//     whole pattern restarts from its beginning.
-// With n = 1 and L_P = R_P the protocol degenerates to the base VC
-// pattern, which the tests pin against Proposition 1.
-//
-// First-order analysis (validated by tests):
-//   H(T,P,n) ≈ H(P)·[ (nV + (n-1)L + C)/T + (λf/2 + λs/n)·T + 1 ]
-//   T*(n)    = sqrt( (nV + (n-1)L + C) / (λf/2 + λs/n) )
-//   n*       = sqrt( 2·λs·(C−L) / (λf·(V+L)) )
-// — a silent error is detected at the END of its segment, so it wastes
-// the full segment length T/n (not T/2 as a fail-stop does); with n = 1
-// the rate term is exactly Theorem 1's λf/2 + λs. The 1/n factor makes
-// deep segmentation pay when silent errors dominate (λs ≫ λf) and the
-// level-2 checkpoint dwarfs the level-1 cost (C ≫ V+L).
+// Forwarding header: two-level checkpointing patterns are the
+// TwoLevelSystem case of core/segmented.hpp. It keeps the older
+// spellings for code that still names them.
 
 #pragma once
 
-#include "ayd/model/cost.hpp"
-#include "ayd/model/system.hpp"
+#include "ayd/core/segmented.hpp"
 
 namespace ayd::core {
 
-/// A two-level checkpointing pattern.
-struct TwoLevelPattern {
-  /// Total useful-computation length T (> 0), split into `segments` equal
-  /// chunks.
-  double period = 0.0;
-  /// Processor allocation P (>= 1).
-  double procs = 1.0;
-  /// Number of work segments per level-2 checkpoint (>= 1).
-  int segments = 1;
-};
+using TwoLevelOptimum = SegmentedOptimum;
 
-/// Validates a pattern; throws util::InvalidArgument on violation.
-void validate(const TwoLevelPattern& pattern);
-
-/// A System extended with the level-1 checkpoint cost model. The base
-/// system's checkpoint/recovery costs play the level-2 role. Level-1
-/// recovery is assumed to cost the same as a level-1 checkpoint (both are
-/// memory copies), mirroring the paper's R_P = C_P convention.
-struct TwoLevelSystem {
-  model::System base;
-  /// Level-1 (in-memory) checkpoint cost L_P. The natural default is the
-  /// system's verification cost model: the paper already equates V_P with
-  /// an in-memory snapshot of the full footprint (Section IV-A).
-  model::CostModel level1;
-
-  /// Builds the default configuration: L_P := V_P.
-  [[nodiscard]] static TwoLevelSystem with_memory_level1(
-      const model::System& sys) {
-    return {sys, sys.costs().verification};
-  }
-
-  [[nodiscard]] double level1_cost(double p) const {
-    return level1.cost(p);
-  }
-};
-
-/// Exact expected execution time of TWOLEVELPATTERN(T, P, n), from the
-/// backward segment recursion (each segment's expectation is linear in
-/// the full-pattern expectation; the fail-stop restart closes the loop).
-/// Returns +inf when the value exceeds double range.
-[[nodiscard]] double expected_two_level_time(const TwoLevelSystem& sys,
-                                             const TwoLevelPattern& pattern);
-
-/// Expected execution overhead E / (T·S(P)).
-[[nodiscard]] double two_level_overhead(const TwoLevelSystem& sys,
-                                        const TwoLevelPattern& pattern);
-
-/// First-order overhead H(P)·[(nV+(n-1)L+C)/T + (λf/2 + λs/n)·T + 1].
-[[nodiscard]] double first_order_two_level_overhead(
-    const TwoLevelSystem& sys, const TwoLevelPattern& pattern);
-
-/// First-order optimal period for fixed (P, n):
-/// T*(n) = sqrt((nV+(n-1)L+C)/(λf/2 + λs/n)). +inf on error-free systems.
-[[nodiscard]] double optimal_period_two_level(const TwoLevelSystem& sys,
-                                              double procs, int segments);
-
-/// First-order two-level plan for a fixed allocation.
-struct TwoLevelPlan {
-  int segments = 1;                  ///< n*, rounded to the better neighbour
-  double segments_continuous = 1.0;  ///< unrounded n*
-  double period = 0.0;               ///< T*(n*, P)
-  double overhead = 0.0;             ///< predicted H(T*, P, n*)
-};
-
-/// Applies n* = sqrt(2·λs·(C−L)/(λf·(V+L))) and rounds to the better integer
-/// neighbour of the first-order overhead. Requires an error-prone system
-/// with λf > 0 (a fail-stop-free system pushes n → ∞; callers should cap
-/// n explicitly) and V+L > 0.
-[[nodiscard]] TwoLevelPlan optimal_two_level_plan(const TwoLevelSystem& sys,
-                                                  double procs);
-
-/// Numerically exact optimum over (T, n) for a fixed allocation: scans n
-/// with an inner exact-overhead period optimisation, stopping once the
-/// overhead has risen for a few consecutive n.
-struct TwoLevelOptimum {
-  int segments = 1;
-  double period = 0.0;
-  double overhead = 0.0;
-  bool converged = false;
-};
-
-[[nodiscard]] TwoLevelOptimum optimal_two_level_pattern(
-    const TwoLevelSystem& sys, double procs, int max_segments = 256);
+[[nodiscard]] inline SegmentedOptimum optimal_two_level_pattern(
+    const TwoLevelSystem& sys, double procs) {
+  return optimal_segmented_pattern(sys, procs);
+}
 
 }  // namespace ayd::core

@@ -65,6 +65,11 @@ double expected_time_lost(double rate, double w) {
   return 1.0 / rate - w / std::expm1(x);
 }
 
+double expected_completion_time(double rate, double downtime, double w) {
+  const double x = rate * w;
+  return w * expm1_over_x(x) + downtime * std::expm1(x);
+}
+
 bool is_close(double a, double b, double rtol, double atol) {
   if (std::isnan(a) || std::isnan(b)) return false;
   if (a == b) return true;  // covers equal infinities

@@ -39,6 +39,14 @@ namespace ayd::math {
 /// rate >= 0, w >= 0; returns w/2 when rate*w is tiny.
 [[nodiscard]] double expected_time_lost(double rate, double w);
 
+/// Expected time to complete a task of length `w` that restarts from
+/// scratch after each Exp(rate) failure, each failure adding `downtime`:
+///   M·expm1(rate·w) with M = 1/rate + downtime (paper, proof of Prop. 1),
+/// computed as w·exprel(rate·w) + downtime·expm1(rate·w), which is stable
+/// down to rate == 0 (-> w).
+[[nodiscard]] double expected_completion_time(double rate, double downtime,
+                                              double w);
+
 /// True if |a - b| <= atol + rtol * max(|a|, |b|). NaNs are never close.
 [[nodiscard]] bool is_close(double a, double b, double rtol = 1e-9,
                             double atol = 0.0);

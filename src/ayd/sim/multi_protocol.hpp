@@ -1,25 +1,22 @@
-// Simulation of multi-verification patterns (extension; see
-// core/multi_verification.hpp): n work segments, each followed by a
-// verification, one checkpoint at the end, run by the segmented-pattern
-// interpreters (sim/segmented.hpp). A silent error is detected by the
-// first verification after it strikes; n == 1 is the VC pattern.
+// Forwarding header: multi-verification patterns run on the segmented
+// interpreters (sim/segmented.hpp) through
+// sim::simulate_segmented_overhead (sim/runner.hpp). It keeps the older
+// spellings for code that still names them.
 
 #pragma once
 
-#include "ayd/core/multi_verification.hpp"
 #include "ayd/sim/runner.hpp"
 #include "ayd/sim/segmented.hpp"
 
 namespace ayd::sim {
 
-/// The fast interpreter, constructed (System, MultiPattern).
+/// The fast interpreter, constructed (System, SegmentedPattern).
 using MultiVerifSimulator = SegmentedFastSimulator;
 
-/// Replicated overhead estimate for a multi-pattern: sim::simulate_overhead
-/// with the multi-verification plan; opt.backend selects the interpreter
-/// and analytic_* carry the exponential closed form.
-[[nodiscard]] ReplicationResult simulate_multi_overhead(
-    const model::System& sys, const core::MultiPattern& pattern,
-    const ReplicationOptions& opt = {}, exec::ThreadPool* pool = nullptr);
+[[nodiscard]] inline ReplicationResult simulate_multi_overhead(
+    const model::System& sys, const core::SegmentedPattern& pattern,
+    const ReplicationOptions& opt = {}, exec::ThreadPool* pool = nullptr) {
+  return simulate_segmented_overhead(sys, pattern, opt, pool);
+}
 
 }  // namespace ayd::sim

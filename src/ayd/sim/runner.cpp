@@ -5,9 +5,7 @@
 
 #include "ayd/core/expected_time.hpp"
 #include "ayd/core/overhead.hpp"
-#include "ayd/sim/multi_protocol.hpp"
 #include "ayd/sim/segmented.hpp"
-#include "ayd/sim/two_level_protocol.hpp"
 #include "ayd/stats/ci.hpp"
 #include "ayd/util/contracts.hpp"
 
@@ -139,10 +137,11 @@ ReplicationResult reduce_outcomes(const ReplicationOptions& opt,
   return result;
 }
 
-/// Fixed-count replication of a segmented pattern (multi-verification,
-/// two-level) on the segmented interpreters.
-template <typename Sys, typename Pat>
-ReplicationResult simulate_segmented(const Sys& sys, const Pat& pattern,
+/// Fixed-count replication of a segmented pattern on the segmented
+/// interpreters; the system type picks the protocol and its closed form.
+template <typename Sys>
+ReplicationResult simulate_segmented(const Sys& sys,
+                                     const core::SegmentedPattern& pattern,
                                      const ReplicationOptions& opt,
                                      exec::ThreadPool* pool) {
   AYD_REQUIRE(opt.replicas >= 1, "need at least one replica");
@@ -150,7 +149,11 @@ ReplicationResult simulate_segmented(const Sys& sys, const Pat& pattern,
   core::validate(pattern);
   std::vector<ReplicaOutcome> outcomes(opt.replicas);
   run_replicas(sys, pattern, opt, pool, outcomes, 0);
-  return reduce_outcomes(opt, outcomes, /*student_ci=*/false);
+  ReplicationResult result =
+      reduce_outcomes(opt, outcomes, /*student_ci=*/false);
+  result.analytic_overhead = core::segmented_overhead(sys, pattern);
+  result.analytic_pattern_time = core::expected_segmented_time(sys, pattern);
+  return result;
 }
 
 }  // namespace
@@ -233,24 +236,16 @@ ReplicationResult simulate_overhead_adaptive(const model::System& sys,
   return result;
 }
 
-ReplicationResult simulate_multi_overhead(const model::System& sys,
-                                          const core::MultiPattern& pattern,
-                                          const ReplicationOptions& opt,
-                                          exec::ThreadPool* pool) {
-  ReplicationResult result = simulate_segmented(sys, pattern, opt, pool);
-  result.analytic_overhead = core::multi_pattern_overhead(sys, pattern);
-  result.analytic_pattern_time =
-      core::expected_multi_pattern_time(sys, pattern);
-  return result;
+ReplicationResult simulate_segmented_overhead(
+    const model::System& sys, const core::SegmentedPattern& pattern,
+    const ReplicationOptions& opt, exec::ThreadPool* pool) {
+  return simulate_segmented(sys, pattern, opt, pool);
 }
 
-ReplicationResult simulate_two_level_overhead(
-    const core::TwoLevelSystem& sys, const core::TwoLevelPattern& pattern,
+ReplicationResult simulate_segmented_overhead(
+    const core::TwoLevelSystem& sys, const core::SegmentedPattern& pattern,
     const ReplicationOptions& opt, exec::ThreadPool* pool) {
-  ReplicationResult result = simulate_segmented(sys, pattern, opt, pool);
-  result.analytic_overhead = core::two_level_overhead(sys, pattern);
-  result.analytic_pattern_time = core::expected_two_level_time(sys, pattern);
-  return result;
+  return simulate_segmented(sys, pattern, opt, pool);
 }
 
 }  // namespace ayd::sim

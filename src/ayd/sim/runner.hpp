@@ -13,6 +13,7 @@
 #include <optional>
 
 #include "ayd/core/pattern.hpp"
+#include "ayd/core/segmented.hpp"
 #include "ayd/exec/thread_pool.hpp"
 #include "ayd/model/system.hpp"
 #include "ayd/sim/protocol.hpp"
@@ -21,9 +22,8 @@
 namespace ayd::sim {
 
 /// Every protocol and failure world has both backends, each one segmented
-/// interpreter (sim/segmented.hpp) for VC, multi-verification
-/// (sim/multi_protocol.hpp), two-level patterns
-/// (sim/two_level_protocol.hpp) and extended Systems
+/// interpreter (sim/segmented.hpp) for VC, multi-verification and
+/// two-level patterns (core/segmented.hpp) and extended Systems
 /// (model/correlated.hpp). A VC pattern on a plain System is each
 /// interpreter's plain shape, whose draws tests/sim_bitcompat_test.cpp
 /// pins bit-for-bit.
@@ -145,5 +145,16 @@ inline constexpr std::size_t kMinPatternsPerTask = 1024;
     const model::System& sys, const core::Pattern& pattern,
     const ReplicationOptions& opt, const AdaptiveOptions& adapt,
     exec::ThreadPool* pool = nullptr, ReplicationScratch* scratch = nullptr);
+
+/// Fixed-count replication of a segmented pattern (core/segmented.hpp);
+/// the system type picks the protocol, opt.backend the interpreter, and
+/// analytic_* carry the protocol's exponential closed form. Segmented
+/// patterns have no CRN pool mode (opt.shared_units must be null).
+[[nodiscard]] ReplicationResult simulate_segmented_overhead(
+    const model::System& sys, const core::SegmentedPattern& pattern,
+    const ReplicationOptions& opt = {}, exec::ThreadPool* pool = nullptr);
+[[nodiscard]] ReplicationResult simulate_segmented_overhead(
+    const core::TwoLevelSystem& sys, const core::SegmentedPattern& pattern,
+    const ReplicationOptions& opt = {}, exec::ThreadPool* pool = nullptr);
 
 }  // namespace ayd::sim

@@ -36,14 +36,14 @@ SegmentedWorld::SegmentedWorld(const model::System& sys,
 }
 
 SegmentedWorld::SegmentedWorld(const model::System& sys,
-                               const core::MultiPattern& pattern)
+                               const core::SegmentedPattern& pattern)
     : SegmentedWorld(sys, pattern.period, pattern.procs, pattern.segments,
                      false) {
   core::validate(pattern);
 }
 
 SegmentedWorld::SegmentedWorld(const core::TwoLevelSystem& sys,
-                               const core::TwoLevelPattern& pattern)
+                               const core::SegmentedPattern& pattern)
     : SegmentedWorld(sys.base, pattern.period, pattern.procs,
                      pattern.segments, true) {
   core::validate(pattern);

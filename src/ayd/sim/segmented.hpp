@@ -78,9 +78,8 @@
 #include <memory>
 #include <vector>
 
-#include "ayd/core/multi_verification.hpp"
 #include "ayd/core/pattern.hpp"
-#include "ayd/core/two_level.hpp"
+#include "ayd/core/segmented.hpp"
 #include "ayd/model/system.hpp"
 #include "ayd/rng/block.hpp"
 #include "ayd/rng/stream.hpp"
@@ -103,9 +102,10 @@ struct FailSource {
 /// the segment plan of one pattern.
 struct SegmentedWorld {
   SegmentedWorld(const model::System& sys, const core::Pattern& pattern);
-  SegmentedWorld(const model::System& sys, const core::MultiPattern& pattern);
+  SegmentedWorld(const model::System& sys,
+                 const core::SegmentedPattern& pattern);
   SegmentedWorld(const core::TwoLevelSystem& sys,
-                 const core::TwoLevelPattern& pattern);
+                 const core::SegmentedPattern& pattern);
 
   /// Recovery cost of the tier a rollback chain is on.
   [[nodiscard]] double recovery_cost(bool pfs) const {
@@ -163,10 +163,10 @@ class SegmentedFastSimulator {
   /// still lands here.
   template <class = void>
   SegmentedFastSimulator(const model::System& sys,
-                         const core::MultiPattern& pattern)
+                         const core::SegmentedPattern& pattern)
       : SegmentedFastSimulator(detail::SegmentedWorld(sys, pattern)) {}
   SegmentedFastSimulator(const core::TwoLevelSystem& sys,
-                         const core::TwoLevelPattern& pattern)
+                         const core::SegmentedPattern& pattern)
       : SegmentedFastSimulator(detail::SegmentedWorld(sys, pattern)) {}
 
   /// One pattern is the n == 1 replica (merging into zeroed totals is the
@@ -278,10 +278,10 @@ class SegmentedDesSimulator {
   /// SegmentedFastSimulator.
   template <class = void>
   SegmentedDesSimulator(const model::System& sys,
-                        const core::MultiPattern& pattern)
+                        const core::SegmentedPattern& pattern)
       : SegmentedDesSimulator(detail::SegmentedWorld(sys, pattern)) {}
   SegmentedDesSimulator(const core::TwoLevelSystem& sys,
-                        const core::TwoLevelPattern& pattern)
+                        const core::SegmentedPattern& pattern)
       : SegmentedDesSimulator(detail::SegmentedWorld(sys, pattern)) {}
 
   /// Simulates one pattern to completion. If `trace` is given, appends

@@ -9,14 +9,11 @@
 #include <memory>
 #include <ostream>
 
-#include "ayd/core/multi_verification.hpp"
 #include "ayd/core/optimizer.hpp"
-#include "ayd/core/two_level.hpp"
+#include "ayd/core/segmented.hpp"
 #include "ayd/exec/thread_pool.hpp"
 #include "ayd/io/table.hpp"
-#include "ayd/sim/multi_protocol.hpp"
 #include "ayd/sim/runner.hpp"
-#include "ayd/sim/two_level_protocol.hpp"
 #include "ayd/util/strings.hpp"
 
 namespace ayd::tool {
@@ -58,8 +55,9 @@ int cmd_protocols(const std::vector<std::string>& args, std::ostream& out) {
                  util::format_sig(base_sim.overhead.mean, 4) + " ±" +
                      util::format_sig(base_sim.overhead.ci.half_width(), 2)});
 
-  const core::MultiOptimum mv = core::optimal_multi_pattern(sys, procs);
-  const sim::ReplicationResult mv_sim = sim::simulate_multi_overhead(
+  const core::SegmentedOptimum mv =
+      core::optimal_segmented_pattern(sys, procs);
+  const sim::ReplicationResult mv_sim = sim::simulate_segmented_overhead(
       sys, {mv.period, procs, mv.segments}, opt, &pool);
   table.add_row({"multi-verification", std::to_string(mv.segments),
                  util::format_sig(mv.period, 4),
@@ -69,9 +67,9 @@ int cmd_protocols(const std::vector<std::string>& args, std::ostream& out) {
 
   const core::TwoLevelSystem two_sys =
       core::TwoLevelSystem::with_memory_level1(sys);
-  const core::TwoLevelOptimum two =
-      core::optimal_two_level_pattern(two_sys, procs);
-  const sim::ReplicationResult two_sim = sim::simulate_two_level_overhead(
+  const core::SegmentedOptimum two =
+      core::optimal_segmented_pattern(two_sys, procs);
+  const sim::ReplicationResult two_sim = sim::simulate_segmented_overhead(
       two_sys, {two.period, procs, two.segments}, opt, &pool);
   table.add_row({"two-level checkpointing", std::to_string(two.segments),
                  util::format_sig(two.period, 4),

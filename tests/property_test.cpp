@@ -9,11 +9,10 @@
 #include "ayd/core/first_order.hpp"
 #include "ayd/core/optimizer.hpp"
 #include "ayd/core/overhead.hpp"
-#include "ayd/core/two_level.hpp"
+#include "ayd/core/segmented.hpp"
 #include "ayd/math/special.hpp"
 #include "ayd/rng/stream.hpp"
 #include "ayd/sim/runner.hpp"
-#include "ayd/sim/two_level_protocol.hpp"
 
 namespace ayd {
 namespace {
@@ -179,7 +178,7 @@ TEST_P(SystemProperties, TwoLevelReducesToBaseAtOneSegment) {
   const core::TwoLevelSystem two{sys, sys.costs().recovery};
   const double base = core::expected_pattern_time(sys, pattern);
   if (!std::isfinite(base)) GTEST_SKIP();
-  const double reduced = core::expected_two_level_time(
+  const double reduced = core::expected_segmented_time(
       two, {pattern.period, pattern.procs, 1});
   EXPECT_LT(math::rel_diff(base, reduced), 1e-9);
 }
@@ -193,7 +192,7 @@ TEST_P(SystemProperties, TwoLevelExceedsFaultFreeFloor) {
     const double floor =
         pattern.period + n * sys.verification_cost(p) +
         (n - 1) * two.level1_cost(p) + sys.checkpoint_cost(p);
-    const double e = core::expected_two_level_time(
+    const double e = core::expected_segmented_time(
         two, {pattern.period, pattern.procs, n});
     if (std::isfinite(e)) {
       EXPECT_GE(e, floor - 1e-9 * floor) << "n=" << n;
@@ -205,15 +204,15 @@ TEST_P(SystemProperties, TwoLevelSimulationAgreesWithFormula) {
   const auto [sys, pattern] = draw_config(GetParam());
   const core::TwoLevelSystem two =
       core::TwoLevelSystem::with_memory_level1(sys);
-  const core::TwoLevelPattern pat{pattern.period, pattern.procs, 3};
-  const double expected = core::expected_two_level_time(two, pat);
+  const core::SegmentedPattern pat{pattern.period, pattern.procs, 3};
+  const double expected = core::expected_segmented_time(two, pat);
   if (!std::isfinite(expected)) GTEST_SKIP();
   sim::ReplicationOptions opt;
   opt.replicas = 24;
   opt.patterns_per_replica = 40;
   opt.seed = GetParam() * 6151 + 29;
   const sim::ReplicationResult r =
-      sim::simulate_two_level_overhead(two, pat, opt);
+      sim::simulate_segmented_overhead(two, pat, opt);
   const double z = (r.pattern_time.mean - expected) /
                    std::max(r.pattern_time.stderr_mean, 1e-12 * expected);
   EXPECT_LT(std::abs(z), 6.0) << "simulated " << r.pattern_time.mean

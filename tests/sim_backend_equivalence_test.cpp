@@ -20,8 +20,6 @@
 #include "ayd/core/first_order.hpp"
 #include "ayd/model/platform.hpp"
 #include "ayd/model/scenario.hpp"
-#include "ayd/sim/multi_protocol.hpp"
-#include "ayd/sim/two_level_protocol.hpp"
 
 namespace ayd::sim {
 namespace {
@@ -279,14 +277,14 @@ void expect_segmented_backends_agree(bool two_level) {
       ReplicationResult fast, des;
       if (two_level) {
         const auto two = core::TwoLevelSystem::with_memory_level1(sys);
-        fast = simulate_two_level_overhead(two, {period, p, 3},
+        fast = simulate_segmented_overhead(two, {period, p, 3},
                                            options(Backend::kFast));
-        des = simulate_two_level_overhead(two, {period, p, 3},
+        des = simulate_segmented_overhead(two, {period, p, 3},
                                           options(Backend::kDes));
       } else {
-        fast = simulate_multi_overhead(sys, {period, p, 3},
+        fast = simulate_segmented_overhead(sys, {period, p, 3},
                                        options(Backend::kFast));
-        des = simulate_multi_overhead(sys, {period, p, 3},
+        des = simulate_segmented_overhead(sys, {period, p, 3},
                                       options(Backend::kDes));
       }
       EXPECT_NEAR(fast.overhead.mean, des.overhead.mean,

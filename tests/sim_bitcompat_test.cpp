@@ -439,7 +439,7 @@ TEST(SimBitCompat, WordThresholdIsSoundAtTheBoundary) {
         model::TwoTierCostSpec::from_penalty(sys.costs(), 4.0));
     const detail::SegmentedWorld world(
         core::TwoLevelSystem{sys, CostModel::constant(60.0)},
-        core::TwoLevelPattern{20000.0, 256.0, 3});
+        core::SegmentedPattern{20000.0, 256.0, 3});
     scan(*world.silent, world.work, spec.to_string() + " silent, T/n");
     for (const detail::FailSource& src : world.fail_sources) {
       const std::string label =

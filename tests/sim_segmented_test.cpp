@@ -14,9 +14,7 @@
 #include "ayd/core/first_order.hpp"
 #include "ayd/model/platform.hpp"
 #include "ayd/model/scenario.hpp"
-#include "ayd/sim/multi_protocol.hpp"
 #include "ayd/sim/runner.hpp"
-#include "ayd/sim/two_level_protocol.hpp"
 #include "ayd/util/error.hpp"
 
 namespace ayd::sim {
@@ -48,7 +46,7 @@ TEST(SegmentedReduction, MultiOneSegmentIsTheVcPatternBitwise) {
   // bit-pinned FastProtocolSimulator pattern for pattern.
   const System sys = make_system(2e-7, 0.4, 300.0, 30.0, 1800.0);
   FastProtocolSimulator vc(sys, {20000.0, 256.0});
-  MultiVerifSimulator multi(sys, core::MultiPattern{20000.0, 256.0, 1});
+  SegmentedFastSimulator multi(sys, core::SegmentedPattern{20000.0, 256.0, 1});
   rng::RngStream ra(41), rb(41);
   for (int i = 0; i < 200; ++i) {
     const PatternStats a = vc.simulate_pattern(ra);
@@ -62,7 +60,7 @@ TEST(SegmentedReduction, MultiOneSegmentIsTheVcPatternBitwise) {
   opt.patterns_per_replica = 30;
   const ReplicationResult r1 = simulate_overhead(sys, {20000.0, 256.0}, opt);
   const ReplicationResult r2 =
-      simulate_multi_overhead(sys, {20000.0, 256.0, 1}, opt);
+      simulate_segmented_overhead(sys, {20000.0, 256.0, 1}, opt);
   EXPECT_EQ(r1.overhead.mean, r2.overhead.mean);
   EXPECT_EQ(r1.pattern_time.mean, r2.pattern_time.mean);
 
@@ -76,7 +74,7 @@ TEST(SegmentedReduction, MultiOneSegmentIsTheVcPatternBitwise) {
     const System lawful = sys.with_failure_dist(law);
     DesProtocolSimulator vc_des(lawful, {20000.0, 256.0});
     SegmentedDesSimulator multi_des(lawful,
-                                    core::MultiPattern{20000.0, 256.0, 1});
+                                    core::SegmentedPattern{20000.0, 256.0, 1});
     rng::RngStream rc(43), rd(43);
     for (int i = 0; i < 200; ++i) {
       const PatternStats a = vc_des.simulate_pattern(rc);
@@ -88,7 +86,7 @@ TEST(SegmentedReduction, MultiOneSegmentIsTheVcPatternBitwise) {
     const ReplicationResult d1 =
         simulate_overhead(lawful, {20000.0, 256.0}, opt);
     const ReplicationResult d2 =
-        simulate_multi_overhead(lawful, {20000.0, 256.0, 1}, opt);
+        simulate_segmented_overhead(lawful, {20000.0, 256.0, 1}, opt);
     EXPECT_EQ(d1.overhead.mean, d2.overhead.mean) << law.to_string();
     EXPECT_EQ(d1.pattern_time.mean, d2.pattern_time.mean) << law.to_string();
   }
@@ -104,7 +102,7 @@ TEST(SegmentedReduction, TwoLevelOneSegmentWithLEqualRIsTheVcPattern) {
       model::TwoTierCostSpec::from_penalty(sys.costs(), 3.0));
   const core::TwoLevelSystem two{sys, sys.costs().recovery};
   SegmentedFastSimulator vc(sys, core::Pattern{20000.0, 256.0});
-  TwoLevelSimulator level(two, {20000.0, 256.0, 1});
+  SegmentedFastSimulator level(two, {20000.0, 256.0, 1});
   rng::RngStream ra(43), rb(43);
   for (int i = 0; i < 200; ++i) {
     const PatternStats a = vc.simulate_pattern(ra);
@@ -209,12 +207,12 @@ std::pair<PatternStats, std::uint64_t> run_pin(World world, Law law_id) {
   };
   switch (world) {
     case World::kMulti2:
-      return finish(Sim(base, core::MultiPattern{kT, kP, 2}));
+      return finish(Sim(base, core::SegmentedPattern{kT, kP, 2}));
     case World::kMulti3:
-      return finish(Sim(base, core::MultiPattern{kT, kP, 3}));
+      return finish(Sim(base, core::SegmentedPattern{kT, kP, 3}));
     case World::kTwoLevel:
       return finish(Sim(core::TwoLevelSystem{base, CostModel::constant(60.0)},
-                        core::TwoLevelPattern{kT, kP, 3}));
+                        core::SegmentedPattern{kT, kP, 3}));
     case World::kHetero: {
       model::HeterogeneousSpec hetero;
       hetero.groups = {{0.5, 1.6, law}, {0.5, 0.4, law}};
@@ -359,8 +357,8 @@ TEST(SegmentedPins, EveryWorldAndLawIsBitStableOnBothInterpreters) {
 
 TEST(SegmentedBounds, MultiPathologicalRatesThrowInsteadOfHanging) {
   const System sys = make_system(1e-3, 0.5, 300.0, 30.0, 1800.0);
-  const core::MultiPattern pattern{1e7, 4096.0, 4};
-  MultiVerifSimulator fast(sys, pattern);
+  const core::SegmentedPattern pattern{1e7, 4096.0, 4};
+  SegmentedFastSimulator fast(sys, pattern);
   rng::RngStream rng(5);
   EXPECT_THROW((void)fast.simulate_pattern(rng), util::SimulationDiverged);
 }
@@ -371,14 +369,14 @@ TEST(SegmentedBounds, SilentRetryStormThrowsInsteadOfHanging) {
   const System base = make_system(1e-3, 0.0, 100.0, 10.0, 3600.0);
   const core::TwoLevelSystem sys = core::TwoLevelSystem::with_memory_level1(
       base);
-  TwoLevelSimulator fast(sys, {1e7, 4096.0, 2});
+  SegmentedFastSimulator fast(sys, {1e7, 4096.0, 2});
   rng::RngStream rng(7);
   EXPECT_THROW((void)fast.simulate_pattern(rng), util::SimulationDiverged);
 }
 
 TEST(SegmentedDes, MultiTraceTilesWallTime) {
   const System sys = make_system(2e-7, 0.5, 200.0, 20.0, 900.0);
-  SegmentedDesSimulator des(sys, core::MultiPattern{15000.0, 256.0, 3});
+  SegmentedDesSimulator des(sys, core::SegmentedPattern{15000.0, 256.0, 3});
   rng::RngStream rng(29);
   Trace trace;
   double clock = 0.0;
@@ -406,7 +404,7 @@ TEST(SegmentedWorld, RefusesASharedVariatePool) {
   opt.patterns_per_replica = 2;
   opt.seed = 1;
   opt.shared_units = &pool;
-  EXPECT_THROW((void)simulate_multi_overhead(sys, {15000.0, 256.0, 3}, opt),
+  EXPECT_THROW((void)simulate_segmented_overhead(sys, {15000.0, 256.0, 3}, opt),
                util::InvalidArgument);
 
   // Direct cursor hand-offs: only a plain VC world with unit-samplable
@@ -428,9 +426,10 @@ TEST(SegmentedWorld, RefusesASharedVariatePool) {
   model::HeterogeneousSpec hetero;
   hetero.groups = {{0.5, 1.6, sys.failure().dist()},
                    {0.5, 0.4, sys.failure().dist()}};
-  refuses(MultiVerifSimulator(sys, core::MultiPattern{15000.0, 256.0, 2}));
-  refuses(TwoLevelSimulator(core::TwoLevelSystem::with_memory_level1(sys),
-                            {15000.0, 256.0, 2}));
+  refuses(
+      SegmentedFastSimulator(sys, core::SegmentedPattern{15000.0, 256.0, 2}));
+  refuses(SegmentedFastSimulator(core::TwoLevelSystem::with_memory_level1(sys),
+                                 {15000.0, 256.0, 2}));
   refuses(SegmentedFastSimulator(sys.with_shock({0.6, 0.05}), vc));
   refuses(SegmentedFastSimulator(sys.with_heterogeneity(hetero), vc));
   refuses(SegmentedFastSimulator(
@@ -447,7 +446,8 @@ TEST(SegmentedWorld, RefusesASharedVariatePool) {
     EXPECT_NO_THROW(plain.set_unit_cursor(&cursor)) << law.to_string();
     EXPECT_NO_THROW(plain.set_unit_cursor(nullptr)) << law.to_string();
   }
-  refuses(SegmentedDesSimulator(sys, core::MultiPattern{15000.0, 256.0, 2}));
+  refuses(
+      SegmentedDesSimulator(sys, core::SegmentedPattern{15000.0, 256.0, 2}));
   refuses(SegmentedDesSimulator(core::TwoLevelSystem::with_memory_level1(sys),
                                 {15000.0, 256.0, 2}));
   refuses(SegmentedDesSimulator(sys.with_shock({0.6, 0.05}), vc));

@@ -2,7 +2,8 @@
 // accounting, agreement with the exact expectation, reduction to the base
 // fast sampler at n = 1, and the error-telemetry invariants.
 
-#include "ayd/sim/two_level_protocol.hpp"
+#include "ayd/sim/runner.hpp"
+#include "ayd/sim/segmented.hpp"
 
 #include <cmath>
 #include <gtest/gtest.h>
@@ -14,7 +15,7 @@
 namespace ayd::sim {
 namespace {
 
-using core::TwoLevelPattern;
+using core::SegmentedPattern;
 using core::TwoLevelSystem;
 using model::CostModel;
 using model::FailureModel;
@@ -31,7 +32,7 @@ System make_system(double lambda, double f, double c, double v, double d) {
 TEST(TwoLevelSim, ErrorFreePatternIsExact) {
   const System base = make_system(0.0, 0.0, 120.0, 10.0, 3600.0);
   const TwoLevelSystem sys{base, CostModel::constant(4.0)};
-  TwoLevelSimulator simulator(sys, {9000.0, 64.0, 3});
+  SegmentedFastSimulator simulator(sys, {9000.0, 64.0, 3});
   rng::RngStream rng(1);
   const PatternStats s = simulator.simulate_pattern(rng);
   // 3 segments x (3000 + 10) + 2 level-1 checkpoints + 1 level-2.
@@ -44,14 +45,14 @@ TEST(TwoLevelSim, ErrorFreePatternIsExact) {
 TEST(TwoLevelSim, MatchesExactExpectation) {
   const System base = make_system(2e-7, 0.35, 250.0, 20.0, 900.0);
   const TwoLevelSystem sys = TwoLevelSystem::with_memory_level1(base);
-  const TwoLevelPattern pat{20000.0, 256.0, 4};
-  const double expected = core::expected_two_level_time(sys, pat);
+  const SegmentedPattern pat{20000.0, 256.0, 4};
+  const double expected = core::expected_segmented_time(sys, pat);
 
   ReplicationOptions opt;
   opt.replicas = 60;
   opt.patterns_per_replica = 80;
   opt.seed = 42;
-  const ReplicationResult r = simulate_two_level_overhead(sys, pat, opt);
+  const ReplicationResult r = simulate_segmented_overhead(sys, pat, opt);
   const double z = (r.pattern_time.mean - expected) /
                    std::max(r.pattern_time.stderr_mean, 1e-12);
   EXPECT_LT(std::abs(z), 4.0)
@@ -65,17 +66,17 @@ TEST(TwoLevelSim, OneSegmentMatchesBaseFastSampler) {
   // prediction must match Proposition 1 exactly.
   const System base = make_system(1e-7, 0.4, 300.0, 30.0, 1800.0);
   const TwoLevelSystem sys{base, base.costs().recovery};
-  const TwoLevelPattern pat{20000.0, 256.0, 1};
+  const SegmentedPattern pat{20000.0, 256.0, 1};
 
   const double prop1 = core::expected_pattern_time(base, {20000.0, 256.0});
-  EXPECT_NEAR(core::expected_two_level_time(sys, pat), prop1,
+  EXPECT_NEAR(core::expected_segmented_time(sys, pat), prop1,
               1e-9 * prop1);
 
   ReplicationOptions opt;
   opt.replicas = 50;
   opt.patterns_per_replica = 60;
   opt.seed = 7;
-  const ReplicationResult r = simulate_two_level_overhead(sys, pat, opt);
+  const ReplicationResult r = simulate_segmented_overhead(sys, pat, opt);
   const double z = (r.pattern_time.mean - prop1) /
                    std::max(r.pattern_time.stderr_mean, 1e-12);
   EXPECT_LT(std::abs(z), 4.0);
@@ -86,7 +87,7 @@ TEST(TwoLevelSim, SilentOnlyNeverRestartsPattern) {
   // pattern-level attempt counter must stay at one per pattern.
   const System base = make_system(3e-8, 0.0, 100.0, 10.0, 3600.0);
   const TwoLevelSystem sys = TwoLevelSystem::with_memory_level1(base);
-  TwoLevelSimulator simulator(sys, {30000.0, 512.0, 5});
+  SegmentedFastSimulator simulator(sys, {30000.0, 512.0, 5});
   rng::RngStream rng(11);
   PatternStats totals;
   for (int i = 0; i < 200; ++i) totals.merge(simulator.simulate_pattern(rng));
@@ -105,17 +106,17 @@ TEST(TwoLevelSim, SilentRollbackIsCheaperWithMoreSegments) {
   opt.patterns_per_replica = 50;
   opt.seed = 3;
   const ReplicationResult one =
-      simulate_two_level_overhead(sys, {40000.0, 512.0, 1}, opt);
+      simulate_segmented_overhead(sys, {40000.0, 512.0, 1}, opt);
   const ReplicationResult eight =
-      simulate_two_level_overhead(sys, {40000.0, 512.0, 8}, opt);
+      simulate_segmented_overhead(sys, {40000.0, 512.0, 8}, opt);
   EXPECT_LT(eight.overhead.mean, one.overhead.mean);
 }
 
 TEST(TwoLevelSim, DeterministicGivenSeed) {
   const System base = make_system(1e-7, 0.4, 300.0, 30.0, 1800.0);
   const TwoLevelSystem sys = TwoLevelSystem::with_memory_level1(base);
-  TwoLevelSimulator a(sys, {20000.0, 256.0, 4});
-  TwoLevelSimulator b(sys, {20000.0, 256.0, 4});
+  SegmentedFastSimulator a(sys, {20000.0, 256.0, 4});
+  SegmentedFastSimulator b(sys, {20000.0, 256.0, 4});
   rng::RngStream ra(99), rb(99);
   for (int i = 0; i < 50; ++i) {
     const PatternStats sa = a.simulate_pattern(ra);
@@ -128,7 +129,7 @@ TEST(TwoLevelSim, DeterministicGivenSeed) {
 TEST(TwoLevelSim, WallTimeNeverBelowFaultFreeFloor) {
   const System base = make_system(2e-7, 0.3, 150.0, 15.0, 600.0);
   const TwoLevelSystem sys{base, CostModel::constant(6.0)};
-  TwoLevelSimulator simulator(sys, {10000.0, 128.0, 5});
+  SegmentedFastSimulator simulator(sys, {10000.0, 128.0, 5});
   rng::RngStream rng(3);
   const double floor = 10000.0 + 5.0 * 15.0 + 4.0 * 6.0 + 150.0;
   for (int i = 0; i < 100; ++i) {
@@ -151,7 +152,7 @@ TEST(TwoLevelDes, AgreesWithFastSamplerStatistically) {
   // from the two back-ends must agree within combined standard errors.
   const System base = make_system(2e-7, 0.35, 250.0, 20.0, 900.0);
   const TwoLevelSystem sys = TwoLevelSystem::with_memory_level1(base);
-  const TwoLevelPattern pat{20000.0, 256.0, 4};
+  const SegmentedPattern pat{20000.0, 256.0, 4};
 
   ReplicationOptions fast_opt;
   fast_opt.replicas = 50;
@@ -162,9 +163,9 @@ TEST(TwoLevelDes, AgreesWithFastSamplerStatistically) {
   des_opt.seed = 18;  // independent draws
   des_opt.backend = Backend::kDes;
 
-  const ReplicationResult fast = simulate_two_level_overhead(sys, pat,
+  const ReplicationResult fast = simulate_segmented_overhead(sys, pat,
                                                              fast_opt);
-  const ReplicationResult des = simulate_two_level_overhead(sys, pat,
+  const ReplicationResult des = simulate_segmented_overhead(sys, pat,
                                                             des_opt);
   const double se = std::sqrt(
       fast.pattern_time.stderr_mean * fast.pattern_time.stderr_mean +
@@ -223,7 +224,7 @@ TEST(TwoLevelDes, SilentRetryStaysWithinSegment) {
 TEST(TwoLevelSim, PathologicalRatesThrowInsteadOfHanging) {
   const System base = make_system(1e-3, 0.5, 300.0, 30.0, 1800.0);
   const TwoLevelSystem sys = TwoLevelSystem::with_memory_level1(base);
-  TwoLevelSimulator simulator(sys, {1e7, 4096.0, 2});
+  SegmentedFastSimulator simulator(sys, {1e7, 4096.0, 2});
   rng::RngStream rng(5);
   EXPECT_THROW((void)simulator.simulate_pattern(rng),
                util::SimulationDiverged);
