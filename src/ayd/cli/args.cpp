@@ -34,12 +34,6 @@ const ArgParser::Spec& ArgParser::lookup(const std::string& name) const {
   return it->second;
 }
 
-ArgParser::Spec& ArgParser::lookup(const std::string& name) {
-  const auto it = specs_.find(name);
-  AYD_REQUIRE(it != specs_.end(), "undeclared argument: " + name);
-  return it->second;
-}
-
 void ArgParser::parse_args(const std::vector<std::string>& args) {
   std::vector<const char*> argv;
   argv.reserve(args.size() + 1);

@@ -54,7 +54,6 @@ class ArgParser {
   };
 
   [[nodiscard]] const Spec& lookup(const std::string& name) const;
-  [[nodiscard]] Spec& lookup(const std::string& name);
 
   std::string program_;
   std::string description_;

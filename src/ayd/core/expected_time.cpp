@@ -60,50 +60,12 @@ double checkpoint_expectation(const Params& p, double etv) {
 
 }  // namespace
 
-double expected_recovery_time(const model::System& sys, double procs) {
-  AYD_REQUIRE(std::isfinite(procs) && procs >= 1.0,
-              "processor count must be finite and >= 1");
-  return recovery_expectation(params_at(sys, procs));
-}
-
-double expected_work_time(const model::System& sys, const Pattern& pattern) {
-  validate(pattern);
-  const Params p = params_at(sys, pattern.procs);
-  return work_expectation(p, pattern.period);
-}
-
-double expected_checkpoint_time(const model::System& sys,
-                                const Pattern& pattern) {
-  validate(pattern);
-  const Params p = params_at(sys, pattern.procs);
-  return checkpoint_expectation(p, work_expectation(p, pattern.period));
-}
-
 double expected_pattern_time(const model::System& sys,
                              const Pattern& pattern) {
   validate(pattern);
   const Params p = params_at(sys, pattern.procs);
   const double etv = work_expectation(p, pattern.period);
   return etv + checkpoint_expectation(p, etv);
-}
-
-double expected_pattern_time_direct(const model::System& sys,
-                                    const Pattern& pattern) {
-  validate(pattern);
-  const Params p = params_at(sys, pattern.procs);
-  const double t = pattern.period;
-  if (p.lf == 0.0) {
-    // λf → 0 limit of Prop. 1: E = e^{λs·T}(T+V) + (e^{λs·T} − 1)R + C.
-    const double b = p.ls * t;
-    return std::exp(b) * (t + p.v) + std::expm1(b) * p.r + p.c;
-  }
-  const double m = 1.0 / p.lf + p.d;
-  const double a = p.lf * p.c;
-  const double b = p.ls * t;
-  const double x = p.lf * (p.c + t + p.v) + b;
-  // E = M·[ e^{λf·R}·expm1(x) − e^{λf·C}·expm1(λs·T) ].
-  return m * (std::exp(p.lf * p.r) * std::expm1(x) -
-              std::exp(a) * std::expm1(b));
 }
 
 double log_expected_pattern_time(const model::System& sys,

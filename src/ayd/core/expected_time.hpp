@@ -1,5 +1,4 @@
-// Exact expected execution time of a pattern (Proposition 1 of the paper)
-// and its component expectations.
+// Exact expected execution time of a pattern (Proposition 1 of the paper).
 //
 // Notation (all rates/costs evaluated at the pattern's P):
 //   λf = fail-stop rate, λs = silent rate, C = checkpoint cost,
@@ -9,19 +8,19 @@
 // Proposition 1:
 //   E(pattern) = M · [ e^{λf·C}(1 − e^{λs·T}) + e^{λf·R}(e^{λf·(C+T+V)+λs·T} − 1) ]
 //
-// This file exposes three equivalent implementations:
+// This file exposes two equivalent implementations:
 //
-//  * expected_pattern_time()        — cancellation-free composition of the
+//  * expected_pattern_time()     — cancellation-free composition of the
 //    component expectations through expm1/exprel primitives. Exact in the
-//    λf → 0 and λs → 0 limits; the default everywhere.
-//  * expected_pattern_time_direct() — the Prop.-1 closed form verbatim,
-//    kept as an independent cross-check (tests pin the two together).
-//  * log_expected_pattern_time()    — log E, finite even when the
+//    λf → 0 and λs → 0 limits; the default everywhere. The test suite pins
+//    it against the Prop.-1 closed form evaluated verbatim
+//    (tests/support/core_reference.hpp).
+//  * log_expected_pattern_time() — log E, finite even when the
 //    exponents overflow double range (the joint optimiser probes P up to
 //    10^13 where λf·C_P alone exceeds exp overflow).
 //
-// Component expectations (proof of Prop. 1), also exposed for tests and
-// for the simulator validation:
+// The composition sums the component expectations of the proof of
+// Prop. 1:
 //   E(R)   = M(e^{λf·R} − 1)
 //   E(T+V) = e^{λs·T}(e^{λf(T+V)} − 1)·M + (e^{λf(T+V)+λs·T} − 1)·E(R)
 //   E(C)   = (e^{λf·C} − 1)(M·e^{λf·R} + E(T+V))
@@ -34,34 +33,10 @@
 
 namespace ayd::core {
 
-/// Expected time to complete one recovery, including failed recovery
-/// attempts (each fail-stop during recovery costs the time lost plus the
-/// downtime D). Equals R when λf == 0.
-[[nodiscard]] double expected_recovery_time(const model::System& sys,
-                                            double procs);
-
-/// Expected time to complete the work+verification segment of a pattern,
-/// including all re-executions caused by fail-stop and detected silent
-/// errors. Equals e^{λs·T}(T+V) + (e^{λs·T} − 1)·R when λf == 0 and
-/// T + V when error-free.
-[[nodiscard]] double expected_work_time(const model::System& sys,
-                                        const Pattern& pattern);
-
-/// Expected time to store the final checkpoint, including the full pattern
-/// re-executions triggered when a fail-stop error strikes mid-checkpoint.
-/// Equals C when λf == 0.
-[[nodiscard]] double expected_checkpoint_time(const model::System& sys,
-                                              const Pattern& pattern);
-
 /// Exact expected execution time of the pattern (stable composition form).
 /// Returns +inf if the value exceeds double range; use the log form then.
 [[nodiscard]] double expected_pattern_time(const model::System& sys,
                                            const Pattern& pattern);
-
-/// The Proposition-1 closed form evaluated verbatim. Numerically fine for
-/// moderate exponents (λ·x ≲ 1), used as an independent cross-check.
-[[nodiscard]] double expected_pattern_time_direct(const model::System& sys,
-                                                  const Pattern& pattern);
 
 /// log E(pattern); finite for any valid input, however extreme.
 [[nodiscard]] double log_expected_pattern_time(const model::System& sys,

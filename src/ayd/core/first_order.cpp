@@ -7,22 +7,6 @@
 
 namespace ayd::core {
 
-double first_order_pattern_time(const model::System& sys,
-                                const Pattern& pattern) {
-  validate(pattern);
-  const double p = pattern.procs;
-  const double t = pattern.period;
-  const double lf = sys.fail_stop_rate(p);
-  const double ls = sys.silent_rate(p);
-  const double c = sys.checkpoint_cost(p);
-  const double r = sys.recovery_cost(p);
-  const double v = sys.verification_cost(p);
-  const double d = sys.downtime();
-  return t + v + c + (lf / 2.0 + ls) * t * t +
-         lf * t * (v + c + r + d) + ls * t * (v + r) +
-         lf * c * (c / 2.0 + r + v + d) + lf * v * (v + r + d);
-}
-
 double first_order_overhead(const model::System& sys,
                             const Pattern& pattern) {
   validate(pattern);

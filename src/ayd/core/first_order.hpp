@@ -1,7 +1,7 @@
 // First-order (Young/Daly-style) approximations: the paper's Section III.
 //
-// * first_order_pattern_time / first_order_overhead — the Taylor expansion
-//   of E(pattern) and H(T,P) used in the proof of Theorem 1.
+// * first_order_overhead — the Taylor expansion of H(T,P) used in the
+//   proof of Theorem 1.
 // * optimal_period_first_order — Theorem 1:
 //     T*_P = sqrt( (V_P + C_P) / (λf_P/2 + λs_P) ).
 // * solve_first_order — Theorems 2 & 3 and the case analysis of
@@ -23,13 +23,6 @@
 #include "ayd/model/system.hpp"
 
 namespace ayd::core {
-
-/// Second-order Taylor expansion of the exact E(pattern) (proof of
-/// Theorem 1):
-///   E ≈ T + V + C + (λf/2 + λs)·T² + λf·T·(V + C + R + D)
-///       + λs·T·(V + R) + λf·C·(C/2 + R + V + D) + λf·V·(V + R + D).
-[[nodiscard]] double first_order_pattern_time(const model::System& sys,
-                                              const Pattern& pattern);
 
 /// First-order expected overhead (dropping o(λ) terms):
 ///   H(T, P) ≈ H(P)·( (V+C)/T + (λf/2 + λs)·T + 1 ).

@@ -1,19 +1,11 @@
 #include "ayd/core/overhead.hpp"
 
 #include <cmath>
-#include <limits>
 
 #include "ayd/core/expected_time.hpp"
 #include "ayd/util/contracts.hpp"
 
 namespace ayd::core {
-
-double pattern_speedup(const model::System& sys, const Pattern& pattern) {
-  validate(pattern);
-  const double e = expected_pattern_time(sys, pattern);
-  if (std::isinf(e)) return 0.0;
-  return pattern.period * sys.speedup(pattern.procs) / e;
-}
 
 double pattern_overhead(const model::System& sys, const Pattern& pattern) {
   validate(pattern);

@@ -1,7 +1,6 @@
-// Expected speedup / overhead / makespan of a pattern (paper, Section II,
+// Expected overhead / makespan of a pattern (paper, Section II,
 // "Optimization objective").
 //
-//   S(pattern) = T·S(P) / E(pattern)       expected speedup
 //   H(pattern) = E(pattern) / (T·S(P))     expected execution overhead
 //   E(W_final) ≈ H(pattern)·W_total        expected makespan
 //
@@ -17,10 +16,6 @@
 #include "ayd/model/system.hpp"
 
 namespace ayd::core {
-
-/// Expected speedup T·S(P)/E of the pattern. Returns 0 when E overflows.
-[[nodiscard]] double pattern_speedup(const model::System& sys,
-                                     const Pattern& pattern);
 
 /// Expected execution overhead H(pattern) = E/(T·S(P)). +inf on overflow
 /// (use log_pattern_overhead for optimisation).

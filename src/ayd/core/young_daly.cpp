@@ -7,34 +7,6 @@
 
 namespace ayd::core {
 
-namespace {
-
-void check_args(double mtbf, double cost) {
-  AYD_REQUIRE(mtbf > 0.0, "platform MTBF must be positive");
-  AYD_REQUIRE(cost >= 0.0, "checkpoint cost must be nonnegative");
-}
-
-}  // namespace
-
-double young_period(double platform_mtbf, double checkpoint_cost) {
-  check_args(platform_mtbf, checkpoint_cost);
-  return std::sqrt(2.0 * platform_mtbf * checkpoint_cost);
-}
-
-double daly_period(double platform_mtbf, double checkpoint_cost) {
-  check_args(platform_mtbf, checkpoint_cost);
-  const double half_ratio = checkpoint_cost / (2.0 * platform_mtbf);
-  if (half_ratio >= 1.0) return platform_mtbf;
-  const double base = std::sqrt(2.0 * platform_mtbf * checkpoint_cost);
-  return base * (1.0 + std::sqrt(half_ratio) / 3.0 + half_ratio / 9.0) -
-         checkpoint_cost;
-}
-
-double young_overhead(double platform_mtbf, double checkpoint_cost) {
-  check_args(platform_mtbf, checkpoint_cost);
-  return std::sqrt(2.0 * checkpoint_cost / platform_mtbf);
-}
-
 double daly_period_vc(const model::System& sys, double procs) {
   AYD_REQUIRE(std::isfinite(procs) && procs >= 1.0,
               "processor count must be finite and >= 1");

@@ -1,32 +1,16 @@
-// Classical checkpointing-period formulas: Young (1974) and Daly (2006).
+// Daly's higher-order checkpointing period (Daly 2006) transplanted to the
+// VC protocol of the paper.
 //
-// These are the fail-stop-only baselines the paper's title generalises.
-// With silent errors absent (s = 0), no verification, and negligible D,
-// the paper's Theorem 1 reduces exactly to Young's formula
-//   T_Y = sqrt(2·μ·C)
-// where μ is the *platform* MTBF — a reduction the test suite pins.
+// The classical fail-stop-only formulas this generalises, Young's
+// T_Y = sqrt(2·μ·C) and Daly's series, live with the test suite
+// (tests/support/core_reference.hpp), which pins Theorem 1's reduction to
+// Young's formula when silent errors, verification and downtime vanish.
 
 #pragma once
 
 #include "ayd/model/system.hpp"
 
 namespace ayd::core {
-
-/// Young's first-order optimum T = sqrt(2·μ·C).
-/// `platform_mtbf` is the MTBF of the whole platform (μ_ind / P), seconds.
-[[nodiscard]] double young_period(double platform_mtbf,
-                                  double checkpoint_cost);
-
-/// Daly's higher-order estimate (Future Gener. Comput. Syst. 22(3), 2006):
-///   T = sqrt(2·μ·C)·[1 + (1/3)·sqrt(C/(2μ)) + (1/9)·(C/(2μ))] − C
-/// for C < 2μ, and T = μ otherwise.
-[[nodiscard]] double daly_period(double platform_mtbf,
-                                 double checkpoint_cost);
-
-/// Young's first-order overhead estimate at the optimal period:
-///   H ≈ sqrt(2·C/μ)  (relative time lost to checkpoints + rollbacks).
-[[nodiscard]] double young_overhead(double platform_mtbf,
-                                    double checkpoint_cost);
 
 /// Extension: Daly's higher-order correction transplanted to the VC
 /// protocol. Theorem 1's T*_P = sqrt(K/Λ) with K = V_P + C_P and

@@ -64,14 +64,6 @@ std::vector<double> collect(const std::vector<const Record*>& records,
   return out;
 }
 
-std::vector<double> collect(const std::vector<Record>& records,
-                            std::string_view key) {
-  std::vector<double> out;
-  out.reserve(records.size());
-  for (const Record& rec : records) out.push_back(rec.num(key));
-  return out;
-}
-
 io::Table pivot(const std::vector<Record>& records, const ColumnSpec& row,
                 std::string_view column_label_key, const ColumnSpec& value) {
   // Distinct row cells and column labels, in first-appearance order.

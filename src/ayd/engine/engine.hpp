@@ -68,8 +68,6 @@ group_by(const std::vector<Record>& records, std::string_view key);
 /// Numeric column extraction (for fits and post-hoc statistics).
 [[nodiscard]] std::vector<double> collect(
     const std::vector<const Record*>& records, std::string_view key);
-[[nodiscard]] std::vector<double> collect(
-    const std::vector<Record>& records, std::string_view key);
 
 /// Cross-tab: one table row per distinct `row` cell, one column per
 /// distinct `column_label` text (in first-appearance order), cells from

@@ -7,10 +7,6 @@
 
 namespace ayd::engine {
 
-Axis Axis::linear(std::string name, double from, double to, int points) {
-  return spaced(std::move(name), from, to, points, /*log_spacing=*/false);
-}
-
 Axis Axis::log_spaced(std::string name, double from, double to, int points) {
   return spaced(std::move(name), from, to, points, /*log_spacing=*/true);
 }
@@ -71,20 +67,12 @@ GridSpec& GridSpec::platforms(std::vector<model::Platform> ps) {
   return *this;
 }
 
-GridSpec& GridSpec::platform(const model::Platform& p) {
-  return platforms({p});
-}
-
 GridSpec& GridSpec::scenarios(std::vector<model::Scenario> ss) {
   AYD_REQUIRE(scenarios_.empty(), "scenarios dimension declared twice");
   AYD_REQUIRE(!ss.empty(), "scenarios dimension needs at least one entry");
   scenarios_ = std::move(ss);
   dims_.push_back({Kind::kScenario, 0});
   return *this;
-}
-
-GridSpec& GridSpec::scenario(model::Scenario s) {
-  return scenarios({s});
 }
 
 GridSpec& GridSpec::axis(Axis a) {

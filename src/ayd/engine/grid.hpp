@@ -27,9 +27,6 @@ struct Axis {
   std::string name;
   std::vector<double> values;
 
-  /// `points` values evenly spaced on [from, to].
-  [[nodiscard]] static Axis linear(std::string name, double from, double to,
-                                   int points);
   /// `points` values evenly spaced on a log scale (from > 0).
   [[nodiscard]] static Axis log_spaced(std::string name, double from,
                                        double to, int points);
@@ -66,9 +63,7 @@ struct Point {
 class GridSpec {
  public:
   GridSpec& platforms(std::vector<model::Platform> ps);
-  GridSpec& platform(const model::Platform& p);
   GridSpec& scenarios(std::vector<model::Scenario> ss);
-  GridSpec& scenario(model::Scenario s);
   GridSpec& axis(Axis a);
 
   [[nodiscard]] std::size_t size() const;

@@ -26,17 +26,6 @@ void Record::set(std::string key, std::string text) {
   v.text = std::move(text);
 }
 
-void Record::set_missing(std::string key) {
-  Value& v = slot(std::move(key));
-  v.kind = Value::Kind::kMissing;
-  v.number = 0.0;
-  v.text.clear();
-}
-
-bool Record::has(std::string_view key) const {
-  return find(key) != nullptr;
-}
-
 const Value* Record::find(std::string_view key) const {
   for (const auto& [k, v] : fields_) {
     if (k == key) return &v;

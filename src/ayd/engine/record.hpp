@@ -14,8 +14,8 @@
 namespace ayd::engine {
 
 struct Value {
-  enum class Kind { kNumber, kText, kMissing };
-  Kind kind = Kind::kMissing;
+  enum class Kind { kNumber, kText };
+  Kind kind = Kind::kNumber;
   double number = 0.0;
   std::string text;
 };
@@ -29,10 +29,6 @@ class Record {
   void set(std::string key, const char* text) {
     set(std::move(key), std::string(text));
   }
-  /// Marks a field as not applicable (rendered as the "-" placeholder).
-  void set_missing(std::string key);
-
-  [[nodiscard]] bool has(std::string_view key) const;
   /// Field lookup; nullptr when the key was never set.
   [[nodiscard]] const Value* find(std::string_view key) const;
   /// Numeric value of `key`; throws util::InvalidArgument otherwise.

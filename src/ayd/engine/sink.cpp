@@ -24,7 +24,7 @@ ResultSink::ResultSink(std::vector<ColumnSpec> columns)
 std::string ResultSink::format_cell(const Record& rec,
                                     const ColumnSpec& col) {
   const Value* v = rec.find(col.field());
-  if (v == nullptr || v->kind == Value::Kind::kMissing) return kNoValue;
+  if (v == nullptr) return kNoValue;
   if (v->kind == Value::Kind::kText) return v->text;
   return util::format_sig(v->number, col.digits) + col.suffix;
 }
@@ -99,7 +99,7 @@ void JsonlSink::on_row(const Record& rec, std::vector<std::string>) {
   for (const ColumnSpec& col : columns()) {
     const Value* v = rec.find(col.field());
     json.key(col.header);
-    if (v == nullptr || v->kind == Value::Kind::kMissing) {
+    if (v == nullptr) {
       json.null();
     } else if (v->kind == Value::Kind::kText) {
       json.value(v->text);

@@ -70,7 +70,7 @@ class ResultSink {
   }
 
   /// Formats one cell: numbers via util::format_sig(digits) + suffix,
-  /// text verbatim, missing/absent fields as kNoValue.
+  /// text verbatim, absent fields as kNoValue.
   [[nodiscard]] static std::string format_cell(const Record& rec,
                                                const ColumnSpec& col);
 

@@ -6,7 +6,6 @@
 
 #include "ayd/util/contracts.hpp"
 #include "ayd/util/error.hpp"
-#include "ayd/util/strings.hpp"
 
 namespace ayd::io {
 
@@ -34,13 +33,6 @@ void CsvWriter::write_row(const std::vector<std::string>& fields) {
     *os_ << (needs_quoting(fields[i]) ? quote(fields[i]) : fields[i]);
   }
   *os_ << '\n';
-}
-
-void CsvWriter::write_row(const std::vector<double>& values, int digits) {
-  std::vector<std::string> fields;
-  fields.reserve(values.size());
-  for (const double v : values) fields.push_back(util::format_sig(v, digits));
-  write_row(fields);
 }
 
 std::vector<std::vector<std::string>> parse_csv(const std::string& text) {

@@ -17,7 +17,6 @@ class CsvWriter {
 
   /// Writes one row; fields containing comma, quote, or newline are quoted.
   void write_row(const std::vector<std::string>& fields);
-  void write_row(const std::vector<double>& values, int digits = 12);
 
  private:
   std::ostream* os_;

@@ -354,12 +354,6 @@ const std::vector<JsonValue>& JsonValue::as_array() const {
   return array_;
 }
 
-const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()
-    const& {
-  if (kind_ != Kind::kObject) fail_kind("object", kind_);
-  return object_;
-}
-
 std::vector<std::pair<std::string, JsonValue>> JsonValue::members() && {
   if (kind_ != Kind::kObject) fail_kind("object", kind_);
   return std::move(object_);

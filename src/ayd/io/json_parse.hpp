@@ -48,11 +48,9 @@ class JsonValue {
   [[nodiscard]] const std::string& as_string() const;
   /// Array elements; throws on kind mismatch.
   [[nodiscard]] const std::vector<JsonValue>& as_array() const;
-  /// Object members in source order; throws on kind mismatch.
-  [[nodiscard]] const std::vector<std::pair<std::string, JsonValue>>&
-  members() const&;
-  /// Moves the members out of an expiring object (the service takes a
-  /// parsed request's parameters this way instead of copying them).
+  /// Moves the members, in source order, out of an expiring object (the
+  /// service takes a parsed request's parameters this way instead of
+  /// copying them); throws on kind mismatch.
   [[nodiscard]] std::vector<std::pair<std::string, JsonValue>> members() &&;
 
   /// Object member by key (first occurrence); nullptr when absent or when

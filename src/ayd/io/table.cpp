@@ -26,13 +26,6 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::add_numeric_row(const std::vector<double>& values, int digits) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (const double v : values) cells.push_back(util::format_sig(v, digits));
-  add_row(std::move(cells));
-}
-
 std::string Table::to_string() const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {
@@ -85,10 +78,6 @@ std::string Table::to_string() const {
     os << edge_end << "\n";
   }
   return os.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const Table& t) {
-  return os << t.to_string();
 }
 
 }  // namespace ayd::io

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -30,16 +29,11 @@ class Table {
   /// Appends a row; must have exactly as many cells as there are headers.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats a row of doubles with `digits` significant
-  /// figures (strings pass through unchanged via the string overload).
-  void add_numeric_row(const std::vector<double>& values, int digits = 4);
-
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
   [[nodiscard]] std::size_t columns() const { return headers_.size(); }
 
-  /// Renders to a string / stream.
+  /// Renders to a string.
   [[nodiscard]] std::string to_string() const;
-  friend std::ostream& operator<<(std::ostream& os, const Table& t);
 
  private:
   std::vector<std::string> headers_;

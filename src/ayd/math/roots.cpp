@@ -25,38 +25,6 @@ double x_tolerance(const RootOptions& opt, double x) {
 
 }  // namespace
 
-RootResult bisect(const std::function<double(double)>& f, double lo,
-                  double hi, const RootOptions& opt) {
-  double flo = f(lo);
-  double fhi = f(hi);
-  check_bracket(lo, hi, flo, fhi);
-  RootResult r;
-  if (flo == 0.0) return {lo, 0.0, 0, true};
-  if (fhi == 0.0) return {hi, 0.0, 0, true};
-  for (int i = 0; i < opt.max_iterations; ++i) {
-    const double mid = lo + 0.5 * (hi - lo);
-    const double fmid = f(mid);
-    r.iterations = i + 1;
-    if (fmid == 0.0 || std::abs(fmid) <= opt.f_tol ||
-        (hi - lo) * 0.5 <= x_tolerance(opt, mid)) {
-      r.x = mid;
-      r.fx = fmid;
-      r.converged = true;
-      return r;
-    }
-    if ((fmid < 0.0) == (flo < 0.0)) {
-      lo = mid;
-      flo = fmid;
-    } else {
-      hi = mid;
-    }
-  }
-  r.x = lo + 0.5 * (hi - lo);
-  r.fx = f(r.x);
-  r.converged = false;
-  return r;
-}
-
 RootResult brent_root(const std::function<double(double)>& f, double lo,
                       double hi, const RootOptions& opt) {
   double a = lo, b = hi;
@@ -131,30 +99,6 @@ RootResult brent_root(const std::function<double(double)>& f, double lo,
   r.fx = fb;
   r.converged = false;
   return r;
-}
-
-bool expand_bracket(const std::function<double(double)>& f, double& lo,
-                    double& hi, double factor, int max_expansions) {
-  AYD_REQUIRE(lo < hi, "expand_bracket requires lo < hi");
-  AYD_REQUIRE(factor > 1.0, "expansion factor must exceed 1");
-  double flo = f(lo);
-  double fhi = f(hi);
-  for (int i = 0; i < max_expansions; ++i) {
-    if (std::isfinite(flo) && std::isfinite(fhi) &&
-        ((flo <= 0.0) != (fhi <= 0.0) || flo == 0.0 || fhi == 0.0)) {
-      return true;
-    }
-    // Expand the side with the smaller |f| last changed; simple alternating
-    // geometric growth keeps both ends moving.
-    if (std::abs(flo) < std::abs(fhi)) {
-      lo -= factor * (hi - lo);
-      flo = f(lo);
-    } else {
-      hi += factor * (hi - lo);
-      fhi = f(hi);
-    }
-  }
-  return false;
 }
 
 }  // namespace ayd::math

@@ -1,6 +1,5 @@
-// One-dimensional root finding: bisection and Brent's method, plus a
-// bracket-expansion helper. Used by the core optimisers (stationary points
-// of overhead derivatives) and by tests.
+// One-dimensional root finding by Brent's method. Used by the Student-t
+// quantile inversion (stats/ci).
 
 #pragma once
 
@@ -23,25 +22,12 @@ struct RootOptions {
   int max_iterations = 200;
 };
 
-/// Finds x in [lo, hi] with f(x) = 0 by bisection.
-/// Preconditions: lo < hi and f(lo), f(hi) have opposite signs (or one is 0).
-/// Throws util::InvalidArgument if the bracket is invalid.
-[[nodiscard]] RootResult bisect(const std::function<double(double)>& f,
-                                double lo, double hi,
-                                const RootOptions& opt = {});
-
 /// Brent's method (inverse quadratic interpolation + secant + bisection).
-/// Same bracket preconditions as bisect; superlinear in practice.
+/// Preconditions: lo < hi and f(lo), f(hi) have opposite signs (or one is
+/// 0); throws util::InvalidArgument if the bracket is invalid. Superlinear
+/// in practice.
 [[nodiscard]] RootResult brent_root(const std::function<double(double)>& f,
                                     double lo, double hi,
                                     const RootOptions& opt = {});
-
-/// Expands [lo, hi] geometrically (by `factor`) until f changes sign or
-/// `max_expansions` is hit. Returns true and updates lo/hi on success.
-/// Expansion alternates sides, starting from the given interval.
-[[nodiscard]] bool expand_bracket(const std::function<double(double)>& f,
-                                  double& lo, double& hi,
-                                  double factor = 1.6,
-                                  int max_expansions = 60);
 
 }  // namespace ayd::math

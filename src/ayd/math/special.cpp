@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "ayd/util/contracts.hpp"
 
@@ -14,39 +13,6 @@ double expm1_over_x(double x) {
   // relative to 1, so the two-term series is exact to rounding.
   if (std::abs(x) < 1e-8) return 1.0 + 0.5 * x;
   return std::expm1(x) / x;
-}
-
-double log1mexp(double x) {
-  AYD_REQUIRE(x < 0, "log1mexp requires x < 0");
-  // Mächler (2012): switch at -log(2) between the two stable forms.
-  static const double kLog2 = std::log(2.0);
-  if (x > -kLog2) return std::log(-std::expm1(x));
-  return std::log1p(-std::exp(x));
-}
-
-double log1pexp(double x) {
-  if (x > 36.0) return x;           // exp(-x) below double epsilon
-  if (x < -745.0) return 0.0;       // exp(x) underflows entirely
-  return std::log1p(std::exp(x));
-}
-
-double logaddexp(double a, double b) {
-  if (std::isinf(a) && a < 0) return b;
-  if (std::isinf(b) && b < 0) return a;
-  const double hi = std::max(a, b);
-  const double lo = std::min(a, b);
-  return hi + log1pexp(lo - hi);
-}
-
-double logsubexp(double a, double b) {
-  AYD_REQUIRE(a > b, "logsubexp requires a > b");
-  if (std::isinf(b) && b < 0) return a;
-  return a + log1mexp(b - a);
-}
-
-double prob_before(double rate, double t) {
-  AYD_REQUIRE(rate >= 0 && t >= 0, "rate and t must be nonnegative");
-  return -std::expm1(-rate * t);
 }
 
 double expected_time_lost(double rate, double w) {
@@ -68,14 +34,6 @@ double expected_time_lost(double rate, double w) {
 double expected_completion_time(double rate, double downtime, double w) {
   const double x = rate * w;
   return w * expm1_over_x(x) + downtime * std::expm1(x);
-}
-
-bool is_close(double a, double b, double rtol, double atol) {
-  if (std::isnan(a) || std::isnan(b)) return false;
-  if (a == b) return true;  // covers equal infinities
-  if (std::isinf(a) || std::isinf(b)) return false;
-  const double scale = std::max(std::abs(a), std::abs(b));
-  return std::abs(a - b) <= atol + rtol * scale;
 }
 
 double rel_diff(double a, double b, double floor) {

@@ -14,24 +14,6 @@ namespace ayd::math {
 /// Stable for all x, with exprel(0) == 1 exactly. Monotone increasing.
 [[nodiscard]] double expm1_over_x(double x);
 
-/// log(1 - exp(x)) for x < 0, stable near both x -> 0- and x -> -inf.
-/// (Mächler's log1mexp.) Precondition: x < 0.
-[[nodiscard]] double log1mexp(double x);
-
-/// log(1 + exp(x)), stable for all x (softplus).
-[[nodiscard]] double log1pexp(double x);
-
-/// log(e^a + e^b) without overflow.
-[[nodiscard]] double logaddexp(double a, double b);
-
-/// log(e^a - e^b) for a > b, without overflow. Precondition: a > b.
-[[nodiscard]] double logsubexp(double a, double b);
-
-/// Probability that an Exp(rate) arrival strikes before `t`:
-/// 1 - exp(-rate * t), computed as -expm1(-rate*t). Stable for tiny
-/// rate*t. Preconditions: rate >= 0, t >= 0.
-[[nodiscard]] double prob_before(double rate, double t);
-
 /// Expected time lost when an Exp(rate) failure is known to strike within
 /// an execution of length `w` (paper, proof of Prop. 1):
 ///   E_lost(w) = 1/rate - w / (e^{rate*w} - 1).
@@ -46,10 +28,6 @@ namespace ayd::math {
 /// down to rate == 0 (-> w).
 [[nodiscard]] double expected_completion_time(double rate, double downtime,
                                               double w);
-
-/// True if |a - b| <= atol + rtol * max(|a|, |b|). NaNs are never close.
-[[nodiscard]] bool is_close(double a, double b, double rtol = 1e-9,
-                            double atol = 0.0);
 
 /// Relative difference |a - b| / max(|a|, |b|, floor). Returns 0 for a==b.
 [[nodiscard]] double rel_diff(double a, double b, double floor = 1e-300);

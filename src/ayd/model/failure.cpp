@@ -22,12 +22,6 @@ FailureModel::FailureModel(double lambda_ind, double fail_stop_fraction,
               "fail-stop fraction must be in [0,1]");
 }
 
-FailureModel FailureModel::from_mtbf(double mtbf_seconds,
-                                     double fail_stop_fraction) {
-  AYD_REQUIRE(mtbf_seconds > 0.0, "MTBF must be positive");
-  return {1.0 / mtbf_seconds, fail_stop_fraction};
-}
-
 double FailureModel::mtbf_ind() const {
   return lambda_ind_ > 0.0 ? 1.0 / lambda_ind_
                            : std::numeric_limits<double>::infinity();

@@ -30,10 +30,6 @@ class FailureModel {
   FailureModel(double lambda_ind, double fail_stop_fraction,
                FailureDistSpec dist);
 
-  /// Convenience: from an individual MTBF in seconds.
-  [[nodiscard]] static FailureModel from_mtbf(double mtbf_seconds,
-                                              double fail_stop_fraction);
-
   /// A platform that never fails (useful baseline in tests/examples).
   [[nodiscard]] static FailureModel error_free() { return {0.0, 0.0}; }
 

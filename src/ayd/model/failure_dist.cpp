@@ -191,7 +191,7 @@ class LogNormalDist final : public FailureDistribution {
   [[nodiscard]] double mean() const override { return 1.0 / rate_; }
   [[nodiscard]] double sample(rng::RngStream& rng) const override {
     double u = rng.next_uniform01();
-    if (u <= 0.0) u = 0x1.0p-53;  // same guard as rng::normal()
+    if (u <= 0.0) u = 0x1.0p-53;  // quantile(0) would be 0
     return quantile(u);
   }
   [[nodiscard]] bool unit_samplable() const override { return true; }
@@ -332,6 +332,8 @@ void FailureDistribution::from_unit_bulk(const double* z, double* out,
   for (std::size_t i = 0; i < n; ++i) out[i] = from_unit(z[i]);
 }
 
+namespace {
+
 std::string failure_dist_kind_name(FailureDistKind k) {
   switch (k) {
     case FailureDistKind::kExponential: return "exponential";
@@ -341,6 +343,8 @@ std::string failure_dist_kind_name(FailureDistKind k) {
   }
   return "unknown";
 }
+
+}  // namespace
 
 FailureDistSpec FailureDistSpec::exponential() { return {}; }
 
@@ -512,10 +516,6 @@ FittedFailureDist failure_dist_from_fit(const stats::MleFit& fit) {
   }
   out.valid = true;
   return out;
-}
-
-FittedFailureDist fit_failure_dist(std::span<const double> gaps) {
-  return failure_dist_from_fit(stats::fit_best_mle(gaps));
 }
 
 }  // namespace ayd::model

@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -48,8 +47,6 @@ enum class FailureDistKind : int {
   kLogNormal,    ///< lognormal(sigma) inter-arrivals
   kTraceReplay,  ///< empirical gaps replayed from a failure log
 };
-
-[[nodiscard]] std::string failure_dist_kind_name(FailureDistKind k);
 
 /// A spec instantiated at a concrete arrival rate. Implementations are
 /// immutable and safe to share across threads.
@@ -207,8 +204,8 @@ class FailureDistSpec {
 // --- telemetry fitting ---------------------------------------------------
 //
 // The model-vocabulary half of the online estimator (stats/online_fit):
-// an MleFit carries family + parameters + implied arrival rate, and these
-// entry points translate that into a spec + rate pair such that
+// an MleFit carries family + parameters + implied arrival rate, and
+// failure_dist_from_fit translates that into a spec + rate pair such that
 // `fitted.spec.instantiate(fitted.rate)` reproduces exactly the fitted
 // density. The fitted rate is the *total* rate of the observed arrival
 // process; callers deploying it onto a System divide by the processor
@@ -230,11 +227,5 @@ struct FittedFailureDist {
 /// Translates a stats-layer fit into a spec + rate pair (see above).
 [[nodiscard]] FittedFailureDist failure_dist_from_fit(
     const stats::MleFit& fit);
-
-/// Fits exponential/Weibull/lognormal MLEs to observed inter-arrival gaps
-/// (seconds; non-positive and non-finite entries are ignored), selects by
-/// AIC, and returns the estimate in model vocabulary. Deterministic.
-[[nodiscard]] FittedFailureDist fit_failure_dist(
-    std::span<const double> gaps);
 
 }  // namespace ayd::model

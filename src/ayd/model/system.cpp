@@ -42,22 +42,6 @@ System System::with_speedup(Speedup speedup) const {
   return System(failure_, costs_, downtime_, std::move(speedup), ext_);
 }
 
-System System::with_costs(ResilienceCosts costs) const {
-  // The costs are replaced outright, so a two-tier refinement of the old
-  // costs no longer describes anything: drop it (shock/heterogeneity are
-  // cost-independent and survive).
-  std::shared_ptr<const CorrelatedSpec> ext = ext_;
-  if (ext != nullptr && ext->two_tier.has_value()) {
-    CorrelatedSpec trimmed = *ext;
-    trimmed.two_tier.reset();
-    ext = trimmed.any_active()
-              ? std::make_shared<const CorrelatedSpec>(std::move(trimmed))
-              : nullptr;
-  }
-  return System(failure_, std::move(costs), downtime_, speedup_,
-                std::move(ext));
-}
-
 System System::with_failure_dist(FailureDistSpec dist) const {
   return System(failure_.with_dist(std::move(dist)), costs_, downtime_,
                 speedup_, ext_);

@@ -77,15 +77,11 @@ class System {
 
   // -- Value-semantic modifiers (copy with one field replaced) ---------
   //
-  // All of them preserve any active extensions, except with_costs, which
-  // replaces the cost models outright and therefore drops a two-tier
-  // extension (that extension is a refinement of the costs it was built
-  // from).
+  // All of them preserve any active extensions.
 
   [[nodiscard]] System with_lambda(double lambda_ind) const;
   [[nodiscard]] System with_downtime(double downtime) const;
   [[nodiscard]] System with_speedup(Speedup speedup) const;
-  [[nodiscard]] System with_costs(ResilienceCosts costs) const;
   /// Same rates, different failure inter-arrival distribution shape.
   [[nodiscard]] System with_failure_dist(FailureDistSpec dist) const;
 

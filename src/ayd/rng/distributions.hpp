@@ -76,46 +76,10 @@ template <typename Engine>
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-/// Poisson variate. Knuth multiplication for mean < 30, else the normal
-/// approximation with continuity correction clamped at 0 (adequate for the
-/// test-suite use; the simulator itself never draws Poisson counts, it
-/// draws exponential gaps).
-template <typename Engine>
-[[nodiscard]] std::uint64_t poisson(Engine& eng, double mean);
-
 namespace detail {
 /// Acklam's rational approximation to the standard normal quantile,
 /// |relative error| < 1.15e-9 — plenty for sampling and CI construction.
 [[nodiscard]] double normal_quantile(double p);
 }  // namespace detail
-
-/// Standard normal variate via inverse CDF (deterministic: exactly one
-/// uniform consumed, unlike Box-Muller pairs or Ziggurat rejection).
-template <typename Engine>
-[[nodiscard]] double normal(Engine& eng, double mean = 0.0,
-                            double stddev = 1.0) {
-  AYD_REQUIRE(stddev >= 0, "normal stddev must be nonnegative");
-  double u = uniform01(eng);
-  if (u <= 0.0) u = 0x1.0p-53;
-  return mean + stddev * detail::normal_quantile(u);
-}
-
-template <typename Engine>
-std::uint64_t poisson(Engine& eng, double mean) {
-  AYD_REQUIRE(mean >= 0, "poisson mean must be nonnegative");
-  if (mean == 0.0) return 0;
-  if (mean < 30.0) {
-    const double limit = std::exp(-mean);
-    std::uint64_t k = 0;
-    double prod = uniform01_open_low(eng);
-    while (prod > limit) {
-      ++k;
-      prod *= uniform01_open_low(eng);
-    }
-    return k;
-  }
-  const double x = normal(eng, mean, std::sqrt(mean));
-  return x <= 0.0 ? 0 : static_cast<std::uint64_t>(x + 0.5);
-}
 
 }  // namespace ayd::rng

@@ -44,9 +44,6 @@ class RngStream {
   [[nodiscard]] bool next_bernoulli(double p) {
     return bernoulli(engine_, p);
   }
-  [[nodiscard]] double next_normal(double mean = 0.0, double stddev = 1.0) {
-    return normal(engine_, mean, stddev);
-  }
   [[nodiscard]] std::uint64_t next_index(std::uint64_t n) {
     return uniform_index(engine_, n);
   }

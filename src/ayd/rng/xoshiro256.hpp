@@ -2,7 +2,7 @@
 // implementation re-expressed in C++).
 //
 // Chosen over std::mt19937_64 because it is ~4x faster, has 256 bits of
-// state, passes BigCrush, and provides jump() / long_jump() for cheaply
+// state, passes BigCrush, and provides jump() for cheaply
 // partitioning the period into 2^128 non-overlapping substreams — exactly
 // what deterministic parallel replication needs.
 //
@@ -47,9 +47,6 @@ class Xoshiro256 {
   /// generators yields n non-overlapping sequences of length 2^128.
   constexpr void jump() { apply_jump(kJump); }
 
-  /// Advances by 2^192 steps (for partitioning across coarser units).
-  constexpr void long_jump() { apply_jump(kLongJump); }
-
   [[nodiscard]] constexpr const std::array<std::uint64_t, 4>& state() const {
     return state_;
   }
@@ -80,9 +77,6 @@ class Xoshiro256 {
   static constexpr std::array<std::uint64_t, 4> kJump = {
       0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
       0x39abdc4529b1661cULL};
-  static constexpr std::array<std::uint64_t, 4> kLongJump = {
-      0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL, 0x77710069854ee241ULL,
-      0x39109bb02acbe635ULL};
 
   std::array<std::uint64_t, 4> state_{};
 };

@@ -150,7 +150,7 @@ Resolved resolve_plan(const Request& req) {
   const model::System sys = tool::system_from_args(parser);
   const model::Application app{parser.option("name"),
                                parser.option_double("work"), 0.0};
-  const double max_procs = parser.option_double("max-procs");
+  const double max_procs = tool::procs_from_args(parser, "max-procs");
 
   return {CanonicalKeyBuilder("plan")
               .system(sys)

@@ -204,12 +204,6 @@ void ShmRing::reset() {
   }
 }
 
-std::size_t ShmRing::approx_size() const {
-  const std::uint64_t head = header_->head.load(std::memory_order_acquire);
-  const std::uint64_t tail = header_->tail.load(std::memory_order_acquire);
-  return head >= tail ? static_cast<std::size_t>(head - tail) : 0;
-}
-
 std::size_t ShmRing::slots() const {
   return static_cast<std::size_t>(header_->slots);
 }

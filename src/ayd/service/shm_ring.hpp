@@ -116,9 +116,6 @@ class ShmRing {
   /// dead client's reply ring after draining its in-flight replies).
   void reset();
 
-  /// Committed-but-unconsumed frames (approximate under concurrency).
-  [[nodiscard]] std::size_t approx_size() const;
-
   [[nodiscard]] std::size_t slots() const;
   [[nodiscard]] std::size_t frame_bytes() const;
 

@@ -330,11 +330,6 @@ void AnswerStore::put(std::string_view key_text, std::uint64_t key_hash,
   append_locked(key_text, key_hash, value);
 }
 
-bool AnswerStore::contains(std::string_view key_text) const {
-  const std::lock_guard lock(mutex_);
-  return index_.count(std::string(key_text)) != 0;
-}
-
 std::size_t AnswerStore::entries() const {
   const std::lock_guard lock(mutex_);
   return index_.size();

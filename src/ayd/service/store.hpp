@@ -125,7 +125,6 @@ class AnswerStore {
   void put(std::string_view key_text, std::uint64_t key_hash,
            std::string_view value);
 
-  [[nodiscard]] bool contains(std::string_view key_text) const;
   [[nodiscard]] std::size_t entries() const;
   [[nodiscard]] std::uint64_t file_bytes() const;
   [[nodiscard]] const std::string& path() const { return path_; }

@@ -105,14 +105,6 @@ std::string Trace::render_timeline(std::size_t width) const {
 
 namespace {
 
-/// Shortest decimal that round-trips the double (17 significant digits
-/// always do), so write/read of a failure log is lossless.
-std::string format_exact(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 double parse_time_field(const std::string& field, std::size_t row) {
   const auto v = util::parse_strict_double(field);
   if (!v.has_value() || !std::isfinite(*v) || *v < 0.0) {
@@ -123,15 +115,6 @@ double parse_time_field(const std::string& field, std::size_t row) {
 }
 
 }  // namespace
-
-void write_failure_log_csv(const std::string& path,
-                           const std::vector<double>& gaps) {
-  std::vector<std::vector<std::string>> rows;
-  rows.reserve(gaps.size() + 1);
-  rows.push_back({"gap_seconds"});
-  for (const double g : gaps) rows.push_back({format_exact(g)});
-  io::write_csv_file(path, rows);
-}
 
 std::vector<double> parse_failure_log_csv(const std::string& text) {
   const auto rows = io::parse_csv(text);

@@ -65,11 +65,6 @@ class Trace {
 // differenced into gaps on load), the shape raw machine logs usually
 // take.
 
-/// Writes inter-arrival gaps as a failure-log CSV; throws util::IoError
-/// on failure.
-void write_failure_log_csv(const std::string& path,
-                           const std::vector<double>& gaps);
-
 /// Parses failure-log CSV text into inter-arrival gaps. Throws
 /// util::InvalidArgument on malformed rows or an empty log.
 [[nodiscard]] std::vector<double> parse_failure_log_csv(

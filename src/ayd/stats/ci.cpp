@@ -157,39 +157,4 @@ double relative_half_width(const ConfidenceInterval& ci, double mean) {
   return ci.half_width() / std::abs(mean);
 }
 
-BatchMeans::BatchMeans(std::size_t batch_size) : batch_size_(batch_size) {
-  AYD_REQUIRE(batch_size >= 1, "batch size must be >= 1");
-}
-
-void BatchMeans::add(double x) {
-  total_.add(x);
-  batch_sum_ += x;
-  if (++in_batch_ == batch_size_) {
-    batch_means_.add(batch_sum_ / static_cast<double>(batch_size_));
-    batch_sum_ = 0.0;
-    in_batch_ = 0;
-  }
-}
-
-double BatchMeans::variance_of_mean() const {
-  const std::size_t b = batch_means_.count();
-  if (b < 2) return 0.0;
-  return batch_means_.variance() / static_cast<double>(b);
-}
-
-double BatchMeans::stderr_mean() const {
-  return std::sqrt(variance_of_mean());
-}
-
-ConfidenceInterval BatchMeans::ci(double level) const {
-  AYD_REQUIRE(level > 0.0 && level < 1.0, "CI level must be in (0,1)");
-  const double m = mean();
-  const std::size_t b = batch_means_.count();
-  if (b < 2) return {m, m, level};
-  const double t = student_t_quantile(0.5 + 0.5 * level,
-                                      static_cast<double>(b - 1));
-  const double hw = t * stderr_mean();
-  return {m - hw, m + hw, level};
-}
-
 }  // namespace ayd::stats

@@ -1,17 +1,14 @@
-// Small-sample confidence intervals and streaming batch-means variance.
+// Small-sample confidence intervals.
 //
 // The adaptive replication driver (sim/runner) and the simulation-driven
 // optimizer (core/sim_optimizer) stop when the confidence interval of a
 // Monte-Carlo mean is tight enough, so the interval itself must be honest
 // at small replica counts: this module provides Student-t intervals
-// (normal-theory z intervals undercover badly below ~30 samples) and a
-// streaming batch-means estimator for correlated series. Everything is
-// deterministic and allocation-free in steady state, matching the
-// simulator hot-path discipline.
+// (normal-theory z intervals undercover badly below ~30 samples).
+// Everything is deterministic and allocation-free in steady state, matching
+// the simulator hot-path discipline.
 
 #pragma once
-
-#include <cstddef>
 
 #include "ayd/stats/running.hpp"
 #include "ayd/stats/summary.hpp"
@@ -43,48 +40,5 @@ namespace ayd::stats {
 /// replication cap instead of dividing by zero.
 [[nodiscard]] double relative_half_width(const ConfidenceInterval& ci,
                                          double mean);
-
-/// Streaming batch-means variance estimator for (possibly autocorrelated)
-/// series: consecutive samples are grouped into fixed-size batches and the
-/// variance of the *batch means* estimates Var(mean) without storing the
-/// series. With iid input it agrees with the plain sample variance in
-/// expectation; with positively correlated input (e.g. per-pattern wall
-/// times inside one replica) it does not underestimate the error the way
-/// the naive estimator does, provided batches span several correlation
-/// lengths.
-class BatchMeans {
- public:
-  /// `batch_size` consecutive samples form one batch (>= 1).
-  explicit BatchMeans(std::size_t batch_size);
-
-  /// Adds one sample; completes a batch every `batch_size` calls.
-  void add(double x);
-
-  /// Total samples seen (including the unfinished tail batch).
-  [[nodiscard]] std::size_t count() const { return total_.count(); }
-  /// Completed batches (the tail batch is excluded until full).
-  [[nodiscard]] std::size_t batches() const { return batch_means_.count(); }
-  [[nodiscard]] std::size_t batch_size() const { return batch_size_; }
-
-  /// Grand mean over *all* samples seen.
-  [[nodiscard]] double mean() const { return total_.mean(); }
-
-  /// Estimated Var(grand mean) = Var(batch means) / #batches; 0 until two
-  /// batches complete.
-  [[nodiscard]] double variance_of_mean() const;
-  /// sqrt(variance_of_mean()).
-  [[nodiscard]] double stderr_mean() const;
-
-  /// Student-t CI for the mean with (#batches - 1) degrees of freedom,
-  /// centred on the grand mean. Degenerate until two batches complete.
-  [[nodiscard]] ConfidenceInterval ci(double level = 0.95) const;
-
- private:
-  std::size_t batch_size_;
-  std::size_t in_batch_ = 0;   ///< samples accumulated in the open batch
-  double batch_sum_ = 0.0;     ///< running sum of the open batch
-  RunningStats total_;         ///< all samples (grand mean, min/max)
-  RunningStats batch_means_;   ///< one entry per completed batch
-};
 
 }  // namespace ayd::stats

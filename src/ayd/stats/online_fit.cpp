@@ -21,34 +21,6 @@ constexpr int kWeibullMaxIterations = 100;
 constexpr double kLogNormalSigmaMin = 1e-6;
 constexpr double kLogNormalSigmaMax = 10.0;
 
-/// The sample every fitter works on: positive, finite gaps and their
-/// natural logs, index-aligned, in sample order.
-struct LogSample {
-  std::span<const double> xs;
-  std::span<const double> logs;
-};
-
-/// Owning LogSample for the public span entry points.
-struct OwnedLogSample {
-  std::vector<double> xs;
-  std::vector<double> logs;
-  [[nodiscard]] LogSample view() const { return {xs, logs}; }
-};
-
-/// Collects the positive, finite subset of `gaps` with its logs.
-OwnedLogSample positive_gaps(std::span<const double> gaps) {
-  OwnedLogSample out;
-  out.xs.reserve(gaps.size());
-  out.logs.reserve(gaps.size());
-  for (double g : gaps) {
-    if (std::isfinite(g) && g > 0.0) {
-      out.xs.push_back(g);
-      out.logs.push_back(std::log(g));
-    }
-  }
-  return out;
-}
-
 /// A valid fit's log-density as a function of (x, ln x), floored at
 /// kLogDensityFloor, with the per-fit logarithms taken once: the GLR pass
 /// scores a whole window from its cached logs, and MleFit::log_pdf is the
@@ -100,25 +72,6 @@ class FitLogPdf {
   double log_norm_ = 0.0;
   double half_log_2pi_ = 0.0;
 };
-
-MleFit fit_exponential_on(LogSample s) {
-  MleFit fit;
-  fit.family = FitFamily::kExponential;
-  fit.count = s.xs.size();
-  if (s.xs.empty()) return fit;
-  double sum = 0.0;
-  for (double x : s.xs) sum += x;
-  const double mean = sum / static_cast<double>(s.xs.size());
-  if (!(mean > 0.0) || !std::isfinite(mean)) return fit;
-  fit.shape = 1.0;
-  fit.scale = mean;
-  fit.rate = 1.0 / mean;
-  // ll = -n ln(mean) - sum(x)/mean = -n (ln(mean) + 1)
-  fit.log_likelihood =
-      -static_cast<double>(s.xs.size()) * (std::log(mean) + 1.0);
-  fit.valid = true;
-  return fit;
-}
 
 /// Weibull shape MLE and S0 (below) at that shape.
 struct WeibullShape {
@@ -196,7 +149,28 @@ WeibullShape weibull_shape(std::span<const double> logs, double max_log,
   }
 }
 
-MleFit fit_weibull_on(LogSample s) {
+}  // namespace
+
+MleFit fit_exponential_mle(LogSample s) {
+  MleFit fit;
+  fit.family = FitFamily::kExponential;
+  fit.count = s.xs.size();
+  if (s.xs.empty()) return fit;
+  double sum = 0.0;
+  for (double x : s.xs) sum += x;
+  const double mean = sum / static_cast<double>(s.xs.size());
+  if (!(mean > 0.0) || !std::isfinite(mean)) return fit;
+  fit.shape = 1.0;
+  fit.scale = mean;
+  fit.rate = 1.0 / mean;
+  // ll = -n ln(mean) - sum(x)/mean = -n (ln(mean) + 1)
+  fit.log_likelihood =
+      -static_cast<double>(s.xs.size()) * (std::log(mean) + 1.0);
+  fit.valid = true;
+  return fit;
+}
+
+MleFit fit_weibull_mle(LogSample s) {
   MleFit fit;
   fit.family = FitFamily::kWeibull;
   fit.count = s.xs.size();
@@ -233,7 +207,7 @@ MleFit fit_weibull_on(LogSample s) {
   return fit;
 }
 
-MleFit fit_lognormal_on(LogSample s) {
+MleFit fit_lognormal_mle(LogSample s) {
   MleFit fit;
   fit.family = FitFamily::kLogNormal;
   fit.count = s.xs.size();
@@ -268,19 +242,17 @@ MleFit fit_lognormal_on(LogSample s) {
   return fit;
 }
 
-MleFit fit_best_on(LogSample s) {
+MleFit fit_best_mle(LogSample s) {
   // Declaration order is the deterministic tie-break: a candidate must
   // strictly beat the incumbent's AIC to replace it, so equal-likelihood
   // samples always report the simplest family.
-  MleFit best = fit_exponential_on(s);
-  for (const MleFit& cand : {fit_weibull_on(s), fit_lognormal_on(s)}) {
+  MleFit best = fit_exponential_mle(s);
+  for (const MleFit& cand : {fit_weibull_mle(s), fit_lognormal_mle(s)}) {
     if (!cand.valid) continue;
     if (!best.valid || cand.aic() < best.aic()) best = cand;
   }
   return best;
 }
-
-}  // namespace
 
 const char* fit_family_name(FitFamily family) {
   switch (family) {
@@ -296,30 +268,9 @@ double MleFit::log_pdf(double x) const {
   return FitLogPdf(*this)(x, std::log(x));
 }
 
-double MleFit::mean() const {
-  return rate > 0.0 ? 1.0 / rate
-                    : std::numeric_limits<double>::infinity();
-}
-
 double MleFit::aic() const {
   const double params = family == FitFamily::kExponential ? 1.0 : 2.0;
   return 2.0 * params - 2.0 * log_likelihood;
-}
-
-MleFit fit_exponential_mle(std::span<const double> gaps) {
-  return fit_exponential_on(positive_gaps(gaps).view());
-}
-
-MleFit fit_weibull_mle(std::span<const double> gaps) {
-  return fit_weibull_on(positive_gaps(gaps).view());
-}
-
-MleFit fit_lognormal_mle(std::span<const double> gaps) {
-  return fit_lognormal_on(positive_gaps(gaps).view());
-}
-
-MleFit fit_best_mle(std::span<const double> gaps) {
-  return fit_best_on(positive_gaps(gaps).view());
 }
 
 OnlineFit::OnlineFit(OnlineFitOptions options) : options_(options) {
@@ -354,7 +305,7 @@ MleFit OnlineFit::fit() const {
     scratch_xs_.push_back(ring_[i].gap);
     scratch_logs_.push_back(ring_[i].log_gap);
   });
-  return fit_best_on({scratch_xs_, scratch_logs_});
+  return fit_best_mle({scratch_xs_, scratch_logs_});
 }
 
 DriftDecision OnlineFit::add(double gap) {

@@ -75,30 +75,36 @@ struct MleFit {
   /// Log-density of the fitted model at x, floored at kLogDensityFloor
   /// (x <= 0 is outside every family's support).
   [[nodiscard]] double log_pdf(double x) const;
-  /// Model mean inter-arrival (1/rate; +inf when rate == 0).
-  [[nodiscard]] double mean() const;
   /// Akaike information criterion: 2·params - 2·log_likelihood
   /// (exponential counts 1 parameter, Weibull/lognormal 2).
   [[nodiscard]] double aic() const;
 };
 
-/// Exponential MLE (mean = sample mean). Requires >= 1 positive gap.
-[[nodiscard]] MleFit fit_exponential_mle(std::span<const double> gaps);
+/// The sample every fitter reads: positive, finite gaps and their natural
+/// logs, index-aligned, in sample order. OnlineFit passes its window with
+/// the logs it cached as the gaps arrived.
+struct LogSample {
+  std::span<const double> xs;
+  std::span<const double> logs;
+};
+
+/// Exponential MLE (mean = sample mean). Requires >= 1 gap.
+[[nodiscard]] MleFit fit_exponential_mle(LogSample s);
 /// Weibull MLE: shape from the profile likelihood equation, solved by a
 /// safeguarded Newton iteration on the log gaps (started at the Gumbel
 /// moment estimate of the logs, bisecting whenever a step leaves the sign
 /// bracket, to about 1e-11 relative). The logs are shifted by their
 /// maximum so x^k never overflows. The shape is exactly 0.05 or 20 when
-/// the score has no root inside that clamp. Requires >= 2 positive gaps.
-[[nodiscard]] MleFit fit_weibull_mle(std::span<const double> gaps);
+/// the score has no root inside that clamp. Requires >= 2 gaps.
+[[nodiscard]] MleFit fit_weibull_mle(LogSample s);
 /// Lognormal MLE (closed form: mean/sd of log gaps), sigma clamped to
-/// [1e-6, 10]. Requires >= 2 positive gaps.
-[[nodiscard]] MleFit fit_lognormal_mle(std::span<const double> gaps);
+/// [1e-6, 10]. Requires >= 2 gaps.
+[[nodiscard]] MleFit fit_lognormal_mle(LogSample s);
 /// Fits all three families and keeps the lowest AIC. Ties (and the
 /// degenerate small-sample case) resolve deterministically in declaration
-/// order: exponential, then Weibull, then lognormal. Non-positive or
-/// non-finite gaps are ignored by all fitters.
-[[nodiscard]] MleFit fit_best_mle(std::span<const double> gaps);
+/// order: exponential, then Weibull, then lognormal. A sample too small
+/// for a family gives an invalid fit, never a throw.
+[[nodiscard]] MleFit fit_best_mle(LogSample s);
 
 /// Tuning of the rolling estimator + drift detector.
 struct OnlineFitOptions {

@@ -1,6 +1,5 @@
 #include "ayd/stats/summary.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "ayd/rng/distributions.hpp"
@@ -27,24 +26,6 @@ Summary summarize(const RunningStats& stats, double ci_level) {
   s.max = stats.max();
   s.ci = mean_ci(s.mean, s.stderr_mean, ci_level);
   return s;
-}
-
-Summary summarize(std::span<const double> xs, double ci_level) {
-  RunningStats r;
-  for (const double x : xs) r.add(x);
-  return summarize(r, ci_level);
-}
-
-double quantile(std::span<const double> xs, double q) {
-  AYD_REQUIRE(!xs.empty(), "quantile of empty sample");
-  AYD_REQUIRE(q >= 0.0 && q <= 1.0, "quantile level must be in [0,1]");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
 LinearFit linear_fit(std::span<const double> xs, std::span<const double> ys) {

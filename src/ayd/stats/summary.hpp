@@ -45,14 +45,6 @@ struct Summary {
 [[nodiscard]] Summary summarize(const RunningStats& stats,
                                 double ci_level = 0.95);
 
-/// Builds a Summary from raw samples.
-[[nodiscard]] Summary summarize(std::span<const double> xs,
-                                double ci_level = 0.95);
-
-/// Empirical quantile (linear interpolation between order statistics,
-/// type-7 / NumPy default). `q` in [0, 1]. Sorts a copy.
-[[nodiscard]] double quantile(std::span<const double> xs, double q);
-
 /// Least-squares slope of y against x. Used to fit the log-log asymptotic
 /// orders reported next to Figures 5 and 6 (e.g. P* ~ λ^{-1/4}).
 /// Returns {slope, intercept}. Requires xs.size() == ys.size() >= 2.

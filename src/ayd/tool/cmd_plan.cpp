@@ -31,14 +31,14 @@ int cmd_plan(const std::vector<std::string>& args, std::ostream& out) {
   const model::System sys = system_from_args(parser);
   const model::Application app{parser.option("name"),
                                parser.option_double("work"), 0.0};
+  const double max_procs = procs_from_args(parser, "max-procs");
   print_system(sys, out);
   out << "job: " << app.name << ", W_total = "
       << util::format_sig(app.total_work, 4) << " s sequential ("
       << util::format_duration(app.total_work) << ")\n\n";
 
   // The report math is shared with the service's "plan" op.
-  const PlanReport report =
-      compute_plan(sys, app, parser.option_double("max-procs"));
+  const PlanReport report = compute_plan(sys, app, max_procs);
   const core::AllocationOptimum& opt = report.optimum;
   const double makespan = report.expected_makespan;
   const double error_free = report.error_free_makespan;
@@ -81,9 +81,10 @@ int cmd_plan(const std::vector<std::string>& args, std::ostream& out) {
         r.set("T* (s)", ev.period->period);
         r.set("H", ev.period->overhead);
         r.set("exp. makespan", util::format_duration(m));
-        r.set("vs optimal",
-              (m >= makespan ? "+" : "") +
-                  util::format_sig(100.0 * (m / makespan - 1.0), 3) + "%");
+        std::string gap = m >= makespan ? "+" : "";
+        gap.append(util::format_sig(100.0 * (m / makespan - 1.0), 3))
+            .append("%");
+        r.set("vs optimal", std::move(gap));
         return r;
       });
   engine::TableSink table({{"allocation", "", 4, "", io::Align::kLeft},

@@ -33,11 +33,10 @@ int cmd_protocols(const std::vector<std::string>& args, std::ostream& out) {
   if (parse_or_help(parser, args, out)) return 0;
 
   const model::System sys = system_from_args(parser);
-  print_system(sys, out);
-
   const double procs = parser.option("procs").empty()
                            ? core::optimal_allocation(sys).procs
-                           : parser.option_double("procs");
+                           : procs_from_args(parser, "procs");
+  print_system(sys, out);
   out << "allocation: P = " << util::format_sig(procs, 6) << "\n\n";
 
   const sim::ReplicationOptions opt = replication_from_args(parser);

@@ -29,14 +29,14 @@ int cmd_simulate(const std::vector<std::string>& args, std::ostream& out) {
   if (parse_or_help(parser, args, out)) return 0;
 
   const model::System sys = system_from_args(parser);
+  // Fill unspecified pattern parameters from the engine's evaluator
+  // (shared with the service's "simulate" op).
+  const ResolvedPattern resolved = resolve_pattern_from_args(parser, sys);
   print_system(sys, out);
 
   exec::ThreadPool pool(
       static_cast<unsigned>(parser.option_uint("threads")));
 
-  // Fill unspecified pattern parameters from the engine's evaluator
-  // (shared with the service's "simulate" op).
-  const ResolvedPattern resolved = resolve_pattern_from_args(parser, sys);
   const double procs = resolved.procs;
   const double period = resolved.period;
   if (resolved.procs_defaulted) {

@@ -150,7 +150,7 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
   spec.numerical = true;
   spec.simulate_numerical = simulate;
   spec.replication = replication_from_args(parser);
-  spec.search.max_procs = parser.option_double("max-procs");
+  spec.search.max_procs = procs_from_args(parser, "max-procs");
   // The cache must outlive the grid run; pools resolve lazily per
   // (shape, seed) scenario as points evaluate.
   sim::VariateCache crn_cache;

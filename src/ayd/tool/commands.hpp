@@ -71,6 +71,12 @@ struct ParsedFailureDist {
 /// util::InvalidArgument on inconsistent combinations.
 [[nodiscard]] model::System system_from_args(const cli::ArgParser& parser);
 
+/// Reads a processor-count option (`procs`, `max-procs`). Throws
+/// util::CliError naming the option unless the value is finite and >= 1
+/// (> 1 for `max-procs`, the upper edge of the search over [1, max-procs]).
+[[nodiscard]] double procs_from_args(const cli::ArgParser& parser,
+                                     const std::string& name);
+
 /// Prints a one-paragraph description of the system (rates, costs at the
 /// reference processor count, profile) so every command's output records
 /// its inputs.

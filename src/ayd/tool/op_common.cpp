@@ -34,7 +34,7 @@ ResolvedPattern resolve_pattern_from_args(const cli::ArgParser& parser,
     out.period = ev.allocation->period;
     out.procs_defaulted = true;
   } else {
-    out.procs = parser.option_double("procs");
+    out.procs = procs_from_args(parser, "procs");
     if (parser.option("period").empty()) {
       out.period =
           engine::evaluate_point(sys, defaults, out.procs).period->period;
@@ -122,7 +122,7 @@ service::ReplanOptions replan_options_from_args(const cli::ArgParser& parser,
     defaults.numerical = true;
     opt.procs = engine::evaluate_point(sys, defaults).allocation->procs;
   } else {
-    opt.procs = parser.option_double("procs");
+    opt.procs = procs_from_args(parser, "procs");
   }
   return opt;
 }

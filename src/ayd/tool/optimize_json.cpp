@@ -60,9 +60,9 @@ void add_optimize_options(cli::ArgParser& parser) {
 OptimizeRequest optimize_request_from_args(const cli::ArgParser& parser) {
   OptimizeRequest req;
   if (!parser.option("procs").empty()) {
-    req.procs = parser.option_double("procs");
+    req.procs = procs_from_args(parser, "procs");
   }
-  req.max_procs = parser.option_double("max-procs");
+  req.max_procs = procs_from_args(parser, "max-procs");
   req.simulate = parser.flag("simulate");
   refuse_unless_simulating(
       parser, req.simulate,

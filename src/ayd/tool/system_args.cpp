@@ -7,6 +7,7 @@
 #include "ayd/tool/commands.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <ostream>
 #include <stdexcept>
 
@@ -184,6 +185,20 @@ void add_system_options(cli::ArgParser& parser) {
                     "file system costs PHI x the burst-buffer recovery; "
                     "shock-triggered rollbacks pay the PFS path "
                     "(simulation only, requires --shock)");
+}
+
+double procs_from_args(const cli::ArgParser& parser,
+                       const std::string& name) {
+  const double procs = parser.option_double(name);
+  // --max-procs is the upper edge of the search interval [1, max-procs],
+  // which must not be empty.
+  const bool upper_edge = name == "max-procs";
+  if (!std::isfinite(procs) || procs < 1.0 || (upper_edge && procs == 1.0)) {
+    throw util::CliError("--" + name + " must be a finite processor count " +
+                         (upper_edge ? "> 1" : ">= 1") +
+                         ", got: " + parser.option(name));
+  }
+  return procs;
 }
 
 model::System system_from_args(const cli::ArgParser& parser) {

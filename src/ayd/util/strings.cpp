@@ -50,11 +50,6 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 std::optional<double> parse_strict_double(const std::string& s) {
   try {
     std::size_t used = 0;

@@ -22,7 +22,6 @@ namespace ayd::util {
                                std::string_view sep);
 
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
-[[nodiscard]] bool ends_with(std::string_view s, std::string_view suffix);
 
 /// Lower-cases ASCII characters only.
 [[nodiscard]] std::string to_lower(std::string_view s);

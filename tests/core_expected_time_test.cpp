@@ -4,12 +4,12 @@
 #include <gtest/gtest.h>
 #include <tuple>
 
-#include "ayd/core/first_order.hpp"
-#include "ayd/math/special.hpp"
 #include "ayd/model/platform.hpp"
 #include "ayd/model/scenario.hpp"
 #include "ayd/model/system.hpp"
 #include "ayd/util/error.hpp"
+
+#include "support/core_reference.hpp"
 
 namespace ayd::core {
 namespace {
@@ -83,29 +83,6 @@ TEST(ExpectedTime, AlwaysAtLeastTheFaultFreeTime) {
       }
     }
   }
-}
-
-TEST(ExpectedTime, ComponentsSumToTotal) {
-  const System sys = make_system(5e-7, 0.3, 200.0, 200.0, 25.0, 1800.0);
-  const Pattern p{15000.0, 128.0};
-  const double total = expected_pattern_time(sys, p);
-  const double etv = expected_work_time(sys, p);
-  const double ec = expected_checkpoint_time(sys, p);
-  EXPECT_NEAR(total, etv + ec, total * 1e-14);
-}
-
-TEST(ExpectedTime, RecoveryExpectationClosedForm) {
-  // E(R) = (1/λf + D)(e^{λf·R} − 1).
-  const System sys = make_system(1e-5, 1.0, 300.0, 300.0, 0.0, 3600.0);
-  const double lf = sys.fail_stop_rate(100.0);
-  const double expected = (1.0 / lf + 3600.0) * std::expm1(lf * 300.0);
-  EXPECT_NEAR(expected_recovery_time(sys, 100.0), expected,
-              expected * 1e-13);
-}
-
-TEST(ExpectedTime, RecoveryEqualsCostWhenNoFailStop) {
-  const System sys = make_system(1e-5, 0.0, 300.0, 300.0, 0.0, 3600.0);
-  EXPECT_DOUBLE_EQ(expected_recovery_time(sys, 1000.0), 300.0);
 }
 
 TEST(ExpectedTime, MonotoneInPeriod) {
@@ -207,24 +184,6 @@ TEST(LogExpectedTime, FiniteForSilentOnlyOverflow) {
   EXPECT_TRUE(std::isfinite(log_e));
   const double ls = sys.silent_rate(1e5);
   EXPECT_NEAR(log_e, ls * 1e9 + std::log(1e9 + 1.0 + 10.0), 1e-6);
-}
-
-TEST(FirstOrderTime, ConvergesToExactAsLambdaShrinks) {
-  // The expansion drops O(λ²) terms: its relative error must shrink by
-  // ~100x when λ shrinks by 10x.
-  const System base = make_system(1e-6, 0.4, 60.0, 60.0, 12.0, 3600.0);
-  const Pattern p{3000.0, 100.0};
-  double prev_err = -1.0;
-  for (const double lambda : {1e-6, 1e-7, 1e-8}) {
-    const System sys = base.with_lambda(lambda);
-    const double exact = expected_pattern_time(sys, p);
-    const double approx = first_order_pattern_time(sys, p);
-    const double err = std::abs(approx - exact) / exact;
-    if (prev_err > 0.0) {
-      EXPECT_LT(err, prev_err / 50.0) << "lambda=" << lambda;
-    }
-    prev_err = err;
-  }
 }
 
 TEST(ExpectedTime, InvalidPatternsRejected) {

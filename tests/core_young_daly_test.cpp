@@ -11,6 +11,8 @@
 #include "ayd/model/system.hpp"
 #include "ayd/util/error.hpp"
 
+#include "support/core_reference.hpp"
+
 namespace ayd::core {
 namespace {
 

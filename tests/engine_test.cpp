@@ -19,7 +19,7 @@ namespace {
 // -- Axis ----------------------------------------------------------------
 
 TEST(Axis, LinearSpacingMatchesEndpoints) {
-  const Axis a = Axis::linear("x", 0.0, 10.0, 5);
+  const Axis a = Axis::spaced("x", 0.0, 10.0, 5, false);
   ASSERT_EQ(a.values.size(), 5u);
   EXPECT_DOUBLE_EQ(a.values.front(), 0.0);
   EXPECT_DOUBLE_EQ(a.values[2], 5.0);
@@ -41,8 +41,8 @@ TEST(Axis, StepIncludesUpperEndpoint) {
 }
 
 TEST(Axis, RejectsDegenerateRanges) {
-  EXPECT_THROW((void)Axis::linear("x", 1.0, 0.0, 3), util::Error);
-  EXPECT_THROW((void)Axis::linear("x", 0.0, 1.0, 1), util::Error);
+  EXPECT_THROW((void)Axis::spaced("x", 1.0, 0.0, 3, false), util::Error);
+  EXPECT_THROW((void)Axis::spaced("x", 0.0, 1.0, 1, false), util::Error);
   EXPECT_THROW((void)Axis::log_spaced("x", 0.0, 1.0, 3), util::Error);
   EXPECT_THROW((void)Axis::list("x", {}), util::Error);
 }
@@ -112,7 +112,7 @@ TEST(Record, PreservesInsertionOrderAndTypes) {
   Record r;
   r.set("a", 1.5);
   r.set("b", "text");
-  r.set_missing("c");
+  r.set("c", 2.0);
   ASSERT_EQ(r.fields().size(), 3u);
   EXPECT_EQ(r.fields()[0].first, "a");
   EXPECT_EQ(r.fields()[2].first, "c");
@@ -136,7 +136,6 @@ Record sample_record() {
   Record r;
   r.set("name", "row");
   r.set("value", 0.123456789);
-  r.set_missing("gap");
   return r;
 }
 
@@ -237,7 +236,7 @@ TEST(RunGrid, SerialAndParallelProduceIdenticalRecords) {
 
 TEST(RunGrid, EvaluationExceptionsPropagate) {
   GridSpec grid;
-  grid.axis(Axis::linear("x", 0.0, 1.0, 8));
+  grid.axis(Axis::spaced("x", 0.0, 1.0, 8, false));
   exec::ThreadPool pool(2);
   EXPECT_THROW((void)run_grid(grid, &pool,
                               [](const Point& pt) -> Record {

@@ -21,7 +21,8 @@
 #include "ayd/rng/simd.hpp"
 #include "ayd/rng/stream.hpp"
 #include "ayd/sim/pending_set.hpp"
-#include "ayd/stats/ks.hpp"
+
+#include "support/ks.hpp"
 
 namespace ayd::model {
 namespace {

@@ -18,6 +18,8 @@
 #include "ayd/stats/running.hpp"
 #include "ayd/util/error.hpp"
 
+#include "support/failure_log.hpp"
+
 namespace ayd::model {
 namespace {
 

@@ -26,13 +26,6 @@ TEST(CsvWriter, QuotesSpecialCharacters) {
             "\"a,b\",\"c\"\"d\",\"e\nf\"\n");
 }
 
-TEST(CsvWriter, NumericRow) {
-  std::ostringstream os;
-  CsvWriter w(os);
-  w.write_row(std::vector<double>{1.5, 2.25}, 6);
-  EXPECT_EQ(os.str(), "1.5,2.25\n");
-}
-
 TEST(ParseCsv, SimpleRows) {
   const auto rows = parse_csv("a,b\nc,d\n");
   ASSERT_EQ(rows.size(), 2u);

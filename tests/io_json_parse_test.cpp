@@ -75,9 +75,10 @@ TEST(JsonParse, IntegerVsDoubleIsPreserved) {
 TEST(JsonParse, ObjectsKeepMemberOrderAndSupportLookup) {
   const JsonValue v = parse_json(R"({"b": 1, "a": {"c": [1, 2, 3]}})");
   ASSERT_TRUE(v.is_object());
-  ASSERT_EQ(v.members().size(), 2u);
-  EXPECT_EQ(v.members()[0].first, "b");
-  EXPECT_EQ(v.members()[1].first, "a");
+  const auto members = JsonValue(v).members();
+  ASSERT_EQ(members.size(), 2u);
+  EXPECT_EQ(members[0].first, "b");
+  EXPECT_EQ(members[1].first, "a");
   EXPECT_EQ(v.at("b").as_int(), 1);
   ASSERT_NE(v.find("a"), nullptr);
   EXPECT_EQ(v.at("a").at("c").as_array().size(), 3u);

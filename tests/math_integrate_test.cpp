@@ -1,4 +1,4 @@
-#include "ayd/math/integrate.hpp"
+#include "support/integrate.hpp"
 
 #include <cmath>
 #include <gtest/gtest.h>

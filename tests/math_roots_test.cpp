@@ -5,6 +5,8 @@
 
 #include "ayd/util/error.hpp"
 
+#include "support/bisect.hpp"
+
 namespace ayd::math {
 namespace {
 
@@ -63,29 +65,6 @@ TEST(BrentRoot, FTolStopsEarly) {
                             opt);
   EXPECT_TRUE(r.converged);
   EXPECT_LE(std::abs(r.fx), 1e-3);
-}
-
-TEST(ExpandBracket, GrowsUntilSignChange) {
-  double lo = 1.0, hi = 2.0;
-  // Root at x = -10, far left of the seed interval.
-  const bool ok =
-      expand_bracket([](double x) { return x + 10.0; }, lo, hi);
-  EXPECT_TRUE(ok);
-  EXPECT_LE(lo, -10.0);
-}
-
-TEST(ExpandBracket, GivesUpOnRootlessFunction) {
-  double lo = -1.0, hi = 1.0;
-  const bool ok = expand_bracket(
-      [](double x) { return x * x + 1.0; }, lo, hi, 1.6, /*max=*/20);
-  EXPECT_FALSE(ok);
-}
-
-TEST(ExpandBracket, ImmediateSuccessIfAlreadyBracketing) {
-  double lo = -2.0, hi = 2.0;
-  EXPECT_TRUE(expand_bracket([](double x) { return x; }, lo, hi));
-  EXPECT_DOUBLE_EQ(lo, -2.0);
-  EXPECT_DOUBLE_EQ(hi, 2.0);
 }
 
 class RootMethodsAgree : public ::testing::TestWithParam<double> {};

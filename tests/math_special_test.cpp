@@ -3,8 +3,7 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
-#include "ayd/math/integrate.hpp"
-#include "ayd/util/error.hpp"
+#include "support/integrate.hpp"
 
 namespace ayd::math {
 namespace {
@@ -32,57 +31,6 @@ TEST(Expm1OverX, MonotoneIncreasing) {
     EXPECT_GT(cur, prev) << "x=" << x;
     prev = cur;
   }
-}
-
-TEST(Log1mExp, MatchesDefinition) {
-  // Reference uses expm1 so that the reference itself does not cancel for
-  // small |x| (log(1 - e^x) == log(-expm1(x)) exactly).
-  for (const double x : {-1e-6, -0.1, -0.5, -1.0, -5.0, -50.0}) {
-    EXPECT_NEAR(log1mexp(x), std::log(-std::expm1(x)), 1e-12) << "x=" << x;
-  }
-}
-
-TEST(Log1mExp, RequiresNegative) {
-  EXPECT_THROW((void)log1mexp(0.0), util::InvalidArgument);
-  EXPECT_THROW((void)log1mexp(1.0), util::InvalidArgument);
-}
-
-TEST(Log1pExp, MatchesDefinitionAndTails) {
-  for (const double x : {-100.0, -10.0, -1.0, 0.0, 1.0, 10.0, 30.0}) {
-    EXPECT_NEAR(log1pexp(x), std::log1p(std::exp(x)), 1e-12) << "x=" << x;
-  }
-  EXPECT_DOUBLE_EQ(log1pexp(1000.0), 1000.0);   // saturates to identity
-  EXPECT_DOUBLE_EQ(log1pexp(-1000.0), 0.0);     // saturates to zero
-}
-
-TEST(LogAddExp, Identities) {
-  EXPECT_NEAR(logaddexp(std::log(2.0), std::log(3.0)), std::log(5.0), 1e-14);
-  // Symmetric.
-  EXPECT_DOUBLE_EQ(logaddexp(1.0, 2.0), logaddexp(2.0, 1.0));
-  // No overflow for huge arguments.
-  EXPECT_NEAR(logaddexp(1000.0, 1000.0), 1000.0 + std::log(2.0), 1e-12);
-  // -inf is the identity element.
-  const double ninf = -std::numeric_limits<double>::infinity();
-  EXPECT_DOUBLE_EQ(logaddexp(ninf, 5.0), 5.0);
-  EXPECT_DOUBLE_EQ(logaddexp(5.0, ninf), 5.0);
-}
-
-TEST(LogSubExp, Identities) {
-  EXPECT_NEAR(logsubexp(std::log(5.0), std::log(3.0)), std::log(2.0), 1e-14);
-  EXPECT_NEAR(logsubexp(2000.0, 1999.0), 2000.0 + std::log1p(-std::exp(-1.0)),
-              1e-12);
-  EXPECT_THROW((void)logsubexp(1.0, 1.0), util::InvalidArgument);
-  EXPECT_THROW((void)logsubexp(1.0, 2.0), util::InvalidArgument);
-}
-
-TEST(ProbBefore, MatchesDefinitionAndEdges) {
-  EXPECT_DOUBLE_EQ(prob_before(0.0, 100.0), 0.0);
-  EXPECT_DOUBLE_EQ(prob_before(1.0, 0.0), 0.0);
-  EXPECT_NEAR(prob_before(2.0, 1.5), 1.0 - std::exp(-3.0), 1e-15);
-  // Tiny rate*t: no cancellation; agrees with rate*t up to the quadratic
-  // Taylor term (rate*t)^2/2 = 5e-25, which a correct expm1-based
-  // implementation keeps (the naive 1-exp form would round it away).
-  EXPECT_NEAR(prob_before(1e-9, 1e-3), 1e-12, 1e-24);
 }
 
 TEST(ExpectedTimeLost, HalfOfWindowForTinyRates) {
@@ -120,22 +68,6 @@ TEST(ExpectedTimeLost, BelowHalfWindowAlways) {
       EXPECT_LT(expected_time_lost(rate, w), 0.5 * w + 1e-12);
     }
   }
-}
-
-TEST(IsClose, RelativeAndAbsolute) {
-  EXPECT_TRUE(is_close(1.0, 1.0 + 1e-12));
-  EXPECT_FALSE(is_close(1.0, 1.1));
-  EXPECT_TRUE(is_close(0.0, 1e-12, 1e-9, 1e-9));
-  EXPECT_FALSE(is_close(0.0, 1e-6, 1e-9, 1e-9));
-  EXPECT_TRUE(is_close(1e300, 1e300 * (1 + 1e-10)));
-}
-
-TEST(IsClose, NanAndInf) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(is_close(nan, nan));
-  EXPECT_TRUE(is_close(inf, inf));
-  EXPECT_FALSE(is_close(inf, 1e308));
 }
 
 TEST(RelDiff, Basics) {

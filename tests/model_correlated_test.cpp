@@ -26,8 +26,9 @@
 #include "ayd/model/system.hpp"
 #include "ayd/rng/stream.hpp"
 #include "ayd/sim/segmented.hpp"
-#include "ayd/stats/ks.hpp"
 #include "ayd/util/error.hpp"
+
+#include "support/ks.hpp"
 
 namespace ayd::model {
 namespace {

@@ -26,6 +26,8 @@
 #include "ayd/stats/running.hpp"
 #include "ayd/util/error.hpp"
 
+#include "support/log_sample.hpp"
+
 namespace ayd::stats {
 namespace {
 
@@ -91,7 +93,7 @@ TEST(WeibullShapeSolver, AgreesWithPowBisectionReference) {
     for (const std::size_t n : {2u, 3u, 16u, 256u, 5000u}) {
       const std::vector<double> gaps = draw(
           model::FailureDistSpec::weibull(shape), 1.0 / 3600.0, n, stream++);
-      const MleFit fit = fit_weibull_mle(gaps);
+      const MleFit fit = fit_weibull_mle(positive_gaps(gaps));
       ASSERT_EQ(fit.count, n);  // no draw underflowed to 0
       ASSERT_TRUE(fit.valid) << "shape " << shape << " n " << n;
       const double want = reference_shape(gaps);
@@ -112,14 +114,14 @@ TEST(WeibullShapeSolver, ClampEdgesAreExact) {
   // Two gaps 200 decades apart: the score is positive even at k = 0.05.
   const std::vector<double> heavy = {1e-100, 1e100};
   ASSERT_EQ(reference_shape(heavy), kShapeMin);
-  const MleFit low = fit_weibull_mle(heavy);
+  const MleFit low = fit_weibull_mle(positive_gaps(heavy));
   ASSERT_TRUE(low.valid);
   EXPECT_EQ(low.shape, kShapeMin);
 
   // A near-spike: the score is still negative at k = 20.
   const std::vector<double> spike = {3600.0, 3600.0 * (1.0 + 1e-9)};
   ASSERT_EQ(reference_shape(spike), kShapeMax);
-  const MleFit high = fit_weibull_mle(spike);
+  const MleFit high = fit_weibull_mle(positive_gaps(spike));
   ASSERT_TRUE(high.valid);
   EXPECT_EQ(high.shape, kShapeMax);
 }
@@ -127,7 +129,7 @@ TEST(WeibullShapeSolver, ClampEdgesAreExact) {
 TEST(WeibullShapeSolver, AllEqualWindowGivesTheUpperClamp) {
   for (const std::size_t n : {2u, 3u, 256u}) {
     const std::vector<double> same(n, 0.1);
-    const MleFit fit = fit_weibull_mle(same);
+    const MleFit fit = fit_weibull_mle(positive_gaps(same));
     ASSERT_TRUE(fit.valid) << n;
     EXPECT_EQ(fit.shape, kShapeMax) << n;
     EXPECT_NEAR(fit.scale, 0.1, 1e-12) << n;
@@ -137,16 +139,16 @@ TEST(WeibullShapeSolver, AllEqualWindowGivesTheUpperClamp) {
 TEST(WeibullShapeSolver, InvalidInputsStayInvalid) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(fit_weibull_mle({}).valid);
+  EXPECT_FALSE(fit_weibull_mle(positive_gaps({})).valid);
   const std::vector<double> one = {3600.0};
-  EXPECT_FALSE(fit_weibull_mle(one).valid);
+  EXPECT_FALSE(fit_weibull_mle(positive_gaps(one)).valid);
   const std::vector<double> one_usable = {3600.0, 0.0, -1.0, nan, inf, -inf};
-  const MleFit fit = fit_weibull_mle(one_usable);
+  const MleFit fit = fit_weibull_mle(positive_gaps(one_usable));
   EXPECT_FALSE(fit.valid);
   EXPECT_EQ(fit.count, 1u);
   const std::vector<double> none = {0.0, -5.0, nan, inf};
-  EXPECT_FALSE(fit_weibull_mle(none).valid);
-  EXPECT_FALSE(fit_best_mle(none).valid);
+  EXPECT_FALSE(fit_weibull_mle(positive_gaps(none)).valid);
+  EXPECT_FALSE(fit_best_mle(positive_gaps(none)).valid);
 }
 
 // -- OnlineFit caches ------------------------------------------------------
@@ -216,7 +218,7 @@ TEST(OnlineFitCaches, EveryRefitEqualsAFromScratchRecomputation) {
     ++refits;
 
     const std::vector<double> samples(window.begin(), window.end());
-    const MleFit scratch = fit_best_mle(samples);
+    const MleFit scratch = fit_best_mle(positive_gaps(samples));
     expect_same_fit(d.fit, scratch);
     expect_same_fit(online.fit(), scratch);
     if (!d.fit.valid) continue;

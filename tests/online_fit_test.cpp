@@ -15,8 +15,10 @@
 
 #include "ayd/model/failure_dist.hpp"
 #include "ayd/rng/stream.hpp"
-#include "ayd/stats/ks.hpp"
 #include "ayd/util/error.hpp"
+
+#include "support/ks.hpp"
+#include "support/log_sample.hpp"
 
 namespace ayd::stats {
 namespace {
@@ -54,7 +56,7 @@ TEST(OnlineFitStatistical, WeibullWearOutRecoveredOn10kSamples) {
   const double rate = 1.0 / 3600.0;
   const std::vector<double> gaps =
       draw(model::FailureDistSpec::weibull(k), rate, 10000, 1);
-  const MleFit fit = fit_weibull_mle(gaps);
+  const MleFit fit = fit_weibull_mle(positive_gaps(gaps));
   ASSERT_TRUE(fit.valid);
   EXPECT_EQ(fit.count, 10000u);
   EXPECT_NEAR(fit.shape, k, 0.05 * k);
@@ -69,7 +71,7 @@ TEST(OnlineFitStatistical, WeibullBurstyRecoveredOn10kSamples) {
   const double rate = 1.0 / 3600.0;
   const std::vector<double> gaps =
       draw(model::FailureDistSpec::weibull(k), rate, 10000, 2);
-  const MleFit fit = fit_weibull_mle(gaps);
+  const MleFit fit = fit_weibull_mle(positive_gaps(gaps));
   ASSERT_TRUE(fit.valid);
   EXPECT_NEAR(fit.shape, k, 0.05 * k);
   EXPECT_NEAR(fit.rate, rate, 0.05 * rate);
@@ -81,7 +83,7 @@ TEST(OnlineFitStatistical, LognormalRecoveredOn10kSamples) {
   const double rate = 1.0 / 7200.0;
   const std::vector<double> gaps =
       draw(model::FailureDistSpec::lognormal(sigma), rate, 10000, 3);
-  const MleFit fit = fit_lognormal_mle(gaps);
+  const MleFit fit = fit_lognormal_mle(positive_gaps(gaps));
   ASSERT_TRUE(fit.valid);
   EXPECT_NEAR(fit.shape, sigma, 0.05 * sigma);
   EXPECT_NEAR(fit.rate, rate, 0.05 * rate);
@@ -92,7 +94,7 @@ TEST(OnlineFitStatistical, ExponentialRateRecoveredExactly) {
   const double rate = 1.0 / 1800.0;
   const std::vector<double> gaps =
       draw(model::FailureDistSpec::exponential(), rate, 10000, 4);
-  const MleFit fit = fit_exponential_mle(gaps);
+  const MleFit fit = fit_exponential_mle(positive_gaps(gaps));
   ASSERT_TRUE(fit.valid);
   // The exponential MLE *is* the sample mean — exact, not approximate.
   double sum = 0.0;
@@ -107,11 +109,11 @@ TEST(OnlineFitStatistical, ExponentialRateRecoveredExactly) {
 TEST(OnlineFitStatistical, AicSelectsTheGeneratingFamily) {
   const std::vector<double> bursty =
       draw(model::FailureDistSpec::weibull(0.7), 1.0 / 3600.0, 4000, 5);
-  EXPECT_EQ(fit_best_mle(bursty).family, FitFamily::kWeibull);
+  EXPECT_EQ(fit_best_mle(positive_gaps(bursty)).family, FitFamily::kWeibull);
 
   const std::vector<double> heavy =
       draw(model::FailureDistSpec::lognormal(1.2), 1.0 / 3600.0, 4000, 6);
-  EXPECT_EQ(fit_best_mle(heavy).family, FitFamily::kLogNormal);
+  EXPECT_EQ(fit_best_mle(positive_gaps(heavy)).family, FitFamily::kLogNormal);
 }
 
 TEST(OnlineFitStatistical, ExponentialDataNeverGainsSpuriousShape) {
@@ -122,7 +124,7 @@ TEST(OnlineFitStatistical, ExponentialDataNeverGainsSpuriousShape) {
   const double rate = 1.0 / 3600.0;
   const std::vector<double> gaps =
       draw(model::FailureDistSpec::exponential(), rate, 4000, 7);
-  const MleFit best = fit_best_mle(gaps);
+  const MleFit best = fit_best_mle(positive_gaps(gaps));
   ASSERT_TRUE(best.valid);
   EXPECT_NEAR(best.rate, rate, 0.05 * rate);
   if (best.family == FitFamily::kWeibull) {
@@ -133,7 +135,9 @@ TEST(OnlineFitStatistical, ExponentialDataNeverGainsSpuriousShape) {
 
 // -- Robustness and degenerate inputs ------------------------------------
 
-TEST(OnlineFit, FittersIgnoreNonPositiveAndNonFiniteGaps) {
+TEST(OnlineFit, WindowIgnoresNonPositiveAndNonFiniteGaps) {
+  // OnlineFit::add is the filter in front of the fitters: a dirty stream
+  // leaves the same window, hence the same fit, as the clean one.
   const std::vector<double> clean =
       draw(model::FailureDistSpec::weibull(1.3), 1.0 / 600.0, 500, 8);
   std::vector<double> dirty = clean;
@@ -141,9 +145,15 @@ TEST(OnlineFit, FittersIgnoreNonPositiveAndNonFiniteGaps) {
   dirty.push_back(-4.0);
   dirty.push_back(std::nan(""));
   dirty.push_back(std::numeric_limits<double>::infinity());
-  const MleFit a = fit_weibull_mle(clean);
-  const MleFit b = fit_weibull_mle(dirty);
+  OnlineFitOptions opt;
+  opt.window = 1024;
+  OnlineFit online(opt);
+  for (const double g : dirty) online.add(g);
+  EXPECT_EQ(online.count(), clean.size());
+  const MleFit a = fit_best_mle(positive_gaps(clean));
+  const MleFit b = online.fit();
   ASSERT_TRUE(a.valid);
+  EXPECT_EQ(a.family, b.family);
   EXPECT_EQ(a.count, b.count);
   EXPECT_DOUBLE_EQ(a.shape, b.shape);
   EXPECT_DOUBLE_EQ(a.scale, b.scale);
@@ -151,13 +161,13 @@ TEST(OnlineFit, FittersIgnoreNonPositiveAndNonFiniteGaps) {
 }
 
 TEST(OnlineFit, TooSmallSamplesAreInvalidNotThrowing) {
-  EXPECT_FALSE(fit_exponential_mle({}).valid);
+  EXPECT_FALSE(fit_exponential_mle(positive_gaps({})).valid);
   const std::vector<double> one = {3600.0};
-  EXPECT_TRUE(fit_exponential_mle(one).valid);
-  EXPECT_FALSE(fit_weibull_mle(one).valid);
-  EXPECT_FALSE(fit_lognormal_mle(one).valid);
+  EXPECT_TRUE(fit_exponential_mle(positive_gaps(one)).valid);
+  EXPECT_FALSE(fit_weibull_mle(positive_gaps(one)).valid);
+  EXPECT_FALSE(fit_lognormal_mle(positive_gaps(one)).valid);
   // fit_best falls back to the exponential when it is the only valid fit.
-  EXPECT_EQ(fit_best_mle(one).family, FitFamily::kExponential);
+  EXPECT_EQ(fit_best_mle(positive_gaps(one)).family, FitFamily::kExponential);
 }
 
 // -- Round-trip contract --------------------------------------------------
@@ -169,8 +179,8 @@ TEST(OnlineFit, FitDensityMatchesTheBridgedModelDensity) {
   const std::vector<double> gaps =
       draw(model::FailureDistSpec::weibull(0.9), 1.0 / 3600.0, 2000, 9);
   for (const MleFit fit :
-       {fit_exponential_mle(gaps), fit_weibull_mle(gaps),
-        fit_lognormal_mle(gaps)}) {
+       {fit_exponential_mle(positive_gaps(gaps)), fit_weibull_mle(positive_gaps(gaps)),
+        fit_lognormal_mle(positive_gaps(gaps))}) {
     ASSERT_TRUE(fit.valid);
     const model::FittedFailureDist bridged = model::failure_dist_from_fit(fit);
     const auto dist = bridged.spec.instantiate(bridged.rate);

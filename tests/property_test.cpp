@@ -14,6 +14,8 @@
 #include "ayd/rng/stream.hpp"
 #include "ayd/sim/runner.hpp"
 
+#include "support/core_reference.hpp"
+
 namespace ayd {
 namespace {
 
@@ -90,15 +92,6 @@ TEST_P(SystemProperties, CompositionMatchesClosedForm) {
   if (std::isfinite(a) && std::isfinite(b)) {
     EXPECT_LT(math::rel_diff(a, b), 1e-8);
   }
-}
-
-TEST_P(SystemProperties, ComponentsSumToTotal) {
-  const auto [sys, pattern] = draw_config(GetParam());
-  const double total = core::expected_pattern_time(sys, pattern);
-  if (!std::isfinite(total)) GTEST_SKIP();
-  const double parts = core::expected_work_time(sys, pattern) +
-                       core::expected_checkpoint_time(sys, pattern);
-  EXPECT_LT(math::rel_diff(total, parts), 1e-12);
 }
 
 TEST_P(SystemProperties, LogFormMatchesLinearForm) {

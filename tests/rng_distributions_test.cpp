@@ -5,9 +5,10 @@
 #include <vector>
 
 #include "ayd/rng/xoshiro256.hpp"
-#include "ayd/stats/ks.hpp"
 #include "ayd/stats/running.hpp"
 #include "ayd/util/error.hpp"
+
+#include "support/ks.hpp"
 
 namespace ayd::rng {
 namespace {
@@ -119,14 +120,6 @@ TEST(UniformIndex, BoundsAndCoverage) {
   EXPECT_THROW((void)uniform_index(eng, 0), util::InvalidArgument);
 }
 
-TEST(Normal, MomentsAndSymmetry) {
-  Xoshiro256 eng(31);
-  stats::RunningStats s;
-  for (int i = 0; i < kSamples; ++i) s.add(normal(eng, 2.0, 3.0));
-  EXPECT_NEAR(s.mean(), 2.0, 0.1);
-  EXPECT_NEAR(s.stddev(), 3.0, 0.1);
-}
-
 TEST(NormalQuantile, KnownValues) {
   EXPECT_NEAR(detail::normal_quantile(0.5), 0.0, 1e-9);
   EXPECT_NEAR(detail::normal_quantile(0.975), 1.959963984540054, 1e-7);
@@ -134,28 +127,6 @@ TEST(NormalQuantile, KnownValues) {
   EXPECT_NEAR(detail::normal_quantile(0.8413447460685429), 1.0, 1e-6);
   EXPECT_THROW((void)detail::normal_quantile(0.0), util::InvalidArgument);
   EXPECT_THROW((void)detail::normal_quantile(1.0), util::InvalidArgument);
-}
-
-class PoissonMean : public ::testing::TestWithParam<double> {};
-
-TEST_P(PoissonMean, MeanAndVariance) {
-  const double mean = GetParam();
-  Xoshiro256 eng(77);
-  stats::RunningStats s;
-  for (int i = 0; i < kSamples; ++i) {
-    s.add(static_cast<double>(poisson(eng, mean)));
-  }
-  const double tol = 5.0 * std::sqrt(mean / kSamples) + 0.01;
-  EXPECT_NEAR(s.mean(), mean, tol);
-  EXPECT_NEAR(s.variance(), mean, 0.1 * mean + 0.05);
-}
-
-INSTANTIATE_TEST_SUITE_P(Means, PoissonMean,
-                         ::testing::Values(0.1, 1.0, 5.0, 29.0, 100.0));
-
-TEST(Poisson, ZeroMeanIsZero) {
-  Xoshiro256 eng(5);
-  EXPECT_EQ(poisson(eng, 0.0), 0u);
 }
 
 }  // namespace

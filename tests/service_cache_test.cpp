@@ -26,6 +26,8 @@
 #include "ayd/service/server.hpp"
 #include "ayd/sim/trace.hpp"
 
+#include "support/failure_log.hpp"
+
 namespace ayd::service {
 namespace {
 
@@ -198,7 +200,8 @@ TEST(MemoCache, EvictionRespectsCapacityLruOrder) {
 TEST(MemoCache, CapacityHoldsAcrossManyInsertions) {
   MemoCache cache(4, 4);
   for (int i = 0; i < 64; ++i) {
-    const std::string tag = "k" + std::to_string(i);
+    std::string tag = "k";
+    tag.append(std::to_string(i));
     (void)cache.get_or_compute(key_of(tag), [&] { return tag; });
   }
   const CacheStats stats = cache.stats();

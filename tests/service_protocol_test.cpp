@@ -120,6 +120,22 @@ TEST(ServiceProtocol, NonScalarParameterIsABadRequest) {
   EXPECT_EQ(v.at("error").at("code").as_string(), "bad_request");
 }
 
+TEST(ServiceProtocol, InvalidProcsIsABadRequestNamingTheOption) {
+  // The reply text must not depend on where the binary was built: no
+  // source path, absolute or otherwise, leaks into it.
+  PlanningService service({/*threads=*/1});
+  for (const char* line : {R"({"op":"optimize","id":1,"procs":0})",
+                           R"({"op":"simulate","id":1,"procs":-5})",
+                           R"({"op":"plan","id":1,"max-procs":0})",
+                           R"({"op":"optimize","id":1,"max-procs":1})"}) {
+    const io::JsonValue v = io::parse_json(service.handle_line(line));
+    EXPECT_EQ(v.at("error").at("code").as_string(), "bad_request") << line;
+    const std::string message = v.at("error").at("message").as_string();
+    EXPECT_NE(message.find("procs"), std::string::npos) << message;
+    EXPECT_EQ(message.find('/'), std::string::npos) << message;
+  }
+}
+
 TEST(ServiceProtocol, SubscribeRefusesEstimatorOptionsItCannotHonour) {
   // The subscribe op shares `ayd watch`'s option checks: a zero refit
   // interval or a non-finite noise floor is a bad request naming the

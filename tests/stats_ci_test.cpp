@@ -152,53 +152,5 @@ TEST(RelativeHalfWidth, MatchesDefinitionAndGuardsZeroMean) {
   EXPECT_TRUE(std::isinf(relative_half_width(ci, 0.0)));
 }
 
-TEST(BatchMeans, BatchSizeOneMatchesPlainStats) {
-  BatchMeans bm(1);
-  RunningStats plain;
-  for (const double x : {0.4, 1.7, 2.9, 0.1, 5.5, 3.2}) {
-    bm.add(x);
-    plain.add(x);
-  }
-  EXPECT_EQ(bm.batches(), plain.count());
-  EXPECT_DOUBLE_EQ(bm.mean(), plain.mean());
-  EXPECT_NEAR(bm.variance_of_mean(),
-              plain.variance() / static_cast<double>(plain.count()), 1e-15);
-}
-
-TEST(BatchMeans, TailBatchInMeanButNotVariance) {
-  BatchMeans bm(4);
-  for (int i = 0; i < 10; ++i) bm.add(static_cast<double>(i));
-  EXPECT_EQ(bm.count(), 10u);
-  EXPECT_EQ(bm.batches(), 2u);  // two full batches; 2-sample tail pending
-  EXPECT_DOUBLE_EQ(bm.mean(), 4.5);
-}
-
-TEST(BatchMeans, AbsorbsSerialCorrelationTheNaiveEstimatorMisses) {
-  // A strongly autocorrelated series: each independent draw is repeated
-  // 8 times. The naive iid standard error is ~sqrt(8) too small; batch
-  // means with batches spanning a full repeat block recover the honest
-  // scale.
-  rng::RngStream rng(0xBA7C4u, 1);
-  BatchMeans bm(8);
-  RunningStats naive;
-  for (int i = 0; i < 400; ++i) {
-    const double x = normal_quantile(rng.next_uniform01());
-    for (int r = 0; r < 8; ++r) {
-      bm.add(x);
-      naive.add(x);
-    }
-  }
-  const double naive_se = naive.stderr_mean();
-  EXPECT_GT(bm.stderr_mean(), 2.0 * naive_se);
-  EXPECT_LT(bm.stderr_mean(), 4.5 * naive_se);  // ~sqrt(8) ≈ 2.83 expected
-  const ConfidenceInterval ci = bm.ci(0.95);
-  EXPECT_GT(ci.half_width(), 0.0);
-  EXPECT_TRUE(ci.contains(bm.mean()));
-}
-
-TEST(BatchMeans, RejectsZeroBatchSize) {
-  EXPECT_THROW(BatchMeans bm(0), util::InvalidArgument);
-}
-
 }  // namespace
 }  // namespace ayd::stats

@@ -1,4 +1,4 @@
-#include "ayd/stats/ks.hpp"
+#include "support/ks.hpp"
 
 #include <cmath>
 #include <gtest/gtest.h>

@@ -1,4 +1,4 @@
-#include "ayd/stats/ks.hpp"
+#include "support/ks.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -407,6 +407,32 @@ TEST(ToolSweep, RejectsSinglePointGrid) {
   EXPECT_TRUE(contains(r.err, "two points"));
 }
 
+// -- processor counts ----------------------------------------------------
+
+TEST(ToolProcs, InvalidProcsRefusedBeforeAnyOutput) {
+  for (const std::string cmd : {"optimize", "simulate", "protocols"}) {
+    for (const std::string value : {"0", "-5", "nan"}) {
+      const ToolRun r = run({cmd, "--platform=hera", "--procs=" + value});
+      EXPECT_EQ(r.code, 1) << cmd << " --procs=" << value;
+      EXPECT_TRUE(contains(r.err, "--procs")) << cmd << ": " << r.err;
+      EXPECT_TRUE(r.out.empty()) << cmd << ": " << r.out;
+    }
+  }
+}
+
+TEST(ToolProcs, InvalidMaxProcsRefusedBeforeAnyOutput) {
+  // The search runs over [1, max-procs], so 1 itself is refused too.
+  for (const std::string cmd : {"optimize", "plan", "sweep"}) {
+    for (const std::string value : {"0", "0.5", "1", "nan"}) {
+      const ToolRun r =
+          run({cmd, "--platform=hera", "--max-procs=" + value});
+      EXPECT_EQ(r.code, 1) << cmd << " --max-procs=" << value;
+      EXPECT_TRUE(contains(r.err, "--max-procs")) << cmd << ": " << r.err;
+      EXPECT_TRUE(r.out.empty()) << cmd << ": " << r.out;
+    }
+  }
+}
+
 // -- simulation options without a simulation ------------------------------
 
 TEST(ToolSimulationOptions, RefusedWhenNothingIsSimulated) {

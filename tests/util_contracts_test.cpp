@@ -1,7 +1,9 @@
 #include "ayd/util/contracts.hpp"
 
 #include <gtest/gtest.h>
+#include <limits>
 
+#include "ayd/math/special.hpp"
 #include "ayd/util/error.hpp"
 
 namespace ayd::util {
@@ -23,6 +25,28 @@ TEST(Require, MessageContainsExpressionAndNote) {
     const std::string what = e.what();
     EXPECT_NE(what.find("2 < 1"), std::string::npos) << what;
     EXPECT_NE(what.find("ordering broken"), std::string::npos) << what;
+  }
+}
+
+TEST(Require, MessageQuotesRepositoryRelativePaths) {
+  // Library and test sources alike are quoted relative to the repository
+  // root, whatever directory the tree was built in.
+  try {
+    AYD_REQUIRE(2 < 1, "ordering broken");
+    FAIL() << "expected throw";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at tests/util_contracts_test.cpp:"),
+              std::string::npos)
+        << what;
+  }
+  try {
+    (void)math::expm1_over_x(std::numeric_limits<double>::quiet_NaN());
+    FAIL() << "expected throw";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at src/ayd/math/special.cpp:"), std::string::npos)
+        << what;
   }
 }
 
