@@ -12,15 +12,44 @@ namespace ayd::core {
 
 namespace {
 
+/// Level of the coarse scan's first-round screen. It guards a decision
+/// that is never revisited, so it is far stricter than the search's
+/// ci_level (theory.md §5.4).
+constexpr double kScreenLevel = 0.999;
+
 /// One simulated candidate: position on log T, its adaptive-replication
 /// summary, and the per-replica overheads (kept for the paired tests —
 /// common random numbers make replica i comparable across candidates).
+/// A retired candidate stopped after its first round: it stays a bracket
+/// edge, but is never the argmin.
 struct Candidate {
   double log_t = 0.0;
   stats::Summary overhead;
   std::vector<double> replica_overheads;
   bool ci_converged = false;
+  bool retired = false;
 };
+
+std::vector<double> replica_overheads(const sim::AdaptiveRun& run) {
+  std::vector<double> out;
+  out.reserve(run.outcomes().size());
+  for (const sim::ReplicaOutcome& o : run.outcomes()) {
+    out.push_back(o.overhead);
+  }
+  return out;
+}
+
+/// Paired comparison under common random numbers: the Student-t CI at
+/// `level` of the per-replica differences a_i − b_i over the common
+/// replica prefix (at least two replicas).
+stats::ConfidenceInterval paired_difference_ci(const std::vector<double>& a,
+                                               const std::vector<double>& b,
+                                               double level) {
+  const std::size_t n = std::min(a.size(), b.size());
+  stats::RunningStats diff;
+  for (std::size_t i = 0; i < n; ++i) diff.add(a[i] - b[i]);
+  return stats::mean_ci_student(diff, level);
+}
 
 /// Shared evaluation context: counts candidates and replicas. The pool
 /// gets whichever level has the work: the replica rounds of a candidate
@@ -55,34 +84,41 @@ struct SearchContext {
   std::unique_ptr<sim::UnitVariatePool> owned_pool;
   sim::ReplicationOptions replication;
   int evaluations = 0;
+  int retired = 0;
   std::uint64_t total_replicas = 0;
 
-  /// Simulates one candidate. A pure function of (system, pattern,
-  /// options), whichever thread runs it; on a pool worker its replicas
-  /// run inline.
-  Candidate simulate(double log_t, sim::ReplicationScratch& arena) const {
-    const core::Pattern pattern{std::exp(log_t), procs};
-    const sim::ReplicationResult res = sim::simulate_overhead_adaptive(
-        sys, pattern, replication, opt.adaptive, pool, &arena);
+  /// The adaptive run of one candidate: a pure function of (system,
+  /// pattern, options), whichever thread steps it; stepped on a pool
+  /// worker, its replicas run inline.
+  sim::AdaptiveRun start(double log_t, sim::ReplicationScratch* arena) const {
+    return {sys, core::Pattern{std::exp(log_t), procs}, replication,
+            opt.adaptive, arena};
+  }
+
+  /// The candidate a run stopped at; safe on any thread.
+  static Candidate candidate(double log_t, const sim::AdaptiveRun& run,
+                             bool retire) {
+    const sim::ReplicationResult res = run.result();
     Candidate c;
     c.log_t = log_t;
     c.overhead = res.overhead;
     c.ci_converged = res.ci_converged;
-    c.replica_overheads.reserve(arena.outcomes.size());
-    for (const sim::ReplicaOutcome& o : arena.outcomes) {
-      c.replica_overheads.push_back(o.overhead);
-    }
+    c.retired = retire;
+    if (!retire) c.replica_overheads = replica_overheads(run);
     return c;
   }
 
   void count(const Candidate& c) {
     ++evaluations;
+    retired += c.retired ? 1 : 0;
     total_replicas += c.overhead.count;
   }
 
   /// One candidate, on the caller.
   Candidate evaluate(double log_t) {
-    Candidate c = simulate(log_t, scratch);
+    sim::AdaptiveRun run = start(log_t, &scratch);
+    while (!run.done()) run.step(pool);
+    Candidate c = candidate(log_t, run, false);
     count(c);
     return c;
   }
@@ -93,38 +129,90 @@ struct SearchContext {
   /// pool, each running its replicas serially on its worker, the largest
   /// periods (the most failures per pattern, the longest evaluations)
   /// first; otherwise one after another, each fanning its rounds out.
-  /// Either way a failure reports the smallest failing period.
-  std::vector<Candidate> evaluate_all(const std::vector<double>& log_ts) {
+  ///
+  /// With `screen`, the candidates race: every one runs its first round,
+  /// then each that has rounds left is retired when its paired
+  /// per-replica differences against the round's leader (the lowest
+  /// first-round mean) have a kScreenLevel Student-t CI strictly above 0.
+  /// Only the survivors run on, each on its unchanged schedule from round
+  /// two, so their summaries are the bits of an unraced evaluation.
+  ///
+  /// A failure reports the smallest period that failed in the earliest
+  /// phase to fail.
+  std::vector<Candidate> evaluate_all(const std::vector<double>& log_ts,
+                                      bool screen) {
     const bool small_rounds =
         pool != nullptr &&
         opt.adaptive.min_replicas * replication.patterns_per_replica <
             pool->size() * sim::kMinPatternsPerTask;
-    std::vector<Candidate> out(log_ts.size());
-    exec::parallel_for_descending(small_rounds ? pool : nullptr,
-                                  log_ts.size(), [&](std::size_t k) {
-                                    sim::ReplicationScratch arena;
-                                    out[k] = simulate(log_ts[k], arena);
-                                  });
+    exec::ThreadPool* spread = small_rounds ? pool : nullptr;
+    const std::size_t n = log_ts.size();
+    std::vector<sim::AdaptiveRun> runs;
+    runs.reserve(n);
+    for (const double log_t : log_ts) runs.push_back(start(log_t, nullptr));
+
+    std::vector<char> retire(n, 0);
+    const auto unfinished = [&] {
+      std::vector<std::size_t> out;
+      for (std::size_t k = 0; k < n; ++k) {
+        if (retire[k] == 0 && !runs[k].done()) out.push_back(k);
+      }
+      return out;
+    };
+    if (screen) {
+      exec::parallel_for_descending(spread, n,
+                                    [&](std::size_t k) { runs[k].step(pool); });
+      const std::vector<std::size_t> open = unfinished();
+      if (!open.empty()) {
+        std::vector<double> means(n);
+        for (std::size_t k = 0; k < n; ++k) {
+          means[k] = runs[k].result().overhead.mean;
+        }
+        const auto leader = static_cast<std::size_t>(
+            std::min_element(means.begin(), means.end()) - means.begin());
+        const std::vector<double> lead = replica_overheads(runs[leader]);
+        for (const std::size_t k : open) {
+          retire[k] = k != leader &&
+                      paired_difference_ci(replica_overheads(runs[k]), lead,
+                                           kScreenLevel)
+                              .lo > 0.0;
+        }
+      }
+    }
+    // Only the runs with rounds left are dispatched: after a screen that
+    // is often none, or one, which then runs on the caller. Each builds
+    // its candidate (a reduction) where it ends; the caller builds the
+    // rest.
+    std::vector<Candidate> out(n);
+    const std::vector<std::size_t> left = unfinished();
+    exec::parallel_for_descending(spread, left.size(), [&](std::size_t j) {
+      const std::size_t k = left[j];
+      while (!runs[k].done()) runs[k].step(pool);
+      out[k] = candidate(log_ts[k], runs[k], false);
+    });
+    for (std::size_t k = 0, j = 0; k < n; ++k) {
+      if (j < left.size() && left[j] == k) {
+        ++j;
+      } else {
+        out[k] = candidate(log_ts[k], runs[k], retire[k] != 0);
+      }
+    }
     for (const Candidate& c : out) count(c);
     return out;
   }
 };
 
-/// Paired comparison under common random numbers: Student-t CI of the
-/// per-replica differences over the common replica prefix. Returns true
-/// when the CI contains 0 — the candidates are statistically
-/// indistinguishable at the configured level, so preferring one mean over
-/// the other would be noise-fitting.
+/// True when the paired CI of two candidates contains 0 — they are
+/// statistically indistinguishable at the configured level, so
+/// preferring one mean over the other would be noise-fitting.
 bool indistinguishable(const Candidate& a, const Candidate& b,
                        double ci_level) {
-  const std::size_t n =
-      std::min(a.replica_overheads.size(), b.replica_overheads.size());
-  if (n < 2) return false;
-  stats::RunningStats diff;
-  for (std::size_t i = 0; i < n; ++i) {
-    diff.add(a.replica_overheads[i] - b.replica_overheads[i]);
+  if (std::min(a.replica_overheads.size(), b.replica_overheads.size()) < 2) {
+    return false;
   }
-  return stats::mean_ci_student(diff, ci_level).contains(0.0);
+  return paired_difference_ci(a.replica_overheads, b.replica_overheads,
+                              ci_level)
+      .contains(0.0);
 }
 
 /// The exponential-assumption period optimum used to seed the search
@@ -200,11 +288,20 @@ SimPeriodOptimum sim_optimal_period(const model::System& sys, double procs,
   for (std::size_t i = 0; i < coarse.size(); ++i) {
     coarse[i] = lo + step * static_cast<double>(i);
   }
-  std::vector<Candidate> scan = ctx.evaluate_all(coarse);
+  // Only a cold scan races. A warm bracket is narrower and sits on the
+  // flat bottom of the surface, where one round rarely separates
+  // candidates (about 0.1 retirements per warm search at `ayd watch`'s
+  // settings, against 3.6 per cold scan of the `optimize` benchmark), so
+  // the barrier between the race's phases would cost more than it saves.
+  std::vector<Candidate> scan = ctx.evaluate_all(coarse, /*screen=*/!warm);
   const auto best_index = [&scan]() {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < scan.size(); ++i) {
-      if (scan[i].overhead.mean < scan[best].overhead.mean) best = i;
+    std::size_t best = scan.size();
+    for (std::size_t i = 0; i < scan.size(); ++i) {
+      if (!scan[i].retired &&
+          (best == scan.size() ||
+           scan[i].overhead.mean < scan[best].overhead.mean)) {
+        best = i;
+      }
     }
     return best;
   };
@@ -231,7 +328,8 @@ SimPeriodOptimum sim_optimal_period(const model::System& sys, double procs,
   constexpr double kGolden = 0.6180339887498949;  // (sqrt(5) - 1) / 2
   const double level = opt.replication.ci_level;
   std::vector<Candidate> pair =
-      ctx.evaluate_all({b - kGolden * (b - a), a + kGolden * (b - a)});
+      ctx.evaluate_all({b - kGolden * (b - a), a + kGolden * (b - a)},
+                       /*screen=*/false);
   Candidate c = std::move(pair[0]);
   Candidate d = std::move(pair[1]);
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
@@ -268,6 +366,7 @@ SimPeriodOptimum sim_optimal_period(const model::System& sys, double procs,
   out.at_boundary = incumbent.log_t <= dom_lo + 1e-12 ||
                     incumbent.log_t >= dom_hi - 1e-12;
   out.evaluations = ctx.evaluations;
+  out.retired = ctx.retired;
   out.total_replicas = ctx.total_replicas;
   return out;
 }

@@ -9,12 +9,18 @@
 //  * sim_optimal_period     — noise-aware 1-D search over log T at fixed
 //    P: a coarse log-spaced scan seeded by the exponential-assumption
 //    optimum, refined by golden-section. Every candidate is evaluated by
-//    adaptive replication (sim::simulate_overhead_adaptive) under common
-//    random numbers — all candidates share the replica substreams
-//    (seed, i) — and neighbouring candidates are compared with a *paired*
-//    Student-t test on the per-replica differences, so the search stops
-//    exactly when the remaining bracket cannot be resolved at the
-//    requested noise level (ci_limited) instead of chasing noise.
+//    adaptive replication (sim::AdaptiveRun) under common random numbers
+//    — all candidates share the replica substreams (seed, i) — and
+//    candidates are compared with a *paired* Student-t test on the
+//    per-replica differences. A cold coarse scan races: every candidate
+//    runs its first round, and one whose paired 99.9% interval against
+//    the round's leader lies above 0 is retired there (it keeps its
+//    one-round summary and its place as a bracket edge, but is never the
+//    argmin); the survivors finish on their unchanged schedule, so their
+//    summaries are the bits of a full evaluation. The golden-section
+//    loop stops exactly when its two interior candidates cannot be told
+//    apart at the requested noise level (ci_limited) instead of chasing
+//    noise.
 //  * sim_optimal_allocation — nested search over P (a geometric candidate
 //    ladder around the exponential Theorem-2/3 seed) with the period
 //    search inside.
@@ -33,9 +39,12 @@
 // patterns, the coarse scan's candidates and the first golden-section
 // pair run concurrently too, each running its replicas serially on one
 // thread; otherwise they run one after another and the pool runs their
-// replica rounds. The remaining single evaluations (the closed-form CI
-// attach, edge expansions, later golden steps) run on the caller and
-// hand the pool the rounds large enough to split.
+// replica rounds. A cold coarse scan does this twice: once for every
+// candidate's first round, once for the survivors that have rounds left
+// (a lone survivor runs on the caller).
+// The remaining single evaluations (the closed-form CI attach, edge
+// expansions, later golden steps) run on the caller and hand the pool
+// the rounds large enough to split.
 
 #pragma once
 
@@ -112,7 +121,12 @@ struct SimPeriodOptimum {
   /// True when the optimum sits at the search-domain edge.
   bool at_boundary = false;
   int evaluations = 0;      ///< simulated candidate periods
-  std::uint64_t total_replicas = 0;  ///< replicas across all candidates
+  /// Coarse candidates the first-round screen retired (counted in
+  /// `evaluations`).
+  int retired = 0;
+  /// Replicas simulated across all candidates (a retired candidate
+  /// counts its first round only).
+  std::uint64_t total_replicas = 0;
 };
 
 /// Minimises the simulated overhead over T at fixed `procs` under the

@@ -1,5 +1,6 @@
 #include "ayd/sim/runner.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -179,12 +180,17 @@ ReplicationResult simulate_overhead(const model::System& sys,
   return result;
 }
 
-ReplicationResult simulate_overhead_adaptive(const model::System& sys,
-                                             const core::Pattern& pattern,
-                                             const ReplicationOptions& opt,
-                                             const AdaptiveOptions& adapt,
-                                             exec::ThreadPool* pool,
-                                             ReplicationScratch* scratch) {
+AdaptiveRun::AdaptiveRun(const model::System& sys,
+                         const core::Pattern& pattern,
+                         const ReplicationOptions& opt,
+                         const AdaptiveOptions& adapt,
+                         ReplicationScratch* scratch)
+    : sys_(&sys),
+      pattern_(pattern),
+      opt_(opt),
+      adapt_(adapt),
+      scratch_(scratch),
+      target_(adapt.min_replicas) {
   AYD_REQUIRE(adapt.min_replicas >= 2,
               "adaptive replication needs min_replicas >= 2 for a CI");
   AYD_REQUIRE(adapt.max_replicas >= adapt.min_replicas,
@@ -194,46 +200,59 @@ ReplicationResult simulate_overhead_adaptive(const model::System& sys,
   AYD_REQUIRE(adapt.growth > 1.0, "adaptive growth factor must be > 1");
   require_replication(sys, opt, /*pooled=*/true);
   core::validate(pattern);
+  arena().clear();
+}
 
-  std::vector<ReplicaOutcome> local;
-  std::vector<ReplicaOutcome>& outcomes =
-      scratch != nullptr ? scratch->outcomes : local;
-  outcomes.clear();
+void AdaptiveRun::step(exec::ThreadPool* pool) {
+  AYD_REQUIRE(!done_, "adaptive run already finished");
+  std::vector<ReplicaOutcome>& outcomes = arena();
+  const std::size_t first = outcomes.size();
+  outcomes.resize(target_);
+  run_replicas(*sys_, pattern_, opt_, pool, outcomes, first);
+  ++rounds_;
 
-  // Grow-and-recheck rounds. The CI is recomputed over *all* replicas so
-  // far (replica order, so the reduction matches a fixed-count run); the
-  // next round size depends only on the current one, never on timing.
-  int rounds = 0;
-  bool converged = false;
-  std::size_t target = adapt.min_replicas;
-  while (true) {
-    const std::size_t first = outcomes.size();
-    outcomes.resize(target);
-    run_replicas(sys, pattern, opt, pool, outcomes, first);
-    ++rounds;
-
-    stats::RunningStats overhead_stats;
-    for (const ReplicaOutcome& o : outcomes) overhead_stats.add(o.overhead);
-    const stats::ConfidenceInterval ci =
-        stats::mean_ci_student(overhead_stats, opt.ci_level);
-    if (stats::relative_half_width(ci, overhead_stats.mean()) <=
-        adapt.ci_rel_tol) {
-      converged = true;
-      break;
-    }
-    if (target >= adapt.max_replicas) break;
-    const auto grown = static_cast<std::size_t>(
-        std::ceil(adapt.growth * static_cast<double>(target)));
-    target = std::min(adapt.max_replicas, std::max(target + 1, grown));
+  // The CI is recomputed over *all* replicas so far (replica order, so
+  // the reduction matches a fixed-count run); the next round size
+  // depends only on the current one, never on timing.
+  stats::RunningStats overhead_stats;
+  for (const ReplicaOutcome& o : outcomes) overhead_stats.add(o.overhead);
+  const stats::ConfidenceInterval ci =
+      stats::mean_ci_student(overhead_stats, opt_.ci_level);
+  if (stats::relative_half_width(ci, overhead_stats.mean()) <=
+      adapt_.ci_rel_tol) {
+    converged_ = true;
+    done_ = true;
+    return;
   }
+  if (target_ >= adapt_.max_replicas) {
+    done_ = true;
+    return;
+  }
+  const auto grown = static_cast<std::size_t>(
+      std::ceil(adapt_.growth * static_cast<double>(target_)));
+  target_ = std::min(adapt_.max_replicas, std::max(target_ + 1, grown));
+}
 
+ReplicationResult AdaptiveRun::result() const {
   ReplicationResult result =
-      reduce_outcomes(opt, outcomes, /*student_ci=*/true);
-  result.analytic_overhead = core::pattern_overhead(sys, pattern);
-  result.analytic_pattern_time = core::expected_pattern_time(sys, pattern);
-  result.rounds = rounds;
-  result.ci_converged = converged;
+      reduce_outcomes(opt_, outcomes(), /*student_ci=*/true);
+  result.analytic_overhead = core::pattern_overhead(*sys_, pattern_);
+  result.analytic_pattern_time =
+      core::expected_pattern_time(*sys_, pattern_);
+  result.rounds = rounds_;
+  result.ci_converged = converged_;
   return result;
+}
+
+ReplicationResult simulate_overhead_adaptive(const model::System& sys,
+                                             const core::Pattern& pattern,
+                                             const ReplicationOptions& opt,
+                                             const AdaptiveOptions& adapt,
+                                             exec::ThreadPool* pool,
+                                             ReplicationScratch* scratch) {
+  AdaptiveRun run(sys, pattern, opt, adapt, scratch);
+  while (!run.done()) run.step(pool);
+  return run.result();
 }
 
 ReplicationResult simulate_segmented_overhead(

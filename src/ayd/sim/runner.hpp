@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "ayd/core/pattern.hpp"
 #include "ayd/core/segmented.hpp"
@@ -132,6 +133,56 @@ inline constexpr std::size_t kMinPatternsPerTask = 1024;
     const ReplicationOptions& opt = {}, exec::ThreadPool* pool = nullptr,
     ReplicationScratch* scratch = nullptr);
 
+/// The adaptive driver as a resumable round stepper. Each step() runs one
+/// grow-and-recheck round: it appends replicas up to the round's target
+/// (replica i always draws substream (opt.seed, i)), recomputes the
+/// Student-t CI over all of them, and ends the run once the CI meets
+/// `adapt.ci_rel_tol` or the count reaches `adapt.max_replicas`. The
+/// schedule depends only on the counts and the CI, so a caller may pause
+/// a run between rounds, or drop it, and a resumed run ends on the same
+/// bits as one stepped straight through (simulate_overhead_adaptive).
+/// `sys` must outlive the run, and so must `scratch`, which holds the
+/// outcomes when given (the run owns them otherwise). A run is movable.
+class AdaptiveRun {
+ public:
+  AdaptiveRun(const model::System& sys, const core::Pattern& pattern,
+              const ReplicationOptions& opt, const AdaptiveOptions& adapt,
+              ReplicationScratch* scratch = nullptr);
+
+  /// Runs the next round, its replicas on `pool` (null: on the caller).
+  /// Requires !done().
+  void step(exec::ThreadPool* pool = nullptr);
+
+  /// True once the CI met the tolerance or the replica cap was reached.
+  [[nodiscard]] bool done() const { return done_; }
+
+  /// Every replica run so far, in replica order.
+  [[nodiscard]] const std::vector<ReplicaOutcome>& outcomes() const {
+    return scratch_ != nullptr ? scratch_->outcomes : own_.outcomes;
+  }
+
+  /// The replicas so far reduced with Student-t intervals; `rounds`
+  /// counts the steps, and `ci_converged` is true only once the
+  /// tolerance was met.
+  [[nodiscard]] ReplicationResult result() const;
+
+ private:
+  std::vector<ReplicaOutcome>& arena() {
+    return scratch_ != nullptr ? scratch_->outcomes : own_.outcomes;
+  }
+
+  const model::System* sys_;
+  core::Pattern pattern_;
+  ReplicationOptions opt_;
+  AdaptiveOptions adapt_;
+  ReplicationScratch* scratch_;
+  ReplicationScratch own_;
+  std::size_t target_;
+  int rounds_ = 0;
+  bool converged_ = false;
+  bool done_ = false;
+};
+
 /// Adaptive-replication variant: ignores `opt.replicas` and instead grows
 /// the replica count on the `adapt` schedule until the Student-t CI of
 /// the mean overhead satisfies `adapt.ci_rel_tol` (or `adapt.max_replicas`
@@ -140,7 +191,8 @@ inline constexpr std::size_t kMinPatternsPerTask = 1024;
 /// the returned estimate is bit-identical to a fixed-count run at the
 /// final count, and the count itself is deterministic. The returned
 /// summaries carry Student-t intervals (honest at small counts), not the
-/// normal-theory intervals of the fixed driver.
+/// normal-theory intervals of the fixed driver. Steps an AdaptiveRun to
+/// its end.
 [[nodiscard]] ReplicationResult simulate_overhead_adaptive(
     const model::System& sys, const core::Pattern& pattern,
     const ReplicationOptions& opt, const AdaptiveOptions& adapt,

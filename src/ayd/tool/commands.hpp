@@ -12,6 +12,7 @@
 
 #include "ayd/cli/args.hpp"
 #include "ayd/core/optimizer.hpp"
+#include "ayd/core/sim_optimizer.hpp"
 #include "ayd/model/application.hpp"
 #include "ayd/model/system.hpp"
 #include "ayd/service/replan.hpp"
@@ -90,6 +91,14 @@ void add_simulation_options(cli::ArgParser& parser);
 /// Reads them into ReplicationOptions.
 [[nodiscard]] sim::ReplicationOptions replication_from_args(
     const cli::ArgParser& parser);
+
+/// Reads the adaptive period-search knobs `ayd optimize --simulate` and
+/// re-planning share: the standard simulation options, with --runs as
+/// the first round (>= 2), --ci-rel-tol (finite and > 0) and --max-reps
+/// (>= 2; a cap below --runs lowers the first round to it). `mode` opens
+/// the --runs refusal ("--simulate needs --runs >= 2 ...").
+[[nodiscard]] core::SimSearchOptions search_options_from_args(
+    const cli::ArgParser& parser, const char* mode);
 
 /// Refuses each of `options` that was given while `simulating` is false:
 /// the option tunes a simulation that does not run, so it would be

@@ -101,21 +101,7 @@ service::ReplanOptions replan_options_from_args(const cli::ArgParser& parser,
     throw util::CliError("--drift-ci-level must be in (0, 1)");
   }
 
-  opt.search.replication = replication_from_args(parser);
-  if (opt.search.replication.replicas < 2) {
-    throw util::CliError(
-        "re-planning needs --runs >= 2 (a CI requires two replicas)");
-  }
-  opt.search.adaptive.min_replicas = opt.search.replication.replicas;
-  opt.search.adaptive.ci_rel_tol = parser.option_double("ci-rel-tol");
-  opt.search.adaptive.max_replicas =
-      static_cast<std::size_t>(parser.option_uint("max-reps"));
-  if (opt.search.adaptive.max_replicas < 2) {
-    throw util::CliError("--max-reps must be >= 2");
-  }
-  if (opt.search.adaptive.max_replicas < opt.search.adaptive.min_replicas) {
-    opt.search.adaptive.min_replicas = opt.search.adaptive.max_replicas;
-  }
+  opt.search = search_options_from_args(parser, "re-planning");
 
   if (parser.option("procs").empty()) {
     engine::EvalSpec defaults;

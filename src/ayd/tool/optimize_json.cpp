@@ -7,7 +7,6 @@
 #include "ayd/core/overhead.hpp"
 #include "ayd/core/young_daly.hpp"
 #include "ayd/tool/commands.hpp"
-#include "ayd/util/error.hpp"
 
 namespace ayd::tool {
 
@@ -71,23 +70,8 @@ OptimizeRequest optimize_request_from_args(const cli::ArgParser& parser) {
   // analytic request refuses the simulation options it was given (above)
   // and never validates their defaults.
   if (req.simulate) {
-    core::SimAllocationSearchOptions& opt = req.sim_search;
-    opt.max_procs = req.max_procs;
-    opt.period.replication = replication_from_args(parser);
-    if (opt.period.replication.replicas < 2) {
-      throw util::CliError(
-          "--simulate needs --runs >= 2 (a CI requires two replicas)");
-    }
-    opt.period.adaptive.min_replicas = opt.period.replication.replicas;
-    opt.period.adaptive.ci_rel_tol = parser.option_double("ci-rel-tol");
-    opt.period.adaptive.max_replicas =
-        static_cast<std::size_t>(parser.option_uint("max-reps"));
-    if (opt.period.adaptive.max_replicas < 2) {
-      throw util::CliError("--max-reps must be >= 2");
-    }
-    if (opt.period.adaptive.max_replicas < opt.period.adaptive.min_replicas) {
-      opt.period.adaptive.min_replicas = opt.period.adaptive.max_replicas;
-    }
+    req.sim_search.max_procs = req.max_procs;
+    req.sim_search.period = search_options_from_args(parser, "--simulate");
   }
   return req;
 }

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "ayd/model/platform.hpp"
 #include "ayd/model/scenario.hpp"
@@ -355,6 +356,30 @@ sim::ReplicationOptions replication_from_args(const cli::ArgParser& parser) {
       static_cast<std::size_t>(parser.option_uint("patterns"));
   opt.seed = parser.option_uint("seed");
   opt.backend = parser.flag("des") ? sim::Backend::kDes : sim::Backend::kFast;
+  return opt;
+}
+
+core::SimSearchOptions search_options_from_args(const cli::ArgParser& parser,
+                                                const char* mode) {
+  core::SimSearchOptions opt;
+  opt.replication = replication_from_args(parser);
+  if (opt.replication.replicas < 2) {
+    throw util::CliError(std::string(mode) +
+                         " needs --runs >= 2 (a CI requires two replicas)");
+  }
+  opt.adaptive.min_replicas = opt.replication.replicas;
+  opt.adaptive.ci_rel_tol = parser.option_double("ci-rel-tol");
+  if (!(std::isfinite(opt.adaptive.ci_rel_tol) &&
+        opt.adaptive.ci_rel_tol > 0.0)) {
+    throw util::CliError("--ci-rel-tol must be finite and > 0");
+  }
+  opt.adaptive.max_replicas =
+      static_cast<std::size_t>(parser.option_uint("max-reps"));
+  if (opt.adaptive.max_replicas < 2) {
+    throw util::CliError("--max-reps must be >= 2");
+  }
+  opt.adaptive.min_replicas =
+      std::min(opt.adaptive.min_replicas, opt.adaptive.max_replicas);
   return opt;
 }
 

@@ -6,13 +6,17 @@
 
 #include "ayd/core/sim_optimizer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "ayd/core/overhead.hpp"
 #include "ayd/model/platform.hpp"
 #include "ayd/model/scenario.hpp"
+#include "ayd/sim/variate_pool.hpp"
 #include "ayd/util/error.hpp"
 
 namespace ayd::core {
@@ -120,6 +124,7 @@ void expect_same_optimum(const SimPeriodOptimum& a, const SimPeriodOptimum& b) {
   EXPECT_EQ(a.ci_converged, b.ci_converged);
   EXPECT_EQ(a.at_boundary, b.at_boundary);
   EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.retired, b.retired);
   EXPECT_EQ(a.total_replicas, b.total_replicas);
 }
 
@@ -172,6 +177,120 @@ TEST(SimOptimalPeriod, ThreadPoolDoesNotChangeTheOptimumWithLargeRounds) {
   expect_thread_invariant([&](exec::ThreadPool* pool) {
     return sim_optimal_period(sys, kProcs, opt, pool);
   });
+}
+
+// -- The coarse scan's race ---------------------------------------------
+
+/// The search options of the `ayd optimize --simulate` catalog questions
+/// (--runs 16 --patterns 32 --max-reps 256 --ci-rel-tol 0.01).
+SimSearchOptions catalog_search(std::uint64_t seed) {
+  SimSearchOptions opt;
+  opt.replication.patterns_per_replica = 32;
+  opt.replication.seed = seed;
+  opt.adaptive.min_replicas = 16;
+  opt.adaptive.max_replicas = 256;
+  opt.adaptive.ci_rel_tol = 0.01;
+  return opt;
+}
+
+/// Log periods of the cold coarse scan, rebuilt from the seed period.
+std::vector<double> coarse_log_periods(const SimSearchOptions& opt,
+                                       double seed_period) {
+  const double dom_lo = std::log(opt.min_period);
+  const double dom_hi = std::log(opt.max_period);
+  const double center = std::clamp(std::log(seed_period), dom_lo, dom_hi);
+  const double lo = std::max(dom_lo, center - std::log(opt.bracket_span));
+  const double hi = std::min(dom_hi, center + std::log(opt.bracket_span));
+  const double step = (hi - lo) / static_cast<double>(opt.coarse_points - 1);
+  std::vector<double> xs(static_cast<std::size_t>(opt.coarse_points));
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = lo + step * static_cast<double>(i);
+  }
+  return xs;
+}
+
+TEST(SimOptimalPeriod, RacedCoarseScanKeepsTheExhaustiveArgmin) {
+  // Oracle: every coarse candidate evaluated in full, on a CRN pool the
+  // test builds. The race may only drop candidates that cannot win, so
+  // the reported optimum must be what the exhaustive scan implies: the
+  // exhaustive argmin itself, bit for bit, or a refinement that beats it
+  // inside its bracket. Either way the reported summary is the bits of a
+  // full evaluation at the reported period.
+  const char* platforms[] = {"hera", "atlas"};
+  const model::FailureDistSpec laws[] = {
+      model::FailureDistSpec::weibull(0.5),
+      model::FailureDistSpec::weibull(0.7),
+      model::FailureDistSpec::weibull(1.4),
+      model::FailureDistSpec::lognormal(1.2)};
+  constexpr double kP = 256.0;
+  std::uint64_t seed = 0x0AC1E;
+  int bursty_retired = 0;
+  for (const char* platform : platforms) {
+    for (const Scenario scenario : model::all_scenarios()) {
+      for (const model::FailureDistSpec& law : laws) {
+        const System sys =
+            System::from_platform(model::platform_by_name(platform), scenario)
+                .with_failure_dist(law);
+        const SimSearchOptions opt = catalog_search(++seed);
+        SCOPED_TRACE(testing::Message()
+                     << platform << " S" << static_cast<int>(scenario) << " "
+                     << law.to_string());
+        const SimPeriodOptimum raced = sim_optimal_period(sys, kP, opt);
+        if (law == laws[0]) bursty_retired += raced.retired;
+
+        sim::UnitVariatePool units(law, opt.replication.seed);
+        sim::ReplicationOptions rep = opt.replication;
+        rep.shared_units = &units;
+        const auto full = [&](double period) {
+          return sim::simulate_overhead_adaptive(sys, {period, kP}, rep,
+                                                 opt.adaptive)
+              .overhead;
+        };
+        const std::vector<double> xs =
+            coarse_log_periods(opt, raced.seed_period);
+        std::vector<stats::Summary> scan;
+        for (const double x : xs) scan.push_back(full(std::exp(x)));
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < scan.size(); ++i) {
+          if (scan[i].mean < scan[best].mean) best = i;
+        }
+
+        expect_same_summary(raced.overhead, full(raced.period));
+        const auto hit = std::find_if(xs.begin(), xs.end(), [&](double x) {
+          return std::exp(x) == raced.period;
+        });
+        if (hit != xs.end()) {
+          EXPECT_EQ(static_cast<std::size_t>(hit - xs.begin()), best);
+          expect_same_summary(raced.overhead, scan[best]);
+        } else {
+          EXPECT_LT(raced.overhead.mean, scan[best].mean);
+          constexpr double kInf = std::numeric_limits<double>::infinity();
+          const double log_t = std::log(raced.period);
+          EXPECT_GT(log_t, best > 0 ? xs[best - 1] : -kInf);
+          EXPECT_LT(log_t, best + 1 < xs.size() ? xs[best + 1] : kInf);
+        }
+      }
+    }
+  }
+  // Weibull 0.5 is the law whose scans retire the most candidates; the
+  // oracle must have seen the race act.
+  EXPECT_GT(bursty_retired, 0);
+}
+
+TEST(SimOptimalPeriod, ThreadPoolDoesNotChangeARacedOptimum) {
+  // The race's two phases run concurrently on a pool; a retiring search
+  // must still return every field bit for bit.
+  const System sys =
+      System::from_platform(model::hera(), Scenario::kS3)
+          .with_failure_dist(model::FailureDistSpec::weibull(0.5));
+  const SimSearchOptions opt = catalog_search(0x0AC1E);
+  const SimPeriodOptimum serial = sim_optimal_period(sys, 256.0, opt);
+  ASSERT_GT(serial.retired, 0);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " thread(s)");
+    exec::ThreadPool pool(threads);
+    expect_same_optimum(serial, sim_optimal_period(sys, 256.0, opt, &pool));
+  }
 }
 
 TEST(SimOptimalPeriod, DivergingCandidatesReportTheSmallestPeriod) {
@@ -359,6 +478,7 @@ TEST(SimOptimalPeriod, WarmStartNearTheOptimumStaysOnTheOptimum) {
   const SimPeriodOptimum sim = sim_optimal_period(sys, kProcs, warm);
   EXPECT_TRUE(sim.converged);
   EXPECT_FALSE(sim.used_closed_form);
+  EXPECT_EQ(sim.retired, 0);  // only cold scans race
   const double h_at_found = pattern_overhead(sys, {sim.period, kProcs});
   EXPECT_LE(h_at_found, 1.01 * exact.overhead);
   EXPECT_GT(sim.period, exact.period / warm.warm_bracket_span);

@@ -156,6 +156,30 @@ TEST(ServiceProtocol, SubscribeRefusesEstimatorOptionsItCannotHonour) {
   }
 }
 
+TEST(ServiceProtocol, OptimizeAndSubscribeRefuseABadCiRelTol) {
+  // Both ops read their search knobs through the CLI's shared helper, so
+  // a non-positive or non-finite target is a bad request naming the
+  // option, not a failed precondition inside the adaptive driver.
+  PlanningService service({/*threads=*/1});
+  for (const char* value : {"0", "-1", "nan"}) {
+    for (const std::string& line :
+         {std::string(R"({"op":"optimize","id":1,"platform":"hera",)"
+                      R"("failure-dist":"weibull:k=0.7","simulate":true,)"
+                      R"("procs":"512","ci-rel-tol":")") +
+              value + R"("})",
+          std::string(R"({"op":"subscribe","id":2,"procs":"1",)"
+                      R"("ci-rel-tol":")") +
+              value + R"(","events":[3600,3600]})"}) {
+      const io::JsonValue v = io::parse_json(service.handle_line(line));
+      EXPECT_FALSE(v.at("ok").as_bool()) << line;
+      EXPECT_EQ(v.at("error").at("code").as_string(), "bad_request") << line;
+      EXPECT_NE(v.at("error").at("message").as_string().find("--ci-rel-tol"),
+                std::string::npos)
+          << line;
+    }
+  }
+}
+
 TEST(ServiceProtocol, StringAndNumberIdsEchoVerbatim) {
   PlanningService service({/*threads=*/1});
   const std::string num = service.handle_line(

@@ -8,6 +8,8 @@
 
 #include "ayd/model/platform.hpp"
 #include "ayd/model/scenario.hpp"
+#include "ayd/rng/simd.hpp"
+#include "ayd/sim/variate_pool.hpp"
 #include "ayd/stats/ci.hpp"
 #include "ayd/util/error.hpp"
 
@@ -150,6 +152,87 @@ TEST(AdaptiveReplication, RejectsInvalidOptions) {
   EXPECT_THROW((void)simulate_overhead_adaptive(sys, kPattern,
                                                 quick_replication(), bad),
                util::InvalidArgument);
+}
+
+void expect_same_run(const ReplicationResult& a, const ReplicationResult& b) {
+  EXPECT_EQ(a.overhead.count, b.overhead.count);
+  EXPECT_EQ(a.overhead.mean, b.overhead.mean);  // bitwise, as below
+  EXPECT_EQ(a.overhead.stddev, b.overhead.stddev);
+  EXPECT_EQ(a.overhead.stderr_mean, b.overhead.stderr_mean);
+  EXPECT_EQ(a.overhead.min, b.overhead.min);
+  EXPECT_EQ(a.overhead.max, b.overhead.max);
+  EXPECT_EQ(a.overhead.ci.lo, b.overhead.ci.lo);
+  EXPECT_EQ(a.overhead.ci.hi, b.overhead.ci.hi);
+  EXPECT_EQ(a.pattern_time.mean, b.pattern_time.mean);
+  EXPECT_EQ(a.total_patterns, b.total_patterns);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.ci_converged, b.ci_converged);
+}
+
+TEST(AdaptiveRun, SteppingRoundByRoundMatchesTheDriver) {
+  // The optimizer's race steps several runs a round at a time, pausing
+  // them in between: interleaved or straight through, with or without a
+  // CRN pool, a run ends on the bits of simulate_overhead_adaptive under
+  // either SIMD tier (the pool's transforms are tier-dispatched).
+  const System sys = weibull_system();
+  const core::Pattern other{2.0 * kPattern.period, kPattern.procs};
+  AdaptiveOptions adapt = quick_adaptive();
+  adapt.ci_rel_tol = 0.01;  // several rounds
+  std::vector<rng::simd::Tier> tiers = {rng::simd::Tier::kScalar};
+  if (rng::simd::avx2_available()) tiers.push_back(rng::simd::Tier::kAvx2);
+  for (const rng::simd::Tier tier : tiers) {
+    rng::simd::force_tier(tier);
+    for (const bool pooled : {false, true}) {
+      SCOPED_TRACE(testing::Message() << rng::simd::tier_name(tier)
+                                      << (pooled ? " pooled" : " stream"));
+      // Separate pools, so the stepped runs grow theirs in another order.
+      ReplicationOptions opt = quick_replication();
+      ReplicationOptions stepped = quick_replication();
+      UnitVariatePool units(sys.failure().dist(), opt.seed);
+      UnitVariatePool stepped_units(sys.failure().dist(), opt.seed);
+      if (pooled) {
+        opt.shared_units = &units;
+        stepped.shared_units = &stepped_units;
+      }
+      const ReplicationResult straight =
+          simulate_overhead_adaptive(sys, kPattern, opt, adapt);
+      const ReplicationResult straight_other =
+          simulate_overhead_adaptive(sys, other, opt, adapt);
+      EXPECT_GT(straight.rounds, 2);
+
+      AdaptiveRun a(sys, kPattern, stepped, adapt);
+      AdaptiveRun b(sys, other, stepped, adapt);
+      exec::ThreadPool pool(3);
+      int rounds = 0;
+      while (!a.done()) {
+        a.step(rounds % 2 == 0 ? nullptr : &pool);
+        ++rounds;
+        EXPECT_EQ(a.result().rounds, rounds);
+        EXPECT_EQ(a.outcomes().size(), a.result().overhead.count);
+        if (!b.done()) b.step();
+      }
+      while (!b.done()) b.step(&pool);
+      expect_same_run(a.result(), straight);
+      expect_same_run(b.result(), straight_other);
+    }
+  }
+  rng::simd::clear_forced_tier();
+}
+
+TEST(AdaptiveRun, ScratchHoldsTheOutcomesAndMovesWithTheRun) {
+  const System sys = weibull_system();
+  ReplicationScratch scratch;
+  AdaptiveRun first(sys, kPattern, quick_replication(), quick_adaptive(),
+                    &scratch);
+  first.step();
+  AdaptiveRun run = std::move(first);
+  EXPECT_EQ(&run.outcomes(), &scratch.outcomes);
+  while (!run.done()) run.step();
+  expect_same_run(run.result(),
+                  simulate_overhead_adaptive(sys, kPattern,
+                                             quick_replication(),
+                                             quick_adaptive()));
+  EXPECT_THROW(run.step(), util::InvalidArgument);
 }
 
 }  // namespace

@@ -631,5 +631,30 @@ TEST(ToolWatch, RefusesEstimatorOptionsItCannotHonour) {
   }
 }
 
+TEST(ToolCiRelTol, BadTargetsAreRefusedNamingTheOption) {
+  // Each used to reach the adaptive driver and die on its precondition.
+  const std::string trace =
+      std::string(AYD_TEST_DATA_DIR) + "/replay_stationary_exp.csv";
+  const std::vector<std::vector<std::string>> commands = {
+      {"optimize", "--platform=hera", "--scenario=1",
+       "--failure-dist=weibull:k=0.7", "--simulate", "--procs=512",
+       "--runs=4", "--patterns=8", "--max-reps=8"},
+      {"watch", "--trace", trace, "--lambda=2.78e-4", "--procs=1",
+       "--runs=8", "--patterns=32", "--max-reps=64"},
+  };
+  for (std::vector<std::string> args : commands) {
+    for (const std::string value : {"0", "-1", "nan"}) {
+      args.push_back("--ci-rel-tol=" + value);
+      const ToolRun r = run(args);
+      EXPECT_EQ(r.code, 1) << args[0] << " " << value;
+      EXPECT_TRUE(contains(r.err, "--ci-rel-tol must be finite and > 0"))
+          << args[0] << " " << value << ": " << r.err;
+      EXPECT_FALSE(contains(r.err, "precondition"))
+          << args[0] << " " << value << ": " << r.err;
+      args.pop_back();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ayd::tool
