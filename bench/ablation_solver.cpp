@@ -40,10 +40,7 @@ int main(int argc, char** argv) {
               const model::System sys =
                   model::System::from_platform(platform, *pt.scenario);
               const engine::PointEval ev = engine::evaluate_point(sys, spec);
-              core::JinRelaxationOptions jin_opt;
-              jin_opt.max_procs = 1e7;
-              const core::JinRelaxationResult jin =
-                  core::jin_relaxation(sys, jin_opt);
+              const core::JinRelaxationResult jin = core::jin_relaxation(sys);
               engine::Record r;
               r.set("Scn", model::scenario_name(*pt.scenario));
               r.set("nested_procs", ev.allocation->procs_continuous);

@@ -8,9 +8,11 @@
 # one section per function, links them with --gc-sections, and compares the
 # ayd:: text symbols of libayd.a against the ones the linked binaries keep.
 # At -O0 nothing is inlined across functions, so the comparison is exact for
-# out-of-line code. Header-only code (inline functions and templates that no
-# library source instantiates) never reaches libayd.a, so it is outside this
-# gate's reach; grep for its callers instead.
+# out-of-line code. Two blind spots remain; grep for callers instead:
+#  * header-only code (inline functions and templates that no library
+#    source instantiates) never reaches libayd.a;
+#  * a virtual override that no caller reaches is still kept, because its
+#    class's vtable refers to it. Grep for callers of each virtual.
 #
 # Usage: cmake/check_unreached.sh   (builds into build-unreached/; CMake's
 # own CMAKE_BUILD_PARALLEL_LEVEL sets how many jobs the builds run)

@@ -6,7 +6,6 @@
 #include "ayd/core/overhead.hpp"
 #include "ayd/math/minimize.hpp"
 #include "ayd/math/special.hpp"
-#include "ayd/util/contracts.hpp"
 
 namespace ayd::core {
 
@@ -22,26 +21,32 @@ double silent_blind_period(const model::System& sys, double procs) {
   return optimal_period_first_order(fail_stop_only_system(sys), procs);
 }
 
-JinRelaxationResult jin_relaxation(const model::System& sys,
-                                   const JinRelaxationOptions& opt) {
-  AYD_REQUIRE(opt.initial_procs >= opt.min_procs &&
-                  opt.initial_procs <= opt.max_procs,
-              "initial processor count outside search domain");
-  AYD_REQUIRE(opt.max_rounds >= 1, "need at least one relaxation round");
+namespace {
 
+/// The relaxation's starting allocation, the upper edge of its P domain,
+/// the relative change in (T, P) that declares a fixpoint, and its round
+/// cap.
+constexpr double kInitialProcs = 64.0;
+constexpr double kMaxProcs = 1e7;
+constexpr double kTolerance = 1e-8;
+constexpr int kMaxRounds = 100;
+
+}  // namespace
+
+JinRelaxationResult jin_relaxation(const model::System& sys) {
   JinRelaxationResult out;
-  double p = opt.initial_procs;
-  double t = optimal_period(sys, p, opt.period).period;
+  double p = kInitialProcs;
+  double t = optimal_period(sys, p).period;
 
-  const double lo = std::log(opt.min_procs);
-  const double hi = std::log(opt.max_procs);
+  const double lo = std::log(kMinProcs);
+  const double hi = std::log(kMaxProcs);
   math::MinimizeOptions mopt;
-  mopt.x_tol = opt.tolerance;
+  mopt.x_tol = kTolerance;
 
-  for (int round = 1; round <= opt.max_rounds; ++round) {
+  for (int round = 1; round <= kMaxRounds; ++round) {
     out.rounds = round;
     // T-step: optimal period for the current allocation.
-    const PeriodOptimum t_step = optimal_period(sys, p, opt.period);
+    const PeriodOptimum t_step = optimal_period(sys, p);
     const double t_new = t_step.period;
 
     // P-step: optimal allocation for the *fixed* period t_new.
@@ -49,14 +54,13 @@ JinRelaxationResult jin_relaxation(const model::System& sys,
       return log_pattern_overhead(sys, Pattern{t_new, std::exp(log_p)});
     };
     const math::MinimizeResult p_step = math::minimize_with_hint(
-        objective, lo, hi, std::log(std::clamp(p, opt.min_procs,
-                                               opt.max_procs)),
+        objective, lo, hi, std::log(std::clamp(p, kMinProcs, kMaxProcs)),
         mopt);
     const double p_new = std::exp(p_step.x);
 
     const bool settled =
-        math::rel_diff(t_new, t) <= opt.tolerance &&
-        math::rel_diff(p_new, p) <= opt.tolerance;
+        math::rel_diff(t_new, t) <= kTolerance &&
+        math::rel_diff(p_new, p) <= kTolerance;
     t = t_new;
     p = p_new;
     if (settled) {

@@ -29,15 +29,6 @@ namespace ayd::core {
 [[nodiscard]] double silent_blind_period(const model::System& sys,
                                          double procs);
 
-struct JinRelaxationOptions {
-  double initial_procs = 64.0;
-  double min_procs = 1.0;
-  double max_procs = 1e7;
-  double tolerance = 1e-8;  ///< relative change in (T, P) to declare fixpoint
-  int max_rounds = 100;
-  PeriodSearchOptions period{};
-};
-
 struct JinRelaxationResult {
   double procs = 0.0;
   double period = 0.0;
@@ -46,9 +37,9 @@ struct JinRelaxationResult {
   bool converged = false;
 };
 
-/// Alternating relaxation: T ← argmin_T H(T, P); P ← argmin_P H(T, P);
-/// repeat until neither moves by more than `tolerance` (relative).
-[[nodiscard]] JinRelaxationResult jin_relaxation(
-    const model::System& sys, const JinRelaxationOptions& opt = {});
+/// Alternating relaxation from P = 64 over P in [1, 1e7]:
+/// T ← argmin_T H(T, P); P ← argmin_P H(T, P); repeat until neither moves
+/// by more than 1e-8 (relative), for at most 100 rounds.
+[[nodiscard]] JinRelaxationResult jin_relaxation(const model::System& sys);
 
 }  // namespace ayd::core

@@ -14,6 +14,10 @@
 //
 // P is treated as continuous, matching the analysis; integer refinement
 // (evaluating floor/ceil and keeping the better) is applied on request.
+//
+// The search domains are fixed: T in [kMinPeriod, kMaxPeriod] and P in
+// [kMinProcs, max_procs]. Brent stops at a relative tolerance of 1e-10 on log T
+// (1e-9 on log P) or after 200 iterations.
 
 #pragma once
 
@@ -22,12 +26,12 @@
 
 namespace ayd::core {
 
-struct PeriodSearchOptions {
-  double min_period = 1e-3;  ///< seconds; lower edge of the search domain
-  double max_period = 1e13;  ///< seconds; upper edge of the search domain
-  double tolerance = 1e-10;  ///< relative tolerance on log T
-  int max_iterations = 200;  ///< Brent iteration cap
-};
+/// Lower edge of every period search domain, in seconds.
+inline constexpr double kMinPeriod = 1e-3;
+/// Upper edge of every period search domain, in seconds.
+inline constexpr double kMaxPeriod = 1e13;
+/// Lower edge of every processor search domain.
+inline constexpr double kMinProcs = 1.0;
 
 struct PeriodOptimum {
   double period = 0.0;        ///< T*, the optimal checkpointing period
@@ -42,15 +46,12 @@ struct PeriodOptimum {
 
 /// Minimises H(T, P) over T for the given processor count.
 [[nodiscard]] PeriodOptimum optimal_period(const model::System& sys,
-                                           double procs,
-                                           const PeriodSearchOptions& opt = {});
+                                           double procs);
 
 struct AllocationSearchOptions {
-  double min_procs = 1.0;  ///< lower edge of the allocation search
-  double max_procs = 1e7;  ///< raise for α = 0 sweeps (paper probes 10^13)
-  double tolerance = 1e-9; ///< relative tolerance on log P
-  int max_iterations = 200;      ///< outer Brent iteration cap
-  PeriodSearchOptions period{};  ///< inner period-search options
+  /// Upper edge of the allocation search (the lower edge is kMinProcs);
+  /// raise for α = 0 sweeps (the paper probes 10^13).
+  double max_procs = 1e7;
   /// Evaluate floor(P*) and ceil(P*) and keep the better one.
   bool refine_integer = true;
 };
@@ -64,9 +65,9 @@ struct AllocationOptimum {
   double procs_continuous = 0.0;
   bool converged = false;  ///< tolerance met before the iteration cap
   /// True when the optimum sits on a search-domain edge: either P ran
-  /// into min_procs/max_procs (monotone overhead in P over the domain:
+  /// into kMinProcs or max_procs (monotone overhead in P over the domain:
   /// scenario 6, α = 0 with constant costs, error-free...) or the inner
-  /// period search at the reported P stopped at min_period/max_period.
+  /// period search at the reported P stopped at kMinPeriod/kMaxPeriod.
   bool at_boundary = false;
   int outer_evaluations = 0;  ///< inner period searches performed
 };

@@ -6,16 +6,23 @@
 #include <vector>
 
 #include "ayd/stats/ci.hpp"
-#include "ayd/util/contracts.hpp"
 
 namespace ayd::core {
 
 namespace {
 
 /// Level of the coarse scan's first-round screen. It guards a decision
-/// that is never revisited, so it is far stricter than the search's
-/// ci_level (theory.md §5.4).
+/// that is never revisited, so it is far stricter than the sim::kCiLevel
+/// of the golden-section stop (theory.md §5.4).
 constexpr double kScreenLevel = 0.999;
+
+/// Golden section's stopping rule: the bracket width on log T, and the
+/// step cap.
+constexpr double kXTol = 5e-3;
+constexpr int kGoldenSteps = 32;
+
+/// Factor between neighbouring rungs of the P ladder.
+constexpr double kLadderRatio = 1.5;
 
 /// One simulated candidate: position on log T, its adaptive-replication
 /// summary, and the per-replica overheads (kept for the paired tests —
@@ -203,26 +210,15 @@ struct SearchContext {
 };
 
 /// True when the paired CI of two candidates contains 0 — they are
-/// statistically indistinguishable at the configured level, so
-/// preferring one mean over the other would be noise-fitting.
-bool indistinguishable(const Candidate& a, const Candidate& b,
-                       double ci_level) {
+/// statistically indistinguishable at sim::kCiLevel, so preferring one
+/// mean over the other would be noise-fitting.
+bool indistinguishable(const Candidate& a, const Candidate& b) {
   if (std::min(a.replica_overheads.size(), b.replica_overheads.size()) < 2) {
     return false;
   }
   return paired_difference_ci(a.replica_overheads, b.replica_overheads,
-                              ci_level)
+                              sim::kCiLevel)
       .contains(0.0);
-}
-
-/// The exponential-assumption period optimum used to seed the search
-/// (core's closed forms ignore the distribution shape by construction).
-PeriodOptimum exponential_seed(const model::System& sys, double procs,
-                               const SimSearchOptions& opt) {
-  PeriodSearchOptions popt;
-  popt.min_period = opt.min_period;
-  popt.max_period = opt.max_period;
-  return optimal_period(sys, procs, popt);
 }
 
 }  // namespace
@@ -230,17 +226,10 @@ PeriodOptimum exponential_seed(const model::System& sys, double procs,
 SimPeriodOptimum sim_optimal_period(const model::System& sys, double procs,
                                     const SimSearchOptions& opt,
                                     exec::ThreadPool* pool) {
-  AYD_REQUIRE(std::isfinite(procs) && procs >= 1.0,
-              "processor count must be finite and >= 1");
-  AYD_REQUIRE(opt.min_period > 0.0 && opt.min_period < opt.max_period,
-              "invalid period search domain");
-  AYD_REQUIRE(opt.bracket_span > 1.0, "bracket_span must be > 1");
-  AYD_REQUIRE(opt.warm_start <= 0.0 || opt.warm_bracket_span > 1.0,
-              "warm_bracket_span must be > 1");
-  AYD_REQUIRE(opt.coarse_points >= 3, "need at least 3 coarse candidates");
-  AYD_REQUIRE(opt.x_tol > 0.0, "x_tol must be > 0");
-
-  const PeriodOptimum seed = exponential_seed(sys, procs, opt);
+  // The exponential-assumption optimum seeds the search (core's closed
+  // forms ignore the distribution shape by construction); it checks
+  // `procs`.
+  const PeriodOptimum seed = optimal_period(sys, procs);
   SimPeriodOptimum out;
   out.seed_period = seed.period;
 
@@ -266,14 +255,13 @@ SimPeriodOptimum sim_optimal_period(const model::System& sys, double procs,
     return out;
   }
 
-  const double dom_lo = std::log(opt.min_period);
-  const double dom_hi = std::log(opt.max_period);
+  const double dom_lo = std::log(kMinPeriod);
+  const double dom_hi = std::log(kMaxPeriod);
   // Warm starts (the online re-planner passing the previously deployed
   // optimum) center a tighter bracket on the hint; the edge expansion
   // below walks out of it when the hint has gone stale.
   const bool warm = opt.warm_start > 0.0;
-  const double span =
-      std::log(warm ? opt.warm_bracket_span : opt.bracket_span);
+  const double span = std::log(warm ? kWarmBracketSpan : kColdBracketSpan);
   const double center = warm ? opt.warm_start : seed.period;
   const double center_x = std::clamp(std::log(center), dom_lo, dom_hi);
   double lo = std::max(dom_lo, center_x - span);
@@ -282,9 +270,9 @@ SimPeriodOptimum sim_optimal_period(const model::System& sys, double procs,
   // Coarse scan: log-spaced candidates across the bracket, extended
   // outward (same spacing) while the best sits on a bracket edge that is
   // not a domain edge — the non-exponential optimum occasionally drifts
-  // past bracket_span for extreme shapes.
-  const double step = (hi - lo) / static_cast<double>(opt.coarse_points - 1);
-  std::vector<double> coarse(static_cast<std::size_t>(opt.coarse_points));
+  // past the bracket for extreme shapes.
+  const double step = (hi - lo) / static_cast<double>(kCoarsePoints - 1);
+  std::vector<double> coarse(static_cast<std::size_t>(kCoarsePoints));
   for (std::size_t i = 0; i < coarse.size(); ++i) {
     coarse[i] = lo + step * static_cast<double>(i);
   }
@@ -326,18 +314,17 @@ SimPeriodOptimum sim_optimal_period(const model::System& sys, double procs,
   Candidate incumbent = std::move(scan[best]);
 
   constexpr double kGolden = 0.6180339887498949;  // (sqrt(5) - 1) / 2
-  const double level = opt.replication.ci_level;
   std::vector<Candidate> pair =
       ctx.evaluate_all({b - kGolden * (b - a), a + kGolden * (b - a)},
                        /*screen=*/false);
   Candidate c = std::move(pair[0]);
   Candidate d = std::move(pair[1]);
-  for (int iter = 0; iter < opt.max_iterations; ++iter) {
-    if (b - a <= opt.x_tol) {
+  for (int iter = 0; iter < kGoldenSteps; ++iter) {
+    if (b - a <= kXTol) {
       out.converged = true;
       break;
     }
-    if (indistinguishable(c, d, level)) {
+    if (indistinguishable(c, d)) {
       // The two interior candidates cannot be told apart at this noise
       // level: localising further would fit the Monte-Carlo noise, not
       // the objective. Report the noise floor instead.
@@ -355,7 +342,7 @@ SimPeriodOptimum sim_optimal_period(const model::System& sys, double procs,
       d = ctx.evaluate(a + kGolden * (b - a));
     }
   }
-  if (b - a <= opt.x_tol) out.converged = true;
+  if (b - a <= kXTol) out.converged = true;
 
   if (c.overhead.mean < incumbent.overhead.mean) incumbent = std::move(c);
   if (d.overhead.mean < incumbent.overhead.mean) incumbent = std::move(d);
@@ -374,17 +361,10 @@ SimPeriodOptimum sim_optimal_period(const model::System& sys, double procs,
 SimAllocationOptimum sim_optimal_allocation(
     const model::System& sys, const SimAllocationSearchOptions& opt,
     exec::ThreadPool* pool) {
-  AYD_REQUIRE(opt.min_procs >= 1.0 && opt.min_procs < opt.max_procs,
-              "invalid processor search domain");
-  AYD_REQUIRE(opt.rungs_per_side >= 1, "need at least one ladder rung");
-  AYD_REQUIRE(opt.ladder_ratio > 1.0, "ladder_ratio must be > 1");
-
-  // Seed P from the exponential-assumption joint optimum.
+  // Seed P from the exponential-assumption joint optimum (which checks
+  // the P domain).
   AllocationSearchOptions aopt;
-  aopt.min_procs = opt.min_procs;
   aopt.max_procs = opt.max_procs;
-  aopt.period.min_period = opt.period.min_period;
-  aopt.period.max_period = opt.period.max_period;
   const AllocationOptimum seed = optimal_allocation(sys, aopt);
 
   SimAllocationOptimum out;
@@ -411,10 +391,10 @@ SimAllocationOptimum sim_optimal_allocation(
 
   // Geometric candidate ladder around the seed, rounded to integers.
   std::vector<double> rungs;
-  for (int j = -opt.rungs_per_side; j <= opt.rungs_per_side; ++j) {
-    const double p = std::clamp(
-        std::round(seed.procs * std::pow(opt.ladder_ratio, j)),
-        std::max(1.0, opt.min_procs), opt.max_procs);
+  for (int j = -kLadderRungsPerSide; j <= kLadderRungsPerSide; ++j) {
+    const double p =
+        std::clamp(std::round(seed.procs * std::pow(kLadderRatio, j)),
+                   kMinProcs, opt.max_procs);
     if (rungs.empty() || rungs.back() != p) rungs.push_back(p);
   }
 

@@ -58,35 +58,33 @@
 
 namespace ayd::core {
 
+/// The search's fixed shape. The period domain is optimizer.hpp's
+/// [kMinPeriod, kMaxPeriod]. The coarse scan spans [T0/16, T0·16] around
+/// the exponential seed T0, or [W/4, W·4] around a warm start W, in
+/// kCoarsePoints log-spaced candidates (the middle one is the center).
+/// Golden section stops once the bracket on log T is narrower than 5e-3,
+/// or after 32 steps. The P ladder holds kLadderRungsPerSide rungs on each
+/// side of the exponential seed P0, a factor 1.5 apart.
+inline constexpr double kColdBracketSpan = 16.0;
+inline constexpr double kWarmBracketSpan = 4.0;
+inline constexpr int kCoarsePoints = 7;
+inline constexpr int kLadderRungsPerSide = 3;
+
 /// Knobs of the noise-aware period search.
 struct SimSearchOptions {
-  double min_period = 1e-3;  ///< seconds; lower edge of the search domain
-  double max_period = 1e13;  ///< seconds; upper edge of the search domain
-  /// Initial bracket half-span around the exponential seed T0:
-  /// [T0/bracket_span, T0·bracket_span], clamped to the domain.
-  double bracket_span = 16.0;
   /// When > 0, warm-start the search: center the initial bracket on this
   /// period (typically the previously deployed optimum — the online
   /// re-planner's case, where successive optima are close) with the
-  /// tighter warm_bracket_span instead of the exponential seed with
-  /// bracket_span. `seed_period` still reports the exponential seed, and
-  /// the coarse scan's edge expansion recovers when the warm start is
+  /// tighter kWarmBracketSpan instead of the exponential seed with
+  /// kColdBracketSpan. `seed_period` still reports the exponential seed,
+  /// and the coarse scan's edge expansion recovers when the warm start is
   /// stale, so a bad hint costs evaluations but never the optimum.
   /// Ignored on the closed-form (memoryless) path.
   double warm_start = 0.0;
-  /// Bracket half-span around warm_start (> 1; only read when
-  /// warm_start > 0).
-  double warm_bracket_span = 4.0;
-  /// Coarse log-spaced candidates scanned across the bracket before the
-  /// golden-section refinement (>= 3; odd counts include the seed).
-  int coarse_points = 7;
-  /// Stop refining once the bracket width on log T falls below this.
-  double x_tol = 5e-3;
-  int max_iterations = 32;  ///< golden-section shrink cap
   /// Run the search even for exponential distributions instead of
   /// returning the closed-form optimum (validation / testing hook).
   bool force_search = false;
-  /// Monte-Carlo backend, seed, patterns per replica and CI level.
+  /// Monte-Carlo backend, seed and patterns per replica.
   /// `replication.replicas` is ignored — the adaptive driver owns the
   /// count. The same seed is reused for every candidate period (common
   /// random numbers), which is what makes paired comparisons sharp.
@@ -107,7 +105,7 @@ struct SimPeriodOptimum {
   /// optimiser answered exactly (no search ran).
   bool used_closed_form = false;
   /// True when the search terminated on a principled criterion — the
-  /// bracket shrank to x_tol, the noise floor was reached (ci_limited),
+  /// bracket shrank to its tolerance, the noise floor was reached (ci_limited),
   /// or the closed form answered — rather than the iteration cap.
   bool converged = false;
   /// True when the search stopped because neighbouring candidates became
@@ -142,12 +140,8 @@ struct SimPeriodOptimum {
 
 /// Knobs of the nested (P, T) search.
 struct SimAllocationSearchOptions {
-  double min_procs = 1.0;
+  /// Upper edge of the P domain (the lower edge is 1).
   double max_procs = 1e7;
-  /// Geometric candidate ladder half-width around the exponential seed
-  /// P0: rungs_per_side rungs on each side, ratio `ladder_ratio` apart.
-  int rungs_per_side = 3;
-  double ladder_ratio = 1.5;
   /// Inner period search (shares the seed across all P candidates).
   SimSearchOptions period{};
 };
@@ -164,10 +158,10 @@ struct SimAllocationOptimum {
   /// SimPeriodOptimum::ci_converged).
   bool ci_converged = false;
   /// True when the best P sits at the end of the candidate ladder (the
-  /// true optimum may lie further out; widen the ladder).
+  /// true optimum may lie further out).
   bool at_boundary = false;
   /// True when the inner period search at the reported P stopped on the
-  /// period-domain edge (widen min_period/max_period, not the ladder).
+  /// period-domain edge [kMinPeriod, kMaxPeriod].
   bool period_at_boundary = false;
   int outer_evaluations = 0;
   std::uint64_t total_replicas = 0;

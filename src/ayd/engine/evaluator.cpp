@@ -115,8 +115,7 @@ PointEval evaluate_point(const model::System& sys, const EvalSpec& spec,
 
   if (spec.numerical) {
     if (fixed_procs.has_value()) {
-      out.period = core::optimal_period(sys, *fixed_procs,
-                                        spec.search.period);
+      out.period = core::optimal_period(sys, *fixed_procs);
     } else {
       out.allocation = core::optimal_allocation(sys, spec.search);
     }

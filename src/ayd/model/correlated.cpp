@@ -226,8 +226,8 @@ bool operator==(const HeterogeneousSpec& a, const HeterogeneousSpec& b) {
 
 // --- TwoTierCostSpec -----------------------------------------------------
 
-bool TwoTierCostSpec::distinct() const {
-  return !cost_equal(bb_recovery, pfs_recovery);
+bool TwoTierCostSpec::distinct(const CostModel& recovery) const {
+  return !cost_equal(recovery, pfs_recovery);
 }
 
 TwoTierCostSpec TwoTierCostSpec::from_penalty(const ResilienceCosts& base,
@@ -235,9 +235,6 @@ TwoTierCostSpec TwoTierCostSpec::from_penalty(const ResilienceCosts& base,
   AYD_REQUIRE(std::isfinite(pfs_penalty) && pfs_penalty >= 1.0,
               "PFS recovery penalty must be finite and >= 1");
   TwoTierCostSpec spec;
-  spec.bb_write = base.checkpoint;
-  spec.pfs_write = CostModel::zero();
-  spec.bb_recovery = base.recovery;
   spec.pfs_recovery =
       CostModel(base.recovery.constant_coeff() * pfs_penalty,
                 base.recovery.inverse_coeff() * pfs_penalty,
@@ -247,18 +244,8 @@ TwoTierCostSpec TwoTierCostSpec::from_penalty(const ResilienceCosts& base,
 
 void TwoTierCostSpec::write_json(io::JsonWriter& w) const {
   w.begin_object();
-  write_cost_array(w, "bb_write", bb_write);
-  write_cost_array(w, "pfs_write", pfs_write);
-  write_cost_array(w, "bb_recovery", bb_recovery);
   write_cost_array(w, "pfs_recovery", pfs_recovery);
   w.end_object();
-}
-
-bool operator==(const TwoTierCostSpec& a, const TwoTierCostSpec& b) {
-  return cost_equal(a.bb_write, b.bb_write) &&
-         cost_equal(a.pfs_write, b.pfs_write) &&
-         cost_equal(a.bb_recovery, b.bb_recovery) &&
-         cost_equal(a.pfs_recovery, b.pfs_recovery);
 }
 
 // --- CorrelatedSpec ------------------------------------------------------

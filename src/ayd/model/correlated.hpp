@@ -28,11 +28,12 @@
 //    share one law is, by definition and bit-for-bit, the homogeneous
 //    platform (see normalized()).
 //  * TwoTierCostSpec — two-tier checkpointing (burst buffer + PFS):
-//    every checkpoint writes both tiers (C = bb_write + pfs_write);
-//    individual failures and silent detections recover from the local
-//    burst buffer, while a shock also wipes the victims' burst buffers
-//    and forces the slower PFS recovery path. Equal recovery tiers fold
-//    into the plain single-tier cost model (see normalized()).
+//    every checkpoint writes both tiers at the System's checkpoint cost
+//    C; individual failures and silent detections recover from the
+//    local burst buffer at the System's recovery cost R, while a shock
+//    also wipes the victims' burst buffers and forces the slower PFS
+//    recovery path, the spec's one field. A PFS path equal to R folds
+//    into the plain single-tier cost model.
 //
 // Degeneracy by normalization: System's with_shock / with_heterogeneity /
 // with_two_tier modifiers normalize at construction — ρ = 0 drops the
@@ -125,33 +126,29 @@ struct HeterogeneousSpec {
                          const HeterogeneousSpec& b);
 };
 
-/// Two-tier checkpoint/recovery cost models (see file header).
+/// Two-tier recovery cost (see file header). Writes and the burst-buffer
+/// recovery are the System's costs(); the spec holds only the PFS path.
 struct TwoTierCostSpec {
-  CostModel bb_write = CostModel::zero();    ///< burst-buffer write
-  CostModel pfs_write = CostModel::zero();   ///< PFS write (every pattern)
-  CostModel bb_recovery = CostModel::zero(); ///< individual/silent path
-  CostModel pfs_recovery = CostModel::zero();///< shock recovery path
+  CostModel pfs_recovery = CostModel::zero();  ///< shock recovery path
 
-  /// True when the two recovery tiers differ (coefficient-wise); equal
-  /// tiers fold into the plain single-tier model.
-  [[nodiscard]] bool distinct() const;
+  /// True when the PFS path differs (coefficient-wise) from the
+  /// burst-buffer `recovery`; an equal path folds into the plain
+  /// single-tier model.
+  [[nodiscard]] bool distinct(const CostModel& recovery) const;
 
-  /// Builds the spec from existing single-tier costs: the measured
-  /// checkpoint cost becomes the burst-buffer write, the measured
-  /// recovery the burst-buffer restore, and the PFS recovery is
-  /// `pfs_penalty` (>= 1) times slower. pfs_penalty == 1 folds back into
-  /// the plain model bit-for-bit.
+  /// The PFS recovery `pfs_penalty` (>= 1) times slower than the measured
+  /// single-tier recovery, coefficient-wise. pfs_penalty == 1 folds back
+  /// into the plain model bit-for-bit.
   [[nodiscard]] static TwoTierCostSpec from_penalty(
       const ResilienceCosts& base, double pfs_penalty);
 
   void write_json(io::JsonWriter& w) const;
-  friend bool operator==(const TwoTierCostSpec& a, const TwoTierCostSpec& b);
 };
 
 /// The bundle of active extensions a System carries (model/system.hpp).
 /// Systems hold this normalized: every present member is genuinely
-/// active (ShockSpec::active(), non-degenerate groups,
-/// TwoTierCostSpec::distinct()).
+/// active (ShockSpec::active(), non-degenerate groups, a PFS recovery
+/// TwoTierCostSpec::distinct() from the System's recovery).
 struct CorrelatedSpec {
   std::optional<ShockSpec> shock;
   std::optional<HeterogeneousSpec> heterogeneity;

@@ -33,7 +33,6 @@ class NeverFails final : public FailureDistribution {
   [[nodiscard]] double pdf(double) const override { return 0.0; }
   [[nodiscard]] double cdf(double) const override { return 0.0; }
   [[nodiscard]] double quantile(double) const override { return kInf; }
-  [[nodiscard]] double mean() const override { return kInf; }
   [[nodiscard]] double sample(rng::RngStream&) const override { return kInf; }
   [[nodiscard]] bool memoryless() const override { return true; }
 
@@ -59,7 +58,6 @@ class ExponentialDist final : public FailureDistribution {
     AYD_REQUIRE(u >= 0.0 && u < 1.0, "quantile argument must be in [0,1)");
     return -std::log1p(-u) / rate_;
   }
-  [[nodiscard]] double mean() const override { return 1.0 / rate_; }
   [[nodiscard]] double sample(rng::RngStream& rng) const override {
     // Must stay word-for-word identical to the simulators' historical
     // draw so exponential experiments remain bit-reproducible.
@@ -83,12 +81,6 @@ class ExponentialDist final : public FailureDistribution {
                          std::size_t n) const override {
     rng.fill_uniform01(z, n);
     rng::simd::exponential_units(z, n);
-  }
-  void from_unit_bulk(const double* z, double* out,
-                      std::size_t n) const override {
-    // IEEE division is exactly rounded, so this loop is bitwise equal to
-    // elementwise from_unit however the compiler vectorizes it.
-    for (std::size_t i = 0; i < n; ++i) out[i] = z[i] / rate_;
   }
 
  private:
@@ -124,7 +116,6 @@ class WeibullDist final : public FailureDistribution {
     AYD_REQUIRE(u >= 0.0 && u < 1.0, "quantile argument must be in [0,1)");
     return scale_ * std::pow(-std::log1p(-u), 1.0 / k_);
   }
-  [[nodiscard]] double mean() const override { return 1.0 / rate_; }
   [[nodiscard]] double sample(rng::RngStream& rng) const override {
     return quantile(rng.next_uniform01());
   }
@@ -148,11 +139,6 @@ class WeibullDist final : public FailureDistribution {
                          std::size_t n) const override {
     rng.fill_uniform01(z, n);
     rng::simd::weibull_units(z, n, inv_k_);
-  }
-  void from_unit_bulk(const double* z, double* out,
-                      std::size_t n) const override {
-    // Exactly rounded multiplication: bitwise equal to from_unit.
-    for (std::size_t i = 0; i < n; ++i) out[i] = scale_ * z[i];
   }
 
  private:
@@ -188,7 +174,6 @@ class LogNormalDist final : public FailureDistribution {
     if (u == 0.0) return 0.0;
     return std::exp(mu_ + sigma_ * rng::detail::normal_quantile(u));
   }
-  [[nodiscard]] double mean() const override { return 1.0 / rate_; }
   [[nodiscard]] double sample(rng::RngStream& rng) const override {
     double u = rng.next_uniform01();
     if (u <= 0.0) u = 0x1.0p-53;  // quantile(0) would be 0
@@ -216,10 +201,6 @@ class LogNormalDist final : public FailureDistribution {
                          std::size_t n) const override {
     rng.fill_uniform01(z, n);
     rng::simd::lognormal_units(z, n);
-  }
-  void from_unit_bulk(const double* z, double* out,
-                      std::size_t n) const override {
-    rng::simd::affine_exp(z, out, n, mu_, sigma_);
   }
 
  private:
@@ -265,7 +246,6 @@ class TraceReplayDist final : public FailureDistribution {
     const auto n = static_cast<double>(sorted_->size());
     return (*sorted_)[static_cast<std::size_t>(u * n)] * scale_;
   }
-  [[nodiscard]] double mean() const override { return 1.0 / rate_; }
   [[nodiscard]] double sample(rng::RngStream& rng) const override {
     return (*gaps_)[rng.next_index(gaps_->size())] * scale_;
   }
@@ -325,11 +305,6 @@ double FailureDistribution::from_unit(double) const {
 void FailureDistribution::sample_units_fast(rng::RngStream& rng, double* z,
                                             std::size_t n) const {
   sample_units(rng, z, n);
-}
-
-void FailureDistribution::from_unit_bulk(const double* z, double* out,
-                                         std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) out[i] = from_unit(z[i]);
 }
 
 namespace {

@@ -65,8 +65,6 @@ class FailureDistribution {
   /// Inverse CDF on [0, 1); quantile(0) is the infimum of the support.
   /// The degenerate rate-0 distribution yields +inf everywhere.
   [[nodiscard]] virtual double quantile(double u) const = 0;
-  /// Mean inter-arrival (1/rate; +inf when rate == 0).
-  [[nodiscard]] virtual double mean() const = 0;
   /// One inter-arrival draw by quantile inversion. The analytic kinds
   /// consume exactly one engine word when rate() > 0 (the exponential
   /// word-for-word like the historical sampler); trace replay draws an
@@ -129,14 +127,9 @@ class FailureDistribution {
   /// Tier-aware sample_units: same words, same order; bit-identical to
   /// sample_units under the scalar tier. Default forwards to
   /// sample_units (so non-analytic kinds keep their exact behaviour).
+  /// Callers scale the deviates with from_unit one at a time.
   virtual void sample_units_fast(rng::RngStream& rng, double* z,
                                  std::size_t n) const;
-  /// Bulk from_unit: out[i] = from_unit(z[i]) elementwise. Exact (any
-  /// tier) for the linear scalings (exponential, Weibull); the
-  /// lognormal's exp runs vectorized under a SIMD tier. Default loops
-  /// over from_unit.
-  virtual void from_unit_bulk(const double* z, double* out,
-                              std::size_t n) const;
 };
 
 /// Value-semantic shape spec; lives inside FailureModel.

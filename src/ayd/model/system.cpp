@@ -79,24 +79,18 @@ System System::with_heterogeneity(const HeterogeneousSpec& spec) const {
 }
 
 System System::with_two_tier(const TwoTierCostSpec& spec) const {
-  // The single-tier projections the analytic planner (and every plain
-  // code path) sees are the burst-buffer view: every checkpoint writes
-  // both tiers, every non-shock rollback restores from the burst buffer.
-  ResilienceCosts costs = costs_;
-  costs.checkpoint = spec.bb_write + spec.pfs_write;
-  costs.recovery = spec.bb_recovery;
+  // The costs stay the burst-buffer view the analytic planner (and every
+  // plain code path) sees: every checkpoint writes both tiers, every
+  // non-shock rollback restores from the burst buffer.
   CorrelatedSpec ext = ext_ != nullptr ? *ext_ : CorrelatedSpec{};
-  if (spec.distinct()) {
+  if (spec.distinct(costs_.recovery)) {
     ext.two_tier = spec;
   } else {
-    // Equal recovery tiers: the PFS path costs exactly the burst-buffer
-    // path, so the world is the folded single-tier model.
+    // The PFS path costs exactly the burst-buffer path, so the world is
+    // the folded single-tier model.
     ext.two_tier.reset();
   }
-  return System(failure_, std::move(costs), downtime_, speedup_,
-                ext.any_active()
-                    ? std::make_shared<const CorrelatedSpec>(std::move(ext))
-                    : nullptr);
+  return with_extension(std::move(ext));
 }
 
 }  // namespace ayd::model

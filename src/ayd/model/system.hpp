@@ -100,11 +100,10 @@ class System {
   /// failure distribution. A spec equivalent to the homogeneous platform
   /// clears the axis.
   [[nodiscard]] System with_heterogeneity(const HeterogeneousSpec& spec) const;
-  /// Replaces the two-tier cost axis. The single-tier projections are
-  /// rebuilt from the spec either way (checkpoint := bb_write +
-  /// pfs_write, recovery := bb_recovery — the burst-buffer path every
-  /// non-shock rollback takes); equal recovery tiers fold into that
-  /// plain model and clear the axis.
+  /// Replaces the two-tier cost axis. costs() stay the burst-buffer view
+  /// (every checkpoint writes both tiers at C; every non-shock rollback
+  /// restores at R); a PFS recovery equal to R folds into that plain
+  /// model and clears the axis.
   [[nodiscard]] System with_two_tier(const TwoTierCostSpec& spec) const;
 
  private:

@@ -95,11 +95,6 @@ void lognormal_units_scalar(double* z, std::size_t n) {
   }
 }
 
-void affine_exp_scalar(const double* z, double* out, std::size_t n, double mu,
-                       double sigma) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(mu + sigma * z[i]);
-}
-
 }  // namespace
 
 // ---- AVX2 tier ---------------------------------------------------------
@@ -294,18 +289,6 @@ AYD_AVX2 void lognormal_units_avx2(double* z, std::size_t n) {
   if (i < n) lognormal_units_scalar(z + i, n - i);
 }
 
-AYD_AVX2 void affine_exp_avx2(const double* z, double* out, std::size_t n,
-                              double mu, double sigma) {
-  const __m256d vmu = _mm256_set1_pd(mu);
-  const __m256d vsigma = _mm256_set1_pd(sigma);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(z + i);
-    _mm256_storeu_pd(out + i, vexp(_mm256_fmadd_pd(vsigma, v, vmu)));
-  }
-  if (i < n) affine_exp_scalar(z + i, out + i, n - i, mu, sigma);
-}
-
 #undef AYD_AVX2
 
 }  // namespace
@@ -342,17 +325,6 @@ void lognormal_units(double* z, std::size_t n) {
   }
 #endif
   lognormal_units_scalar(z, n);
-}
-
-void affine_exp(const double* z, double* out, std::size_t n, double mu,
-                double sigma) {
-#ifdef AYD_SIMD_X86
-  if (active_tier() == Tier::kAvx2) {
-    affine_exp_avx2(z, out, n, mu, sigma);
-    return;
-  }
-#endif
-  affine_exp_scalar(z, out, n, mu, sigma);
 }
 
 }  // namespace ayd::rng::simd

@@ -64,12 +64,9 @@ void clear_forced_tier();
 //   exponential_units: z[i] = -log(1 - z[i])
 //   weibull_units:     z[i] = pow(-log1p(-z[i]), inv_k)
 //   lognormal_units:   z[i] = normal_quantile(z[i] <= 0 ? 2^-53 : z[i])
-//   affine_exp:        out[i] = exp(mu + sigma * z[i])
 
 void exponential_units(double* z, std::size_t n);
 void weibull_units(double* z, std::size_t n, double inv_k);
 void lognormal_units(double* z, std::size_t n);
-void affine_exp(const double* z, double* out, std::size_t n, double mu,
-                double sigma);
 
 }  // namespace ayd::rng::simd

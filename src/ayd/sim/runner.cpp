@@ -14,6 +14,9 @@ namespace ayd::sim {
 
 namespace {
 
+/// Round-size multiplier of the adaptive driver (AdaptiveOptions).
+constexpr double kGrowth = 1.6;
+
 const model::System& base_system(const model::System& sys) { return sys; }
 const model::System& base_system(const core::TwoLevelSystem& sys) {
   return sys.base;
@@ -117,11 +120,11 @@ ReplicationResult reduce_outcomes(const ReplicationOptions& opt,
 
   ReplicationResult result;
   if (student_ci) {
-    result.overhead = stats::summarize_student(overhead_stats, opt.ci_level);
-    result.pattern_time = stats::summarize_student(time_stats, opt.ci_level);
+    result.overhead = stats::summarize_student(overhead_stats, kCiLevel);
+    result.pattern_time = stats::summarize_student(time_stats, kCiLevel);
   } else {
-    result.overhead = stats::summarize(overhead_stats, opt.ci_level);
-    result.pattern_time = stats::summarize(time_stats, opt.ci_level);
+    result.overhead = stats::summarize(overhead_stats, kCiLevel);
+    result.pattern_time = stats::summarize(time_stats, kCiLevel);
   }
   result.total_patterns = static_cast<std::uint64_t>(outcomes.size()) *
                           opt.patterns_per_replica;
@@ -197,7 +200,6 @@ AdaptiveRun::AdaptiveRun(const model::System& sys,
               "adaptive replication cap below the starting count");
   AYD_REQUIRE(adapt.ci_rel_tol > 0.0 && std::isfinite(adapt.ci_rel_tol),
               "ci_rel_tol must be finite and > 0");
-  AYD_REQUIRE(adapt.growth > 1.0, "adaptive growth factor must be > 1");
   require_replication(sys, opt, /*pooled=*/true);
   core::validate(pattern);
   arena().clear();
@@ -217,7 +219,7 @@ void AdaptiveRun::step(exec::ThreadPool* pool) {
   stats::RunningStats overhead_stats;
   for (const ReplicaOutcome& o : outcomes) overhead_stats.add(o.overhead);
   const stats::ConfidenceInterval ci =
-      stats::mean_ci_student(overhead_stats, opt_.ci_level);
+      stats::mean_ci_student(overhead_stats, kCiLevel);
   if (stats::relative_half_width(ci, overhead_stats.mean()) <=
       adapt_.ci_rel_tol) {
     converged_ = true;
@@ -229,7 +231,7 @@ void AdaptiveRun::step(exec::ThreadPool* pool) {
     return;
   }
   const auto grown = static_cast<std::size_t>(
-      std::ceil(adapt_.growth * static_cast<double>(target_)));
+      std::ceil(kGrowth * static_cast<double>(target_)));
   target_ = std::min(adapt_.max_replicas, std::max(target_ + 1, grown));
 }
 

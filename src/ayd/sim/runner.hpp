@@ -33,6 +33,10 @@ enum class Backend {
   kDes,   ///< event-queue reference simulator
 };
 
+/// Confidence level of every interval the drivers report, and of the
+/// paired tests the simulated search runs on their replicas.
+inline constexpr double kCiLevel = 0.95;
+
 struct ReplicationOptions {
   /// Independent runs (the paper uses 500).
   std::size_t replicas = 120;
@@ -40,7 +44,6 @@ struct ReplicationOptions {
   std::size_t patterns_per_replica = 160;
   std::uint64_t seed = 0xA4D2016ULL;
   Backend backend = Backend::kFast;
-  double ci_level = 0.95;
   /// Common random numbers: when non-null, replica i draws its unit
   /// variates from shared_units->cursor(i) instead of sampling substream
   /// (seed, i) itself. The pool must have been built for the same
@@ -79,7 +82,9 @@ struct ReplicationResult {
 
 /// Stopping rule of the adaptive replication driver: keep adding replicas
 /// until the Student-t CI of the mean overhead is relatively tight, or a
-/// hard replica cap is reached. The growth schedule is deterministic and
+/// hard replica cap is reached. Each round grows the target by a factor
+/// 1.6: the next target is min(max_replicas, ceil(1.6 · current)), and
+/// at least one more replica. The growth schedule is deterministic and
 /// every replica i draws from RNG substream (seed, i), so the number of
 /// replicas consumed — not just their values — is a pure function of
 /// (system, pattern, options): same inputs ⇒ bit-identical replication
@@ -91,9 +96,6 @@ struct AdaptiveOptions {
   std::size_t min_replicas = 24;
   /// Hard cap; reaching it reports ci_converged = false.
   std::size_t max_replicas = 4096;
-  /// Round-size multiplier (> 1); next target is
-  /// min(max_replicas, ceil(growth · current)).
-  double growth = 1.6;
 };
 
 /// One replica's reduced measurements (simulate_overhead's intermediate).

@@ -36,10 +36,10 @@ int cmd_protocols(const std::vector<std::string>& args, std::ostream& out) {
   const double procs = parser.option("procs").empty()
                            ? core::optimal_allocation(sys).procs
                            : procs_from_args(parser, "procs");
+  const sim::ReplicationOptions opt = replication_from_args(parser);
   print_system(sys, out);
   out << "allocation: P = " << util::format_sig(procs, 6) << "\n\n";
 
-  const sim::ReplicationOptions opt = replication_from_args(parser);
   exec::ThreadPool pool(static_cast<unsigned>(parser.option_uint("threads")));
 
   io::Table table({"Protocol", "n", "T* (s)", "H predicted", "H simulated"});

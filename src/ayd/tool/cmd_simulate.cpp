@@ -32,6 +32,7 @@ int cmd_simulate(const std::vector<std::string>& args, std::ostream& out) {
   // Fill unspecified pattern parameters from the engine's evaluator
   // (shared with the service's "simulate" op).
   const ResolvedPattern resolved = resolve_pattern_from_args(parser, sys);
+  const sim::ReplicationOptions opt = replication_from_args(parser);
   print_system(sys, out);
 
   exec::ThreadPool pool(
@@ -44,7 +45,6 @@ int cmd_simulate(const std::vector<std::string>& args, std::ostream& out) {
   }
 
   const core::Pattern pattern{period, procs};
-  const sim::ReplicationOptions opt = replication_from_args(parser);
   const sim::ReplicationResult r =
       sim::simulate_overhead(sys, pattern, opt, &pool);
 

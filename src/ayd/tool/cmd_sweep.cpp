@@ -140,10 +140,15 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
                          "matters when shocks occur)");
   }
 
+  const std::int64_t points = parser.option_int("points");
+  if (points < 2) {
+    throw util::CliError("--points must be >= 2 (a sweep needs at least "
+                         "two points)");
+  }
   engine::GridSpec grid;
   grid.axis(engine::Axis::spaced(
       axis, parser.option_double("from"), parser.option_double("to"),
-      static_cast<int>(parser.option_int("points")), log_spacing));
+      static_cast<int>(points), log_spacing));
 
   engine::EvalSpec spec;
   spec.first_order = true;

@@ -25,23 +25,27 @@ void add_pattern_options(cli::ArgParser& parser) {
 
 ResolvedPattern resolve_pattern_from_args(const cli::ArgParser& parser,
                                           const model::System& sys) {
+  ResolvedPattern out;
+  const bool period_given = !parser.option("period").empty();
+  if (period_given) {
+    out.period = parser.option_double("period");
+    if (!(std::isfinite(out.period) && out.period > 0.0)) {
+      throw util::CliError("--period must be finite and > 0");
+    }
+  }
   engine::EvalSpec defaults;
   defaults.numerical = true;
-  ResolvedPattern out;
   if (parser.option("procs").empty()) {
     const engine::PointEval ev = engine::evaluate_point(sys, defaults);
     out.procs = ev.allocation->procs;
-    out.period = ev.allocation->period;
+    if (!period_given) out.period = ev.allocation->period;
     out.procs_defaulted = true;
   } else {
     out.procs = procs_from_args(parser, "procs");
-    if (parser.option("period").empty()) {
+    if (!period_given) {
       out.period =
           engine::evaluate_point(sys, defaults, out.procs).period->period;
     }
-  }
-  if (!parser.option("period").empty()) {
-    out.period = parser.option_double("period");
   }
   return out;
 }

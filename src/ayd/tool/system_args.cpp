@@ -332,8 +332,8 @@ void print_system(const model::System& sys, std::ostream& out) {
           << " (simulation only)\n";
     }
     if (ext->two_tier.has_value()) {
-      out << "tiers:  BB recovery "
-          << ext->two_tier->bb_recovery.describe() << ", PFS recovery "
+      out << "tiers:  BB recovery " << sys.costs().recovery.describe()
+          << ", PFS recovery "
           << ext->two_tier->pfs_recovery.describe()
           << " (shock rollbacks pay the PFS path)\n";
     }
@@ -354,6 +354,10 @@ sim::ReplicationOptions replication_from_args(const cli::ArgParser& parser) {
   opt.replicas = static_cast<std::size_t>(parser.option_uint("runs"));
   opt.patterns_per_replica =
       static_cast<std::size_t>(parser.option_uint("patterns"));
+  if (opt.replicas < 1) throw util::CliError("--runs must be >= 1");
+  if (opt.patterns_per_replica < 1) {
+    throw util::CliError("--patterns must be >= 1");
+  }
   opt.seed = parser.option_uint("seed");
   opt.backend = parser.flag("des") ? sim::Backend::kDes : sim::Backend::kFast;
   return opt;

@@ -146,38 +146,31 @@ TEST(OptimalAllocation, MoreReliableMeansMoreProcessors) {
 }
 
 TEST(OptimalAllocation, InnerPeriodBoundaryPropagatesToTheJointResult) {
-  // Cap the *period* domain far below the interior optimum: every inner
-  // search stops at max_period, so the joint result sits on a domain
-  // edge and must say so — not report a converged interior optimum.
-  const System sys = System::from_platform(model::hera(), Scenario::kS3);
+  // At λ = 1e-30 the period optimum sqrt(2C/λ_P) of C = cP lies beyond
+  // kMaxPeriod at every P, so every inner search stops on the period
+  // domain's edge, while P stays interior (C/T grows with P). The joint
+  // result sits on a domain edge and must say so — not report a
+  // converged interior optimum.
+  const System sys =
+      System::from_platform(model::hera(), Scenario::kS1).with_lambda(1e-30);
   AllocationSearchOptions opt;
-  opt.period.max_period = 30.0;  // T* is in the thousands of seconds
+  opt.max_procs = 1e9;
   const AllocationOptimum capped = optimal_allocation(sys, opt);
   EXPECT_TRUE(capped.at_boundary);
-  // It is indeed the inner search that hit the edge at the reported P.
-  const PeriodOptimum inner = optimal_period(sys, capped.procs, opt.period);
+  // It is the inner search that hit the edge at the reported P, not P
+  // running out of room.
+  const PeriodOptimum inner = optimal_period(sys, capped.procs);
   EXPECT_TRUE(inner.at_boundary);
-  EXPECT_NEAR(capped.period, 30.0, 1.0);
-  // The uncapped search on the same system is interior: the flag above
-  // comes from the period cap, not from P running out of room.
-  EXPECT_FALSE(optimal_allocation(sys).at_boundary);
-}
-
-TEST(OptimalAllocation, RespectsDomainOptions) {
-  const System sys = System::from_platform(model::hera(), Scenario::kS1);
-  AllocationSearchOptions opt;
-  opt.min_procs = 100.0;
-  opt.max_procs = 200.0;
-  const AllocationOptimum o = optimal_allocation(sys, opt);
-  EXPECT_GE(o.procs, 100.0);
-  EXPECT_LE(o.procs, 200.0);
+  EXPECT_NEAR(capped.period, kMaxPeriod, 1e-6 * kMaxPeriod);
+  EXPECT_GT(capped.procs, 10.0);
+  EXPECT_LT(capped.procs, opt.max_procs / 10.0);
 }
 
 TEST(OptimalAllocation, InvalidDomainRejected) {
+  // The search runs over [1, max_procs].
   const System sys = System::from_platform(model::hera(), Scenario::kS1);
   AllocationSearchOptions opt;
-  opt.min_procs = 10.0;
-  opt.max_procs = 5.0;
+  opt.max_procs = 1.0;
   EXPECT_THROW((void)optimal_allocation(sys, opt), util::InvalidArgument);
 }
 

@@ -34,21 +34,30 @@ SimSearchOptions quick_search() {
   opt.adaptive.min_replicas = 12;
   opt.adaptive.max_replicas = 512;
   opt.adaptive.ci_rel_tol = 0.04;
-  opt.coarse_points = 5;
-  opt.bracket_span = 8.0;
-  opt.max_iterations = 20;
   return opt;
+}
+
+/// Log periods of a coarse scan centred on `center` (log T) with bracket
+/// half-span `span`, as sim_optimal_period lays them out.
+std::vector<double> coarse_log_periods(double center, double span) {
+  const double dom_lo = std::log(kMinPeriod);
+  const double dom_hi = std::log(kMaxPeriod);
+  const double c = std::clamp(center, dom_lo, dom_hi);
+  const double lo = std::max(dom_lo, c - std::log(span));
+  const double hi = std::min(dom_hi, c + std::log(span));
+  const double step = (hi - lo) / static_cast<double>(kCoarsePoints - 1);
+  std::vector<double> xs(static_cast<std::size_t>(kCoarsePoints));
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = lo + step * static_cast<double>(i);
+  }
+  return xs;
 }
 
 TEST(SimOptimalPeriod, ExponentialFallsBackToClosedFormExactly) {
   const System sys = System::from_platform(model::hera(), Scenario::kS3);
   const SimSearchOptions opt = quick_search();
   const SimPeriodOptimum sim = sim_optimal_period(sys, kProcs, opt);
-
-  PeriodSearchOptions popt;
-  popt.min_period = opt.min_period;
-  popt.max_period = opt.max_period;
-  const PeriodOptimum exact = optimal_period(sys, kProcs, popt);
+  const PeriodOptimum exact = optimal_period(sys, kProcs);
 
   EXPECT_TRUE(sim.used_closed_form);
   EXPECT_TRUE(sim.converged);
@@ -193,22 +202,6 @@ SimSearchOptions catalog_search(std::uint64_t seed) {
   return opt;
 }
 
-/// Log periods of the cold coarse scan, rebuilt from the seed period.
-std::vector<double> coarse_log_periods(const SimSearchOptions& opt,
-                                       double seed_period) {
-  const double dom_lo = std::log(opt.min_period);
-  const double dom_hi = std::log(opt.max_period);
-  const double center = std::clamp(std::log(seed_period), dom_lo, dom_hi);
-  const double lo = std::max(dom_lo, center - std::log(opt.bracket_span));
-  const double hi = std::min(dom_hi, center + std::log(opt.bracket_span));
-  const double step = (hi - lo) / static_cast<double>(opt.coarse_points - 1);
-  std::vector<double> xs(static_cast<std::size_t>(opt.coarse_points));
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = lo + step * static_cast<double>(i);
-  }
-  return xs;
-}
-
 TEST(SimOptimalPeriod, RacedCoarseScanKeepsTheExhaustiveArgmin) {
   // Oracle: every coarse candidate evaluated in full, on a CRN pool the
   // test builds. The race may only drop candidates that cannot win, so
@@ -246,8 +239,8 @@ TEST(SimOptimalPeriod, RacedCoarseScanKeepsTheExhaustiveArgmin) {
                                                  opt.adaptive)
               .overhead;
         };
-        const std::vector<double> xs =
-            coarse_log_periods(opt, raced.seed_period);
+        const std::vector<double> xs = coarse_log_periods(
+            std::log(raced.seed_period), kColdBracketSpan);
         std::vector<stats::Summary> scan;
         for (const double x : xs) scan.push_back(full(std::exp(x)));
         std::size_t best = 0;
@@ -294,22 +287,24 @@ TEST(SimOptimalPeriod, ThreadPoolDoesNotChangeARacedOptimum) {
 }
 
 TEST(SimOptimalPeriod, DivergingCandidatesReportTheSmallestPeriod) {
-  // Replayed failure gaps never exceed 1.5x their mean, so a pattern of
-  // period 2/rate or 16/rate never completes: a warm start at 2/rate
-  // makes the upper two of three coarse candidates diverge (the replay
-  // also keeps the search off the CRN pool, which would otherwise store
-  // every variate the diverging patterns draw). A one-thread pool runs
-  // the largest period first, so it fails first, yet the search reports
-  // the smaller one, as a serial ascending scan would. (Each diverging
-  // pattern spends its full attempt cap, so this runs one pool only.)
+  // Replayed gaps never exceed 1.5x their mean, and the silent stream's
+  // mean is 0.28/λf here, so a pattern longer than 0.42/λf never
+  // completes. A warm start at 0.2/λf lays the coarse scan out at
+  // 0.05 ... 0.8/λf, a factor 4^(1/3) apart, so only the upper two
+  // candidates (0.50 and 0.8/λf) diverge (the replay also keeps the
+  // search off the CRN pool, which would otherwise store every variate
+  // the diverging patterns draw). A one-thread pool runs the largest
+  // period first, so it fails first, yet the search reports the smaller
+  // one, as a serial ascending scan would. (Each diverging pattern spends
+  // its full attempt cap, so this runs one pool only.)
   const System sys =
       System::from_platform(model::hera(), Scenario::kS3)
           .with_failure_dist(
               model::FailureDistSpec::trace_replay({0.5, 1.0, 1.5}));
   SimSearchOptions opt = quick_search();
-  opt.coarse_points = 3;
-  opt.warm_start = 2.0 / sys.fail_stop_rate(kProcs);
-  opt.warm_bracket_span = 8.0;
+  opt.warm_start = 0.2 / sys.fail_stop_rate(kProcs);
+  const double smallest_diverging = std::exp(
+      coarse_log_periods(std::log(opt.warm_start), kWarmBracketSpan)[5]);
   exec::ThreadPool pool(1);
   try {
     (void)sim_optimal_period(sys, kProcs, opt, &pool);
@@ -318,7 +313,8 @@ TEST(SimOptimalPeriod, DivergingCandidatesReportTheSmallestPeriod) {
     const std::string what = e.what();
     const std::size_t at = what.find("T=");
     ASSERT_NE(at, std::string::npos) << what;
-    EXPECT_NEAR(std::stod(what.substr(at + 2)) / opt.warm_start, 1.0, 1e-4)
+    EXPECT_NEAR(std::stod(what.substr(at + 2)) / smallest_diverging, 1.0,
+                1e-4)
         << what;
   }
 }
@@ -331,7 +327,6 @@ TEST(SimOptimalPeriod, ThreadPoolDoesNotChangeAStaleWarmStartedOptimum) {
           .with_failure_dist(model::FailureDistSpec::weibull(1.0));
   SimSearchOptions warm = quick_search();
   warm.warm_start = optimal_period(sys, kProcs).period / 50.0;
-  warm.max_iterations = 40;
   expect_thread_invariant([&](exec::ThreadPool* pool) {
     return sim_optimal_period(sys, kProcs, warm, pool);
   });
@@ -390,16 +385,8 @@ TEST(SimOptimalPeriod, ReplicationCapSurfacesAsCiNotConverged) {
   EXPECT_TRUE(ok.ci_converged);
 }
 
-TEST(SimOptimalPeriod, RejectsInvalidOptions) {
+TEST(SimOptimalPeriod, RejectsAnInvalidProcessorCount) {
   const System sys = System::from_platform(model::hera(), Scenario::kS3);
-  SimSearchOptions opt = quick_search();
-  opt.coarse_points = 2;
-  EXPECT_THROW((void)sim_optimal_period(sys, kProcs, opt),
-               util::InvalidArgument);
-  opt = quick_search();
-  opt.bracket_span = 1.0;
-  EXPECT_THROW((void)sim_optimal_period(sys, kProcs, opt),
-               util::InvalidArgument);
   EXPECT_THROW((void)sim_optimal_period(sys, 0.5, quick_search()),
                util::InvalidArgument);
 }
@@ -411,7 +398,6 @@ TEST(SimOptimalAllocation, ExponentialFallsBackToClosedFormExactly) {
   const SimAllocationOptimum sim = sim_optimal_allocation(sys, opt);
 
   AllocationSearchOptions aopt;
-  aopt.min_procs = opt.min_procs;
   aopt.max_procs = opt.max_procs;
   const AllocationOptimum exact = optimal_allocation(sys, aopt);
 
@@ -431,12 +417,10 @@ TEST(SimOptimalAllocation, WeibullLadderSearchReturnsIntegerAllocation) {
   opt.period.adaptive.min_replicas = 8;
   opt.period.adaptive.max_replicas = 128;
   opt.period.adaptive.ci_rel_tol = 0.08;
-  opt.period.coarse_points = 3;
-  opt.period.max_iterations = 8;
-  opt.rungs_per_side = 1;
   const SimAllocationOptimum sim = sim_optimal_allocation(sys, opt);
   EXPECT_FALSE(sim.used_closed_form);
-  EXPECT_EQ(sim.outer_evaluations, 3);  // seed rung + one each side
+  // The seed rung and kLadderRungsPerSide on each side.
+  EXPECT_EQ(sim.outer_evaluations, 2 * kLadderRungsPerSide + 1);
   EXPECT_GE(sim.procs, 1.0);
   EXPECT_DOUBLE_EQ(sim.procs, std::round(sim.procs));
   EXPECT_GT(sim.period, 0.0);
@@ -455,8 +439,6 @@ TEST(SimOptimalAllocation, ThreadPoolDoesNotChangeTheOptimum) {
   opt.period.adaptive.min_replicas = 8;
   opt.period.adaptive.max_replicas = 128;
   opt.period.adaptive.ci_rel_tol = 0.08;
-  opt.period.max_iterations = 8;
-  opt.rungs_per_side = 2;
   expect_thread_invariant([&](exec::ThreadPool* pool) {
     return sim_optimal_allocation(sys, opt, pool);
   });
@@ -481,8 +463,8 @@ TEST(SimOptimalPeriod, WarmStartNearTheOptimumStaysOnTheOptimum) {
   EXPECT_EQ(sim.retired, 0);  // only cold scans race
   const double h_at_found = pattern_overhead(sys, {sim.period, kProcs});
   EXPECT_LE(h_at_found, 1.01 * exact.overhead);
-  EXPECT_GT(sim.period, exact.period / warm.warm_bracket_span);
-  EXPECT_LT(sim.period, exact.period * warm.warm_bracket_span);
+  EXPECT_GT(sim.period, exact.period / kWarmBracketSpan);
+  EXPECT_LT(sim.period, exact.period * kWarmBracketSpan);
 }
 
 TEST(SimOptimalPeriod, StaleWarmStartRecoversThroughEdgeExpansion) {
@@ -497,7 +479,6 @@ TEST(SimOptimalPeriod, StaleWarmStartRecoversThroughEdgeExpansion) {
 
   SimSearchOptions warm = quick_search();
   warm.warm_start = exact.period / 50.0;
-  warm.max_iterations = 40;
   const SimPeriodOptimum sim = sim_optimal_period(sys, kProcs, warm);
   const double h_at_found = pattern_overhead(sys, {sim.period, kProcs});
   EXPECT_LE(h_at_found, 1.02 * exact.overhead);
@@ -513,17 +494,6 @@ TEST(SimOptimalPeriod, WarmStartIsIgnoredOnTheClosedFormPath) {
   const PeriodOptimum exact = optimal_period(sys, kProcs);
   EXPECT_TRUE(sim.used_closed_form);
   EXPECT_DOUBLE_EQ(sim.period, exact.period);
-}
-
-TEST(SimOptimalPeriod, WarmBracketSpanMustExceedOne) {
-  const System sys =
-      System::from_platform(model::hera(), Scenario::kS3)
-          .with_failure_dist(model::FailureDistSpec::weibull(1.0));
-  SimSearchOptions opt = quick_search();
-  opt.warm_start = 1000.0;
-  opt.warm_bracket_span = 1.0;
-  EXPECT_THROW((void)sim_optimal_period(sys, kProcs, opt),
-               util::InvalidArgument);
 }
 
 }  // namespace

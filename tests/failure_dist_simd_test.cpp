@@ -1,9 +1,9 @@
 // Equivalence of the SIMD-tier bulk sampling with the pinned scalar
 // reference (the two-golden-tier policy, docs/reproducing-the-paper.md):
 //
-//  * Under the forced scalar tier, sample_units_fast / from_unit_bulk
-//    are bit-identical to the pinned scalar methods —
-//    the tier dispatch must be invisible when it selects the reference.
+//  * Under the forced scalar tier, sample_units_fast is bit-identical to
+//    the pinned scalar sample_units — the tier dispatch must be
+//    invisible when it selects the reference.
 //  * Under the AVX2 tier, the vectorized transcendental kernels may
 //    differ from libm, but only within tight relative-error bounds that
 //    are orders of magnitude below both the distributions' statistical
@@ -13,8 +13,6 @@
 //    ill-conditioned (condition number ~700), so the lognormal bound is
 //    looser than the exponential's few-ULP one — for *both* tiers' own
 //    reasons, not because the vector kernel is sloppy.
-//  * from_unit_bulk is exact in every tier for the linear scalings
-//    (exponential, Weibull); only the lognormal's exp vectorizes.
 
 #include <cmath>
 #include <vector>
@@ -33,24 +31,22 @@ struct SpecCase {
   FailureDistSpec spec;
   /// Relative-error bound for the AVX2 unit transform vs the scalar one.
   double unit_rel_tol;
-  /// Relative-error bound for the AVX2 from_unit_bulk vs scalar from_unit.
-  double scale_rel_tol;
 };
 
 std::vector<SpecCase> cases() {
   return {
       // -log1p is matched to a few ULP by the vector log.
-      {FailureDistSpec::exponential(), 1e-14, 0.0},
+      {FailureDistSpec::exponential(), 1e-14},
       // pow(t, 1/k) amplifies the log's ULPs by |log t / k|; bounds sized
       // from the measured worst case (~25 ULP at k = 0.7) with headroom.
-      {FailureDistSpec::weibull(0.7), 1e-12, 0.0},
-      {FailureDistSpec::weibull(1.5), 1e-12, 0.0},
+      {FailureDistSpec::weibull(0.7), 1e-12},
+      {FailureDistSpec::weibull(1.5), 1e-12},
       // Acklam's rational is ill-conditioned near its region boundary;
       // the scalar and vector evaluations legitimately disagree by up to
       // ~3e-13 relative there (both are within the approximation's own
       // 1.15e-9 error of the true quantile).
-      {FailureDistSpec::lognormal(0.5), 1e-11, 1e-13},
-      {FailureDistSpec::lognormal(2.0), 1e-11, 1e-13},
+      {FailureDistSpec::lognormal(0.5), 1e-11},
+      {FailureDistSpec::lognormal(2.0), 1e-11},
   };
 }
 
@@ -68,7 +64,7 @@ std::vector<SpecCase> cases() {
 constexpr std::size_t kN = 4099;  // odd: exercises the remainder lanes
 constexpr double kRate = 3.2e-6;
 
-TEST(FailureDistSimd, ScalarTierBulkPathsAreBitIdenticalToPinnedMethods) {
+TEST(FailureDistSimd, ScalarTierBulkUnitsAreBitIdenticalToPinnedMethod) {
   rng::simd::force_tier(rng::simd::Tier::kScalar);
   for (const SpecCase& c : cases()) {
     const auto dist = c.spec.instantiate(kRate);
@@ -80,12 +76,6 @@ TEST(FailureDistSimd, ScalarTierBulkPathsAreBitIdenticalToPinnedMethods) {
     EXPECT_EQ(ra.engine().state(), rb.engine().state()) << c.spec.to_string();
     for (std::size_t i = 0; i < kN; ++i) {
       ASSERT_EQ(za[i], zb[i]) << c.spec.to_string() << " unit " << i;
-    }
-    std::vector<double> out(kN);
-    dist->from_unit_bulk(za.data(), out.data(), kN);
-    for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(out[i], dist->from_unit(za[i]))
-          << c.spec.to_string() << " scale " << i;
     }
   }
   rng::simd::clear_forced_tier();
@@ -113,22 +103,6 @@ TEST(FailureDistSimd, Avx2TierMatchesScalarWithinPerDistributionBounds) {
     for (std::size_t i = 0; i < kN; ++i) {
       ASSERT_TRUE(close_rel(scalar_z[i], simd_z[i], c.unit_rel_tol))
           << c.spec.to_string() << " unit " << i;
-    }
-
-    // from_unit_bulk: exact for the linear scalings regardless of tier;
-    // within the exp-kernel bound for the lognormal.
-    std::vector<double> out(kN);
-    dist->from_unit_bulk(scalar_z.data(), out.data(), kN);
-    rng::simd::force_tier(rng::simd::Tier::kScalar);
-    for (std::size_t i = 0; i < kN; ++i) {
-      if (c.scale_rel_tol == 0.0) {
-        ASSERT_EQ(out[i], dist->from_unit(scalar_z[i]))
-            << c.spec.to_string() << " scale " << i;
-      } else {
-        ASSERT_TRUE(
-            close_rel(out[i], dist->from_unit(scalar_z[i]), c.scale_rel_tol))
-            << c.spec.to_string() << " scale " << i;
-      }
     }
   }
   rng::simd::clear_forced_tier();

@@ -236,12 +236,17 @@ TEST(CorrelatedSpecs, FromPenaltyScalesRecoveryCoefficientwise) {
   const System base = System::from_platform(hera(), Scenario::kS1);
   const TwoTierCostSpec spec =
       TwoTierCostSpec::from_penalty(base.costs(), 4.0);
-  EXPECT_TRUE(spec.distinct());
+  EXPECT_TRUE(spec.distinct(base.costs().recovery));
+  EXPECT_FALSE(TwoTierCostSpec::from_penalty(base.costs(), 1.0)
+                   .distinct(base.costs().recovery));
+  // The tiered system keeps its costs: writes and the burst-buffer
+  // recovery are the single-tier ones.
+  const System tiered = base.with_two_tier(spec);
   for (const double p : {64.0, 512.0, 4096.0}) {
     EXPECT_DOUBLE_EQ(spec.pfs_recovery.cost(p),
                      4.0 * base.costs().recovery.cost(p));
-    EXPECT_DOUBLE_EQ(spec.bb_write.cost(p) + spec.pfs_write.cost(p),
-                     base.costs().checkpoint.cost(p));
+    EXPECT_EQ(tiered.checkpoint_cost(p), base.checkpoint_cost(p));
+    EXPECT_EQ(tiered.recovery_cost(p), base.recovery_cost(p));
   }
   EXPECT_THROW((void)TwoTierCostSpec::from_penalty(base.costs(), 0.5),
                util::InvalidArgument);

@@ -95,7 +95,6 @@ TEST(FailureModel, ErrorFreeWithAnyDistYieldsInfiniteArrivals) {
     EXPECT_TRUE(std::isinf(gap)) << fm.dist().to_string();
     EXPECT_FALSE(std::isnan(gap)) << fm.dist().to_string();
     EXPECT_TRUE(std::isinf(dist->quantile(0.5)));
-    EXPECT_TRUE(std::isinf(dist->mean()));
     EXPECT_DOUBLE_EQ(dist->cdf(1e300), 0.0);
   }
 }

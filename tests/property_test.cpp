@@ -254,8 +254,8 @@ TEST_P(SystemProperties, HomogeneousEquivalentGroupsCollapseBitwise) {
 
 TEST_P(SystemProperties, EqualTierTwoTierSpecFoldsToSingleTier) {
   // phi = 1 prices both recovery tiers identically; the spec folds into
-  // the plain cost model (checkpoint = bb_write + pfs_write, recovery =
-  // bb_recovery) and the system stays non-extended.
+  // the plain cost model (the system's own C and R) and the system stays
+  // non-extended.
   const auto [sys, pattern] = draw_config(GetParam());
   const System with = sys.with_two_tier(
       model::TwoTierCostSpec::from_penalty(sys.costs(), 1.0));

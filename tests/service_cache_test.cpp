@@ -117,6 +117,14 @@ TEST(CanonicalKey, DistinguishesCorrelatedWorldExtensions) {
       EXPECT_NE(texts[i], texts[j]) << "variants " << i << " and " << j;
     }
   }
+  // The two-tier spec keys only the PFS recovery: the writes and the
+  // burst-buffer recovery are the system's costs, keyed once already.
+  const std::string& tiered = texts.back();
+  EXPECT_NE(tiered.find("\"pfs_recovery\""), std::string::npos) << tiered;
+  for (const char* restated : {"bb_write", "pfs_write", "bb_recovery"}) {
+    EXPECT_EQ(tiered.find(restated), std::string::npos)
+        << restated << " in " << tiered;
+  }
 }
 
 TEST(CanonicalKey, DegenerateExtensionsShareThePlainSystemKey) {

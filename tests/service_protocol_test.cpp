@@ -136,6 +136,27 @@ TEST(ServiceProtocol, InvalidProcsIsABadRequestNamingTheOption) {
   }
 }
 
+TEST(ServiceProtocol, BadReplicationAndPeriodAreBadRequestsNamingTheOption) {
+  // Each is refused naming the option, not by a library precondition
+  // whose message quotes a source path.
+  PlanningService service({/*threads=*/1});
+  for (const auto& [line, name] :
+       {std::pair{R"({"op":"simulate","id":1,"runs":0})", "--runs"},
+        std::pair{R"({"op":"simulate","id":1,"patterns":0})", "--patterns"},
+        std::pair{R"({"op":"simulate","id":1,"period":0})", "--period"},
+        std::pair{R"({"op":"simulate","id":1,"period":-5})", "--period"},
+        std::pair{R"({"op":"optimize","id":1,"simulate":true,)"
+                  R"("failure-dist":"weibull:k=0.7","procs":512,)"
+                  R"("patterns":0})",
+                  "--patterns"}}) {
+    const io::JsonValue v = io::parse_json(service.handle_line(line));
+    EXPECT_EQ(v.at("error").at("code").as_string(), "bad_request") << line;
+    const std::string message = v.at("error").at("message").as_string();
+    EXPECT_NE(message.find(name), std::string::npos) << message;
+    EXPECT_EQ(message.find('/'), std::string::npos) << message;
+  }
+}
+
 TEST(ServiceProtocol, SubscribeRefusesEstimatorOptionsItCannotHonour) {
   // The subscribe op shares `ayd watch`'s option checks: a zero refit
   // interval or a non-finite noise floor is a bad request naming the

@@ -147,11 +147,6 @@ TEST(AdaptiveReplication, RejectsInvalidOptions) {
   EXPECT_THROW((void)simulate_overhead_adaptive(sys, kPattern,
                                                 quick_replication(), bad),
                util::InvalidArgument);
-  bad = quick_adaptive();
-  bad.growth = 1.0;
-  EXPECT_THROW((void)simulate_overhead_adaptive(sys, kPattern,
-                                                quick_replication(), bad),
-               util::InvalidArgument);
 }
 
 void expect_same_run(const ReplicationResult& a, const ReplicationResult& b) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "ayd/io/json_parse.hpp"
+#include "ayd/rng/simd.hpp"
 #include "ayd/service/server.hpp"
 #include "ayd/tool/commands.hpp"
 #include "ayd/util/error.hpp"
@@ -405,6 +406,151 @@ TEST(ToolSweep, RejectsSinglePointGrid) {
                          "--to=1e-9", "--points=1"});
   EXPECT_EQ(r.code, 1);
   EXPECT_TRUE(contains(r.err, "two points"));
+}
+
+// -- the simulated search's fixed shape -----------------------------------
+
+// `ayd optimize --simulate --json` records under the scalar variate tier,
+// pinned byte for byte: the search's fixed shape (the constants of
+// core/optimizer.hpp, core/sim_optimizer.hpp and sim/runner.hpp) decides
+// every candidate, replica count and interval, so a change to any of
+// them shows here.
+std::string scalar_tier_record(const std::vector<std::string>& args) {
+  rng::simd::force_tier(rng::simd::Tier::kScalar);
+  const ToolRun r = run(args);
+  rng::simd::clear_forced_tier();
+  EXPECT_EQ(r.code, 0) << r.err;
+  return r.out;
+}
+
+TEST(ToolOptimize, SimulatedFixedProcsRecordIsPinned) {
+  // The docs/service.md worked request.
+  EXPECT_EQ(scalar_tier_record({"optimize", "--json", "--simulate",
+                                "--platform=hera", "--scenario=3",
+                                "--failure-dist=weibull:k=0.7",
+                                "--procs=512", "--runs=8", "--patterns=20",
+                                "--max-reps=32", "--ci-rel-tol=0.05",
+                                "--threads=1"}),
+            R"json({
+  "system": {
+    "lambda_ind": 1.6899999999999999e-08,
+    "fail_stop_fraction": 0.21879999999999999,
+    "downtime": 3600,
+    "profile": "amdahl(alpha=0.1)",
+    "failure_dist": "weibull:k=0.7",
+    "checkpoint": "300",
+    "verification": "15.4"
+  },
+  "procs": 512,
+  "first_order": {
+    "period": 6397.5128415017962,
+    "overhead": 0.1130336379560594
+  },
+  "higher_order": {
+    "period": 6188.9738802812335,
+    "overhead": 0.1130307484753646
+  },
+  "numerical": {
+    "period": 6240.9437448291656,
+    "overhead": 0.11303037743385434,
+    "at_boundary": false
+  },
+  "simulated": {
+    "period": 6240.9437448291656,
+    "overhead": 0.12950402699089078,
+    "overhead_ci_lo": 0.12434301210798053,
+    "overhead_ci_hi": 0.13466504187380104,
+    "replicas": 32,
+    "total_replicas": 218,
+    "used_closed_form": false,
+    "converged": true,
+    "ci_converged": true,
+    "ci_limited": true,
+    "at_boundary": false
+  }
+}
+)json");
+}
+
+TEST(ToolOptimize, SimulatedJointRecordIsPinned) {
+  EXPECT_EQ(scalar_tier_record({"optimize", "--json", "--simulate",
+                                "--platform=hera", "--scenario=3",
+                                "--failure-dist=weibull:k=0.7", "--runs=4",
+                                "--patterns=16", "--max-reps=16",
+                                "--ci-rel-tol=0.05", "--threads=1"}),
+            R"json({
+  "system": {
+    "lambda_ind": 1.6899999999999999e-08,
+    "fail_stop_fraction": 0.21879999999999999,
+    "downtime": 3600,
+    "profile": "amdahl(alpha=0.1)",
+    "failure_dist": "weibull:k=0.7",
+    "checkpoint": "300",
+    "verification": "15.4"
+  },
+  "first_order": {
+    "has_optimum": true,
+    "procs": 257.44510864913156,
+    "period": 9022.0208075484534,
+    "overhead": 0.11048767255345214,
+    "note": "Theorem 3 (constant checkpoint+verification cost): P* = T* = Θ(λ^{-1/3})"
+  },
+  "numerical": {
+    "procs": 237,
+    "period": 9245.9358790787301,
+    "overhead": 0.11133239454087708,
+    "at_boundary": false
+  },
+  "simulated": {
+    "procs": 158,
+    "period": 5606.8393526297768,
+    "overhead": 0.12027172244750403,
+    "overhead_ci_lo": 0.11543242279169523,
+    "overhead_ci_hi": 0.12511102210331285,
+    "replicas": 12,
+    "total_replicas": 892,
+    "used_closed_form": false,
+    "converged": true,
+    "ci_converged": true,
+    "ci_limited": false,
+    "at_boundary": false
+  }
+}
+)json");
+}
+
+// -- replication and grid values -------------------------------------------
+
+TEST(ToolReplication, BadValuesRefusedBeforeAnyOutput) {
+  // Each is refused naming the option before anything is printed, not by
+  // a library precondition (which quotes a source path) after the system
+  // block.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"simulate", "--runs=0"}, "--runs"},
+      {{"simulate", "--patterns=0"}, "--patterns"},
+      {{"protocols", "--runs=0"}, "--runs"},
+      {{"protocols", "--patterns=0"}, "--patterns"},
+      {{"sweep", "--simulate", "--runs=0"}, "--runs"},
+      {{"sweep", "--simulate", "--patterns=0"}, "--patterns"},
+      {{"optimize", "--simulate", "--failure-dist=weibull:k=0.7",
+        "--runs=0"},
+       "--runs"},
+      {{"optimize", "--simulate", "--failure-dist=weibull:k=0.7",
+        "--patterns=0"},
+       "--patterns"},
+      {{"simulate", "--period=0"}, "--period"},
+      {{"simulate", "--period=-5"}, "--period"},
+      {{"simulate", "--period=nan"}, "--period"},
+      {{"sweep", "--points=1"}, "--points"},
+  };
+  for (const auto& [args, name] : cases) {
+    const ToolRun r = run(args);
+    const std::string cmd = args[0] + " " + args.back();
+    EXPECT_EQ(r.code, 1) << cmd;
+    EXPECT_TRUE(contains(r.err, name)) << cmd << ": " << r.err;
+    EXPECT_FALSE(contains(r.err, "precondition")) << cmd << ": " << r.err;
+    EXPECT_TRUE(r.out.empty()) << cmd << ": " << r.out;
+  }
 }
 
 // -- processor counts ----------------------------------------------------
