@@ -58,11 +58,9 @@ stats::ConfidenceInterval paired_difference_ci(const std::vector<double>& a,
   return stats::mean_ci_student(diff, level);
 }
 
-/// Shared evaluation context: counts candidates and replicas. The pool
-/// gets whichever level has the work: the replica rounds of a candidate
-/// (the runner keeps a round inline while it is too small to pay for a
-/// task dispatch), or, when even a candidate's first round cannot keep
-/// the pool busy, independent candidates (evaluate_all).
+/// Shared evaluation context: counts candidates and replicas, and steps
+/// candidates together (evaluate_all), so the pool splits each round's
+/// replicas across every candidate still running.
 struct SearchContext {
   SearchContext(const model::System& s, double p, const SimSearchOptions& o,
                 exec::ThreadPool* pl)
@@ -73,8 +71,7 @@ struct SearchContext {
     // common random numbers the paired tests already relied on become
     // literal shared memory instead of recomputed transforms. Results
     // are bit-identical to per-candidate sampling under the scalar tier
-    // (sim/variate_pool.hpp). The pool is thread-safe, so concurrent
-    // candidates share it too. A caller-supplied sweep-level pool wins.
+    // (sim/variate_pool.hpp). A caller-supplied sweep-level pool wins.
     if (replication.shared_units == nullptr && !sys.extended() &&
         sim::UnitVariatePool::eligible(sys.failure().dist())) {
       owned_pool = std::make_unique<sim::UnitVariatePool>(
@@ -87,22 +84,82 @@ struct SearchContext {
   double procs;
   const SimSearchOptions& opt;
   exec::ThreadPool* pool;
-  sim::ReplicationScratch scratch;  ///< evaluate()'s arena
+  /// One outcome arena per candidate of an evaluate_all call, reused.
+  std::vector<sim::ReplicationScratch> arenas;
   std::unique_ptr<sim::UnitVariatePool> owned_pool;
   sim::ReplicationOptions replication;
   int evaluations = 0;
   int retired = 0;
   std::uint64_t total_replicas = 0;
 
-  /// The adaptive run of one candidate: a pure function of (system,
-  /// pattern, options), whichever thread steps it; stepped on a pool
-  /// worker, its replicas run inline.
-  sim::AdaptiveRun start(double log_t, sim::ReplicationScratch* arena) const {
-    return {sys, core::Pattern{std::exp(log_t), procs}, replication,
-            opt.adaptive, arena};
+  /// One candidate.
+  Candidate evaluate(double log_t) {
+    return std::move(evaluate_all({log_t}, /*screen=*/false).front());
   }
 
-  /// The candidate a run stopped at; safe on any thread.
+  /// Independent candidates (ascending log T), returned and counted in
+  /// input order. Every round steps the candidates still running together
+  /// (sim::AdaptiveRun::step_together), so each pool task runs all of
+  /// them on its share of the round's replicas; a candidate's summary is
+  /// the bits of evaluating it alone.
+  ///
+  /// With `screen`, the candidates race: after the first round, each that
+  /// has rounds left is retired when its paired per-replica differences
+  /// against the round's leader (the lowest first-round mean) have a
+  /// kScreenLevel Student-t CI strictly above 0. Only the survivors run
+  /// on, each on its unchanged schedule.
+  ///
+  /// A failure reports the smallest period that failed in the earliest
+  /// round with a failure.
+  std::vector<Candidate> evaluate_all(const std::vector<double>& log_ts,
+                                      bool screen) {
+    const std::size_t n = log_ts.size();
+    if (arenas.size() < n) arenas.resize(n);
+    std::vector<sim::AdaptiveRun> runs;
+    runs.reserve(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      runs.emplace_back(sys, core::Pattern{std::exp(log_ts[k]), procs},
+                        replication, opt.adaptive, &arenas[k]);
+    }
+
+    std::vector<char> retire(n, 0);
+    std::vector<sim::AdaptiveRun*> live;
+    for (sim::AdaptiveRun& run : runs) live.push_back(&run);
+    for (bool first_round = true; !live.empty(); first_round = false) {
+      sim::AdaptiveRun::step_together(live, pool);
+      if (first_round && screen) {
+        std::vector<double> means(n);
+        for (std::size_t k = 0; k < n; ++k) {
+          means[k] = runs[k].result().overhead.mean;
+        }
+        const auto leader = static_cast<std::size_t>(
+            std::min_element(means.begin(), means.end()) - means.begin());
+        const std::vector<double> lead = replica_overheads(runs[leader]);
+        for (std::size_t k = 0; k < n; ++k) {
+          retire[k] = k != leader && !runs[k].done() &&
+                      paired_difference_ci(replica_overheads(runs[k]), lead,
+                                           kScreenLevel)
+                              .lo > 0.0;
+        }
+      }
+      live.clear();
+      for (std::size_t k = 0; k < n; ++k) {
+        if (retire[k] == 0 && !runs[k].done()) live.push_back(&runs[k]);
+      }
+    }
+
+    std::vector<Candidate> out;
+    out.reserve(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      out.push_back(candidate(log_ts[k], runs[k], retire[k] != 0));
+      ++evaluations;
+      retired += retire[k];
+      total_replicas += out.back().overhead.count;
+    }
+    return out;
+  }
+
+  /// The candidate a run stopped at.
   static Candidate candidate(double log_t, const sim::AdaptiveRun& run,
                              bool retire) {
     const sim::ReplicationResult res = run.result();
@@ -113,99 +170,6 @@ struct SearchContext {
     c.retired = retire;
     if (!retire) c.replica_overheads = replica_overheads(run);
     return c;
-  }
-
-  void count(const Candidate& c) {
-    ++evaluations;
-    retired += c.retired ? 1 : 0;
-    total_replicas += c.overhead.count;
-  }
-
-  /// One candidate, on the caller.
-  Candidate evaluate(double log_t) {
-    sim::AdaptiveRun run = start(log_t, &scratch);
-    while (!run.done()) run.step(pool);
-    Candidate c = candidate(log_t, run, false);
-    count(c);
-    return c;
-  }
-
-  /// Independent candidates (ascending log T), returned and counted in
-  /// input order. When a candidate's first replica round is too small to
-  /// give every worker a task, the candidates run concurrently on the
-  /// pool, each running its replicas serially on its worker, the largest
-  /// periods (the most failures per pattern, the longest evaluations)
-  /// first; otherwise one after another, each fanning its rounds out.
-  ///
-  /// With `screen`, the candidates race: every one runs its first round,
-  /// then each that has rounds left is retired when its paired
-  /// per-replica differences against the round's leader (the lowest
-  /// first-round mean) have a kScreenLevel Student-t CI strictly above 0.
-  /// Only the survivors run on, each on its unchanged schedule from round
-  /// two, so their summaries are the bits of an unraced evaluation.
-  ///
-  /// A failure reports the smallest period that failed in the earliest
-  /// phase to fail.
-  std::vector<Candidate> evaluate_all(const std::vector<double>& log_ts,
-                                      bool screen) {
-    const bool small_rounds =
-        pool != nullptr &&
-        opt.adaptive.min_replicas * replication.patterns_per_replica <
-            pool->size() * sim::kMinPatternsPerTask;
-    exec::ThreadPool* spread = small_rounds ? pool : nullptr;
-    const std::size_t n = log_ts.size();
-    std::vector<sim::AdaptiveRun> runs;
-    runs.reserve(n);
-    for (const double log_t : log_ts) runs.push_back(start(log_t, nullptr));
-
-    std::vector<char> retire(n, 0);
-    const auto unfinished = [&] {
-      std::vector<std::size_t> out;
-      for (std::size_t k = 0; k < n; ++k) {
-        if (retire[k] == 0 && !runs[k].done()) out.push_back(k);
-      }
-      return out;
-    };
-    if (screen) {
-      exec::parallel_for_descending(spread, n,
-                                    [&](std::size_t k) { runs[k].step(pool); });
-      const std::vector<std::size_t> open = unfinished();
-      if (!open.empty()) {
-        std::vector<double> means(n);
-        for (std::size_t k = 0; k < n; ++k) {
-          means[k] = runs[k].result().overhead.mean;
-        }
-        const auto leader = static_cast<std::size_t>(
-            std::min_element(means.begin(), means.end()) - means.begin());
-        const std::vector<double> lead = replica_overheads(runs[leader]);
-        for (const std::size_t k : open) {
-          retire[k] = k != leader &&
-                      paired_difference_ci(replica_overheads(runs[k]), lead,
-                                           kScreenLevel)
-                              .lo > 0.0;
-        }
-      }
-    }
-    // Only the runs with rounds left are dispatched: after a screen that
-    // is often none, or one, which then runs on the caller. Each builds
-    // its candidate (a reduction) where it ends; the caller builds the
-    // rest.
-    std::vector<Candidate> out(n);
-    const std::vector<std::size_t> left = unfinished();
-    exec::parallel_for_descending(spread, left.size(), [&](std::size_t j) {
-      const std::size_t k = left[j];
-      while (!runs[k].done()) runs[k].step(pool);
-      out[k] = candidate(log_ts[k], runs[k], false);
-    });
-    for (std::size_t k = 0, j = 0; k < n; ++k) {
-      if (j < left.size() && left[j] == k) {
-        ++j;
-      } else {
-        out[k] = candidate(log_ts[k], runs[k], retire[k] != 0);
-      }
-    }
-    for (const Candidate& c : out) count(c);
-    return out;
   }
 };
 
@@ -279,8 +243,7 @@ SimPeriodOptimum sim_optimal_period(const model::System& sys, double procs,
   // Only a cold scan races. A warm bracket is narrower and sits on the
   // flat bottom of the surface, where one round rarely separates
   // candidates (about 0.1 retirements per warm search at `ayd watch`'s
-  // settings, against 3.6 per cold scan of the `optimize` benchmark), so
-  // the barrier between the race's phases would cost more than it saves.
+  // settings, against 3.6 per cold scan of the `optimize` benchmark).
   std::vector<Candidate> scan = ctx.evaluate_all(coarse, /*screen=*/!warm);
   const auto best_index = [&scan]() {
     std::size_t best = scan.size();

@@ -33,18 +33,22 @@
 // same optimum, on any machine and thread count.
 //
 // Threads go where a task is worth its dispatch (a replica of a few
-// dozen patterns costs microseconds, less than the dispatch). The P
-// ladder's rungs run concurrently. When a candidate's first replica
-// round is too small to give every worker sim::kMinPatternsPerTask
-// patterns, the coarse scan's candidates and the first golden-section
-// pair run concurrently too, each running its replicas serially on one
-// thread; otherwise they run one after another and the pool runs their
-// replica rounds. A cold coarse scan does this twice: once for every
-// candidate's first round, once for the survivors that have rounds left
-// (a lone survivor runs on the caller).
-// The remaining single evaluations (the closed-form CI attach, edge
-// expansions, later golden steps) run on the caller and hand the pool
-// the rounds large enough to split.
+// dozen patterns costs microseconds, less than the dispatch). A batch of
+// candidates — the coarse scan, the first golden-section pair — is
+// stepped together, one adaptive round at a time
+// (sim::AdaptiveRun::step_together): first round one for every
+// candidate, then the cold scan's first-round screen, then rounds for
+// the candidates still running. Each round is one parallel call over its
+// new replicas, every task running all live candidates on its replicas
+// while their shared CRN variates are hot in cache; a round too small to
+// split runs on the caller. The remaining single evaluations (the
+// closed-form CI attach, edge expansions, later golden steps) are the
+// one-candidate case of the same loop. The P ladder's rungs run
+// concurrently, each rung's search serially on its worker.
+//
+// A search that diverges (util::SimulationDiverged) reports the smallest
+// period that failed in the earliest round that had a failure, whatever
+// the thread count.
 
 #pragma once
 
@@ -128,12 +132,10 @@ struct SimPeriodOptimum {
 };
 
 /// Minimises the simulated overhead over T at fixed `procs` under the
-/// system's configured failure distribution. `pool` runs the coarse
-/// scan's candidates and the first golden-section pair concurrently when
-/// their replica rounds are small, and the large replica rounds
-/// otherwise (results are identical with or without it, at any thread
-/// count). Called from one of the pool's own workers, the search runs
-/// serially on that worker.
+/// system's configured failure distribution. `pool` runs each round's
+/// replicas, split across the candidates stepped together (results are
+/// identical with or without it, at any thread count). Called from one
+/// of the pool's own workers, the search runs serially on that worker.
 [[nodiscard]] SimPeriodOptimum sim_optimal_period(
     const model::System& sys, double procs, const SimSearchOptions& opt = {},
     exec::ThreadPool* pool = nullptr);

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "ayd/core/expected_time.hpp"
@@ -58,33 +61,40 @@ void run_replica_range(const Sys& sys, const Pat& pattern,
   }
 }
 
-/// Runs replicas [first, outcomes.size()) into the tail of `outcomes`
-/// on the segmented interpreter of opt.backend (earlier entries are kept —
-/// this is what lets the adaptive driver append rounds without
-/// re-simulating). Parallel chunks are offset by `first` so replica i
-/// still draws substream (seed, i) regardless of how many rounds
-/// preceded it.
+/// Runs replicas [begin, end) of `pattern` on the segmented interpreter
+/// of opt.backend into `out`.
+template <typename Sys, typename Pat>
+void run_range(const Sys& sys, const Pat& pattern,
+               const ReplicationOptions& opt, std::size_t begin,
+               std::size_t end, ReplicaOutcome* out) {
+  if (opt.backend == Backend::kDes) {
+    run_replica_range<SegmentedDesSimulator>(sys, pattern, opt, begin, end,
+                                             out);
+  } else {
+    run_replica_range<SegmentedFastSimulator>(sys, pattern, opt, begin, end,
+                                              out);
+  }
+}
+
+/// Replicas a pool task needs to simulate kMinPatternsPerTask patterns
+/// when each replica runs `runs` runs of `patterns_per_replica` patterns.
+std::size_t min_chunk(std::size_t patterns_per_replica, std::size_t runs) {
+  const std::size_t per_replica = patterns_per_replica * runs;
+  return (kMinPatternsPerTask + per_replica - 1) / per_replica;
+}
+
+/// Runs replicas [0, outcomes.size()) into `outcomes`, on `pool` when
+/// given.
 template <typename Sys, typename Pat>
 void run_replicas(const Sys& sys, const Pat& pattern,
                   const ReplicationOptions& opt, exec::ThreadPool* pool,
-                  std::vector<ReplicaOutcome>& outcomes, std::size_t first) {
-  const std::size_t count = outcomes.size() - first;
-  const auto run_chunk = [&](std::size_t begin, std::size_t end) {
-    ReplicaOutcome* out = outcomes.data() + first + begin;
-    if (opt.backend == Backend::kDes) {
-      run_replica_range<SegmentedDesSimulator>(sys, pattern, opt,
-                                               first + begin, first + end,
-                                               out);
-    } else {
-      run_replica_range<SegmentedFastSimulator>(sys, pattern, opt,
-                                                first + begin, first + end,
-                                                out);
-    }
-  };
-  const std::size_t min_chunk =
-      (kMinPatternsPerTask + opt.patterns_per_replica - 1) /
-      opt.patterns_per_replica;
-  exec::parallel_for_chunks(pool, count, run_chunk, min_chunk);
+                  std::vector<ReplicaOutcome>& outcomes) {
+  exec::parallel_for_chunks(
+      pool, outcomes.size(),
+      [&](std::size_t begin, std::size_t end) {
+        run_range(sys, pattern, opt, begin, end, outcomes.data() + begin);
+      },
+      min_chunk(opt.patterns_per_replica, 1));
 }
 
 /// The option checks every driver shares. Only a plain System on a VC
@@ -152,7 +162,7 @@ ReplicationResult simulate_segmented(const Sys& sys,
   require_replication(base_system(sys), opt, /*pooled=*/false);
   core::validate(pattern);
   std::vector<ReplicaOutcome> outcomes(opt.replicas);
-  run_replicas(sys, pattern, opt, pool, outcomes, 0);
+  run_replicas(sys, pattern, opt, pool, outcomes);
   ReplicationResult result =
       reduce_outcomes(opt, outcomes, /*student_ci=*/false);
   result.analytic_overhead = core::segmented_overhead(sys, pattern);
@@ -175,7 +185,7 @@ ReplicationResult simulate_overhead(const model::System& sys,
   std::vector<ReplicaOutcome>& outcomes =
       scratch != nullptr ? scratch->outcomes : local;
   outcomes.resize(opt.replicas);
-  run_replicas(sys, pattern, opt, pool, outcomes, 0);
+  run_replicas(sys, pattern, opt, pool, outcomes);
   ReplicationResult result =
       reduce_outcomes(opt, outcomes, /*student_ci=*/false);
   result.analytic_overhead = core::pattern_overhead(sys, pattern);
@@ -206,16 +216,62 @@ AdaptiveRun::AdaptiveRun(const model::System& sys,
 }
 
 void AdaptiveRun::step(exec::ThreadPool* pool) {
-  AYD_REQUIRE(!done_, "adaptive run already finished");
-  std::vector<ReplicaOutcome>& outcomes = arena();
-  const std::size_t first = outcomes.size();
-  outcomes.resize(target_);
-  run_replicas(*sys_, pattern_, opt_, pool, outcomes, first);
-  ++rounds_;
+  AdaptiveRun* const self = this;
+  step_together({&self, 1}, pool);
+}
 
+void AdaptiveRun::step_together(std::span<AdaptiveRun* const> runs,
+                                exec::ThreadPool* pool) {
+  AYD_REQUIRE(!runs.empty(), "no adaptive run to step");
+  const AdaptiveRun& lead = *runs.front();
+  const std::size_t first = lead.outcomes().size();
+  const std::size_t target = lead.target_;
+  for (const AdaptiveRun* run : runs) {
+    AYD_REQUIRE(!run->done_, "adaptive run already finished");
+    AYD_REQUIRE(run->sys_ == lead.sys_ && run->opt_ == lead.opt_ &&
+                    run->adapt_ == lead.adapt_ && run->target_ == target &&
+                    run->outcomes().size() == first,
+                "runs stepped together must share the system, the options "
+                "and the round schedule");
+  }
+  for (AdaptiveRun* run : runs) run->arena().resize(target);
+
+  // Each chunk of the round's new replicas runs every run on them in
+  // turn, so the replicas' pooled variates are still in cache for all but
+  // the first. A run that throws stops in that chunk while the others go
+  // on; the exception re-thrown is the one of the earliest failing run in
+  // `runs`, from its lowest failing chunk, whatever the scheduling.
+  std::mutex failure_mu;
+  std::pair<std::size_t, std::size_t> failed_at{runs.size(), 0};
+  std::exception_ptr failure;
+  exec::parallel_for_chunks(
+      pool, target - first,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t k = 0; k < runs.size(); ++k) {
+          AdaptiveRun& run = *runs[k];
+          try {
+            run_range(*run.sys_, run.pattern_, run.opt_, first + begin,
+                      first + end, run.arena().data() + first + begin);
+          } catch (...) {
+            const std::lock_guard<std::mutex> lock(failure_mu);
+            if (std::pair(k, begin) < failed_at) {
+              failed_at = {k, begin};
+              failure = std::current_exception();
+            }
+          }
+        }
+      },
+      min_chunk(lead.opt_.patterns_per_replica, runs.size()));
+  if (failure) std::rethrow_exception(failure);
+  for (AdaptiveRun* run : runs) run->finish_round();
+}
+
+void AdaptiveRun::finish_round() {
+  ++rounds_;
   // The CI is recomputed over *all* replicas so far (replica order, so
   // the reduction matches a fixed-count run); the next round size
   // depends only on the current one, never on timing.
+  const std::vector<ReplicaOutcome>& outcomes = arena();
   stats::RunningStats overhead_stats;
   for (const ReplicaOutcome& o : outcomes) overhead_stats.add(o.overhead);
   const stats::ConfidenceInterval ci =

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "ayd/core/pattern.hpp"
@@ -54,6 +55,8 @@ struct ReplicationOptions {
   /// non-unit-samplable sources' fallback paths (trace replay), which is
   /// exactly the set for which VariateCache returns no pool.
   UnitVariatePool* shared_units = nullptr;
+
+  bool operator==(const ReplicationOptions&) const = default;
 };
 
 struct ReplicationResult {
@@ -96,6 +99,8 @@ struct AdaptiveOptions {
   std::size_t min_replicas = 24;
   /// Hard cap; reaching it reports ci_converged = false.
   std::size_t max_replicas = 4096;
+
+  bool operator==(const AdaptiveOptions&) const = default;
 };
 
 /// One replica's reduced measurements (simulate_overhead's intermediate).
@@ -155,6 +160,18 @@ class AdaptiveRun {
   /// Requires !done().
   void step(exec::ThreadPool* pool = nullptr);
 
+  /// Runs the next round of every run in `runs` at once: one
+  /// parallel_for_chunks call over the round's new replicas, each chunk
+  /// running every run on its replicas (a task holds kMinPatternsPerTask
+  /// patterns across the runs), then each run's own CI check. The runs
+  /// must share the system, the options and the round schedule (runs
+  /// started together with the same options share it while they run),
+  /// and each needs its own arena. Every run ends on the bits of stepping it
+  /// alone. When runs throw, the exception of the earliest of them in
+  /// `runs` is re-thrown. Requires !done() for each.
+  static void step_together(std::span<AdaptiveRun* const> runs,
+                            exec::ThreadPool* pool = nullptr);
+
   /// True once the CI met the tolerance or the replica cap was reached.
   [[nodiscard]] bool done() const { return done_; }
 
@@ -169,6 +186,9 @@ class AdaptiveRun {
   [[nodiscard]] ReplicationResult result() const;
 
  private:
+  /// The CI check and schedule update that end a round.
+  void finish_round();
+
   std::vector<ReplicaOutcome>& arena() {
     return scratch_ != nullptr ? scratch_->outcomes : own_.outcomes;
   }

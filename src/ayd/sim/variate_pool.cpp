@@ -1,12 +1,33 @@
 #include "ayd/sim/variate_pool.hpp"
 
+#include <bit>
+#include <new>
+
 #include "ayd/util/contracts.hpp"
 
 namespace ayd::sim {
 
+struct UnitVariatePool::ChunkNode {
+  std::array<double, kVariatePoolChunk> units;
+  /// The replica's next chunk: null until a cursor generates it, then
+  /// published with release order after its units are written, and never
+  /// changed again (what makes lock-free reads safe).
+  std::atomic<ChunkNode*> next{nullptr};
+};
+
+struct UnitVariatePool::ReplicaStore {
+  explicit ReplicaStore(rng::RngStream s) : stream(s) {}
+  /// The first chunk, published like ChunkNode::next.
+  std::atomic<ChunkNode*> head{nullptr};
+  /// Held only to generate a missing chunk; guards `stream`.
+  std::mutex mu;
+  /// Positioned after the words consumed by the generated chunks.
+  rng::RngStream stream;
+};
+
 namespace {
 
-using Chunk = std::array<double, kVariatePoolChunk>;
+using Chunk = UnitVariatePool::ChunkNode;
 
 /// Chunks kept for reuse at most: 16 MiB, several times the largest
 /// pool one optimum search or sweep pass builds.
@@ -26,19 +47,21 @@ class ChunkRecycler {
       if (!free_.empty()) {
         std::unique_ptr<Chunk> chunk = std::move(free_.back());
         free_.pop_back();
+        chunk->next.store(nullptr, std::memory_order_relaxed);
         return chunk;
       }
     }
     return std::make_unique<Chunk>();
   }
 
-  void give(std::vector<std::unique_ptr<Chunk>>& chunks) {
+  /// Takes the list starting at `head`.
+  void give(Chunk* head) {
     const std::lock_guard<std::mutex> lock(mu_);
-    for (std::unique_ptr<Chunk>& chunk : chunks) {
-      if (free_.size() == kRecycledChunkCap) break;
-      free_.push_back(std::move(chunk));
+    while (head != nullptr) {
+      std::unique_ptr<Chunk> chunk(head);
+      head = chunk->next.load(std::memory_order_relaxed);
+      if (free_.size() < kRecycledChunkCap) free_.push_back(std::move(chunk));
     }
-    chunks.clear();
   }
 
  private:
@@ -53,6 +76,19 @@ ChunkRecycler& recycler() {
   return *instance;
 }
 
+/// Publishes `fresh` in `slot` unless another thread got there first;
+/// returns whichever won.
+template <typename T, typename Owner>
+T* publish(std::atomic<T*>& slot, Owner fresh) {
+  T* seen = nullptr;
+  if (slot.compare_exchange_strong(seen, fresh.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return fresh.release();
+  }
+  return seen;
+}
+
 }  // namespace
 
 UnitVariatePool::UnitVariatePool(const model::FailureDistSpec& spec,
@@ -65,39 +101,69 @@ UnitVariatePool::UnitVariatePool(const model::FailureDistSpec& spec,
 }
 
 UnitVariatePool::~UnitVariatePool() {
-  for (const std::unique_ptr<ReplicaStore>& store : replicas_) {
-    recycler().give(store->chunks);
+  for (std::size_t s = 0; s < kSegments; ++s) {
+    std::atomic<ReplicaStore*>* segment =
+        segments_[s].load(std::memory_order_acquire);
+    if (segment == nullptr) continue;
+    for (std::size_t j = 0; j < kFirstSegment << s; ++j) {
+      ReplicaStore* store = segment[j].load(std::memory_order_acquire);
+      if (store == nullptr) continue;
+      recycler().give(store->head.load(std::memory_order_acquire));
+      delete store;
+    }
+    delete[] segment;
   }
+}
+
+UnitVariatePool::ReplicaStore& UnitVariatePool::store(std::size_t replica) {
+  const auto s = static_cast<std::size_t>(
+      std::bit_width(replica / kFirstSegment + 1) - 1);
+  // Segment s would hold 2^(s+6) stores: one this large cannot be
+  // allocated, so fail the way allocating it would.
+  if (s >= kSegments) throw std::bad_alloc();
+  const std::size_t size = kFirstSegment << s;
+  std::atomic<ReplicaStore*>* segment =
+      segments_[s].load(std::memory_order_acquire);
+  if (segment == nullptr) {
+    segment = publish(segments_[s],
+                      std::make_unique<std::atomic<ReplicaStore*>[]>(size));
+  }
+  std::atomic<ReplicaStore*>& slot = segment[replica - (size - kFirstSegment)];
+  ReplicaStore* found = slot.load(std::memory_order_acquire);
+  if (found != nullptr) return *found;
+  return *publish(slot, std::make_unique<ReplicaStore>(
+                            rng::RngStream(seed_, replica)));
 }
 
 UnitVariatePool::Cursor UnitVariatePool::cursor(std::size_t replica) {
-  std::lock_guard<std::mutex> lock(mu_);
-  while (replicas_.size() <= replica) {
-    replicas_.push_back(std::make_unique<ReplicaStore>(
-        rng::RngStream(seed_, replicas_.size())));
-  }
-  return Cursor(this, replicas_[replica].get());
+  return Cursor(this, &store(replica));
 }
 
-const double* UnitVariatePool::acquire_chunk(ReplicaStore& store,
-                                             std::size_t index) {
-  std::lock_guard<std::mutex> lock(store.mu);
-  while (store.chunks.size() <= index) {
-    std::unique_ptr<Chunk> chunk = recycler().take();
-    // Words leave the replica's stream in exactly the order per-point
-    // sampling would consume them; the tier-dispatched transform turns
-    // them into unit variates in bulk.
-    unit_dist_->sample_units_fast(store.stream, chunk->data(),
-                                  kVariatePoolChunk);
-    store.chunks.push_back(std::move(chunk));
-    generated_.fetch_add(kVariatePoolChunk, std::memory_order_relaxed);
-  }
-  return store.chunks[index]->data();
+UnitVariatePool::ChunkNode* UnitVariatePool::next_chunk(ReplicaStore& store,
+                                                        ChunkNode* prev) {
+  std::atomic<ChunkNode*>& link = prev != nullptr ? prev->next : store.head;
+  ChunkNode* next = link.load(std::memory_order_acquire);
+  if (next != nullptr) return next;
+  const std::lock_guard<std::mutex> lock(store.mu);
+  // Another cursor may have generated it while this one waited.
+  next = link.load(std::memory_order_acquire);
+  if (next != nullptr) return next;
+  // Cursors walk the list in order, so `prev` is its last chunk and the
+  // stream sits right after prev's words. They leave the replica's stream
+  // in exactly the order per-point sampling would consume them; the
+  // tier-dispatched transform turns them into unit variates in bulk.
+  std::unique_ptr<ChunkNode> chunk = recycler().take();
+  unit_dist_->sample_units_fast(store.stream, chunk->units.data(),
+                                kVariatePoolChunk);
+  generated_.fetch_add(kVariatePoolChunk, std::memory_order_relaxed);
+  next = chunk.release();
+  link.store(next, std::memory_order_release);
+  return next;
 }
 
 void UnitVariatePool::Cursor::refill() {
-  ptr_ = pool_->acquire_chunk(*store_, next_chunk_);
-  ++next_chunk_;
+  chunk_ = pool_->next_chunk(*store_, chunk_);
+  ptr_ = chunk_->units.data();
   remaining_ = kVariatePoolChunk;
 }
 

@@ -24,6 +24,14 @@
 // a SIMD tier the pool inherits that tier's golden tier. Results remain
 // bit-identical at any thread count either way: chunk k of replica i has
 // exactly one possible content, whichever thread generates it first.
+//
+// Concurrency: every candidate of a simulated search and every rung of
+// its P ladder read the same replicas, so reads take no lock. A cursor
+// finds its replica's store through a directory of CAS-published
+// segments and follows the replica's chunk list through
+// release/acquire-published links; only the cursor that reaches the end
+// of the list locks that replica's store, to generate the next chunk
+// (tests/sim_variate_pool_test.cpp races cursors on shared replicas).
 
 #pragma once
 
@@ -49,9 +57,13 @@ namespace ayd::sim {
 inline constexpr std::size_t kVariatePoolChunk = 256;
 
 /// The shared unit-variate sequences of one (failure-dist shape, seed)
-/// scenario, one lazily grown store per replica. Thread-safe: cursors
-/// only synchronize at chunk boundaries, and a chunk's content is a pure
-/// function of (spec, seed, replica, chunk index).
+/// scenario, one lazily grown store per replica. Thread-safe, and reads
+/// take no lock: a replica's chunks form an append-only list whose links
+/// are published with release/acquire, so a cursor follows chunks that
+/// exist with one acquire load per chunk, and only a cursor that reaches
+/// the end of the list locks the replica's store to generate the next
+/// chunk. A chunk's content is a pure function of (spec, seed, replica,
+/// chunk index).
 class UnitVariatePool {
  public:
   /// `spec` must be eligible() (analytic kinds); trace replay does not
@@ -61,12 +73,16 @@ class UnitVariatePool {
   /// Hands the chunks back for the next pool to reuse (variate_pool.cpp).
   ~UnitVariatePool();
 
+  UnitVariatePool(const UnitVariatePool&) = delete;
+  UnitVariatePool& operator=(const UnitVariatePool&) = delete;
+
   /// True when the spec factors through the unit-variate API, i.e. a
   /// pool can serve it.
   [[nodiscard]] static bool eligible(const model::FailureDistSpec& spec) {
     return spec.kind() != model::FailureDistKind::kTraceReplay;
   }
 
+  struct ChunkNode;
   struct ReplicaStore;
 
   /// A position in one replica's variate sequence. Starts at draw 0;
@@ -95,9 +111,10 @@ class UnitVariatePool {
 
     UnitVariatePool* pool_ = nullptr;
     ReplicaStore* store_ = nullptr;
+    /// The chunk ptr_ walks (null before the first refill).
+    ChunkNode* chunk_ = nullptr;
     const double* ptr_ = nullptr;
     std::size_t remaining_ = 0;
-    std::size_t next_chunk_ = 0;
   };
 
   /// Cursor at the start of replica i's sequence (the position a fresh
@@ -111,29 +128,30 @@ class UnitVariatePool {
     return generated_.load(std::memory_order_relaxed);
   }
 
-  struct ReplicaStore {
-    explicit ReplicaStore(rng::RngStream s) : stream(s) {}
-    std::mutex mu;
-    /// Append-only; each chunk is fully generated before it becomes
-    /// visible, then immutable (what makes lock-free reads safe).
-    std::vector<std::unique_ptr<std::array<double, kVariatePoolChunk>>>
-        chunks;
-    /// Positioned after the words consumed by the generated chunks.
-    rng::RngStream stream;
-  };
-
  private:
-  /// Chunk `index` of `store`, generating it (and any gap) if needed.
-  [[nodiscard]] const double* acquire_chunk(ReplicaStore& store,
-                                            std::size_t index);
+  /// Replicas of the directory's first segment; segment s holds
+  /// kFirstSegment·2^s replicas, so kSegments of them reach past any
+  /// replica count memory can hold.
+  static constexpr std::size_t kFirstSegment = 64;
+  static constexpr std::size_t kSegments = 57;
+
+  /// Replica `replica`'s store, created by the first cursor to reach it.
+  [[nodiscard]] ReplicaStore& store(std::size_t replica);
+
+  /// The chunk after `prev` in `store` (its first chunk when `prev` is
+  /// null), generated if no cursor has reached it yet.
+  [[nodiscard]] ChunkNode* next_chunk(ReplicaStore& store, ChunkNode* prev);
 
   model::FailureDistSpec spec_;
   std::uint64_t seed_;
   /// Rate-1 instantiation: only its unit transform is used, which is
   /// rate-independent by the factorization contract.
   std::unique_ptr<const model::FailureDistribution> unit_dist_;
-  std::mutex mu_;
-  std::vector<std::unique_ptr<ReplicaStore>> replicas_;
+  /// Replica directory: segment s holds the stores of replicas
+  /// [kFirstSegment·(2^s − 1), kFirstSegment·(2^(s+1) − 1)). Segments and
+  /// stores are published with a compare-and-swap by the first cursor
+  /// that needs them and never move, so a lookup takes no lock.
+  std::array<std::atomic<std::atomic<ReplicaStore*>*>, kSegments> segments_{};
   std::atomic<std::size_t> generated_{0};
 };
 

@@ -145,10 +145,21 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
     throw util::CliError("--points must be >= 2 (a sweep needs at least "
                          "two points)");
   }
+  const double from = parser.option_double("from");
+  const double to = parser.option_double("to");
+  if (!(to > from)) {
+    throw util::CliError("--to must be greater than --from (got --from " +
+                         parser.option("from") + " --to " +
+                         parser.option("to") + ")");
+  }
+  if (log_spacing && !(from > 0.0)) {
+    throw util::CliError("--from must be > 0 on a log-spaced axis (got " +
+                         parser.option("from") +
+                         "; pass --linear for a linear sweep)");
+  }
   engine::GridSpec grid;
-  grid.axis(engine::Axis::spaced(
-      axis, parser.option_double("from"), parser.option_double("to"),
-      static_cast<int>(points), log_spacing));
+  grid.axis(engine::Axis::spaced(axis, from, to, static_cast<int>(points),
+                                 log_spacing));
 
   engine::EvalSpec spec;
   spec.first_order = true;

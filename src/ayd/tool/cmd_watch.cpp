@@ -54,10 +54,10 @@ int cmd_watch(const std::vector<std::string>& args, std::ostream& out) {
                     "failure-log CSV to stream (default: read stdin, one "
                     "line at a time)");
   parser.add_option("threads", "0",
-                    "worker threads of each re-optimization, which "
-                    "simulates its candidate periods (or its large replica "
-                    "rounds) concurrently (0 = hardware concurrency; the "
-                    "record stream is identical at any value)");
+                    "worker threads of each re-optimization, which split "
+                    "its replica rounds across the candidate periods once "
+                    "a round is large enough (0 = hardware concurrency; "
+                    "the record stream is identical at any value)");
   if (parse_or_help(parser, args, out)) return 0;
 
   const model::System sys = system_from_args(parser);

@@ -88,17 +88,17 @@ void print_system(const model::System& sys, std::ostream& out);
 /// Declares --runs, --patterns, --seed, --des.
 void add_simulation_options(cli::ArgParser& parser);
 
-/// Reads them into ReplicationOptions.
+/// Reads them into ReplicationOptions. Refuses --runs below 2 (a CI
+/// requires two replicas) and --patterns below 1.
 [[nodiscard]] sim::ReplicationOptions replication_from_args(
     const cli::ArgParser& parser);
 
 /// Reads the adaptive period-search knobs `ayd optimize --simulate` and
 /// re-planning share: the standard simulation options, with --runs as
-/// the first round (>= 2), --ci-rel-tol (finite and > 0) and --max-reps
-/// (>= 2; a cap below --runs lowers the first round to it). `mode` opens
-/// the --runs refusal ("--simulate needs --runs >= 2 ...").
+/// the first round, --ci-rel-tol (finite and > 0) and --max-reps (>= 2;
+/// a cap below --runs lowers the first round to it).
 [[nodiscard]] core::SimSearchOptions search_options_from_args(
-    const cli::ArgParser& parser, const char* mode);
+    const cli::ArgParser& parser);
 
 /// Refuses each of `options` that was given while `simulating` is false:
 /// the option tunes a simulation that does not run, so it would be

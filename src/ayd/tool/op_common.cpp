@@ -105,7 +105,7 @@ service::ReplanOptions replan_options_from_args(const cli::ArgParser& parser,
     throw util::CliError("--drift-ci-level must be in (0, 1)");
   }
 
-  opt.search = search_options_from_args(parser, "re-planning");
+  opt.search = search_options_from_args(parser);
 
   if (parser.option("procs").empty()) {
     engine::EvalSpec defaults;

@@ -71,7 +71,7 @@ OptimizeRequest optimize_request_from_args(const cli::ArgParser& parser) {
   // and never validates their defaults.
   if (req.simulate) {
     req.sim_search.max_procs = req.max_procs;
-    req.sim_search.period = search_options_from_args(parser, "--simulate");
+    req.sim_search.period = search_options_from_args(parser);
   }
   return req;
 }

@@ -354,7 +354,10 @@ sim::ReplicationOptions replication_from_args(const cli::ArgParser& parser) {
   opt.replicas = static_cast<std::size_t>(parser.option_uint("runs"));
   opt.patterns_per_replica =
       static_cast<std::size_t>(parser.option_uint("patterns"));
-  if (opt.replicas < 1) throw util::CliError("--runs must be >= 1");
+  if (opt.replicas < 2) {
+    throw util::CliError(
+        "a simulation needs --runs >= 2 (a CI requires two replicas)");
+  }
   if (opt.patterns_per_replica < 1) {
     throw util::CliError("--patterns must be >= 1");
   }
@@ -363,14 +366,10 @@ sim::ReplicationOptions replication_from_args(const cli::ArgParser& parser) {
   return opt;
 }
 
-core::SimSearchOptions search_options_from_args(const cli::ArgParser& parser,
-                                                const char* mode) {
+core::SimSearchOptions search_options_from_args(
+    const cli::ArgParser& parser) {
   core::SimSearchOptions opt;
   opt.replication = replication_from_args(parser);
-  if (opt.replication.replicas < 2) {
-    throw util::CliError(std::string(mode) +
-                         " needs --runs >= 2 (a CI requires two replicas)");
-  }
   opt.adaptive.min_replicas = opt.replication.replicas;
   opt.adaptive.ci_rel_tol = parser.option_double("ci-rel-tol");
   if (!(std::isfinite(opt.adaptive.ci_rel_tol) &&

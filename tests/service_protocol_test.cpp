@@ -157,6 +157,16 @@ TEST(ServiceProtocol, BadReplicationAndPeriodAreBadRequestsNamingTheOption) {
   }
 }
 
+TEST(ServiceProtocol, SimulateRefusesASingleRun) {
+  // One replica has no CI, so the op would reply with a zero-width one.
+  PlanningService service({/*threads=*/1});
+  const io::JsonValue v = io::parse_json(
+      service.handle_line(R"({"op":"simulate","id":1,"runs":1})"));
+  EXPECT_EQ(v.at("error").at("code").as_string(), "bad_request");
+  const std::string message = v.at("error").at("message").as_string();
+  EXPECT_NE(message.find("needs --runs >= 2"), std::string::npos) << message;
+}
+
 TEST(ServiceProtocol, SubscribeRefusesEstimatorOptionsItCannotHonour) {
   // The subscribe op shares `ayd watch`'s option checks: a zero refit
   // interval or a non-finite noise floor is a bad request naming the

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ayd/model/platform.hpp"
 #include "ayd/model/scenario.hpp"
 #include "ayd/rng/simd.hpp"
@@ -228,6 +230,107 @@ TEST(AdaptiveRun, ScratchHoldsTheOutcomesAndMovesWithTheRun) {
                                              quick_replication(),
                                              quick_adaptive()));
   EXPECT_THROW(run.step(), util::InvalidArgument);
+}
+
+TEST(AdaptiveRun, SteppingTogetherMatchesSoloRuns) {
+  // The simulated search steps its candidates together: every run ends on
+  // the bits of stepping it alone, outcome by outcome, on either backend,
+  // with the runs sharing one CRN pool or sampling their own streams, on
+  // one worker or four. Each round of K runs holds K times a solo round's
+  // patterns, so the later rounds are split across the pool.
+  const System sys = weibull_system();
+  AdaptiveOptions adapt = quick_adaptive();
+  adapt.ci_rel_tol = 0.02;  // several rounds, large enough to split
+  const std::vector<core::Pattern> patterns = {{3000.0, 512.0},
+                                               {6000.0, 512.0},
+                                               {12000.0, 512.0},
+                                               {24000.0, 512.0}};
+  for (const Backend backend : {Backend::kFast, Backend::kDes}) {
+    for (const bool pooled : {false, true}) {
+      for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message()
+                     << (backend == Backend::kDes ? "des" : "fast")
+                     << (pooled ? " pooled " : " stream ") << threads);
+        ReplicationOptions solo_opt = quick_replication();
+        ReplicationOptions together_opt = quick_replication();
+        solo_opt.backend = backend;
+        together_opt.backend = backend;
+        UnitVariatePool solo_units(sys.failure().dist(), solo_opt.seed);
+        UnitVariatePool together_units(sys.failure().dist(), solo_opt.seed);
+        if (pooled) {
+          solo_opt.shared_units = &solo_units;
+          together_opt.shared_units = &together_units;
+        }
+        std::vector<AdaptiveRun> solo;
+        std::vector<AdaptiveRun> together;
+        for (const core::Pattern& pattern : patterns) {
+          solo.emplace_back(sys, pattern, solo_opt, adapt);
+          while (!solo.back().done()) solo.back().step();
+          together.emplace_back(sys, pattern, together_opt, adapt);
+        }
+        exec::ThreadPool pool(threads);
+        std::vector<AdaptiveRun*> live;
+        for (AdaptiveRun& run : together) live.push_back(&run);
+        while (!live.empty()) {
+          AdaptiveRun::step_together(live, &pool);
+          std::erase_if(live, [](const AdaptiveRun* r) { return r->done(); });
+        }
+        for (std::size_t k = 0; k < patterns.size(); ++k) {
+          const std::vector<ReplicaOutcome>& a = together[k].outcomes();
+          const std::vector<ReplicaOutcome>& b = solo[k].outcomes();
+          ASSERT_EQ(a.size(), b.size()) << "run " << k;
+          for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].overhead, b[i].overhead) << k << "/" << i;
+            EXPECT_EQ(a[i].mean_pattern_time, b[i].mean_pattern_time);
+            EXPECT_EQ(a[i].totals.wall_time, b[i].totals.wall_time);
+            EXPECT_EQ(a[i].totals.attempts, b[i].totals.attempts);
+            EXPECT_EQ(a[i].totals.fail_stop_errors,
+                      b[i].totals.fail_stop_errors);
+            EXPECT_EQ(a[i].totals.silent_detections,
+                      b[i].totals.silent_detections);
+          }
+          expect_same_run(together[k].result(), solo[k].result());
+        }
+        EXPECT_GT(solo.back().result().rounds, 2);
+      }
+    }
+  }
+}
+
+TEST(AdaptiveRun, SteppingTogetherRefusesRunsThatDoNotShareASchedule) {
+  const System sys = weibull_system();
+  const core::Pattern other{2.0 * kPattern.period, kPattern.procs};
+  const auto refused = [](AdaptiveRun& a, AdaptiveRun& b) {
+    std::vector<AdaptiveRun*> runs = {&a, &b};
+    EXPECT_THROW(AdaptiveRun::step_together(runs), util::InvalidArgument);
+  };
+  {  // one round ahead
+    AdaptiveRun a(sys, kPattern, quick_replication(), quick_adaptive());
+    AdaptiveRun b(sys, other, quick_replication(), quick_adaptive());
+    a.step();
+    refused(a, b);
+  }
+  {  // another first round
+    AdaptiveOptions larger = quick_adaptive();
+    larger.min_replicas = 12;
+    AdaptiveRun a(sys, kPattern, quick_replication(), quick_adaptive());
+    AdaptiveRun b(sys, other, quick_replication(), larger);
+    refused(a, b);
+  }
+  {  // another seed
+    ReplicationOptions reseeded = quick_replication();
+    reseeded.seed += 1;
+    AdaptiveRun a(sys, kPattern, quick_replication(), quick_adaptive());
+    AdaptiveRun b(sys, other, reseeded, quick_adaptive());
+    refused(a, b);
+  }
+  {  // another system
+    const System twin = weibull_system();
+    AdaptiveRun a(sys, kPattern, quick_replication(), quick_adaptive());
+    AdaptiveRun b(twin, other, quick_replication(), quick_adaptive());
+    refused(a, b);
+  }
+  EXPECT_THROW(AdaptiveRun::step_together({}), util::InvalidArgument);
 }
 
 }  // namespace

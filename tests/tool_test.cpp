@@ -553,6 +553,59 @@ TEST(ToolReplication, BadValuesRefusedBeforeAnyOutput) {
   }
 }
 
+TEST(ToolReplication, SimulateRefusesASingleRun) {
+  // One replica has no CI: it would print "±0" and an agreement z of
+  // order 1e298.
+  const ToolRun r = run({"simulate", "--runs", "1", "--patterns", "5"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_TRUE(contains(r.err, "needs --runs >= 2")) << r.err;
+  EXPECT_TRUE(r.out.empty()) << r.out;
+}
+
+TEST(ToolReplication, ProtocolsRefusesASingleRun) {
+  const ToolRun r = run({"protocols", "--runs", "1"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_TRUE(contains(r.err, "needs --runs >= 2")) << r.err;
+  EXPECT_TRUE(r.out.empty()) << r.out;
+}
+
+TEST(ToolReplication, SimulatedSweepRefusesASingleRun) {
+  const ToolRun r = run({"sweep", "--simulate", "--points", "2", "--runs",
+                         "1", "--patterns", "5"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_TRUE(contains(r.err, "needs --runs >= 2")) << r.err;
+  EXPECT_TRUE(r.out.empty()) << r.out;
+}
+
+TEST(ToolSweep, EmptyRangeRefusedBeforeAnyOutput) {
+  for (const auto& [from, to] :
+       {std::pair{"1", "1"}, std::pair{"2", "1"}, std::pair{"nan", "1"}}) {
+    const ToolRun r =
+        run({"sweep", "--points", "3", "--from", from, "--to", to});
+    EXPECT_EQ(r.code, 1) << from << ".." << to;
+    EXPECT_TRUE(contains(r.err, "--to must be greater than --from"))
+        << r.err;
+    EXPECT_FALSE(contains(r.err, "precondition")) << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+  }
+}
+
+TEST(ToolSweep, NonPositiveLogAxisStartRefusedBeforeAnyOutput) {
+  for (const char* from : {"0", "-1e-9"}) {
+    const ToolRun r =
+        run({"sweep", "--points", "3", "--from", from, "--to", "1e-9"});
+    EXPECT_EQ(r.code, 1) << from;
+    EXPECT_TRUE(contains(r.err, "--from must be > 0")) << r.err;
+    EXPECT_FALSE(contains(r.err, "precondition")) << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+  }
+  // A linear axis may start at zero.
+  EXPECT_EQ(run({"sweep", "--points", "3", "--from", "0", "--to", "60",
+                 "--var", "downtime"})
+                .code,
+            0);
+}
+
 // -- processor counts ----------------------------------------------------
 
 TEST(ToolProcs, InvalidProcsRefusedBeforeAnyOutput) {
