@@ -32,19 +32,22 @@
 // options ⇒ the same candidate sequence, the same replica counts, the
 // same optimum, on any machine and thread count.
 //
-// Threads go where a task is worth its dispatch (a replica of a few
-// dozen patterns costs microseconds, less than the dispatch). A batch of
-// candidates — the coarse scan, the first golden-section pair — is
-// stepped together, one adaptive round at a time
+// Threads go where a chunk is worth its dispatch (a replica of a few
+// dozen patterns costs microseconds, about what waking a helper does). A
+// batch of candidates — the coarse scan, the first golden-section pair —
+// is stepped together, one adaptive round at a time
 // (sim::AdaptiveRun::step_together): first round one for every
 // candidate, then the cold scan's first-round screen, then rounds for
-// the candidates still running. Each round is one parallel call over its
-// new replicas, every task running all live candidates on its replicas
-// while their shared CRN variates are hot in cache; a round too small to
-// split runs on the caller. The remaining single evaluations (the
-// closed-form CI attach, edge expansions, later golden steps) are the
-// one-candidate case of the same loop. The P ladder's rungs run
-// concurrently, each rung's search serially on its worker.
+// the candidates still running. Each round is one fork-join call over
+// its new replicas, every chunk running all live candidates on its
+// replicas while their shared CRN variates are hot in cache. The search's
+// own thread runs chunks alongside the pool's helpers, so a round of two
+// chunks (sim::kMinPatternsPerTask patterns each) already splits; a
+// round smaller than that runs on the caller. The remaining single
+// evaluations (the closed-form CI attach, edge expansions, later golden
+// steps) are the one-candidate case of the same loop. The P ladder's
+// rungs run concurrently, each rung's search serially on the thread that
+// runs it (a nested call runs inline).
 //
 // A search that diverges (util::SimulationDiverged) reports the smallest
 // period that failed in the earliest round that had a failure, whatever

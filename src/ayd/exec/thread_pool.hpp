@@ -1,9 +1,14 @@
-// Fixed-size thread pool with a shared task queue.
+// Fixed-size thread pool with a shared task queue, plus fork-join loops
+// over it.
 //
 // The engine fans grid points, the simulation replicator replicas and the
 // simulated optimizer candidate periods and P rungs out over this pool.
-// Tasks are plain std::function<void()>; submit() returns a std::future
-// so callers can propagate results and exceptions. Determinism of
+// submit() queues one std::function<void()> and returns a std::future so
+// callers can propagate results and exceptions. The parallel_for family
+// is fork-join instead (Cilk's pattern): the calling thread works through
+// the call's chunks alongside at most size() - 1 queued helper entries,
+// all claiming chunks from one atomic cursor, with no future per chunk.
+// Idle workers sleep on the queue's condition variable. Determinism of
 // simulation results does not depend on the pool: each replica derives
 // its RNG stream from its index, so scheduling order is irrelevant to the
 // numbers produced.
@@ -51,6 +56,15 @@ class ThreadPool {
   }
 
  private:
+  friend void parallel_for_chunks(
+      ThreadPool& pool, std::size_t n,
+      const std::function<void(std::size_t, std::size_t)>& fn,
+      std::size_t min_chunk);
+
+  /// Queues `copies` copies of `task` under one lock and wakes one
+  /// worker; each worker that pops one wakes the next (worker_loop).
+  void post(const std::function<void()>& task, std::size_t copies);
+
   void worker_loop();
 
   std::vector<std::thread> workers_;
@@ -61,21 +75,31 @@ class ThreadPool {
 };
 
 /// Runs fn(i) for i in [0, n) across the pool; blocks until all complete.
-/// The first exception thrown by any task is re-thrown (others are
-/// swallowed after completion). Indices are processed in contiguous
-/// per-thread chunks. Nesting is safe: called from one of the same
-/// pool's workers, it runs every index inline on that worker instead of
-/// queueing (blocking on submit()'s futures from a worker is not).
+/// Indices are processed in contiguous chunks, and every chunk runs even
+/// when some throw; the exception of the lowest failing chunk is
+/// re-thrown once every chunk has returned. Nesting is safe: called from
+/// one of the same pool's workers, or from a chunk whose caller runs it,
+/// it runs every index inline on that thread instead of queueing.
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 
 /// Chunk-level variant: runs fn(begin, end) once per contiguous chunk of
 /// [0, n), so callers can hoist per-worker state (scratch arenas,
-/// reusable simulators) out of the per-index loop. Same blocking,
-/// exception and nesting policy as parallel_for (a nested call is one
-/// chunk, fn(0, n)). Chunks hold about `min_chunk` indices or more, so
-/// callers whose indices cost less than a task dispatch can size them;
-/// when that leaves one chunk, it runs inline on the caller.
+/// reusable simulators) out of the per-index loop. Chunks hold about
+/// `min_chunk` indices or more (at most 4 * pool.size() chunks), so
+/// callers whose indices cost less than a dispatch can size them; when
+/// that leaves one chunk, it runs inline on the caller.
+///
+/// A call that splits is one fork-join job. It queues
+/// min(chunks, pool.size()) - 1 helper entries and the caller claims
+/// chunks from the same atomic cursor as the helpers, in ascending
+/// order, so at most pool.size() threads run one call's chunks and a
+/// one-worker pool's call runs entirely on the caller. Once the cursor
+/// passes the last chunk, the caller waits only for chunks helpers have
+/// already claimed: it spins briefly, then blocks. A helper popped after
+/// the call has returned finds no chunk and exits. Exceptions and
+/// nesting are as in parallel_for (a nested call is one chunk, fn(0, n),
+/// on the nesting thread).
 void parallel_for_chunks(ThreadPool& pool, std::size_t n,
                          const std::function<void(std::size_t, std::size_t)>& fn,
                          std::size_t min_chunk = 1);

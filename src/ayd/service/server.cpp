@@ -13,6 +13,7 @@
 #include "ayd/io/json.hpp"
 #include "ayd/model/application.hpp"
 #include "ayd/service/replan.hpp"
+#include "ayd/service/shm_transport.hpp"
 #include "ayd/sim/runner.hpp"
 #include "ayd/sim/trace.hpp"
 #include "ayd/tool/commands.hpp"
@@ -148,6 +149,7 @@ Resolved resolve_plan(const Request& req) {
   tool::add_plan_options(parser);
   parse_params(parser, req);
   const model::System sys = tool::system_from_args(parser);
+  tool::refuse_unplannable(sys);
   const model::Application app{parser.option("name"),
                                parser.option_double("work"), 0.0};
   const double max_procs = tool::procs_from_args(parser, "max-procs");
@@ -352,9 +354,33 @@ std::string PlanningService::handle_stats(const Request& req) {
     w.kv("store_entries", static_cast<std::uint64_t>(store_->entries()));
     w.kv("store_bytes", store_->file_bytes());
   }
+  {
+    const std::lock_guard lock(transport_mutex_);
+    if (transport_ != nullptr) {
+      const ShmServerStats t = transport_->stats();
+      w.key("transport");
+      w.begin_object();
+      w.kv("requests", t.requests);
+      w.kv("reclaimed_clients", t.reclaimed_clients);
+      w.kv("reclaimed_requests", t.reclaimed_requests);
+      w.kv("dropped_replies", t.dropped_replies);
+      w.kv("recovered_stale", t.recovered_stale);
+      w.end_object();
+    }
+  }
   w.kv("version", util::version_string());
   w.end_object();
   return make_ok_reply(req.id, req.op, os.str());
+}
+
+void PlanningService::attach_transport(const ShmServer* server) {
+  const std::lock_guard lock(transport_mutex_);
+  transport_ = server;
+}
+
+void PlanningService::detach_transport(const ShmServer* server) {
+  const std::lock_guard lock(transport_mutex_);
+  if (transport_ == server) transport_ = nullptr;
 }
 
 std::string PlanningService::handle_subscribe(const Request& req) {

@@ -50,6 +50,8 @@
 
 namespace ayd::service {
 
+class ShmServer;
+
 /// Construction knobs of the service (the `ayd serve` flags).
 struct ServiceOptions {
   /// Worker threads of the request pool (0 = hardware concurrency).
@@ -113,6 +115,12 @@ class PlanningService {
   [[nodiscard]] const ServiceOptions& options() const { return options_; }
 
  private:
+  // A ShmServer attaches itself for its lifetime, so op "stats" can
+  // report its counters.
+  friend class ShmServer;
+  void attach_transport(const ShmServer* server);
+  void detach_transport(const ShmServer* server);
+
   /// Routes a parsed request to its op handler; throws ProtocolError /
   /// util::Error on failures (handle_line wraps them into envelopes).
   [[nodiscard]] std::string dispatch(const Request& req);
@@ -136,6 +144,10 @@ class PlanningService {
   std::mutex front_mutex_;
   std::unordered_map<std::string, std::shared_ptr<const CanonicalKey>>
       front_;
+  /// The attached shm transport (null on a pipe-only serve), guarded so a
+  /// stats request never reads a server that is detaching.
+  std::mutex transport_mutex_;
+  const ShmServer* transport_ = nullptr;
   exec::ThreadPool pool_;
 };
 

@@ -372,6 +372,7 @@ ShmServer::ShmServer(const std::string& name, PlanningService& service,
                       std::memory_order_release);
 
   thread_ = std::thread([this] { transport_loop(); });
+  service_.attach_transport(this);
 }
 
 ShmServer::~ShmServer() { stop(); }
@@ -380,6 +381,7 @@ void ShmServer::stop() {
   if (impl_->stopped) return;
   impl_->stop_flag.store(true, std::memory_order_release);
   if (thread_.joinable()) thread_.join();
+  service_.detach_transport(this);
   // The transport loop drained in-flight requests before exiting, so no
   // worker can touch the mapping past this point.
   impl_->map.header->shutdown.store(1, std::memory_order_release);

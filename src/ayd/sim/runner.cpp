@@ -76,7 +76,7 @@ void run_range(const Sys& sys, const Pat& pattern,
   }
 }
 
-/// Replicas a pool task needs to simulate kMinPatternsPerTask patterns
+/// Replicas a chunk needs to simulate kMinPatternsPerTask patterns
 /// when each replica runs `runs` runs of `patterns_per_replica` patterns.
 std::size_t min_chunk(std::size_t patterns_per_replica, std::size_t runs) {
   const std::size_t per_replica = patterns_per_replica * runs;

@@ -121,12 +121,14 @@ struct ReplicationScratch {
   std::vector<ReplicaOutcome> outcomes;
 };
 
-/// Patterns a pool task of a replica round holds at least. A replica of a
-/// few dozen patterns costs a few microseconds, less than dispatching a
-/// pool task (docs/architecture.md, "Where the threads go"), so the
-/// runners give each task tens of microseconds of simulation; a round
-/// smaller than two such tasks runs inline on the caller.
-inline constexpr std::size_t kMinPatternsPerTask = 1024;
+/// Patterns a chunk of a replica round holds at least. A replica of a
+/// few dozen patterns costs a few microseconds, and a fork-join call's
+/// dispatch a few more per helper (docs/architecture.md, "Where the
+/// threads go"), so the runners give each chunk at least a few
+/// microseconds of simulation; a round smaller than two chunks runs on
+/// the caller. On the `optimize` benchmark's catalog, 128, 256 and 512
+/// measured alike and 1024 was about a quarter slower at P = 2048.
+inline constexpr std::size_t kMinPatternsPerTask = 256;
 
 /// Simulates `replicas` independent applications of
 /// `patterns_per_replica` patterns each and summarises the measured
@@ -162,7 +164,7 @@ class AdaptiveRun {
 
   /// Runs the next round of every run in `runs` at once: one
   /// parallel_for_chunks call over the round's new replicas, each chunk
-  /// running every run on its replicas (a task holds kMinPatternsPerTask
+  /// running every run on its replicas (a chunk holds kMinPatternsPerTask
   /// patterns across the runs), then each run's own CI check. The runs
   /// must share the system, the options and the round schedule (runs
   /// started together with the same options share it while they run),

@@ -29,6 +29,7 @@ int cmd_plan(const std::vector<std::string>& args, std::ostream& out) {
   if (parse_or_help(parser, args, out)) return 0;
 
   const model::System sys = system_from_args(parser);
+  refuse_unplannable(sys);
   const model::Application app{parser.option("name"),
                                parser.option_double("work"), 0.0};
   const double max_procs = procs_from_args(parser, "max-procs");

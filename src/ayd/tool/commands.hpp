@@ -144,6 +144,13 @@ struct ResolvedPattern {
 /// defaults.
 void add_plan_options(cli::ArgParser& parser);
 
+/// Refuses a system the capacity plan cannot act on. The plan is the
+/// analytic optimum and makespan, which assume exponential failures in
+/// an i.i.d. world, so a non-exponential --failure-dist, --shock or
+/// --hetero would be silently ignored. The message points at
+/// `ayd optimize --simulate`, which searches under them.
+void refuse_unplannable(const model::System& sys);
+
 /// The capacity-planning numbers `ayd plan` and the service report.
 struct PlanReport {
   core::AllocationOptimum optimum;

@@ -117,6 +117,24 @@ service::ReplanOptions replan_options_from_args(const cli::ArgParser& parser,
   return opt;
 }
 
+void refuse_unplannable(const model::System& sys) {
+  const char* const hint =
+      " is simulation only, and plan reports the analytic optimum; use "
+      "`ayd optimize --simulate` for the optimum under it";
+  if (!sys.failure().dist().memoryless()) {
+    throw util::CliError("plan: --failure-dist " +
+                         sys.failure().dist().to_string() + hint);
+  }
+  if (const model::CorrelatedSpec* ext = sys.extension()) {
+    if (ext->shock.has_value()) {
+      throw util::CliError(std::string("plan: --shock") + hint);
+    }
+    if (ext->heterogeneity.has_value()) {
+      throw util::CliError(std::string("plan: --hetero") + hint);
+    }
+  }
+}
+
 PlanReport compute_plan(const model::System& sys,
                         const model::Application& app, double max_procs) {
   core::AllocationSearchOptions search;

@@ -65,7 +65,8 @@ OptimizeRequest optimize_request_from_args(const cli::ArgParser& parser) {
   req.simulate = parser.flag("simulate");
   refuse_unless_simulating(
       parser, req.simulate,
-      {"des", "runs", "patterns", "seed", "ci-rel-tol", "max-reps"});
+      {"des", "runs", "patterns", "seed", "ci-rel-tol", "max-reps", "shock",
+       "hetero"});
   // Only resolved (and validated) when the simulated search will run; an
   // analytic request refuses the simulation options it was given (above)
   // and never validates their defaults.

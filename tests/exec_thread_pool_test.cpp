@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <gtest/gtest.h>
 #include <mutex>
 #include <numeric>
@@ -307,6 +309,198 @@ TEST(ParallelFor, OtherPoolFromAWorkerStillFansOut) {
     });
   }).get();
   EXPECT_EQ(stage.load(), 2);
+}
+
+// Fork-join: the calling thread works through a call's chunks alongside
+// the pool's helpers.
+
+/// Runs a 16-chunk call on `pool` in which no chunk returns before the
+/// calling thread has run one of its own (a helper's chunk waits for it,
+/// up to a generous timeout), so the chunks the caller runs are certain to
+/// exist. `body` runs in every chunk and learns whether the caller runs it.
+template <typename Body>
+void run_call_the_caller_joins(ThreadPool& pool, Body body) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::condition_variable cv;
+  bool caller_ran = false;
+  parallel_for_chunks(pool, 16, [&](std::size_t begin, std::size_t end) {
+    const bool on_caller = std::this_thread::get_id() == caller;
+    body(begin, end, on_caller);
+    std::unique_lock lock(mu);
+    if (on_caller) {
+      caller_ran = true;
+      cv.notify_all();
+    } else {
+      cv.wait_for(lock, std::chrono::seconds(30), [&] { return caller_ran; });
+    }
+  });
+}
+
+TEST(ForkJoin, TheCallerRunsAtLeastOneChunkOfACallThatSplits) {
+  ThreadPool pool(4);
+  std::atomic<int> on_caller{0};
+  std::atomic<int> chunks{0};
+  run_call_the_caller_joins(pool, [&](std::size_t, std::size_t, bool mine) {
+    ++chunks;
+    if (mine) ++on_caller;
+  });
+  EXPECT_EQ(chunks.load(), 16);
+  EXPECT_GE(on_caller.load(), 1);
+}
+
+TEST(ForkJoin, AtMostPoolSizeThreadsRunOneCall) {
+  ThreadPool pool(3);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  std::atomic<int> running{0};
+  std::atomic<int> most{0};
+  parallel_for_chunks(pool, 12, [&](std::size_t, std::size_t) {
+    const int now = ++running;
+    int seen = most.load();
+    while (now > seen && !most.compare_exchange_weak(seen, now)) {
+    }
+    {
+      const std::lock_guard lock(mu);
+      threads.insert(std::this_thread::get_id());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    --running;
+  });
+  EXPECT_LE(most.load(), 3);
+  EXPECT_LE(threads.size(), pool.size());
+}
+
+TEST(ForkJoin, AChunkTheCallerRunsNestsInline) {
+  ThreadPool pool(4);
+  std::atomic<int> nested_on_caller{0};
+  run_call_the_caller_joins(pool, [&](std::size_t, std::size_t, bool mine) {
+    if (!mine) return;
+    const std::thread::id self = std::this_thread::get_id();
+    std::size_t calls = 0;
+    parallel_for_chunks(pool, 100, [&](std::size_t begin, std::size_t end) {
+      ++calls;
+      EXPECT_EQ(begin, 0u);
+      EXPECT_EQ(end, 100u);
+      EXPECT_EQ(std::this_thread::get_id(), self);
+    });
+    EXPECT_EQ(calls, 1u);
+    ++nested_on_caller;
+  });
+  EXPECT_GE(nested_on_caller.load(), 1);
+  // Outside the call the caller fans out again.
+  std::atomic<int> chunks{0};
+  parallel_for_chunks(pool, 8, [&](std::size_t, std::size_t) { ++chunks; });
+  EXPECT_EQ(chunks.load(), 8);
+}
+
+TEST(ForkJoin, TheLowestFailingChunkWinsWhateverFailsFirst) {
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool eleven_failed = false;
+  std::vector<std::atomic<int>> returned(16);
+  try {
+    run_call_the_caller_joins(pool, [&](std::size_t begin, std::size_t,
+                                        bool) {
+      ++returned[begin];
+      if (begin == 11) {
+        {
+          const std::lock_guard lock(mu);
+          eleven_failed = true;
+        }
+        cv.notify_all();
+        throw std::runtime_error("chunk 11");
+      }
+      if (begin == 5) {
+        // Chunk 5 fails after chunk 11 did.
+        std::unique_lock lock(mu);
+        cv.wait_for(lock, std::chrono::seconds(30),
+                    [&] { return eleven_failed; });
+        throw std::runtime_error("chunk 5");
+      }
+    });
+    FAIL() << "parallel_for_chunks swallowed the chunk exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk 5");
+  }
+  for (const auto& r : returned) EXPECT_EQ(r.load(), 1);
+}
+
+TEST(ForkJoin, TheExceptionArrivesOnlyOnceEveryClaimedChunkHasReturned) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::condition_variable cv;
+  bool helper_running = false;
+  std::vector<std::atomic<int>> returned(16);
+  try {
+    parallel_for_chunks(pool, returned.size(), [&](std::size_t begin,
+                                                   std::size_t) {
+      if (std::this_thread::get_id() == caller) {
+        // Hold the caller until a helper is inside a slow chunk, so the
+        // caller runs out of chunks while that one still runs.
+        std::unique_lock lock(mu);
+        cv.wait_for(lock, std::chrono::seconds(30),
+                    [&] { return helper_running; });
+      } else {
+        {
+          const std::lock_guard lock(mu);
+          helper_running = true;
+        }
+        cv.notify_all();
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      ++returned[begin];
+      throw std::runtime_error("chunk " + std::to_string(begin));
+    });
+    FAIL() << "parallel_for_chunks swallowed the chunk exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk 0");
+  }
+  for (const auto& r : returned) EXPECT_EQ(r.load(), 1);
+}
+
+TEST(ForkJoin, FourExternalCallersEachSeeEveryIndexOnce) {
+  ThreadPool pool(4);
+  constexpr std::size_t kCalls = 50;
+  constexpr std::size_t kIndices = 257;
+  std::vector<std::vector<std::atomic<int>>> hits(4);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kIndices);
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < hits.size(); ++t) {
+    callers.emplace_back([&pool, &hits, t] {
+      for (std::size_t call = 0; call < kCalls; ++call) {
+        parallel_for_chunks(
+            pool, kIndices,
+            [&](std::size_t begin, std::size_t end) {
+              for (std::size_t i = begin; i < end; ++i) ++hits[t][i];
+            },
+            8);
+      }
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  for (const auto& h : hits) {
+    for (const auto& count : h) EXPECT_EQ(count.load(), int{kCalls});
+  }
+}
+
+TEST(ForkJoin, AOneWorkerPoolCallRunsEntirelyOnTheCaller) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  parallel_for_chunks(pool, 100, [&](std::size_t begin, std::size_t end) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    chunks.emplace_back(begin, end);
+    // Long enough for a helper, were one queued, to wake and claim one.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  });
+  // Today's boundaries (four chunks of 25), claimed in ascending order.
+  ASSERT_EQ(chunks.size(), 4u);
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    EXPECT_EQ(chunks[c], std::make_pair(25 * c, 25 * c + 25));
+  }
 }
 
 TEST(ThreadPool, ManySmallTasksStress) {

@@ -211,6 +211,42 @@ TEST(ServiceProtocol, OptimizeAndSubscribeRefuseABadCiRelTol) {
   }
 }
 
+TEST(ServiceProtocol, PlanRefusesWhatItsAnalyticPlanCannotActOn) {
+  // The plan is the exponential, i.i.d. analytic optimum: a failure law,
+  // a shock stream or component classes would be silently ignored.
+  PlanningService service({/*threads=*/1});
+  for (const auto& [param, name] :
+       {std::pair{R"("failure-dist":"weibull:k=0.5")", "--failure-dist"},
+        std::pair{R"("shock":"rho=0.3")", "--shock"},
+        std::pair{R"("hetero":"0.5*1.5*exponential;0.5*0.5*exponential")",
+                  "--hetero"}}) {
+    const io::JsonValue v = io::parse_json(service.handle_line(
+        std::string(R"({"op":"plan","id":1,"platform":"hera",)") + param +
+        "}"));
+    EXPECT_FALSE(v.at("ok").as_bool()) << param;
+    EXPECT_EQ(v.at("error").at("code").as_string(), "bad_request") << param;
+    const std::string message = v.at("error").at("message").as_string();
+    EXPECT_NE(message.find(name), std::string::npos) << message;
+    EXPECT_NE(message.find("ayd optimize --simulate"), std::string::npos)
+        << message;
+  }
+  // An exponential law with its rate in the spec still plans.
+  EXPECT_TRUE(io::parse_json(
+                  service.handle_line(
+                      R"({"op":"plan","id":2,"platform":"hera",)"
+                      R"("failure-dist":"exponential,mtbf=3e9"})"))
+                  .at("ok")
+                  .as_bool());
+  // The optimize op takes the correlated-world options only with its
+  // simulation.
+  const io::JsonValue shock = io::parse_json(service.handle_line(
+      R"({"op":"optimize","id":3,"platform":"hera","shock":"rho=0.3"})"));
+  EXPECT_EQ(shock.at("error").at("code").as_string(), "bad_request");
+  EXPECT_NE(shock.at("error").at("message").as_string().find(
+                "--shock requires --simulate"),
+            std::string::npos);
+}
+
 TEST(ServiceProtocol, StringAndNumberIdsEchoVerbatim) {
   PlanningService service({/*threads=*/1});
   const std::string num = service.handle_line(

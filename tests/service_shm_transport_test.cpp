@@ -27,6 +27,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "ayd/io/json_parse.hpp"
 #include "ayd/service/server.hpp"
 #include "ayd/service/shm_ring.hpp"
 #include "ayd/util/error.hpp"
@@ -472,6 +473,42 @@ TEST(ShmTransport, DetachFreesTheClientSlot) {
   ShmClient next(name);
   EXPECT_NE(next.call(R"({"op":"stats","id":2})").find("\"ok\":true"),
             std::string::npos);
+}
+
+TEST(ShmTransport, StatsReportTheTransportCountersWhileAttached) {
+  const std::string name = unique_name("stats");
+  PlanningService service({/*threads=*/1});
+  const auto stats = [&service] {
+    return io::parse_json(service.handle_line(R"({"op":"stats","id":9})"))
+        .at("result");
+  };
+  // A pipe-only serve has no transport object.
+  EXPECT_EQ(stats().find("transport"), nullptr);
+  {
+    ShmServer server(name, service);
+    ShmClient client(name);
+    const std::string plan =
+        R"({"op":"plan","id":1,"platform":"hera","work":1e18})";
+    ASSERT_NE(client.call(plan).find("\"ok\":true"), std::string::npos);
+    ASSERT_NE(client.call(plan).find("\"ok\":true"), std::string::npos);
+    // Asked over the segment itself, and over the pipe.
+    const io::JsonValue over_shm =
+        io::parse_json(client.call(R"({"op":"stats","id":2})"))
+            .at("result")
+            .at("transport");
+    EXPECT_EQ(over_shm.at("requests").as_int(), 3);
+    const io::JsonValue transport = stats().at("transport");
+    const ShmServerStats expected = server.stats();
+    EXPECT_EQ(transport.at("requests").as_int(),
+              static_cast<std::int64_t>(expected.requests));
+    EXPECT_EQ(transport.at("requests").as_int(), 3);
+    EXPECT_EQ(transport.at("reclaimed_clients").as_int(), 0);
+    EXPECT_EQ(transport.at("reclaimed_requests").as_int(), 0);
+    EXPECT_EQ(transport.at("dropped_replies").as_int(), 0);
+    EXPECT_FALSE(transport.at("recovered_stale").as_bool());
+  }
+  // A stopped transport is detached again.
+  EXPECT_EQ(stats().find("transport"), nullptr);
 }
 
 // -- ShmBackoff: the capped exponential wait schedule --------------------

@@ -808,6 +808,48 @@ TEST(ToolPlan, MaxProcsCapsTheAllocation) {
   EXPECT_TRUE(contains(r.out, "boundary"));
 }
 
+TEST(ToolPlan, RefusesWhatItsAnalyticPlanCannotActOn) {
+  // These used to print the exponential plan as if the option were not
+  // there; each now fails before any output, naming the option and the
+  // command that searches under it.
+  for (const auto& [option, name] :
+       {std::pair{"--failure-dist=weibull:k=0.5", "--failure-dist"},
+        std::pair{"--failure-dist=lognormal:sigma=1.2", "--failure-dist"},
+        std::pair{"--shock=rho=0.3", "--shock"},
+        std::pair{"--hetero=0.5*1.5*exponential;0.5*0.5*exponential",
+                  "--hetero"}}) {
+    const ToolRun r = run({"plan", "--platform=hera", option});
+    EXPECT_EQ(r.code, 1) << option;
+    EXPECT_TRUE(contains(r.err, name)) << option << ": " << r.err;
+    EXPECT_TRUE(contains(r.err, "ayd optimize --simulate"))
+        << option << ": " << r.err;
+    EXPECT_TRUE(r.out.empty()) << option << ": " << r.out;
+  }
+  EXPECT_EQ(run({"plan", "--platform=hera",
+                 "--failure-dist=exponential,mtbf=3e9"})
+                .code,
+            0);
+}
+
+TEST(ToolOptimize, CorrelatedWorldOptionsRequireTheSimulation) {
+  for (const auto& [option, name] :
+       {std::pair{"--shock=rho=0.3", "--shock"},
+        std::pair{"--hetero=0.5*1.5*exponential;0.5*0.5*exponential",
+                  "--hetero"}}) {
+    const ToolRun r = run({"optimize", "--platform=hera", option});
+    EXPECT_EQ(r.code, 1) << option;
+    EXPECT_TRUE(contains(r.err, std::string(name) + " requires --simulate"))
+        << option << ": " << r.err;
+    EXPECT_TRUE(r.out.empty()) << option << ": " << r.out;
+    EXPECT_EQ(run({"optimize", "--platform=hera", option, "--simulate",
+                   "--procs=512", "--runs=4", "--patterns=8",
+                   "--max-reps=8", "--threads=1"})
+                  .code,
+              0)
+        << option;
+  }
+}
+
 // -- watch ---------------------------------------------------------------
 
 TEST(ToolWatch, RefusesEstimatorOptionsItCannotHonour) {
