@@ -19,6 +19,14 @@
 //    pow are correctly computed but not bit-identical to libm), which is
 //    why the fast tier declares its own golden tier instead of touching
 //    the scalar pins (docs/reproducing-the-paper.md, "Golden tiers").
+//    The Weibull kernel steps four 4-lane groups through each stage
+//    together (16 units per step), so four of its long log -> log -> exp
+//    chains are in flight at once; a lane sees the same operations in
+//    the same order whether it falls in a 16-wide step or a 4-wide one,
+//    so the interleaving changes no bit. Within the tier every lane is
+//    independent of its neighbours, except that an `n % 4` tail goes
+//    through the scalar expressions: a buffer split at multiples of 4
+//    gives the same values as one call.
 //
 // Dispatch: the active tier is chosen once per process from CPUID and
 // the AYD_SIMD environment variable (off/0/scalar force the reference

@@ -29,9 +29,10 @@ namespace {
 
 using Chunk = UnitVariatePool::ChunkNode;
 
-/// Chunks kept for reuse at most: 16 MiB, several times the largest
-/// pool one optimum search or sweep pass builds.
-constexpr std::size_t kRecycledChunkCap = 8192;
+/// Chunks kept for reuse at most: 16 MiB of them, several times the
+/// largest pool one optimum search or sweep pass builds.
+constexpr std::size_t kRecycledChunkCap =
+    (std::size_t{16} << 20) / sizeof(Chunk);
 
 /// Process-wide free list of chunks. Pools are short-lived (one per
 /// search or sweep pass) and grown by whichever worker thread first

@@ -47,14 +47,20 @@
 
 namespace ayd::sim {
 
-/// Unit variates generated per growth step. Small enough that a
-/// replica's store stays close to what it actually consumes (a typical
-/// replica draws a few hundred variates, so the last chunk's average
-/// waste — half a chunk — must stay a small fraction of that), big
-/// enough for the bulk transforms to amortize dispatch. Chunking is
-/// invisible in the values: chunk k holds words [k·N, (k+1)·N) of the
-/// replica's stream, so the concatenated sequence does not depend on N.
-inline constexpr std::size_t kVariatePoolChunk = 256;
+/// Unit variates generated per growth step. Every replica's store is
+/// rounded up to whole chunks, and the units past its last read are
+/// generated for nothing: one pass of perfbench's 336-question
+/// `optimize` catalog generates 16,137,984 units at 256, 10,566,912 at
+/// 128 and 9,792,384 at 64: 128 takes 88% of what 64 would save, with
+/// half as many chunk allocations, store locks and transform calls.
+/// Chunking is invisible in the values: chunk k holds words
+/// [k·N, (k+1)·N) of the replica's stream, so the concatenated sequence
+/// does not depend on N — provided N is a multiple of the 4 lanes, since
+/// the AVX2 kernels hand an `n % 4` tail to the scalar libm expressions.
+inline constexpr std::size_t kVariatePoolChunk = 128;
+static_assert(kVariatePoolChunk % 4 == 0,
+              "a chunk must fill whole AVX2 lanes, or the tail's scalar "
+              "transform would make the variates depend on the chunk size");
 
 /// The shared unit-variate sequences of one (failure-dist shape, seed)
 /// scenario, one lazily grown store per replica. Thread-safe, and reads

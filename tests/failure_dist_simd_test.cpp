@@ -13,6 +13,9 @@
 //    ill-conditioned (condition number ~700), so the lognormal bound is
 //    looser than the exponential's few-ULP one — for *both* tiers' own
 //    reasons, not because the vector kernel is sloppy.
+//  * Under the AVX2 tier, a Weibull unit does not depend on where in a
+//    buffer it sits: the 16-wide, 4-wide and scalar paths of the kernel
+//    agree lane by lane.
 
 #include <cmath>
 #include <vector>
@@ -103,6 +106,61 @@ TEST(FailureDistSimd, Avx2TierMatchesScalarWithinPerDistributionBounds) {
     for (std::size_t i = 0; i < kN; ++i) {
       ASSERT_TRUE(close_rel(scalar_z[i], simd_z[i], c.unit_rel_tol))
           << c.spec.to_string() << " unit " << i;
+    }
+  }
+  rng::simd::clear_forced_tier();
+}
+
+TEST(FailureDistSimd, Avx2WeibullKernelIsLaneIndependent) {
+  // The AVX2 Weibull kernel steps four 4-lane groups together through a
+  // 16-wide body, then 4-wide steps, then hands an n % 4 remainder to
+  // scalar libm. A lane's value must not depend on which of those paths
+  // it took, or on its neighbours: that is what keeps the CRN pool's
+  // variates independent of its chunk size.
+  if (!rng::simd::avx2_available()) {
+    GTEST_SKIP() << "AVX2 not available on this host";
+  }
+  rng::simd::force_tier(rng::simd::Tier::kAvx2);
+  constexpr std::size_t kWide = 72;  // four 16-wide steps, two 4-wide
+  for (const double shape : {0.5, 0.7, 1.4}) {
+    SCOPED_TRACE(shape);
+    const double inv_k = 1.0 / shape;
+    std::vector<double> input(kWide);
+    rng::RngStream rng(31, 7);
+    rng.fill_uniform01(input.data(), kWide);
+    std::vector<double> full = input;
+    rng::simd::weibull_units(full.data(), kWide, inv_k);
+
+    for (std::size_t n = 0; n <= 70; ++n) {
+      std::vector<double> part(input.begin(),
+                               input.begin() + static_cast<std::ptrdiff_t>(n));
+      rng::simd::weibull_units(part.data(), n, inv_k);
+      for (std::size_t i = 0; i < n / 4 * 4; ++i) {
+        ASSERT_EQ(part[i], full[i]) << "n " << n << ", unit " << i;
+      }
+    }
+
+    // u = 0 maps to exactly 0 in every lane of a 16-wide step, leaving
+    // its neighbours as they were.
+    for (std::size_t lane = 0; lane < 16; ++lane) {
+      std::vector<double> z(input.begin(), input.begin() + 16);
+      z[lane] = 0.0;
+      rng::simd::weibull_units(z.data(), z.size(), inv_k);
+      for (std::size_t i = 0; i < 16; ++i) {
+        ASSERT_EQ(z[i], i == lane ? 0.0 : full[i]) << "lane " << lane;
+      }
+    }
+
+    // The largest uniforms give the largest deviates, which stay finite.
+    for (std::size_t lane = 0; lane < 16; ++lane) {
+      std::vector<double> z(16, 0.5);
+      z[lane] = 1.0 - 0x1.0p-53;
+      z[(lane + 1) % 16] = 1.0 - 0x1.0p-52;
+      rng::simd::weibull_units(z.data(), z.size(), inv_k);
+      for (std::size_t i = 0; i < 16; ++i) {
+        ASSERT_TRUE(std::isfinite(z[i]) && z[i] > 0.0)
+            << "lane " << lane << ": unit " << i << " = " << z[i];
+      }
     }
   }
   rng::simd::clear_forced_tier();

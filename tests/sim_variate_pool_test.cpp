@@ -32,8 +32,8 @@ const std::vector<std::size_t> kReplicas = {0,  1,   2,   3,   5,   8,
 
 constexpr std::size_t kThreads = 6;
 
-/// Draws thread t reads from each replica: 2.1 to 7.5 chunks, so the
-/// threads stop inside different chunks.
+/// Draws thread t reads from each replica: 2.8 to 13.6 chunks of 128,
+/// so the threads stop inside different chunks.
 std::size_t depth(std::size_t t) {
   return kVariatePoolChunk * 2 + 100 + t * 277;
 }
@@ -103,6 +103,32 @@ TEST(VariatePool, ConcurrentCursorsSeeTheSingleThreadedSequence) {
     EXPECT_EQ(pool.generated(), reference_pool.generated());
   }
   rng::simd::clear_forced_tier();
+}
+
+TEST(VariatePool, CursorAcrossChunksMatchesOneBulkCall) {
+  // The pool generates each replica a chunk at a time, yet its sequence
+  // must be the one a single bulk call draws: under the AVX2 tier that
+  // holds only because a chunk fills whole 4-lane groups (the kernels
+  // hand an n % 4 tail to scalar libm), which is what lets the chunk
+  // size change without changing a bit. Runs on the active tier.
+  rng::simd::clear_forced_tier();
+  SCOPED_TRACE(rng::simd::tier_name(rng::simd::active_tier()));
+  constexpr std::size_t kDraws = 4 * kVariatePoolChunk + 36;
+  static_assert(kDraws % 4 == 0);
+  for (const FailureDistSpec& spec :
+       {FailureDistSpec::weibull(0.7), FailureDistSpec::exponential(),
+        FailureDistSpec::lognormal(1.2)}) {
+    UnitVariatePool pool(spec, kSeed);
+    const auto unit = spec.instantiate(1.0);
+    for (const std::size_t i : {std::size_t{0}, std::size_t{3},
+                                std::size_t{70}}) {
+      rng::RngStream stream(kSeed, i);
+      std::vector<double> bulk(kDraws);
+      unit->sample_units_fast(stream, bulk.data(), bulk.size());
+      ASSERT_EQ(walk(pool, i, kDraws), bulk)
+          << spec.to_string() << ", replica " << i;
+    }
+  }
 }
 
 TEST(VariatePool, CopiedCursorsWalkOnIndependently) {
