@@ -1,8 +1,7 @@
 // Thin shim for the experiment binaries. Formatting of simulation
-// summaries and CSV dumping live in the engine's sink layer
-// (ayd/engine/sink.hpp); this header re-exports them under the historical
-// bench:: names and keeps the standard main() wrapper that turns CLI
-// errors into readable messages.
+// summaries lives in the engine's sink layer (ayd/engine/sink.hpp); this
+// header re-exports its cells under the historical bench:: names and keeps
+// the standard main() wrapper that turns CLI errors into readable messages.
 
 #pragma once
 
@@ -11,7 +10,6 @@
 #include <exception>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "ayd/cli/args.hpp"
 #include "ayd/cli/experiment.hpp"
@@ -27,7 +25,7 @@ using engine::mean_ci_cell;
 inline const char* kNoValue = engine::kNoValue;
 
 /// Elapsed wall-clock seconds since `start` — the timing helper the
-/// micro-benches share.
+/// benches that report wall time share.
 inline double seconds_since(
     const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -61,14 +59,6 @@ inline int run_experiment_main(
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-}
-
-/// Writes rows to ctx.csv_path when set (header first), else does nothing.
-/// Kept for out-of-tree users; in-tree benches feed an engine::CsvSink.
-inline void maybe_write_csv(const cli::ExperimentContext& ctx,
-                            const std::vector<std::string>& header,
-                            const std::vector<std::vector<std::string>>& rows) {
-  engine::write_series_csv(ctx.csv_path, header, rows);
 }
 
 }  // namespace ayd::bench

@@ -134,8 +134,7 @@ class JsonlSink : public ResultSink {
 };
 
 /// Writes `header` + `rows` to `path` unless it is empty, announcing the
-/// file like the benches always did. (The engine-level home of the old
-/// bench_common maybe_write_csv helper.)
+/// file like the benches always did.
 void write_series_csv(const std::string& path,
                       const std::vector<std::string>& header,
                       const std::vector<std::vector<std::string>>& rows,

@@ -78,9 +78,27 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
                     "also write the series to this JSON-lines file");
   if (parse_or_help(parser, args, out)) return 0;
 
-  const model::System base = system_from_args(parser);
   const std::string var = parser.option("var");
   validate_variable(var);
+  // A shock-rho axis supplies the shock a --pfs-penalty needs.
+  const model::System base =
+      system_from_args(parser, /*shock_from_axis=*/var == "shock-rho");
+  // The axis overwrites its own option at every point, and an alpha axis
+  // sets the Amdahl profile, so these would only relabel the header.
+  if ((var == "lambda" || var == "alpha" || var == "downtime" ||
+       var == "pfs-penalty") &&
+      parser.given(var)) {
+    throw util::CliError("--" + var + " is the swept variable (--var " + var +
+                         "); its value comes from --from/--to");
+  }
+  if (var == "procs" && parser.given("max-procs")) {
+    throw util::CliError("--max-procs bounds the allocation search, which a "
+                         "--var procs sweep does not run");
+  }
+  if (var == "alpha" && util::to_lower(parser.option("profile")) != "amdahl") {
+    throw util::CliError("--var alpha sweeps the amdahl profile; it cannot "
+                         "honour --profile " + parser.option("profile"));
+  }
   const std::string axis = axis_name(var);
   const bool ext_sweep = var == "shock-rho" || var == "shock-group" ||
                          var == "pfs-penalty";
@@ -94,8 +112,9 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
   // or correlated-world sweep without simulation would print rows
   // independent of the swept value.
   const bool simulate = parser.flag("simulate") || shape_sweep;
-  refuse_unless_simulating(parser, simulate,
-                           {"des", "crn", "runs", "patterns", "seed"});
+  refuse_unless_simulating(
+      parser, simulate,
+      {"des", "crn", "runs", "patterns", "seed", "shock", "hetero"});
 
   // The --from/--to defaults are lambda-oriented; catch out-of-range
   // shape sweeps here with a message naming the flags instead of letting

@@ -69,8 +69,12 @@ struct ParsedFailureDist {
 /// Builds the System a parsed command line describes. Platform presets
 /// resolve their scenario cost models first; any explicit cost/rate
 /// option then overrides that piece. Throws util::CliError /
-/// util::InvalidArgument on inconsistent combinations.
-[[nodiscard]] model::System system_from_args(const cli::ArgParser& parser);
+/// util::InvalidArgument on inconsistent combinations, and on an option
+/// the system would not act on: --gamma outside --profile power, --alpha
+/// under --profile perfect or power, and --pfs-penalty without --shock
+/// (unless `shock_from_axis`: a sweep whose axis supplies the shock).
+[[nodiscard]] model::System system_from_args(const cli::ArgParser& parser,
+                                             bool shock_from_axis = false);
 
 /// Reads a processor-count option (`procs`, `max-procs`). Throws
 /// util::CliError naming the option unless the value is finite and >= 1

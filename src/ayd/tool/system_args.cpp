@@ -202,7 +202,8 @@ double procs_from_args(const cli::ArgParser& parser,
   return procs;
 }
 
-model::System system_from_args(const cli::ArgParser& parser) {
+model::System system_from_args(const cli::ArgParser& parser,
+                               bool shock_from_axis) {
   const std::string platform_name =
       util::to_lower(util::trim(parser.option("platform")));
   const bool custom = platform_name == "custom";
@@ -280,6 +281,17 @@ model::System system_from_args(const cli::ArgParser& parser) {
     throw util::CliError("unknown profile: " + profile +
                          " (expected amdahl, gustafson, perfect, power)");
   }
+  // Each profile reads only its own parameter; the other one has a
+  // default, so only an explicit value is refused.
+  if (parser.given("gamma") && profile != "power") {
+    throw util::CliError("--gamma is the exponent of --profile power; "
+                         "the " + profile + " profile has none");
+  }
+  if (parser.given("alpha") && (profile == "perfect" || profile == "power")) {
+    throw util::CliError("--alpha is the sequential fraction of --profile "
+                         "amdahl or gustafson; the " + profile +
+                         " profile has none");
+  }
 
   if (dist.lambda_override.has_value()) lambda = *dist.lambda_override;
 
@@ -296,6 +308,14 @@ model::System system_from_args(const cli::ArgParser& parser) {
         model::HeterogeneousSpec::parse(parser.option("hetero")));
   }
   if (set(parser, "pfs-penalty")) {
+    // Only shock-triggered rollbacks pay the PFS recovery path, so without
+    // a shock stream the penalty would relabel the system and change
+    // nothing else.
+    if (!set(parser, "shock") && !shock_from_axis) {
+      throw util::CliError(
+          "--pfs-penalty requires --shock (only shock-triggered rollbacks "
+          "pay the PFS recovery path)");
+    }
     sys = sys.with_two_tier(model::TwoTierCostSpec::from_penalty(
         sys.costs(), parser.option_double("pfs-penalty")));
   }

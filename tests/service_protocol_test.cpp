@@ -247,6 +247,23 @@ TEST(ServiceProtocol, PlanRefusesWhatItsAnalyticPlanCannotActOn) {
             std::string::npos);
 }
 
+TEST(ServiceProtocol, PfsPenaltyWithoutAShockIsABadRequest) {
+  // The ops resolve their system through the CLI's option handling, so
+  // a penalty no shock can trigger is refused on every op.
+  PlanningService service({/*threads=*/1});
+  for (const char* op : {"optimize", "simulate", "plan"}) {
+    const io::JsonValue v = io::parse_json(service.handle_line(
+        std::string(R"({"op":")") + op +
+        R"(","id":1,"platform":"hera","pfs-penalty":2})"));
+    EXPECT_FALSE(v.at("ok").as_bool()) << op;
+    EXPECT_EQ(v.at("error").at("code").as_string(), "bad_request") << op;
+    EXPECT_NE(v.at("error").at("message").as_string().find(
+                  "--pfs-penalty requires --shock"),
+              std::string::npos)
+        << op;
+  }
+}
+
 TEST(ServiceProtocol, StringAndNumberIdsEchoVerbatim) {
   PlanningService service({/*threads=*/1});
   const std::string num = service.handle_line(

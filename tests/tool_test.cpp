@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -850,6 +852,35 @@ TEST(ToolOptimize, CorrelatedWorldOptionsRequireTheSimulation) {
   }
 }
 
+TEST(ToolOptimize, PfsPenaltyRequiresAShock) {
+  // Only shock-triggered rollbacks pay the PFS recovery path. Without a
+  // shock the penalty used to mark the system extended, which sent an
+  // exponential search off its closed form and moved the period.
+  const std::vector<std::vector<std::string>> commands = {
+      {"optimize", "--platform=hera", "--scenario=3", "--simulate",
+       "--procs=256", "--runs=8", "--patterns=20", "--max-reps=32",
+       "--threads=1"},
+      {"plan", "--platform=hera", "--scenario=3", "--work=1e7"},
+  };
+  for (std::vector<std::string> args : commands) {
+    args.push_back("--pfs-penalty=2");
+    const ToolRun r = run(args);
+    EXPECT_EQ(r.code, 1) << args[0];
+    EXPECT_TRUE(contains(r.err, "--pfs-penalty requires --shock"))
+        << args[0] << ": " << r.err;
+    EXPECT_TRUE(r.out.empty()) << args[0] << ": " << r.out;
+  }
+  std::vector<std::string> shocked = commands[0];
+  shocked.insert(shocked.end(), {"--pfs-penalty=2", "--shock=rho=0.3"});
+  EXPECT_EQ(run(shocked).code, 0);
+  // A shock-rho axis supplies the shock itself.
+  EXPECT_EQ(run({"sweep", "--var=shock-rho", "--from=0", "--to=0.5",
+                 "--points=2", "--pfs-penalty=2", "--runs=4",
+                 "--patterns=8", "--threads=1"})
+                .code,
+            0);
+}
+
 // -- watch ---------------------------------------------------------------
 
 TEST(ToolWatch, RefusesEstimatorOptionsItCannotHonour) {
@@ -895,6 +926,222 @@ TEST(ToolCiRelTol, BadTargetsAreRefusedNamingTheOption) {
       args.pop_back();
     }
   }
+}
+
+// -- option audit ----------------------------------------------------------
+
+/// Options whose output is fixed by contract: records are identical at any
+/// thread count, a store serves only what would have been computed, a CRN
+/// pool draws the same variates as independent sampling, and --help is the
+/// help.
+const std::set<std::string> kFixedByContract = {"--threads", "--cache-dir",
+                                                "--crn", "--help"};
+
+/// stdout without the lines that echo the system (print_system): an option
+/// that only relabels the input has not changed the answer.
+std::string answer(const std::string& out) {
+  std::istringstream in(out);
+  std::string kept;
+  for (std::string line; std::getline(in, line);) {
+    bool echo = false;
+    for (const char* tag : {"system:", "costs:", "profile:", "failures:",
+                            "shock:", "hetero:", "tiers:"}) {
+      echo = echo || line.rfind(tag, 0) == 0;
+    }
+    if (!echo) kept += line + '\n';
+  }
+  return kept;
+}
+
+/// Options whose effect is the file their value names.
+const std::set<std::string> kWritesItsFile = {"--csv", "--jsonl"};
+
+std::string option_name(const std::string& arg) {
+  return arg.substr(0, arg.find('='));
+}
+
+/// One audited use of an option: the command's base line plus `context`
+/// (shared by both sides of the comparison) plus `arg` must change the
+/// answer (or write the file an output option names) or, when `companion`
+/// is set, be refused before any output with a message that names it.
+struct AuditRow {
+  AuditRow(std::string a, std::string c = {},
+           std::vector<std::string> ctx = {})
+      : arg(std::move(a)), companion(std::move(c)), context(std::move(ctx)) {}
+  std::string arg;
+  std::string companion;
+  std::vector<std::string> context;
+};
+
+/// Every option `base[0] --help` lists is on the contract list or has a
+/// row, and every row holds.
+void audit(const std::vector<std::string>& base,
+           const std::vector<AuditRow>& rows) {
+  const std::string& command = base[0];
+  std::set<std::string> listed;
+  std::istringstream help(run({command, "--help"}).out);
+  for (std::string line; std::getline(help, line);) {
+    if (line.rfind("  --", 0) != 0) continue;
+    const std::string name = line.substr(2, line.find_first_of(" =", 2) - 2);
+    if (kFixedByContract.count(name) == 0) listed.insert(name);
+  }
+  std::set<std::string> audited;
+  for (const AuditRow& row : rows) audited.insert(option_name(row.arg));
+  EXPECT_EQ(audited, listed) << command;
+
+  std::map<std::vector<std::string>, std::string> reference;
+  for (const AuditRow& row : rows) {
+    std::vector<std::string> args = base;
+    args.insert(args.end(), row.context.begin(), row.context.end());
+    std::string label = command;
+    for (const std::string& c : row.context) label += " " + c;
+    label += " " + row.arg;
+    auto ref = reference.find(args);
+    if (ref == reference.end()) {
+      const ToolRun r = run(args);
+      EXPECT_EQ(r.code, 0) << label << ": " << r.err;
+      ref = reference.emplace(args, answer(r.out)).first;
+    }
+    args.push_back(row.arg);
+    if (kWritesItsFile.count(option_name(row.arg)) != 0) {
+      const std::string path = row.arg.substr(row.arg.find('=') + 1);
+      std::remove(path.c_str());
+      EXPECT_EQ(run(args).code, 0) << label;
+      std::ifstream written(path);
+      EXPECT_TRUE(written.good() && written.peek() != EOF)
+          << label << " writes nothing";
+      std::remove(path.c_str());
+      continue;
+    }
+    const ToolRun r = run(args);
+    if (row.companion.empty()) {
+      EXPECT_EQ(r.code, 0) << label << ": " << r.err;
+      EXPECT_TRUE(answer(r.out) != ref->second)
+          << label << " leaves the answer unchanged";
+    } else {
+      EXPECT_EQ(r.code, 1) << label << " is not refused";
+      EXPECT_TRUE(contains(r.err, row.companion))
+          << label << ": " << r.err << " does not name " << row.companion;
+      EXPECT_TRUE(r.out.empty()) << label << ": " << r.out;
+    }
+  }
+}
+
+/// Rows for the system options every command shares, except the ones
+/// that depend on whether it simulates.
+std::vector<AuditRow> system_rows() {
+  return {
+      {"--platform=atlas"}, {"--scenario=1"}, {"--alpha=0.3"},
+      {"--alpha=0.3", "--profile", {"--profile=perfect"}},
+      {"--alpha=0.3", "--profile", {"--profile=power"}},
+      {"--profile=gustafson"}, {"--gamma=0.5", "--profile"},
+      {"--gamma=0.5", "--profile", {"--profile=perfect"}},
+      {"--gamma=0.5", "", {"--profile=power"}},
+      {"--downtime=600"}, {"--lambda=1e-7"}, {"--fail-stop-fraction=0.5"},
+      {"--ckpt-const=100"}, {"--ckpt-inv=1e3"}, {"--ckpt-lin=0.01"},
+      {"--verif-const=5"}, {"--verif-inv=100"},
+      {"--pfs-penalty=4", "--shock"},
+  };
+}
+
+const char* const kHetero = "--hetero=0.5*1.5*exponential;0.5*0.5*exponential";
+
+/// Rows for the simulation-only options, on a command line that does not
+/// simulate.
+std::vector<AuditRow> analytic_rows() {
+  return {{"--shock=rho=0.5", "--simulate"}, {kHetero, "--simulate"}};
+}
+
+/// Rows for the options of a simulation, on a command line that simulates
+/// once `context` is added. The PFS penalty shows only when shocks strike,
+/// so its row also raises the error rate.
+std::vector<AuditRow> simulation_rows(std::vector<std::string> context) {
+  std::vector<AuditRow> rows = {
+      {"--shock=rho=0.5", "", context}, {kHetero, "", context},
+      {"--runs=12", "", context},       {"--patterns=30", "", context},
+      {"--seed=5", "", context},        {"--des", "", context},
+  };
+  context.insert(context.end(), {"--lambda=1e-6", "--shock=rho=0.5"});
+  rows.push_back({"--pfs-penalty=8", "", context});
+  return rows;
+}
+
+std::vector<AuditRow> concat(std::vector<std::vector<AuditRow>> parts) {
+  std::vector<AuditRow> all;
+  for (auto& part : parts) all.insert(all.end(), part.begin(), part.end());
+  return all;
+}
+
+TEST(ToolOptionAudit, EveryOptionChangesTheAnswerOrIsRefused) {
+  const std::vector<std::string> small = {"--runs=8", "--patterns=20",
+                                          "--threads=1"};
+  const auto with = [](std::vector<std::string> a,
+                       const std::vector<std::string>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  const std::string data = AYD_TEST_DATA_DIR;
+
+  const std::vector<std::string> search = with(
+      {"--simulate", "--procs=256", "--failure-dist=weibull:k=0.7",
+       "--max-reps=32"},
+      small);
+  audit({"optimize", "--platform=coastal", "--scenario=3"},
+        concat({system_rows(), analytic_rows(), simulation_rows(search),
+                {{"--failure-dist=exponential,mtbf=1e6"},
+                 {"--failure-dist=lognormal:sigma=1.2", "", search},
+                 {"--procs=256"}, {"--max-procs=64"}, {"--simulate"},
+                 {"--json"}, {"--runs=9", "--simulate"},
+                 {"--ci-rel-tol=0.2", "", search},
+                 {"--max-reps=64", "", search}}}));
+
+  audit(with({"simulate", "--platform=coastal", "--scenario=3",
+              "--procs=256"},
+             small),
+        concat({system_rows(), simulation_rows({}),
+                {{"--failure-dist=weibull:k=0.5"}, {"--period=5000"},
+                 {"--procs=512"}}}));
+
+  const std::vector<std::string> simulated = with({"--simulate"}, small);
+  const std::vector<std::string> lambda_axis = {"--var=lambda", "--from=1e-8",
+                                                "--to=1e-7"};
+  audit({"sweep", "--platform=coastal", "--scenario=3", "--var=procs",
+         "--from=64", "--to=1024", "--points=2"},
+        concat({system_rows(), analytic_rows(), simulation_rows(simulated),
+                {{"--lambda=1e-7", "--var", lambda_axis},
+                 {"--failure-dist=exponential,mtbf=1e6"},
+                 {"--failure-dist=weibull:k=0.5", "", simulated},
+                 {"--var=downtime", "", {"--from=600", "--to=3600"}},
+                 {"--from=128"}, {"--to=4096"}, {"--points=3"},
+                 {"--linear", "", {"--points=3"}}, {"--simulate"},
+                 {"--max-procs=64", "--var"},
+                 {"--max-procs=64", "", lambda_axis},
+                 {"--csv=" + ::testing::TempDir() + "/ayd_audit.csv"},
+                 {"--jsonl=" + ::testing::TempDir() + "/ayd_audit.jsonl"}}}));
+
+  audit({"plan", "--platform=coastal", "--scenario=3", "--work=1e7"},
+        concat({system_rows(), analytic_rows(),
+                {{"--failure-dist=exponential,mtbf=1e6"},
+                 {"--failure-dist=weibull:k=0.5", "--simulate"},
+                 {"--work=1e8"}, {"--name=audit"}, {"--max-procs=64"}}}));
+
+  audit(with({"protocols", "--platform=coastal", "--scenario=3",
+              "--procs=256"},
+             small),
+        concat({system_rows(), simulation_rows({}),
+                {{"--failure-dist=weibull:k=0.5"}, {"--procs=512"}}}));
+
+  audit(with({"watch", "--trace=" + data + "/replay_weibull_shift.csv",
+              "--lambda=2.78e-4", "--failure-dist=weibull:k=0.7",
+              "--procs=4", "--max-reps=32", "--ci-rel-tol=0.2"},
+             small),
+        concat({system_rows(), simulation_rows({}),
+                {{"--failure-dist=lognormal:sigma=1.2"}, {"--procs=8"},
+                 {"--window=128"}, {"--min-events=800"},
+                 {"--refit-interval=8"}, {"--drift-ci-level=0.9"},
+                 {"--min-mean-llr=0.1"}, {"--ci-rel-tol=0.1"},
+                 {"--max-reps=9"},
+                 {"--trace=" + data + "/replay_rate_step.csv"}}}));
 }
 
 }  // namespace
