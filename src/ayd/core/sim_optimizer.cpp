@@ -72,10 +72,8 @@ struct SearchContext {
     // literal shared memory instead of recomputed transforms. Results
     // are bit-identical to per-candidate sampling under the scalar tier
     // (sim/variate_pool.hpp). A caller-supplied sweep-level pool wins.
-    if (replication.shared_units == nullptr && !sys.extended() &&
-        sim::UnitVariatePool::eligible(sys.failure().dist())) {
-      owned_pool = std::make_unique<sim::UnitVariatePool>(
-          sys.failure().dist(), replication.seed);
+    if (replication.shared_units == nullptr) {
+      owned_pool = sim::crn_pool(sys, replication.seed);
       replication.shared_units = owned_pool.get();
     }
   }
@@ -86,7 +84,7 @@ struct SearchContext {
   exec::ThreadPool* pool;
   /// One outcome arena per candidate of an evaluate_all call, reused.
   std::vector<sim::ReplicationScratch> arenas;
-  std::unique_ptr<sim::UnitVariatePool> owned_pool;
+  std::shared_ptr<sim::UnitVariatePool> owned_pool;
   sim::ReplicationOptions replication;
   int evaluations = 0;
   int retired = 0;
@@ -365,11 +363,9 @@ SimAllocationOptimum sim_optimal_allocation(
   // the pool key either, so the inner searches at every rung share it
   // (each rung's SearchContext sees shared_units set and keeps it).
   SimSearchOptions period_opt = opt.period;
-  std::unique_ptr<sim::UnitVariatePool> ladder_pool;
-  if (period_opt.replication.shared_units == nullptr && !sys.extended() &&
-      sim::UnitVariatePool::eligible(sys.failure().dist())) {
-    ladder_pool = std::make_unique<sim::UnitVariatePool>(
-        sys.failure().dist(), period_opt.replication.seed);
+  std::shared_ptr<sim::UnitVariatePool> ladder_pool;
+  if (period_opt.replication.shared_units == nullptr) {
+    ladder_pool = sim::crn_pool(sys, period_opt.replication.seed);
     period_opt.replication.shared_units = ladder_pool.get();
   }
 

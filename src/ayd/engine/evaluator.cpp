@@ -24,17 +24,12 @@ model::System apply_axes(const model::System& base, const Point& pt) {
     }
     // Other axes ("procs", bench-specific knobs) are not system fields.
   }
-  sys = apply_extension_axes(sys, pt);
-  return sys;
-}
-
-model::System apply_extension_axes(const model::System& base,
-                                   const Point& pt) {
-  model::System sys = base;
-  // shock_rho and shock_group are one axis pair: the group fraction only
-  // means something once a correlation is set, so it rides along with
-  // whatever rho the point carries (or the base system's, when sweeping
-  // the group fraction alone against a --shock'd base).
+  // The correlated-world axes come last, so the two-tier spec refines the
+  // point's final cost model. shock_rho and shock_group are one axis
+  // pair: the group fraction only means something once a correlation is
+  // set, so it rides along with whatever rho the point carries (or the
+  // base system's, when sweeping the group fraction alone against a
+  // --shock'd base).
   if (pt.has_var("shock_rho") || pt.has_var("shock_group")) {
     model::ShockSpec shock;
     const auto* ext = sys.extension();
@@ -57,24 +52,10 @@ model::System system_for_point(const SystemSpec& spec, const Point& pt) {
       pt.platform.has_value() ? *pt.platform : spec.platform;
   const model::Scenario scenario =
       pt.scenario.has_value() ? *pt.scenario : spec.scenario;
-  const double alpha =
-      pt.has_var("alpha") ? pt.var("alpha") : spec.alpha;
-  const double downtime =
-      pt.has_var("downtime") ? pt.var("downtime") : spec.downtime;
-  model::System sys =
-      model::System::from_platform(platform, scenario, alpha, downtime);
-  if (pt.has_var("lambda")) sys = sys.with_lambda(pt.var("lambda"));
-  if (pt.has_var("weibull_k")) {
-    sys = sys.with_failure_dist(
-        model::FailureDistSpec::weibull(pt.var("weibull_k")));
-  } else if (pt.has_var("lognormal_sigma")) {
-    sys = sys.with_failure_dist(
-        model::FailureDistSpec::lognormal(pt.var("lognormal_sigma")));
-  } else {
-    sys = sys.with_failure_dist(spec.failure_dist);
-  }
-  sys = apply_extension_axes(sys, pt);
-  return sys;
+  return apply_axes(model::System::from_platform(platform, scenario,
+                                                 spec.alpha, spec.downtime)
+                        .with_failure_dist(spec.failure_dist),
+                    pt);
 }
 
 core::Pattern PointEval::first_order_pattern() const {
@@ -138,14 +119,11 @@ PointEval evaluate_point(const model::System& sys, const EvalSpec& spec,
   // differences are CRN comparisons. The shared_ptr keeps the pool alive
   // through this evaluation; a null cache (or an ineligible spec) leaves
   // replication.shared_units null — independent sampling, the historical
-  // behaviour.
-  // Extended systems (correlated / heterogeneous / two-tier worlds)
-  // interleave several laws per draw sequence, so they are excluded from
-  // pooling and always sample independently.
+  // behaviour. Extended systems get no pool either (sim::crn_eligible).
   sim::ReplicationOptions replication = spec.replication;
   std::shared_ptr<sim::UnitVariatePool> crn_pool;
-  if (spec.crn != nullptr && !sys.extended()) {
-    crn_pool = spec.crn->pool_for(sys.failure().dist(), replication.seed);
+  if (spec.crn != nullptr) {
+    crn_pool = sim::crn_pool(sys, replication.seed, spec.crn);
     replication.shared_units = crn_pool.get();
   }
 

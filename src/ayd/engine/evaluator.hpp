@@ -33,26 +33,21 @@ namespace ayd::engine {
 
 /// Applies a point's named axes to `base`: "lambda" -> with_lambda,
 /// "alpha" -> with_speedup(Amdahl), "downtime" -> with_downtime,
-/// "weibull_k" / "lognormal_sigma" -> with_failure_dist, plus the
-/// extension axes (apply_extension_axes). The "procs" axis is
+/// "weibull_k" / "lognormal_sigma" -> with_failure_dist, then the
+/// correlated-world axes (model/correlated.hpp): "shock_rho" /
+/// "shock_group" -> with_shock (group defaults to the base system's shock
+/// spec, or ShockSpec's default, when only one of the pair is present)
+/// and "pfs_penalty" -> with_two_tier(from_penalty), last so the two-tier
+/// spec refines the point's final cost model. The "procs" axis is
 /// allocation-level, not system-level, and is ignored here (read it with
 /// point.var("procs")).
 [[nodiscard]] model::System apply_axes(const model::System& base,
                                        const Point& pt);
 
-/// Applies a point's correlated-world axes (model/correlated.hpp):
-/// "shock_rho" / "shock_group" -> with_shock (group defaults to the base
-/// system's shock spec, or ShockSpec's default, when only one of the pair
-/// is present) and "pfs_penalty" -> with_two_tier(from_penalty). Called
-/// by apply_axes and system_for_point after the plain axes so the
-/// two-tier spec refines the point's final cost model.
-[[nodiscard]] model::System apply_extension_axes(const model::System& base,
-                                                 const Point& pt);
-
 /// Builds the paper's standard System for a grid point: the point's
-/// platform/scenario (fall back to `default_platform` / `default_scenario`
-/// when the grid lacks that dimension), alpha/downtime axes or their
-/// defaults, then the lambda axis if present.
+/// platform/scenario (fall back to `platform` / `scenario` when the grid
+/// lacks that dimension) at `alpha`, `downtime` and `failure_dist`, then
+/// the point's axes (apply_axes).
 struct SystemSpec {
   model::Platform platform;
   model::Scenario scenario = model::Scenario::kS1;

@@ -20,28 +20,20 @@ namespace {
 /// Round-size multiplier of the adaptive driver (AdaptiveOptions).
 constexpr double kGrowth = 1.6;
 
-const model::System& base_system(const model::System& sys) { return sys; }
-const model::System& base_system(const core::TwoLevelSystem& sys) {
-  return sys.base;
-}
-
-/// Runs replicas [begin, end) on one reusable simulator and writes their
-/// outcomes. Hoisting the simulator out of the replica loop is what makes
-/// replication allocation-free steady-state: the simulator's arenas
-/// (pending set, batched-variate block) and distribution instantiations
-/// are paid once per chunk, not once per replica. Results are invariant
-/// to the chunking because replica i's RNG stream is a pure function of
-/// (seed, i).
-template <typename Simulator, typename Sys, typename Pat>
-void run_replica_range(const Sys& sys, const Pat& pattern,
-                       const ReplicationOptions& opt, std::size_t begin,
+/// Runs replicas [begin, end) of `plan` on one simulator that borrows the
+/// plan's read-only part, and writes their outcomes. The simulator's
+/// arenas (pending set, batched-variate block) are paid once per chunk,
+/// not once per replica. Results are invariant to the chunking because
+/// replica i's RNG stream is a pure function of (seed, i).
+template <typename Simulator>
+void run_replica_range(const ReplicaPlan& plan, std::size_t begin,
                        std::size_t end, ReplicaOutcome* out) {
-  Simulator simulator(sys, pattern);
+  Simulator simulator(plan.simulation);
+  const ReplicationOptions& opt = plan.options;
   // Fault-free time of the work contained in n patterns, in serial-time
   // units: n·T·S(P) (cf. paper, "Optimization objective").
   const auto n = static_cast<double>(opt.patterns_per_replica);
-  const double work =
-      n * pattern.period * base_system(sys).speedup(pattern.procs);
+  const double work = n * plan.period * plan.speedup;
 
   for (std::size_t i = begin; i < end; ++i) {
     simulator.begin_replica();  // drop variates prefetched from stream i-1
@@ -61,62 +53,73 @@ void run_replica_range(const Sys& sys, const Pat& pattern,
   }
 }
 
-/// Runs replicas [begin, end) of `pattern` on the segmented interpreter
-/// of opt.backend into `out`.
-template <typename Sys, typename Pat>
-void run_range(const Sys& sys, const Pat& pattern,
-               const ReplicationOptions& opt, std::size_t begin,
-               std::size_t end, ReplicaOutcome* out) {
-  if (opt.backend == Backend::kDes) {
-    run_replica_range<SegmentedDesSimulator>(sys, pattern, opt, begin, end,
-                                             out);
-  } else {
-    run_replica_range<SegmentedFastSimulator>(sys, pattern, opt, begin, end,
-                                              out);
-  }
-}
+/// One run's share of a round: its plan, and the arena its replica i
+/// lands in at outcomes[i].
+struct RoundRun {
+  const ReplicaPlan* plan;
+  ReplicaOutcome* outcomes;
+};
 
-/// Replicas a chunk needs to simulate kMinPatternsPerTask patterns
-/// when each replica runs `runs` runs of `patterns_per_replica` patterns.
-std::size_t min_chunk(std::size_t patterns_per_replica, std::size_t runs) {
-  const std::size_t per_replica = patterns_per_replica * runs;
-  return (kMinPatternsPerTask + per_replica - 1) / per_replica;
-}
-
-/// Runs replicas [0, outcomes.size()) into `outcomes`, on `pool` when
-/// given.
-template <typename Sys, typename Pat>
-void run_replicas(const Sys& sys, const Pat& pattern,
-                  const ReplicationOptions& opt, exec::ThreadPool* pool,
-                  std::vector<ReplicaOutcome>& outcomes) {
+/// The replica loop of every driver: replicas [first, target) of every
+/// run in `runs`, in one parallel_for_chunks call, each chunk running
+/// every run on its replicas in turn (so pooled variates are still in
+/// cache for all but the first) on the backend of its options. A chunk
+/// holds at least kMinPatternsPerTask patterns across the runs, which
+/// share patterns_per_replica. A run that throws stops in that chunk while
+/// the others go on; the exception re-thrown is the one of the earliest
+/// failing run, from its lowest failing chunk, whatever the scheduling.
+void run_round(std::span<const RoundRun> runs, std::size_t first,
+               std::size_t target, exec::ThreadPool* pool) {
+  const std::size_t per_replica =
+      runs.front().plan->options.patterns_per_replica * runs.size();
+  std::mutex failure_mu;
+  std::pair<std::size_t, std::size_t> failed_at{runs.size(), 0};
+  std::exception_ptr failure;
   exec::parallel_for_chunks(
-      pool, outcomes.size(),
+      pool, target - first,
       [&](std::size_t begin, std::size_t end) {
-        run_range(sys, pattern, opt, begin, end, outcomes.data() + begin);
+        for (std::size_t k = 0; k < runs.size(); ++k) {
+          const ReplicaPlan& plan = *runs[k].plan;
+          ReplicaOutcome* out = runs[k].outcomes + first + begin;
+          try {
+            if (plan.options.backend == Backend::kDes) {
+              run_replica_range<SegmentedDesSimulator>(plan, first + begin,
+                                                       first + end, out);
+            } else {
+              run_replica_range<SegmentedFastSimulator>(plan, first + begin,
+                                                        first + end, out);
+            }
+          } catch (...) {
+            const std::lock_guard<std::mutex> lock(failure_mu);
+            if (std::pair(k, begin) < failed_at) {
+              failed_at = {k, begin};
+              failure = std::current_exception();
+            }
+          }
+        }
       },
-      min_chunk(opt.patterns_per_replica, 1));
+      (kMinPatternsPerTask + per_replica - 1) / per_replica);
+  if (failure) std::rethrow_exception(failure);
 }
 
-/// The option checks every driver shares. Only a plain System on a VC
-/// pattern (`pooled`) has a CRN pool mode.
-void require_replication(const model::System& sys,
-                         const ReplicationOptions& opt, bool pooled) {
+/// The option checks every plan makes, with the one CRN pool rule.
+void require_replication(const ReplicaPlan& plan,
+                         const model::System& sys) {
+  const ReplicationOptions& opt = plan.options;
   AYD_REQUIRE(opt.patterns_per_replica >= 1,
               "need at least one pattern per replica");
-  AYD_REQUIRE(opt.shared_units == nullptr ||
-                  (pooled && !sys.extended() &&
-                   opt.shared_units->seed() == opt.seed &&
-                   opt.shared_units->spec() == sys.failure().dist()),
-              "shared_units pool was built for a different (spec, seed) "
-              "scenario than this replication (segmented patterns and "
-              "extended systems have no CRN pool mode)");
+  const UnitVariatePool* units = opt.shared_units;
+  require_crn_pool(units == nullptr ||
+                   (plan.simulation.world().unit_plain &&
+                    units->seed() == opt.seed &&
+                    units->spec() == sys.failure().dist()));
 }
 
 /// Deterministic reduction of the outcomes, in replica order, into the
-/// result summaries and telemetry (analytic_* are the caller's).
-/// `student_ci` selects Student-t intervals (adaptive driver) over
-/// normal-theory ones (fixed driver).
-ReplicationResult reduce_outcomes(const ReplicationOptions& opt,
+/// result summaries, telemetry and closed form. `student_ci` selects
+/// Student-t intervals (adaptive driver) over normal-theory ones (fixed
+/// driver).
+ReplicationResult reduce_outcomes(const ReplicaPlan& plan,
                                   const std::vector<ReplicaOutcome>& outcomes,
                                   bool student_ci) {
   stats::RunningStats overhead_stats;
@@ -136,8 +139,10 @@ ReplicationResult reduce_outcomes(const ReplicationOptions& opt,
     result.overhead = stats::summarize(overhead_stats, kCiLevel);
     result.pattern_time = stats::summarize(time_stats, kCiLevel);
   }
+  result.analytic_overhead = plan.analytic_overhead;
+  result.analytic_pattern_time = plan.analytic_pattern_time;
   result.total_patterns = static_cast<std::uint64_t>(outcomes.size()) *
-                          opt.patterns_per_replica;
+                          plan.options.patterns_per_replica;
   const auto n = static_cast<double>(result.total_patterns);
   result.fail_stops_per_pattern =
       static_cast<double>(totals.fail_stop_errors) / n;
@@ -151,56 +156,49 @@ ReplicationResult reduce_outcomes(const ReplicationOptions& opt,
   return result;
 }
 
-/// Fixed-count replication of a segmented pattern on the segmented
-/// interpreters; the system type picks the protocol and its closed form.
-template <typename Sys>
-ReplicationResult simulate_segmented(const Sys& sys,
-                                     const core::SegmentedPattern& pattern,
-                                     const ReplicationOptions& opt,
-                                     exec::ThreadPool* pool) {
-  AYD_REQUIRE(opt.replicas >= 1, "need at least one replica");
-  require_replication(base_system(sys), opt, /*pooled=*/false);
-  core::validate(pattern);
-  std::vector<ReplicaOutcome> outcomes(opt.replicas);
-  run_replicas(sys, pattern, opt, pool, outcomes);
-  ReplicationResult result =
-      reduce_outcomes(opt, outcomes, /*student_ci=*/false);
-  result.analytic_overhead = core::segmented_overhead(sys, pattern);
-  result.analytic_pattern_time = core::expected_segmented_time(sys, pattern);
-  return result;
-}
-
 }  // namespace
 
-ReplicationResult simulate_overhead(const model::System& sys,
-                                    const core::Pattern& pattern,
-                                    const ReplicationOptions& opt,
-                                    exec::ThreadPool* pool,
-                                    ReplicationScratch* scratch) {
-  AYD_REQUIRE(opt.replicas >= 1, "need at least one replica");
-  require_replication(sys, opt, /*pooled=*/true);
-  core::validate(pattern);
+ReplicaPlan::ReplicaPlan(const model::System& sys,
+                         const core::Pattern& pattern,
+                         const ReplicationOptions& opt)
+    : simulation(sys, pattern),
+      options(opt),
+      system(&sys),
+      period(pattern.period),
+      speedup(sys.speedup(pattern.procs)),
+      analytic_overhead(core::pattern_overhead(sys, pattern)),
+      analytic_pattern_time(core::expected_pattern_time(sys, pattern)) {
+  require_replication(*this, sys);
+}
 
+ReplicaPlan::ReplicaPlan(const core::SegmentedProtocol& sys,
+                         const core::SegmentedPattern& pattern,
+                         const ReplicationOptions& opt)
+    : simulation(sys, pattern),
+      options(opt),
+      system(&sys.base()),
+      period(pattern.period),
+      speedup(sys.base().speedup(pattern.procs)),
+      analytic_overhead(core::segmented_overhead(sys, pattern)),
+      analytic_pattern_time(core::expected_segmented_time(sys, pattern)) {
+  require_replication(*this, sys.base());
+}
+
+ReplicationResult replicate(const ReplicaPlan& plan, exec::ThreadPool* pool,
+                            ReplicationScratch* scratch) {
+  AYD_REQUIRE(plan.options.replicas >= 1, "need at least one replica");
   std::vector<ReplicaOutcome> local;
   std::vector<ReplicaOutcome>& outcomes =
       scratch != nullptr ? scratch->outcomes : local;
-  outcomes.resize(opt.replicas);
-  run_replicas(sys, pattern, opt, pool, outcomes);
-  ReplicationResult result =
-      reduce_outcomes(opt, outcomes, /*student_ci=*/false);
-  result.analytic_overhead = core::pattern_overhead(sys, pattern);
-  result.analytic_pattern_time = core::expected_pattern_time(sys, pattern);
-  return result;
+  outcomes.resize(plan.options.replicas);
+  const RoundRun run{&plan, outcomes.data()};
+  run_round({&run, 1}, 0, outcomes.size(), pool);
+  return reduce_outcomes(plan, outcomes, /*student_ci=*/false);
 }
 
-AdaptiveRun::AdaptiveRun(const model::System& sys,
-                         const core::Pattern& pattern,
-                         const ReplicationOptions& opt,
-                         const AdaptiveOptions& adapt,
+AdaptiveRun::AdaptiveRun(ReplicaPlan plan, const AdaptiveOptions& adapt,
                          ReplicationScratch* scratch)
-    : sys_(&sys),
-      pattern_(pattern),
-      opt_(opt),
+    : plan_(std::move(plan)),
       adapt_(adapt),
       scratch_(scratch),
       target_(adapt.min_replicas) {
@@ -210,8 +208,6 @@ AdaptiveRun::AdaptiveRun(const model::System& sys,
               "adaptive replication cap below the starting count");
   AYD_REQUIRE(adapt.ci_rel_tol > 0.0 && std::isfinite(adapt.ci_rel_tol),
               "ci_rel_tol must be finite and > 0");
-  require_replication(sys, opt, /*pooled=*/true);
-  core::validate(pattern);
   arena().clear();
 }
 
@@ -228,41 +224,20 @@ void AdaptiveRun::step_together(std::span<AdaptiveRun* const> runs,
   const std::size_t target = lead.target_;
   for (const AdaptiveRun* run : runs) {
     AYD_REQUIRE(!run->done_, "adaptive run already finished");
-    AYD_REQUIRE(run->sys_ == lead.sys_ && run->opt_ == lead.opt_ &&
+    AYD_REQUIRE(run->plan_.system == lead.plan_.system &&
+                    run->plan_.options == lead.plan_.options &&
                     run->adapt_ == lead.adapt_ && run->target_ == target &&
                     run->outcomes().size() == first,
                 "runs stepped together must share the system, the options "
                 "and the round schedule");
   }
-  for (AdaptiveRun* run : runs) run->arena().resize(target);
-
-  // Each chunk of the round's new replicas runs every run on them in
-  // turn, so the replicas' pooled variates are still in cache for all but
-  // the first. A run that throws stops in that chunk while the others go
-  // on; the exception re-thrown is the one of the earliest failing run in
-  // `runs`, from its lowest failing chunk, whatever the scheduling.
-  std::mutex failure_mu;
-  std::pair<std::size_t, std::size_t> failed_at{runs.size(), 0};
-  std::exception_ptr failure;
-  exec::parallel_for_chunks(
-      pool, target - first,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = 0; k < runs.size(); ++k) {
-          AdaptiveRun& run = *runs[k];
-          try {
-            run_range(*run.sys_, run.pattern_, run.opt_, first + begin,
-                      first + end, run.arena().data() + first + begin);
-          } catch (...) {
-            const std::lock_guard<std::mutex> lock(failure_mu);
-            if (std::pair(k, begin) < failed_at) {
-              failed_at = {k, begin};
-              failure = std::current_exception();
-            }
-          }
-        }
-      },
-      min_chunk(lead.opt_.patterns_per_replica, runs.size()));
-  if (failure) std::rethrow_exception(failure);
+  std::vector<RoundRun> round;
+  round.reserve(runs.size());
+  for (AdaptiveRun* run : runs) {
+    run->arena().resize(target);
+    round.push_back({&run->plan_, run->arena().data()});
+  }
+  run_round(round, first, target, pool);
   for (AdaptiveRun* run : runs) run->finish_round();
 }
 
@@ -293,36 +268,10 @@ void AdaptiveRun::finish_round() {
 
 ReplicationResult AdaptiveRun::result() const {
   ReplicationResult result =
-      reduce_outcomes(opt_, outcomes(), /*student_ci=*/true);
-  result.analytic_overhead = core::pattern_overhead(*sys_, pattern_);
-  result.analytic_pattern_time =
-      core::expected_pattern_time(*sys_, pattern_);
+      reduce_outcomes(plan_, outcomes(), /*student_ci=*/true);
   result.rounds = rounds_;
   result.ci_converged = converged_;
   return result;
-}
-
-ReplicationResult simulate_overhead_adaptive(const model::System& sys,
-                                             const core::Pattern& pattern,
-                                             const ReplicationOptions& opt,
-                                             const AdaptiveOptions& adapt,
-                                             exec::ThreadPool* pool,
-                                             ReplicationScratch* scratch) {
-  AdaptiveRun run(sys, pattern, opt, adapt, scratch);
-  while (!run.done()) run.step(pool);
-  return run.result();
-}
-
-ReplicationResult simulate_segmented_overhead(
-    const model::System& sys, const core::SegmentedPattern& pattern,
-    const ReplicationOptions& opt, exec::ThreadPool* pool) {
-  return simulate_segmented(sys, pattern, opt, pool);
-}
-
-ReplicationResult simulate_segmented_overhead(
-    const core::TwoLevelSystem& sys, const core::SegmentedPattern& pattern,
-    const ReplicationOptions& opt, exec::ThreadPool* pool) {
-  return simulate_segmented(sys, pattern, opt, pool);
 }
 
 }  // namespace ayd::sim

@@ -6,6 +6,15 @@
 // as the ratio of faulty execution time to fault-free execution time of
 // the same work. Replica i draws from the RNG substream (seed, i), so the
 // estimate is bit-identical no matter how many threads execute it.
+//
+// One driver serves every protocol (VC, multi-verification, two-level)
+// and every failure world. A run resolves its (system, pattern, options)
+// once into a ReplicaPlan; each chunk of replicas borrows the plan's
+// simulator part instead of rebuilding it. The fixed-count driver
+// (replicate) and the adaptive one (AdaptiveRun) share one replica loop
+// and differ only in their reductions: normal-theory intervals for a
+// fixed count, Student-t for an adaptive one. The simulate_* functions
+// below are names for those two.
 
 #pragma once
 
@@ -51,9 +60,9 @@ struct ReplicationOptions {
   /// (failure-dist shape, seed) — sim/variate_pool.hpp — which makes the
   /// draws identical in distribution (bit-identical under the scalar
   /// tier) while sweeps over rate/period/procs pay for variate
-  /// generation once. Not owned; must outlive the call. Ignored by
-  /// non-unit-samplable sources' fallback paths (trace replay), which is
-  /// exactly the set for which VariateCache returns no pool.
+  /// generation once. Not owned; must outlive the run. Only runs crn_pool
+  /// would build a pool for take one (VC patterns on a plain System with
+  /// an eligible law); any other run refuses it when it is resolved.
   UnitVariatePool* shared_units = nullptr;
 
   bool operator==(const ReplicationOptions&) const = default;
@@ -110,13 +119,12 @@ struct ReplicaOutcome {
   PatternStats totals;
 };
 
-/// Reusable scratch for simulate_overhead: the per-replica outcome arena.
-/// A sweep that evaluates thousands of grid points calls
-/// simulate_overhead once per point; handing each call the same scratch
-/// keeps the steady state allocation-free (the simulators' own arenas —
-/// pending set, variate block — already live inside the per-call
-/// simulator). Not thread-safe: use one per calling thread (the engine's
-/// evaluator keeps one per worker).
+/// Reusable scratch for the drivers: the per-replica outcome arena. A
+/// sweep that evaluates thousands of grid points runs one replication per
+/// point; handing each the same scratch keeps the outcome arena from
+/// regrowing (the simulators' own arenas — pending set, variate block —
+/// live in each chunk's simulator). Not thread-safe: use one per calling
+/// thread (the engine's evaluator keeps one per worker).
 struct ReplicationScratch {
   std::vector<ReplicaOutcome> outcomes;
 };
@@ -130,33 +138,80 @@ struct ReplicationScratch {
 /// measured alike and 1024 was about a quarter slower at P = 2048.
 inline constexpr std::size_t kMinPatternsPerTask = 256;
 
-/// Simulates `replicas` independent applications of
-/// `patterns_per_replica` patterns each and summarises the measured
-/// execution overhead against the analytic prediction. If `pool` is
-/// non-null the replicas run in parallel on it (one reusable simulator
-/// per contiguous worker chunk; results are bit-identical for any thread
-/// count because replica i always draws from RNG substream (seed, i)).
-/// `scratch`, when given, is reused across calls.
-[[nodiscard]] ReplicationResult simulate_overhead(
+/// One run's (system, pattern, options), resolved once for every pair the
+/// simulators accept: the simulators' read-only part, which every chunk's
+/// simulator borrows, and what the reduction reads. The system type picks
+/// the protocol as in core/segmented.hpp. Construction checks the
+/// options, and refuses a CRN pool the run cannot read
+/// (require_crn_pool). The plan keeps the system's address only to tell
+/// runs apart (AdaptiveRun::step_together).
+struct ReplicaPlan {
+  /// A VC pattern.
+  ReplicaPlan(const model::System& sys, const core::Pattern& pattern,
+              const ReplicationOptions& opt);
+  /// A multi-verification or two-level pattern.
+  ReplicaPlan(const core::SegmentedProtocol& sys,
+              const core::SegmentedPattern& pattern,
+              const ReplicationOptions& opt);
+
+  SimulationPlan simulation;
+  ReplicationOptions options;
+  const model::System* system;
+  double period;   ///< T
+  double speedup;  ///< S(P)
+  /// The protocol's exponential closed form at the pattern (Proposition
+  /// 1's for a VC pattern).
+  double analytic_overhead;
+  double analytic_pattern_time;
+};
+
+/// The fixed-count driver: plan.options.replicas independent runs of
+/// plan.options.patterns_per_replica patterns each, summarised with
+/// normal-theory intervals against the closed form. If `pool` is non-null
+/// the replicas run in parallel on it, in contiguous chunks; results are
+/// bit-identical for any thread count because replica i always draws
+/// from RNG substream (seed, i). `scratch`, when given, is reused across
+/// calls.
+[[nodiscard]] ReplicationResult replicate(
+    const ReplicaPlan& plan, exec::ThreadPool* pool = nullptr,
+    ReplicationScratch* scratch = nullptr);
+
+/// The fixed-count driver on a VC pattern.
+[[nodiscard]] inline ReplicationResult simulate_overhead(
     const model::System& sys, const core::Pattern& pattern,
     const ReplicationOptions& opt = {}, exec::ThreadPool* pool = nullptr,
-    ReplicationScratch* scratch = nullptr);
+    ReplicationScratch* scratch = nullptr) {
+  return replicate(ReplicaPlan(sys, pattern, opt), pool, scratch);
+}
+
+/// The fixed-count driver on a segmented pattern (core/segmented.hpp);
+/// the system type picks the protocol.
+[[nodiscard]] inline ReplicationResult simulate_segmented_overhead(
+    const core::SegmentedProtocol& sys, const core::SegmentedPattern& pattern,
+    const ReplicationOptions& opt = {}, exec::ThreadPool* pool = nullptr) {
+  return replicate(ReplicaPlan(sys, pattern, opt), pool);
+}
 
 /// The adaptive driver as a resumable round stepper. Each step() runs one
 /// grow-and-recheck round: it appends replicas up to the round's target
 /// (replica i always draws substream (opt.seed, i)), recomputes the
 /// Student-t CI over all of them, and ends the run once the CI meets
-/// `adapt.ci_rel_tol` or the count reaches `adapt.max_replicas`. The
-/// schedule depends only on the counts and the CI, so a caller may pause
-/// a run between rounds, or drop it, and a resumed run ends on the same
-/// bits as one stepped straight through (simulate_overhead_adaptive).
-/// `sys` must outlive the run, and so must `scratch`, which holds the
-/// outcomes when given (the run owns them otherwise). A run is movable.
+/// `adapt.ci_rel_tol` or the count reaches `adapt.max_replicas`
+/// (opt.replicas is ignored). The schedule depends only on the counts and
+/// the CI, so a caller may pause a run between rounds, or drop it, and a
+/// resumed run ends on the bits of one stepped straight through
+/// (simulate_overhead_adaptive), which are a fixed-count run's at the
+/// final count. `scratch` must outlive the run; it holds the outcomes
+/// when given (the run owns them otherwise). A run is movable.
 class AdaptiveRun {
  public:
+  AdaptiveRun(ReplicaPlan plan, const AdaptiveOptions& adapt,
+              ReplicationScratch* scratch = nullptr);
+  /// A VC pattern.
   AdaptiveRun(const model::System& sys, const core::Pattern& pattern,
               const ReplicationOptions& opt, const AdaptiveOptions& adapt,
-              ReplicationScratch* scratch = nullptr);
+              ReplicationScratch* scratch = nullptr)
+      : AdaptiveRun(ReplicaPlan(sys, pattern, opt), adapt, scratch) {}
 
   /// Runs the next round, its replicas on `pool` (null: on the caller).
   /// Requires !done().
@@ -195,9 +250,7 @@ class AdaptiveRun {
     return scratch_ != nullptr ? scratch_->outcomes : own_.outcomes;
   }
 
-  const model::System* sys_;
-  core::Pattern pattern_;
-  ReplicationOptions opt_;
+  ReplicaPlan plan_;
   AdaptiveOptions adapt_;
   ReplicationScratch* scratch_;
   ReplicationScratch own_;
@@ -207,30 +260,18 @@ class AdaptiveRun {
   bool done_ = false;
 };
 
-/// Adaptive-replication variant: ignores `opt.replicas` and instead grows
-/// the replica count on the `adapt` schedule until the Student-t CI of
-/// the mean overhead satisfies `adapt.ci_rel_tol` (or `adapt.max_replicas`
-/// is hit, reported via ci_converged = false). Replicas are *appended*
-/// across rounds — replica i always draws substream (opt.seed, i) — so
-/// the returned estimate is bit-identical to a fixed-count run at the
-/// final count, and the count itself is deterministic. The returned
-/// summaries carry Student-t intervals (honest at small counts), not the
-/// normal-theory intervals of the fixed driver. Steps an AdaptiveRun to
-/// its end.
-[[nodiscard]] ReplicationResult simulate_overhead_adaptive(
+/// The adaptive driver on a VC pattern, stepped to its end: a summary
+/// with Student-t intervals (honest at small counts), whose estimate is
+/// bit-identical to a fixed-count run at the final count, and whose count
+/// is a pure function of the inputs. Segmented patterns step an
+/// AdaptiveRun over their ReplicaPlan.
+[[nodiscard]] inline ReplicationResult simulate_overhead_adaptive(
     const model::System& sys, const core::Pattern& pattern,
     const ReplicationOptions& opt, const AdaptiveOptions& adapt,
-    exec::ThreadPool* pool = nullptr, ReplicationScratch* scratch = nullptr);
-
-/// Fixed-count replication of a segmented pattern (core/segmented.hpp);
-/// the system type picks the protocol, opt.backend the interpreter, and
-/// analytic_* carry the protocol's exponential closed form. Segmented
-/// patterns have no CRN pool mode (opt.shared_units must be null).
-[[nodiscard]] ReplicationResult simulate_segmented_overhead(
-    const model::System& sys, const core::SegmentedPattern& pattern,
-    const ReplicationOptions& opt = {}, exec::ThreadPool* pool = nullptr);
-[[nodiscard]] ReplicationResult simulate_segmented_overhead(
-    const core::TwoLevelSystem& sys, const core::SegmentedPattern& pattern,
-    const ReplicationOptions& opt = {}, exec::ThreadPool* pool = nullptr);
+    exec::ThreadPool* pool = nullptr, ReplicationScratch* scratch = nullptr) {
+  AdaptiveRun run(sys, pattern, opt, adapt, scratch);
+  while (!run.done()) run.step(pool);
+  return run.result();
+}
 
 }  // namespace ayd::sim

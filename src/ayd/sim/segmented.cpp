@@ -13,16 +13,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// The pool-mode acceptance both interpreters share: only the plain
-/// shape with unit-samplable laws takes a cursor.
-void require_poolable(const detail::SegmentedWorld& w,
-                      const UnitVariatePool::Cursor* cursor) {
-  AYD_REQUIRE(cursor == nullptr || w.plain,
-              "segmented patterns and extended worlds have no CRN pool mode "
-              "(their draw sequence interleaves several laws)");
-  AYD_REQUIRE(cursor == nullptr || w.unit_plain(),
-              "set_unit_cursor: an active source does not factor through "
-              "unit variates");
+/// `pattern`, once it passed core::validate.
+template <class Pattern>
+const Pattern& validated(const Pattern& pattern) {
+  core::validate(pattern);
+  return pattern;
 }
 
 }  // namespace
@@ -31,39 +26,30 @@ namespace detail {
 
 SegmentedWorld::SegmentedWorld(const model::System& sys,
                                const core::Pattern& pattern)
-    : SegmentedWorld(sys, pattern.period, pattern.procs, 1, false) {
-  core::validate(pattern);
-}
+    : SegmentedWorld(sys, validated(pattern).period, pattern.procs, 1) {}
 
-SegmentedWorld::SegmentedWorld(const model::System& sys,
+SegmentedWorld::SegmentedWorld(const core::SegmentedProtocol& sys,
                                const core::SegmentedPattern& pattern)
-    : SegmentedWorld(sys, pattern.period, pattern.procs, pattern.segments,
-                     false) {
-  core::validate(pattern);
-}
+    : SegmentedWorld(sys, validated(pattern).period, pattern.procs,
+                     pattern.segments) {}
 
-SegmentedWorld::SegmentedWorld(const core::TwoLevelSystem& sys,
-                               const core::SegmentedPattern& pattern)
-    : SegmentedWorld(sys.base, pattern.period, pattern.procs,
-                     pattern.segments, true) {
-  core::validate(pattern);
-  level1 = sys.level1_cost(pattern.procs);
-}
-
-SegmentedWorld::SegmentedWorld(const model::System& sys, double period,
-                               double procs, int segments, bool two_level)
+SegmentedWorld::SegmentedWorld(const core::SegmentedProtocol& protocol,
+                               double period, double procs, int segments)
     : period(period),
       procs(procs),
       segments(segments),
-      two_level(two_level),
+      two_level(protocol.level1() != nullptr),
       work(period / segments),
-      verify(sys.verification_cost(procs)),
-      checkpoint(sys.checkpoint_cost(procs)),
-      recovery(sys.recovery_cost(procs)),
+      verify(protocol.base().verification_cost(procs)),
+      checkpoint(protocol.base().checkpoint_cost(procs)),
+      recovery(protocol.base().recovery_cost(procs)),
       pfs_recovery(recovery),
-      downtime(sys.downtime()) {
+      downtime(protocol.base().downtime()) {
+  const model::System& sys = protocol.base();
   const model::CorrelatedSpec* ext = sys.extension();
+  if (two_level) level1 = protocol.level1()->cost(procs);
   plain = ext == nullptr && segments == 1 && !two_level;
+  unit_plain = plain && crn_eligible(sys);
   const bool shock = ext != nullptr && ext->shock.has_value();
 
   // A zero-rate source never strikes and draws nothing, so it is left out.
@@ -113,12 +99,6 @@ double SegmentedWorld::try_window(int from) const {
   return e;
 }
 
-bool SegmentedWorld::unit_plain() const {
-  return plain &&
-         (fail_sources.empty() || fail_sources[0].dist->unit_samplable()) &&
-         (!silent_active() || silent->unit_samplable());
-}
-
 void SegmentedWorld::throw_diverged() const {
   sim::detail::throw_diverged(period, procs, segments, total_fail_rate,
                               silent->rate());
@@ -126,9 +106,17 @@ void SegmentedWorld::throw_diverged() const {
 
 }  // namespace detail
 
-// --- SegmentedFastSimulator ----------------------------------------------
+// --- SimulationPlan --------------------------------------------------------
 
-SegmentedFastSimulator::SegmentedFastSimulator(detail::SegmentedWorld world)
+SimulationPlan::SimulationPlan(const model::System& sys,
+                               const core::Pattern& pattern)
+    : SimulationPlan(detail::SegmentedWorld(sys, pattern)) {}
+
+SimulationPlan::SimulationPlan(const core::SegmentedProtocol& sys,
+                               const core::SegmentedPattern& pattern)
+    : SimulationPlan(detail::SegmentedWorld(sys, pattern)) {}
+
+SimulationPlan::SimulationPlan(detail::SegmentedWorld world)
     : world_(std::move(world)) {
   const detail::SegmentedWorld& w = world_;
   for (const detail::FailSource& src : w.fail_sources) {
@@ -160,15 +148,16 @@ SegmentedFastSimulator::SegmentedFastSimulator(detail::SegmentedWorld world)
       silent_threshold_ = safe_word_threshold(*w.silent, w.work);
     }
   }
-  plain_ = w.unit_plain();
-  if (plain_) {
+  if (w.unit_plain) {
     fail_law_ = UnitLaw(fail_draws_.empty() ? nullptr : fail_draws_[0].dist);
     silent_law_ = UnitLaw(silent_draw_.dist);
   }
 }
 
+// --- SegmentedFastSimulator ----------------------------------------------
+
 void SegmentedFastSimulator::set_unit_cursor(UnitVariatePool::Cursor* cursor) {
-  require_poolable(world_, cursor);
+  require_crn_pool(cursor == nullptr || plan_->world().unit_plain);
   pool_cursor_ = cursor;
 }
 
@@ -264,7 +253,7 @@ struct TimeClock {
 /// Weibull multiplies by its scale (from_unit(1.0) is the scale exactly),
 /// the exponential divides by its rate, and the lognormal stays a virtual
 /// call (its scaling is an exp, not a constant).
-SegmentedFastSimulator::UnitLaw::UnitLaw(const model::FailureDistribution* d)
+SimulationPlan::UnitLaw::UnitLaw(const model::FailureDistribution* d)
     : dist(d) {
   if (d == nullptr) return;
   if (d->kind() == model::FailureDistKind::kWeibull) {
@@ -278,11 +267,11 @@ SegmentedFastSimulator::UnitLaw::UnitLaw(const model::FailureDistribution* d)
 
 /// A constant scaling (or none): the unit-space walk can rescale the
 /// windows once.
-bool SegmentedFastSimulator::UnitLaw::linear() const {
+bool SimulationPlan::UnitLaw::linear() const {
   return dist == nullptr || scaling != Scaling::kVirtual;
 }
 
-double SegmentedFastSimulator::UnitLaw::arrival(double z) const {
+double SimulationPlan::UnitLaw::arrival(double z) const {
   switch (scaling) {
     case Scaling::kLinear: return factor * z;
     case Scaling::kDivide: return z / factor;
@@ -294,7 +283,7 @@ double SegmentedFastSimulator::UnitLaw::arrival(double z) const {
 /// `window` in unit space: z < bound(w) decides what arrival(z) < w
 /// decides, up to one rounding. An inactive law's bound is 0, which its
 /// +inf draw never undercuts.
-double SegmentedFastSimulator::UnitLaw::bound(double window) const {
+double SimulationPlan::UnitLaw::bound(double window) const {
   if (dist == nullptr) return 0.0;
   return scaling == Scaling::kLinear ? window / factor : window * factor;
 }
@@ -319,7 +308,7 @@ double SegmentedFastSimulator::UnitLaw::bound(double window) const {
 /// The stream. On the plain shape every active law is unit-samplable, so
 /// every draw is filtered, and the one fail law, its two thresholds (the
 /// attempt window T+V+C and R) and the silent law are copied into the
-/// source; other shapes walk the simulator's source rows.
+/// source; other shapes walk the plan's source rows.
 template <bool kPlain>
 struct SegmentedFastSimulator::Stream : EngineCopy, TimeClock {
   const SourceDraw* fails;
@@ -331,18 +320,18 @@ struct SegmentedFastSimulator::Stream : EngineCopy, TimeClock {
   std::uint64_t silent_threshold;
   bool shock = false;
 
-  Stream(const SegmentedFastSimulator& sim, rng::RngStream& rng)
+  Stream(const SimulationPlan& plan, rng::RngStream& rng)
       : EngineCopy(rng),
-        TimeClock(sim.world_),
-        fails(sim.fail_draws_.data()),
-        sources(sim.fail_draws_.size()),
-        thresholds(sim.fail_thresholds_.data()),
-        silent(sim.silent_draw_),
-        silent_threshold(sim.silent_threshold_) {
+        TimeClock(plan.world_),
+        fails(plan.fail_draws_.data()),
+        sources(plan.fail_draws_.size()),
+        thresholds(plan.fail_thresholds_.data()),
+        silent(plan.silent_draw_),
+        silent_threshold(plan.silent_threshold_) {
     if (kPlain && sources == 1) {
       fail_one = fails[0];
       attempt_threshold = thresholds[0];
-      recovery_threshold = thresholds[sim.recovery_row_];
+      recovery_threshold = thresholds[plan.recovery_row_];
     }
   }
 
@@ -380,10 +369,8 @@ struct SegmentedFastSimulator::PoolWalk : CursorCopy {
   UnitLaw fail, silent;
   static constexpr bool shock = false;
 
-  explicit PoolWalk(const SegmentedFastSimulator& sim)
-      : CursorCopy(*sim.pool_cursor_),
-        fail(sim.fail_law_),
-        silent(sim.silent_law_) {}
+  PoolWalk(const SimulationPlan& plan, UnitVariatePool::Cursor& cursor)
+      : CursorCopy(cursor), fail(plan.fail_law_), silent(plan.silent_law_) {}
 };
 
 /// The CRN pool, exact: each arrival is the cheap from_unit scaling of a
@@ -392,8 +379,8 @@ struct SegmentedFastSimulator::PoolWalk : CursorCopy {
 /// filter only suppresses values that lose every comparison they appear
 /// in, and here the value is nearly free.
 struct SegmentedFastSimulator::ExactPool : PoolWalk, TimeClock {
-  explicit ExactPool(const SegmentedFastSimulator& sim)
-      : PoolWalk(sim), TimeClock(sim.world_) {}
+  ExactPool(const SimulationPlan& plan, UnitVariatePool::Cursor& cursor)
+      : PoolWalk(plan, cursor), TimeClock(plan.world_) {}
 
   double draw_fail(std::size_t) {
     return fail.dist != nullptr ? fail.arrival(cur.next()) : kInf;
@@ -420,8 +407,9 @@ struct SegmentedFastSimulator::UnitPool : PoolWalk {
   double wall_tv, wall_tvc, wall_r, d;
   double z_sum = 0.0;
 
-  explicit UnitPool(const SegmentedFastSimulator& sim) : PoolWalk(sim) {
-    const detail::SegmentedWorld& w = sim.world_;
+  UnitPool(const SimulationPlan& plan, UnitVariatePool::Cursor& cursor)
+      : PoolWalk(plan, cursor) {
+    const detail::SegmentedWorld& w = plan.world_;
     wall_tv = w.work + w.verify;
     wall_tvc = wall_tv + w.checkpoint;
     wall_r = w.recovery;
@@ -460,14 +448,15 @@ struct SegmentedFastSimulator::UnitPool : PoolWalk {
 
 template <bool kPlain, class Source, class... Args>
 PatternStats SegmentedFastSimulator::run(std::size_t n, Args&... args) const {
-  Source src(*this, args...);
-  const detail::SegmentedWorld& w = world_;
+  const SimulationPlan& plan = *plan_;
+  Source src(plan, args...);
+  const detail::SegmentedWorld& w = plan.world_;
   // The shape: compile-time constants on the plain shape, so its try is
   // one segment with no level-1 store and its chains never reach R_pfs.
   const int last = kPlain ? 0 : w.segments - 1;
   const bool two_level = !kPlain && w.two_level;
   const bool tiered = !kPlain && w.tiered();
-  const std::size_t recovery_row = kPlain ? 1 : recovery_row_;
+  const std::size_t recovery_row = kPlain ? 1 : plan.recovery_row_;
   PatternStats totals;
 
   for (std::size_t p = 0; p < n; ++p) {
@@ -573,7 +562,8 @@ PatternStats SegmentedFastSimulator::run(std::size_t n, Args&... args) const {
 
 PatternStats SegmentedFastSimulator::simulate_replica(rng::RngStream& rng,
                                                       std::size_t n) {
-  if (!plain_) return run<false, Stream<false>>(n, rng);
+  const SimulationPlan& plan = *plan_;
+  if (!plan.world_.unit_plain) return run<false, Stream<false>>(n, rng);
   if (pool_cursor_ == nullptr) return run<true, Stream<true>>(n, rng);
   // Under a SIMD tier the unit-space walk is preferred: it makes the same
   // decisions up to the rounding of the rescaled window bounds, which is
@@ -581,26 +571,16 @@ PatternStats SegmentedFastSimulator::simulate_replica(rng::RngStream& rng,
   // reference tier must stay bit-identical to stream sampling
   // (tests/engine_crn_test.cpp), so it keeps the exact walk.
   if (rng::simd::active_tier() != rng::simd::Tier::kScalar &&
-      fail_law_.linear() && silent_law_.linear()) {
-    return run<true, UnitPool>(n);
+      plan.fail_law_.linear() && plan.silent_law_.linear()) {
+    return run<true, UnitPool>(n, *pool_cursor_);
   }
-  return run<true, ExactPool>(n);
+  return run<true, ExactPool>(n, *pool_cursor_);
 }
 
 // --- SegmentedDesSimulator -----------------------------------------------
 
-SegmentedDesSimulator::SegmentedDesSimulator(detail::SegmentedWorld world)
-    : world_(std::move(world)) {
-  if (!world_.plain) return;
-  const std::vector<detail::FailSource>& fail = world_.fail_sources;
-  keep_arrival_ = !fail.empty() && fail[0].dist->memoryless();
-  if (world_.unit_plain()) {
-    unit_src_ = fail.empty() ? world_.silent.get() : fail[0].dist.get();
-  }
-}
-
 void SegmentedDesSimulator::set_unit_cursor(UnitVariatePool::Cursor* cursor) {
-  require_poolable(world_, cursor);
+  require_crn_pool(cursor == nullptr || world_.unit_plain);
   pool_cursor_ = cursor;
 }
 

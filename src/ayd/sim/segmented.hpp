@@ -44,7 +44,7 @@
 // ahead of use), and replica i always reads RNG substream (seed, i), so
 // results are byte-identical across runs and thread counts. The fast
 // interpreter filters the draws of unit-samplable sources by CDF
-// threshold (safe_word_threshold, built once per simulator for every
+// threshold (safe_word_threshold, built once per plan for every
 // window a draw is compared against: the try window from each start
 // segment, R, R_pfs, L, and T/n for the silent source): a word at or
 // above the threshold provably inverts beyond the window, so the arrival
@@ -70,6 +70,14 @@
 // One DES body. SegmentedDesSimulator runs a single event machine,
 // templated on the same shape; on the plain shape it keeps the pinned
 // draw, renewal and tie rules its class comment states.
+//
+// One plan per run. Everything a simulator only reads — the world with its
+// instantiated laws, and the fast interpreter's source rows, thresholds
+// and unit laws — is resolved once into a SimulationPlan. A simulator
+// constructed from (system, pattern) owns one; the replication driver
+// (sim/runner.hpp) resolves one per run, and every chunk's simulator
+// borrows it, keeping only its own mutable state (a pool cursor, the
+// DES's block and pending set).
 
 #pragma once
 
@@ -99,12 +107,12 @@ struct FailSource {
 };
 
 /// Everything both interpreters share: the resolved failure sources and
-/// the segment plan of one pattern.
+/// the segment plan of one pattern. The system type picks the protocol
+/// (core::SegmentedProtocol); a VC pattern is the one-segment
+/// multi-verification world.
 struct SegmentedWorld {
   SegmentedWorld(const model::System& sys, const core::Pattern& pattern);
-  SegmentedWorld(const model::System& sys,
-                 const core::SegmentedPattern& pattern);
-  SegmentedWorld(const core::TwoLevelSystem& sys,
+  SegmentedWorld(const core::SegmentedProtocol& sys,
                  const core::SegmentedPattern& pattern);
 
   /// Recovery cost of the tier a rollback chain is on.
@@ -114,9 +122,6 @@ struct SegmentedWorld {
   /// True when a shock strike escalates the chain to the PFS tier.
   [[nodiscard]] bool tiered() const { return pfs_recovery != recovery; }
   [[nodiscard]] bool silent_active() const { return silent->rate() > 0.0; }
-  /// The plain shape with every active law unit-samplable: the only world
-  /// a CRN pool cursor (and the DES's batched block) can feed.
-  [[nodiscard]] bool unit_plain() const;
   /// Length of a try that starts at segment `from` (0 for a pattern
   /// attempt): the offsets of its verifications and checkpoints summed in
   /// phase order, exactly as the fast interpreter accumulates them.
@@ -127,6 +132,10 @@ struct SegmentedWorld {
   /// at most one fail source, at the System's law, one segment, no
   /// level-1 checkpoint and no PFS tier.
   bool plain = false;
+  /// The plain shape on a System a CRN pool can serve (crn_eligible,
+  /// sim/variate_pool.hpp), so every active law is unit-samplable: the
+  /// only world that reads a pool cursor (or the DES's batched block).
+  bool unit_plain = false;
   /// The active (nonzero-rate) sources in draw order, the shock last.
   std::vector<FailSource> fail_sources;
   std::unique_ptr<const model::FailureDistribution> silent;
@@ -144,65 +153,28 @@ struct SegmentedWorld {
   double downtime;               ///< D
 
  private:
-  SegmentedWorld(const model::System& sys, double period, double procs,
-                 int segments, bool two_level);
+  SegmentedWorld(const core::SegmentedProtocol& sys, double period,
+                 double procs, int segments);
 };
 
 }  // namespace detail
 
-/// Closed-form per-segment sampler: one fresh arrival per source at each
-/// renewal point, the earliest strike wins. The default backend.
-class SegmentedFastSimulator {
+/// The read-only part of the simulators of one (system, pattern): the
+/// world, plus the fast interpreter's source rows, CDF thresholds and
+/// unit laws. Movable; a borrowing simulator must not outlive it.
+class SimulationPlan {
  public:
-  /// VC (a one-segment pattern), multi-verification and two-level.
-  SegmentedFastSimulator(const model::System& sys,
-                         const core::Pattern& pattern)
-      : SegmentedFastSimulator(detail::SegmentedWorld(sys, pattern)) {}
-  /// A template only so that a braced {T, P} picks the VC constructor
-  /// (on an otherwise equal match the non-template wins); {T, P, n}
-  /// still lands here.
-  template <class = void>
-  SegmentedFastSimulator(const model::System& sys,
-                         const core::SegmentedPattern& pattern)
-      : SegmentedFastSimulator(detail::SegmentedWorld(sys, pattern)) {}
-  SegmentedFastSimulator(const core::TwoLevelSystem& sys,
-                         const core::SegmentedPattern& pattern)
-      : SegmentedFastSimulator(detail::SegmentedWorld(sys, pattern)) {}
+  /// VC (a one-segment pattern), multi-verification and two-level, as
+  /// for the world.
+  SimulationPlan(const model::System& sys, const core::Pattern& pattern);
+  SimulationPlan(const core::SegmentedProtocol& sys,
+                 const core::SegmentedPattern& pattern);
 
-  /// One pattern is the n == 1 replica (merging into zeroed totals is the
-  /// identity, bitwise: every counter starts at 0 and wall_time > 0).
-  [[nodiscard]] PatternStats simulate_pattern(rng::RngStream& rng) {
-    return simulate_replica(rng, 1);
-  }
-  /// n patterns back to back, stats merged (the replication driver's
-  /// loop; equivalent to n simulate_pattern calls, bitwise).
-  [[nodiscard]] PatternStats simulate_replica(rng::RngStream& rng,
-                                              std::size_t n);
-
-  /// Nothing is prefetched across replicas; exists for the driver.
-  void begin_replica() {}
-  /// Pool mode (common random numbers): draw unit variates from the
-  /// shared pool cursor instead of sampling the stream. The cursor must
-  /// be positioned at the replica's sequence start and outlive the
-  /// simulation calls; nullptr returns to stream sampling. Accepted only
-  /// on the plain shape with unit-samplable laws (util::InvalidArgument
-  /// otherwise); under the scalar tier, pool-fed results are
-  /// bit-identical to stream sampling.
-  void set_unit_cursor(UnitVariatePool::Cursor* cursor);
+  [[nodiscard]] const detail::SegmentedWorld& world() const { return world_; }
 
  private:
-  explicit SegmentedFastSimulator(detail::SegmentedWorld world);
-
-  /// The one attempt/recovery machine over a draw source built from this
-  /// simulator and `args`; kPlain fixes the plain shape (plain_) at
-  /// compile time (segmented.cpp documents the source interface).
-  template <bool kPlain, class Source, class... Args>
-  [[nodiscard]] PatternStats run(std::size_t n, Args&... args) const;
-  template <bool kPlain>
-  struct Stream;     ///< the stream, threshold-filtered
-  struct PoolWalk;   ///< what the two CRN pool walks share
-  struct ExactPool;  ///< CRN pool, exact arrivals
-  struct UnitPool;   ///< CRN pool in unit space (SIMD tier)
+  friend class SegmentedFastSimulator;
+  explicit SimulationPlan(detail::SegmentedWorld world);
 
   /// How one active source draws: threshold-filtered when unit-samplable,
   /// through sample otherwise.
@@ -235,10 +207,65 @@ class SegmentedFastSimulator {
   std::size_t recovery_row_;  ///< row of R; R_pfs and L follow it
   SourceDraw silent_draw_;
   std::uint64_t silent_threshold_ = 0;  ///< window T/n
-  /// The plain shape with unit-samplable laws: the compile-time shape of
-  /// the machine, and the only world that takes a pool cursor.
-  bool plain_ = false;
-  UnitLaw fail_law_, silent_law_;  ///< the plain shape's laws
+  UnitLaw fail_law_, silent_law_;  ///< the unit-plain shape's laws
+};
+
+/// Closed-form per-segment sampler: one fresh arrival per source at each
+/// renewal point, the earliest strike wins. The default backend.
+class SegmentedFastSimulator {
+ public:
+  /// VC (a one-segment pattern), multi-verification and two-level, on a
+  /// plan of its own.
+  SegmentedFastSimulator(const model::System& sys,
+                         const core::Pattern& pattern)
+      : owned_(std::make_unique<const SimulationPlan>(sys, pattern)),
+        plan_(owned_.get()) {}
+  SegmentedFastSimulator(const core::SegmentedProtocol& sys,
+                         const core::SegmentedPattern& pattern)
+      : owned_(std::make_unique<const SimulationPlan>(sys, pattern)),
+        plan_(owned_.get()) {}
+  /// Borrows `plan`, which must outlive the simulator.
+  explicit SegmentedFastSimulator(const SimulationPlan& plan) : plan_(&plan) {}
+
+  /// One pattern is the n == 1 replica (merging into zeroed totals is the
+  /// identity, bitwise: every counter starts at 0 and wall_time > 0).
+  [[nodiscard]] PatternStats simulate_pattern(rng::RngStream& rng) {
+    return simulate_replica(rng, 1);
+  }
+  /// n patterns back to back, stats merged (the replication driver's
+  /// loop; equivalent to n simulate_pattern calls, bitwise).
+  [[nodiscard]] PatternStats simulate_replica(rng::RngStream& rng,
+                                              std::size_t n);
+
+  /// Nothing is prefetched across replicas; exists for the driver.
+  void begin_replica() {}
+  /// Pool mode (common random numbers): draw unit variates from the
+  /// shared pool cursor instead of sampling the stream. The cursor must
+  /// be positioned at the replica's sequence start and outlive the
+  /// simulation calls; nullptr returns to stream sampling. Accepted only
+  /// on the unit-plain shape (util::InvalidArgument otherwise, the one
+  /// pool message of require_crn_pool); under the scalar tier, pool-fed
+  /// results are bit-identical to stream sampling.
+  void set_unit_cursor(UnitVariatePool::Cursor* cursor);
+
+ private:
+  using SourceDraw = SimulationPlan::SourceDraw;
+  using UnitLaw = SimulationPlan::UnitLaw;
+
+  /// The one attempt/recovery machine over a draw source built from the
+  /// plan and `args`; kPlain fixes the unit-plain shape at compile time
+  /// (segmented.cpp documents the source interface).
+  template <bool kPlain, class Source, class... Args>
+  [[nodiscard]] PatternStats run(std::size_t n, Args&... args) const;
+  template <bool kPlain>
+  struct Stream;     ///< the stream, threshold-filtered
+  struct PoolWalk;   ///< what the two CRN pool walks share
+  struct ExactPool;  ///< CRN pool, exact arrivals
+  struct UnitPool;   ///< CRN pool in unit space (SIMD tier)
+
+  /// Set when the simulator was constructed from (system, pattern).
+  std::unique_ptr<const SimulationPlan> owned_;
+  const SimulationPlan* plan_;
   /// Non-null in pool (CRN) mode: draws come from the shared sequence.
   UnitVariatePool::Cursor* pool_cursor_ = nullptr;
 };
@@ -271,18 +298,18 @@ class SegmentedFastSimulator {
 ///    the verify and checkpoint phase ends, so it pops first and strikes.
 class SegmentedDesSimulator {
  public:
+  /// On a world of its own.
   SegmentedDesSimulator(const model::System& sys,
                         const core::Pattern& pattern)
-      : SegmentedDesSimulator(detail::SegmentedWorld(sys, pattern)) {}
-  /// A template for the braced-{T, P} tie-break, as in
-  /// SegmentedFastSimulator.
-  template <class = void>
-  SegmentedDesSimulator(const model::System& sys,
+      : owned_(std::make_unique<const detail::SegmentedWorld>(sys, pattern)),
+        world_(*owned_) {}
+  SegmentedDesSimulator(const core::SegmentedProtocol& sys,
                         const core::SegmentedPattern& pattern)
-      : SegmentedDesSimulator(detail::SegmentedWorld(sys, pattern)) {}
-  SegmentedDesSimulator(const core::TwoLevelSystem& sys,
-                        const core::SegmentedPattern& pattern)
-      : SegmentedDesSimulator(detail::SegmentedWorld(sys, pattern)) {}
+      : owned_(std::make_unique<const detail::SegmentedWorld>(sys, pattern)),
+        world_(*owned_) {}
+  /// Borrows the world of `plan`, which must outlive the simulator.
+  explicit SegmentedDesSimulator(const SimulationPlan& plan)
+      : world_(plan.world()) {}
 
   /// Simulates one pattern to completion. If `trace` is given, appends
   /// labelled segments starting at `start_time`.
@@ -308,8 +335,6 @@ class SegmentedDesSimulator {
   void set_unit_cursor(UnitVariatePool::Cursor* cursor);
 
  private:
-  explicit SegmentedDesSimulator(detail::SegmentedWorld world);
-
   /// The one event machine, run for n patterns, each starting at
   /// `start_time`; kPlain fixes the plain shape at compile time.
   template <bool kPlain>
@@ -325,13 +350,19 @@ class SegmentedDesSimulator {
   static constexpr std::size_t kSilentSlot = 1;
   static constexpr std::size_t kFailSlot = 2;
 
-  detail::SegmentedWorld world_;
+  /// Set when the simulator was constructed from (system, pattern).
+  std::unique_ptr<const detail::SegmentedWorld> owned_;
+  const detail::SegmentedWorld& world_;
   /// The plain shape's fail law is memoryless: its arrival is kept.
-  bool keep_arrival_ = false;
-  /// Non-null on the plain shape with unit-samplable laws: the block's
-  /// unit transform (both sources are instantiated from one spec, so
-  /// their unit transform is identical).
-  const model::FailureDistribution* unit_src_ = nullptr;
+  bool keep_arrival_ = world_.plain && !world_.fail_sources.empty() &&
+                       world_.fail_sources[0].dist->memoryless();
+  /// Non-null on the unit-plain shape: the block's unit transform (both
+  /// sources are instantiated from one spec, so their unit transform is
+  /// identical).
+  const model::FailureDistribution* unit_src_ =
+      !world_.unit_plain            ? nullptr
+      : world_.fail_sources.empty() ? world_.silent.get()
+                                    : world_.fail_sources[0].dist.get();
   rng::VariateBlock units_;
   /// Engine state expected on the next call while prefetched variates are
   /// buffered; a mismatch means the caller switched streams (a 256-bit

@@ -185,4 +185,24 @@ std::size_t VariateCache::size() const {
   return entries_.size();
 }
 
+bool crn_eligible(const model::System& sys) {
+  return !sys.extended() && UnitVariatePool::eligible(sys.failure().dist());
+}
+
+std::shared_ptr<UnitVariatePool> crn_pool(const model::System& sys,
+                                          std::uint64_t seed,
+                                          VariateCache* cache) {
+  if (!crn_eligible(sys)) return nullptr;
+  if (cache != nullptr) return cache->pool_for(sys.failure().dist(), seed);
+  return std::make_shared<UnitVariatePool>(sys.failure().dist(), seed);
+}
+
+void require_crn_pool(bool accepted) {
+  AYD_REQUIRE(accepted,
+              "a CRN pool feeds only VC patterns on a plain System whose law "
+              "factors through unit variates, at the (law, seed) it was "
+              "built for; segmented patterns and extended worlds interleave "
+              "several laws in one draw sequence");
+}
+
 }  // namespace ayd::sim

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "ayd/model/failure_dist.hpp"
+#include "ayd/model/system.hpp"
 #include "ayd/rng/stream.hpp"
 
 namespace ayd::sim {
@@ -183,5 +184,25 @@ class VariateCache {
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
 };
+
+/// The one rule for which runs may read a CRN pool: a run on `sys` draws
+/// every variate from one law that factors through unit variates only
+/// when `sys` is plain (correlated, heterogeneous and two-tier worlds
+/// interleave several laws in one draw sequence) and its law is eligible
+/// (not trace replay). Segmented patterns interleave the same way, so
+/// their worlds refuse a pool on top (SegmentedWorld::unit_plain).
+[[nodiscard]] bool crn_eligible(const model::System& sys);
+
+/// The pool runs of VC patterns on `sys` at `seed` read: `cache`'s pool
+/// for the (law, seed) when given, a fresh one otherwise; null when
+/// !crn_eligible(sys), so the runs sample their own streams.
+[[nodiscard]] std::shared_ptr<UnitVariatePool> crn_pool(
+    const model::System& sys, std::uint64_t seed,
+    VariateCache* cache = nullptr);
+
+/// Refuses a CRN pool or cursor with the one pool message
+/// (util::InvalidArgument) unless `accepted`: a run's world must be
+/// unit-plain, and a pool built for the run's (law, seed).
+void require_crn_pool(bool accepted);
 
 }  // namespace ayd::sim

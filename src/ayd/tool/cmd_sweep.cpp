@@ -91,6 +91,19 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
     throw util::CliError("--" + var + " is the swept variable (--var " + var +
                          "); its value comes from --from/--to");
   }
+  // An axis also replaces its part of --failure-dist at every point: the
+  // rate for lambda, the law for the shape axes (whose rate entries still
+  // apply).
+  const bool law_axis = var == "weibull-k" || var == "lognormal-sigma";
+  const ParsedFailureDist dist =
+      parse_failure_dist(parser.option("failure-dist"));
+  if ((var == "lambda" && dist.lambda_override.has_value()) ||
+      (law_axis && dist.spec.kind() != model::FailureDistKind::kExponential)) {
+    throw util::CliError("--var " + var + " sets the failure " +
+                         (law_axis ? "law" : "rate") +
+                         " at every point, so it cannot honour "
+                         "--failure-dist " + parser.option("failure-dist"));
+  }
   if (var == "procs" && parser.given("max-procs")) {
     throw util::CliError("--max-procs bounds the allocation search, which a "
                          "--var procs sweep does not run");
@@ -103,11 +116,9 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
   const bool ext_sweep = var == "shock-rho" || var == "shock-group" ||
                          var == "pfs-penalty";
   const bool log_spacing = !parser.flag("linear") && var != "downtime" &&
-                           var != "weibull-k" && var != "lognormal-sigma" &&
-                           !ext_sweep;
+                           !law_axis && !ext_sweep;
   const bool fixed_procs = var == "procs";
-  const bool shape_sweep = var == "weibull-k" || var == "lognormal-sigma" ||
-                           ext_sweep;
+  const bool shape_sweep = law_axis || ext_sweep;
   // The analytic columns assume exponential i.i.d. arrivals, so a shape
   // or correlated-world sweep without simulation would print rows
   // independent of the swept value.

@@ -1105,12 +1105,25 @@ TEST(ToolOptionAudit, EveryOptionChangesTheAnswerOrIsRefused) {
   const std::vector<std::string> simulated = with({"--simulate"}, small);
   const std::vector<std::string> lambda_axis = {"--var=lambda", "--from=1e-8",
                                                 "--to=1e-7"};
+  const std::vector<std::string> weibull_axis =
+      with({"--var=weibull-k", "--from=0.5", "--to=2"}, small);
+  const std::vector<std::string> sigma_axis =
+      with({"--var=lognormal-sigma", "--from=0.4", "--to=1.6"}, small);
   audit({"sweep", "--platform=coastal", "--scenario=3", "--var=procs",
          "--from=64", "--to=1024", "--points=2"},
         concat({system_rows(), analytic_rows(), simulation_rows(simulated),
                 {{"--lambda=1e-7", "--var", lambda_axis},
                  {"--failure-dist=exponential,mtbf=1e6"},
                  {"--failure-dist=weibull:k=0.5", "", simulated},
+                 {"--failure-dist=exponential,mtbf=1e6", "--var",
+                  lambda_axis},
+                 {"--failure-dist=exponential,lambda=1e-7", "--failure-dist",
+                  lambda_axis},
+                 {"--failure-dist=exponential,mtbf=1e6", "", weibull_axis},
+                 {"--failure-dist=lognormal:sigma=1.2", "--var",
+                  weibull_axis},
+                 {"--failure-dist=weibull:k=0.5", "--failure-dist",
+                  sigma_axis},
                  {"--var=downtime", "", {"--from=600", "--to=3600"}},
                  {"--from=128"}, {"--to=4096"}, {"--points=3"},
                  {"--linear", "", {"--points=3"}}, {"--simulate"},
