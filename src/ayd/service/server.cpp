@@ -220,6 +220,21 @@ void PlanningService::handle_async(std::string line,
   });
 }
 
+std::optional<std::string> PlanningService::handle_warm(
+    const std::string& line) {
+  try {
+    const Request req = parse_request(line);
+    // Only these ops ever enter the front memo.
+    if (req.op != "optimize" && req.op != "simulate" && req.op != "plan") {
+      return std::nullopt;
+    }
+    return warm_reply(req, argv_key(req.op, req.params));
+  } catch (const std::exception&) {
+    // Every failure is the full path's to report, as an envelope.
+    return std::nullopt;
+  }
+}
+
 bool PlanningService::serve(std::istream& in, std::ostream& out) {
   // One outstanding-request counter instead of a future per request: a
   // long-lived session may stream millions of lines, and accumulating
@@ -242,10 +257,25 @@ bool PlanningService::serve(std::istream& in, std::ostream& out) {
   // accepting input — with the client's read side gone, draining stdin
   // and discarding replies forever is indistinguishable from a hang.
   bool output_failed = false;
+  // Writes one reply; the caller holds `mutex`.
+  const auto write = [&out, &output_failed](const std::string& reply) {
+    if (output_failed) return;
+    out << reply << '\n' << std::flush;
+    // A closed pipe surfaces as a stream failure here (cmd_serve ignores
+    // SIGPIPE so the write errors instead of killing the process).
+    if (out.fail()) output_failed = true;
+  };
 
   std::string line;
   while (std::getline(in, line)) {
     if (util::trim(line).empty()) continue;
+    // A warm hit costs less than the hop to a worker: answer it here.
+    if (const std::optional<std::string> reply = handle_warm(line)) {
+      const std::lock_guard lock(mutex);
+      write(*reply);
+      if (output_failed) break;
+      continue;
+    }
     {
       std::unique_lock lock(mutex);
       cv.wait(lock, [&] {
@@ -254,17 +284,10 @@ bool PlanningService::serve(std::istream& in, std::ostream& out) {
       if (output_failed) break;
       ++outstanding;
     }
-    pool_.submit([this, line, &out, &mutex, &cv, &outstanding,
-                  &output_failed] {
+    pool_.submit([this, line, &write, &mutex, &cv, &outstanding] {
       const std::string reply = handle_line(line);
       const std::lock_guard lock(mutex);
-      if (!output_failed) {
-        out << reply << '\n' << std::flush;
-        // A closed pipe surfaces as a stream failure here (cmd_serve
-        // ignores SIGPIPE so the write errors instead of killing the
-        // process).
-        if (out.fail()) output_failed = true;
-      }
+      write(reply);
       --outstanding;
       cv.notify_all();
     });
@@ -296,8 +319,8 @@ std::string PlanningService::dispatch(const Request& req) {
   // Warm path: a request spelled like one already resolved goes straight
   // to the cache probe. Throws what the argv bridge below would throw.
   std::string front = argv_key(req.op, req.params);
-  if (const auto value = front_hit(front)) {
-    return make_ok_reply(req.id, req.op, *value);
+  if (std::optional<std::string> reply = warm_reply(req, front)) {
+    return std::move(*reply);
   }
 
   Resolved resolved = resolve(req);
@@ -307,18 +330,20 @@ std::string PlanningService::dispatch(const Request& req) {
   return make_ok_reply(req.id, req.op, *lookup.value);
 }
 
-std::shared_ptr<const std::string> PlanningService::front_hit(
-    const std::string& front) {
+std::optional<std::string> PlanningService::warm_reply(
+    const Request& req, const std::string& front) {
   std::shared_ptr<const CanonicalKey> key;
   {
     const std::lock_guard lock(front_mutex_);
     const auto it = front_.find(front);
-    if (it == front_.end()) return nullptr;
+    if (it == front_.end()) return std::nullopt;
     key = it->second;
   }
   // A stale entry (canonical entry evicted or in flight) probes null and
   // the caller takes the slow path, which re-resolves and re-remembers.
-  return cache_.find(*key);
+  const std::shared_ptr<const std::string> value = cache_.find(*key);
+  if (value == nullptr) return std::nullopt;
+  return make_ok_reply(req.id, req.op, *value);
 }
 
 void PlanningService::remember(std::string front, CanonicalKey key) {
@@ -361,6 +386,7 @@ std::string PlanningService::handle_stats(const Request& req) {
       w.key("transport");
       w.begin_object();
       w.kv("requests", t.requests);
+      w.kv("inline_hits", t.inline_hits);
       w.kv("reclaimed_clients", t.reclaimed_clients);
       w.kv("reclaimed_requests", t.reclaimed_requests);
       w.kv("dropped_replies", t.dropped_replies);

@@ -15,17 +15,21 @@
 // costs far more than the cache probe it ends in, so a front memo maps
 // argv_key(op, params) — the exact argv bytes the spec parser would see
 // — to the canonical key that request resolved to. A repeated request
-// then costs parse, memo lookup, MemoCache::find and reply; a front hit
-// counts as one cache hit, so the stats are unchanged. Only requests that
+// then costs parse, memo lookup, MemoCache::find and reply (about a
+// microsecond); a front hit counts as one cache hit, so the stats are
+// unchanged. That is less than handing the request to a worker, so both
+// transports run this probe (handle_warm) on the thread that read the
+// request and send only the rest to the pool. Only requests that
 // resolved successfully through a pure function of their argv enter the
 // memo: never errors, stats, subscribe or trace:PATH laws (the CSV is
 // re-read per request and its gaps are part of the key). The memo shares
 // the --cache-entries bound and starts over when full; a stale entry
 // (canonical entry evicted or in flight) falls through to the full path.
 //
-// Concurrency model: serve() fans request lines out over an owned
-// exec::ThreadPool and writes each reply as it completes, so replies can
-// arrive out of request order (the id correlates them). Each request's
+// Concurrency model: serve() answers warm hits on its reader thread and
+// fans every other request line out over an owned exec::ThreadPool,
+// writing each reply as it completes, so replies can arrive out of
+// request order (the id correlates them). Each request's
 // evaluation runs serially on its worker — request-level parallelism,
 // not replica-level: the other workers are busy with other requests (a
 // parallel_for nested on the same pool would run inline anyway).
@@ -40,6 +44,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -90,12 +95,24 @@ class PlanningService {
   /// failure becomes an error envelope.
   void handle_async(std::string line, std::function<void(std::string)> done);
 
+  /// The warm path on its own: the reply handle_line would give `line`
+  /// when it is an optimize, simulate or plan request spelled like one
+  /// already resolved and its answer is cached; nullopt for anything
+  /// else (a front miss, a stale entry, stats, subscribe, or a line that
+  /// does not parse). Never throws and never computes, so a transport
+  /// can run it on the thread that read the line and pass only the
+  /// nullopt cases to the pool. A hit counts one cache hit, as it does
+  /// through handle_line.
+  [[nodiscard]] std::optional<std::string> handle_warm(
+      const std::string& line);
+
   /// Worker threads of the owned pool (transports size their in-flight
   /// windows from this).
   [[nodiscard]] std::size_t workers() const { return pool_.size(); }
 
   /// The NDJSON loop: reads one request per line from `in` until EOF,
-  /// fans the requests out over the worker pool, and writes each reply
+  /// answers warm hits (handle_warm) on the reading thread, fans the
+  /// other requests out over the worker pool, and writes each reply
   /// to `out` (newline-terminated, flushed) as it completes — possibly
   /// out of request order. Blank lines are skipped; a final line
   /// without a trailing newline is processed like any other. Returns
@@ -128,10 +145,11 @@ class PlanningService {
   [[nodiscard]] std::string handle_stats(const Request& req);
   [[nodiscard]] std::string handle_subscribe(const Request& req);
 
-  /// The cached value of a request already resolved under the argv_key
-  /// `front`; null on a front miss or a stale entry.
-  [[nodiscard]] std::shared_ptr<const std::string> front_hit(
-      const std::string& front);
+  /// The one warm path (dispatch and handle_warm): the reply to `req`
+  /// when a request with the argv_key `front` resolved before and its
+  /// canonical entry is cached; nullopt on a front miss or a stale entry.
+  [[nodiscard]] std::optional<std::string> warm_reply(
+      const Request& req, const std::string& front);
   /// Records that `front` resolved to `key` (pure resolutions only).
   void remember(std::string front, CanonicalKey key);
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <mutex>
 #include <new>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -225,15 +226,20 @@ Mapping map_existing(const std::string& oname, const std::string& path) {
 
 }  // namespace
 
-void ShmBackoff::pause() {
+std::chrono::microseconds ShmBackoff::pause() {
   const unsigned index = pauses_;
   if (pauses_ != std::numeric_limits<unsigned>::max()) ++pauses_;
-  if (index < kSpinPauses) return;  // busy-spin: keep the warm path hot
+  if (index == 0) start_ = Clock::now();
+  if (index < kSpinPauses) return {};  // busy-spin: keep the warm path hot
   if (index < kYieldPauses) {
     std::this_thread::yield();
-    return;
+    return {};
   }
-  std::this_thread::sleep_for(sleep_for_pause(index));
+  const auto sleep = sleep_for_pause(
+      index, std::chrono::duration_cast<std::chrono::microseconds>(
+                 Clock::now() - start_));
+  std::this_thread::sleep_for(sleep);
+  return sleep;
 }
 
 std::string ShmServer::segment_path(const std::string& name) {
@@ -255,6 +261,7 @@ struct ShmServer::Impl {
   };
 
   std::string oname;  ///< POSIX object name ("/ayd_<name>")
+  std::uint32_t pid = 0;  ///< this process, the claimant of reply pushes
   std::string path;   ///< diagnostic path (/dev/shm/ayd_<name>)
   ShmOptions options;
   Mapping map;
@@ -268,6 +275,7 @@ struct ShmServer::Impl {
 
   // stats
   std::atomic<std::uint64_t> requests{0};
+  std::atomic<std::uint64_t> inline_hits{0};
   std::atomic<std::uint64_t> reclaimed_clients{0};
   std::atomic<std::uint64_t> reclaimed_requests{0};
   std::atomic<std::uint64_t> dropped_replies{0};
@@ -368,8 +376,8 @@ ShmServer::ShmServer(const std::string& name, PlanningService& service,
 
   // Publishing the pid is the "segment is ready" signal clients wait
   // for; everything above must be visible first.
-  h->server_pid.store(static_cast<std::uint32_t>(::getpid()),
-                      std::memory_order_release);
+  impl_->pid = static_cast<std::uint32_t>(::getpid());
+  h->server_pid.store(impl_->pid, std::memory_order_release);
 
   thread_ = std::thread([this] { transport_loop(); });
   service_.attach_transport(this);
@@ -395,6 +403,7 @@ ShmServerStats ShmServer::stats() const {
   ShmServerStats s;
   s.recovered_stale = impl_->recovered_stale;
   s.requests = impl_->requests.load(std::memory_order_relaxed);
+  s.inline_hits = impl_->inline_hits.load(std::memory_order_relaxed);
   s.reclaimed_clients =
       impl_->reclaimed_clients.load(std::memory_order_relaxed);
   s.reclaimed_requests =
@@ -443,20 +452,39 @@ void ShmServer::dispatch(std::string frame) {
   if (prefix.client >= impl_->clients.size()) return;
   std::string line = frame.substr(sizeof(prefix));
   impl_->requests.fetch_add(1, std::memory_order_relaxed);
+  const std::uint32_t client = prefix.client;
+  const std::uint32_t generation = prefix.generation;
+  // A warm hit costs less than the hop to a worker: answer it here.
+  if (std::optional<std::string> reply = service_.handle_warm(line)) {
+    impl_->inline_hits.fetch_add(1, std::memory_order_relaxed);
+    if (deliver(client, generation, *reply, /*wait=*/false)) return;
+    // The client's reply ring is full: its blocking retry runs on a
+    // worker, so this thread keeps serving the other clients.
+    impl_->inflight.fetch_add(1, std::memory_order_acq_rel);
+    (void)service_.pool_.submit(
+        [this, client, generation, reply = std::move(*reply)] {
+          deliver(client, generation, reply, /*wait=*/true);
+          impl_->inflight.fetch_sub(1, std::memory_order_acq_rel);
+        });
+    return;
+  }
   impl_->inflight.fetch_add(1, std::memory_order_acq_rel);
   service_.handle_async(
-      std::move(line),
-      [this, client = prefix.client,
-       generation = prefix.generation](std::string reply) {
-        deliver(client, generation, reply);
+      std::move(line), [this, client, generation](std::string reply) {
+        deliver(client, generation, reply, /*wait=*/true);
         impl_->inflight.fetch_sub(1, std::memory_order_acq_rel);
       });
 }
 
-void ShmServer::deliver(std::uint32_t client, std::uint32_t generation,
-                        const std::string& reply) {
+bool ShmServer::deliver(std::uint32_t client, std::uint32_t generation,
+                        const std::string& reply, bool wait) {
   Impl::ClientView& view = *impl_->clients[client];
-  const std::lock_guard lock(view.deliver_mutex);
+  std::unique_lock lock(view.deliver_mutex, std::defer_lock);
+  if (wait) {
+    lock.lock();
+  } else if (!lock.try_lock()) {
+    return false;
+  }
   const auto stale = [&] {
     return view.slot->pid.load(std::memory_order_acquire) == 0 ||
            view.slot->generation.load(std::memory_order_acquire) !=
@@ -464,7 +492,7 @@ void ShmServer::deliver(std::uint32_t client, std::uint32_t generation,
   };
   if (stale()) {
     impl_->dropped_replies.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return true;
   }
   const std::string* payload = &reply;
   std::string fallback;
@@ -472,21 +500,23 @@ void ShmServer::deliver(std::uint32_t client, std::uint32_t generation,
     fallback = oversize_reply_envelope(reply, impl_->options.frame_bytes);
     payload = &fallback;
   }
+  if (view.reply_ring.try_push({}, *payload, impl_->pid)) return true;
+  if (!wait) return false;
+  // A full reply ring means the client stopped draining; give it the
+  // deadline, but bail immediately if it died or detached (its slot
+  // cannot be reclaimed while we hold the deliver mutex).
   const auto deadline = Clock::now() + kReplyPushDeadline;
-  const auto pid = static_cast<std::uint32_t>(::getpid());
   ShmBackoff backoff;
-  while (!view.reply_ring.try_push({}, *payload, pid)) {
-    // A full reply ring means the client stopped draining; give it the
-    // deadline, but bail immediately if it died or detached (its slot
-    // cannot be reclaimed while we hold the deliver mutex).
+  do {
     if (stale() ||
         !pid_alive(view.slot->pid.load(std::memory_order_acquire)) ||
         Clock::now() > deadline) {
       impl_->dropped_replies.fetch_add(1, std::memory_order_relaxed);
-      return;
+      return true;
     }
     backoff.pause();
-  }
+  } while (!view.reply_ring.try_push({}, *payload, impl_->pid));
+  return true;
 }
 
 void ShmServer::reap_dead_clients() {

@@ -27,7 +27,8 @@
 //              and bump its generation;
 //  * call    — push {client, generation, request line} into the request
 //              ring, then poll the private reply ring (spin -> yield ->
-//              microsleep; zero syscalls while the answer is hot);
+//              sleeps of at most 1/8 of the wait so far; zero syscalls
+//              while the answer is hot);
 //  * detach  — store pid = 0 (only with no outstanding call, which the
 //              blocking API guarantees);
 //  * death   — the server's housekeeping notices the pid is gone,
@@ -43,9 +44,16 @@
 //              format version or one still served by a live pid;
 //              recovers a *stale* segment (compatible header, dead
 //              server) by unlinking and recreating it;
-//  * serve   — one transport thread pops requests and fans them out
-//              over the PlanningService's worker pool (handle_async);
-//              replies are pushed straight from the workers;
+//  * serve   — one transport thread pops requests. A warm hit
+//              (PlanningService::handle_warm, about a microsecond) is
+//              answered on that thread, which pushes the reply itself;
+//              every other request fans out over the service's worker
+//              pool (handle_async), whose workers push their replies.
+//              The transport thread never blocks on a client: an inline
+//              reply gets one push attempt, and when the client's reply
+//              ring is full (the client stopped draining) the blocking
+//              retry moves to a worker, so one stuck client cannot
+//              stall the others' warm hits;
 //  * stop    — drains in-flight requests, raises the header's shutdown
 //              flag (clients blocked in call() observe it through
 //              their mapping and fail fast), unmaps, and unlinks.
@@ -102,45 +110,54 @@ struct ShmOptions {
 };
 
 /// Escalating wait used by every transport polling loop: spin (hot,
-/// ~ns), then yield, then a capped exponential microsleep — so warm
-/// round trips cost zero syscalls while an *idle* wait (a client parked
-/// on its reply ring between requests) backs off to the sleep cap
-/// instead of burning a core. Exposed here so the schedule is
-/// unit-testable (tests/service_shm_transport_test.cpp pins it).
+/// ~ns), then yield, then sleeps of 1/8 of the time waited so far,
+/// between kSleepFloor and kSleepCap. Warm round trips cost zero
+/// syscalls; a wait on a cold compute (~0.6 ms) mostly ends in the yield
+/// phase, and a longer one oversleeps its reply by at most about an
+/// eighth; an *idle* wait (a client parked on its reply ring between requests)
+/// still reaches the 2 ms cap instead of burning a core. Exposed here so
+/// the schedule is unit-testable (tests/service_shm_transport_test.cpp
+/// pins it).
 class ShmBackoff {
  public:
-  static constexpr unsigned kSpinPauses = 64;    ///< hot busy-spin phase
-  static constexpr unsigned kYieldPauses = 512;  ///< sched_yield phase
-  /// First sleep after the yield phase (doubles each pause).
+  static constexpr unsigned kSpinPauses = 64;     ///< hot busy-spin phase
+  static constexpr unsigned kYieldPauses = 4096;  ///< sched_yield phase
+  /// Each sleep is at most 1/kWaitShare of the time waited so far.
+  static constexpr unsigned kWaitShare = 8;
+  /// Shortest sleep after the yield phase.
   static constexpr std::chrono::microseconds kSleepFloor{50};
-  /// Exponential cap: the idle steady-state poll interval.
+  /// Longest sleep: the idle steady-state poll interval.
   static constexpr std::chrono::microseconds kSleepCap{2000};
 
   /// The sleep the schedule prescribes for the pause with index
-  /// `pauses` (0-based count of pauses since the last reset): zero
-  /// through the spin/yield phases, then kSleepFloor doubling per pause
-  /// up to kSleepCap. Pure — the unit tests enumerate it.
+  /// `pauses` (0-based count of pauses since the last reset) when the
+  /// wait began `waited` ago: zero through the spin/yield phases, then
+  /// waited / kWaitShare clamped to [kSleepFloor, kSleepCap]. Pure — the
+  /// unit tests enumerate it.
   [[nodiscard]] static constexpr std::chrono::microseconds sleep_for_pause(
-      unsigned pauses) {
+      unsigned pauses, std::chrono::microseconds waited) {
     if (pauses < kYieldPauses) return std::chrono::microseconds{0};
-    std::chrono::microseconds sleep = kSleepFloor;
-    for (unsigned p = kYieldPauses; p < pauses && sleep < kSleepCap; ++p) {
-      sleep *= 2;
-    }
-    return sleep < kSleepCap ? sleep : kSleepCap;
+    const std::chrono::microseconds share = waited / kWaitShare;
+    if (share < kSleepFloor) return kSleepFloor;
+    return share < kSleepCap ? share : kSleepCap;
   }
 
-  void pause();
+  /// Waits once; returns the sleep it took (zero while spinning or
+  /// yielding).
+  std::chrono::microseconds pause();
   void reset() { pauses_ = 0; }
 
  private:
   unsigned pauses_ = 0;
+  std::chrono::steady_clock::time_point start_{};  ///< the first pause
 };
 
 /// Transport counters (served by ShmServer::stats for tests/benches).
 struct ShmServerStats {
   bool recovered_stale = false;  ///< a dead server's segment was replaced
   std::uint64_t requests = 0;    ///< frames popped from the request ring
+  /// Warm hits answered on the transport thread, without a worker.
+  std::uint64_t inline_hits = 0;
   std::uint64_t reclaimed_clients = 0;   ///< dead clients reaped
   std::uint64_t reclaimed_requests = 0;  ///< torn pushes tombstoned
   std::uint64_t dropped_replies = 0;     ///< replies to dead/stale clients
@@ -179,8 +196,14 @@ class ShmServer {
 
   void transport_loop();
   void dispatch(std::string frame);
-  void deliver(std::uint32_t client, std::uint32_t generation,
-               const std::string& reply);
+  /// Pushes `reply` into the client's reply ring, or drops it when the
+  /// client is gone. With `wait` it retries a full ring until the client
+  /// drains it, dies, or kReplyPushDeadline passes. Without, it makes one
+  /// attempt and returns false, having done nothing, when the ring is
+  /// full or a worker is delivering to the same client. True once the
+  /// reply is delivered or dropped.
+  bool deliver(std::uint32_t client, std::uint32_t generation,
+               const std::string& reply, bool wait);
   void reap_dead_clients();
   void reclaim_torn_request();
 

@@ -12,6 +12,9 @@ namespace ayd::tool {
 
 namespace {
 
+/// The --max-procs default, "1e7".
+constexpr double kDefaultMaxProcs = 1e7;
+
 /// The shared shape of the "simulated" JSON object for both search modes.
 void write_sim_json(io::JsonWriter& w, double period, double procs,
                     const stats::Summary& overhead, std::uint64_t total,
@@ -42,7 +45,8 @@ void add_optimize_options(cli::ArgParser& parser) {
                     "fix the processor count and optimise the period only "
                     "(Theorem 1 mode)");
   parser.add_option("max-procs", "1e7",
-                    "upper edge of the numerical allocation search");
+                    "upper edge of the numerical allocation search "
+                    "(refused with --procs)");
   add_simulation_options(parser);
   parser.add_flag("simulate",
                   "also search for the simulation-true optimum under the "
@@ -62,6 +66,11 @@ OptimizeRequest optimize_request_from_args(const cli::ArgParser& parser) {
     req.procs = procs_from_args(parser, "procs");
   }
   req.max_procs = procs_from_args(parser, "max-procs");
+  // The explicit default stays a spelling of the same question.
+  if (req.procs.has_value() && req.max_procs != kDefaultMaxProcs) {
+    throw util::CliError("--max-procs bounds the allocation search, which "
+                         "--procs replaces with a fixed processor count");
+  }
   req.simulate = parser.flag("simulate");
   refuse_unless_simulating(
       parser, req.simulate,

@@ -136,6 +136,27 @@ TEST(ServiceProtocol, InvalidProcsIsABadRequestNamingTheOption) {
   }
 }
 
+TEST(ServiceProtocol, MaxProcsBesideProcsIsABadRequestNamingProcs) {
+  // A fixed allocation runs no allocation search, so a search edge beside
+  // it would be silently ignored. The explicit default is still accepted:
+  // it asks the same question as no --max-procs at all.
+  PlanningService service({/*threads=*/1});
+  for (const char* line :
+       {R"({"op":"optimize","id":1,"procs":512,"max-procs":64})",
+        R"({"op":"optimize","id":1,"procs":512,"max_procs":2e7,)"
+        R"("simulate":true,"failure-dist":"weibull:k=0.7"})"}) {
+    const io::JsonValue v = io::parse_json(service.handle_line(line));
+    EXPECT_EQ(v.at("error").at("code").as_string(), "bad_request") << line;
+    const std::string message = v.at("error").at("message").as_string();
+    EXPECT_NE(message.find("--procs"), std::string::npos) << message;
+    EXPECT_NE(message.find("--max-procs"), std::string::npos) << message;
+  }
+  const io::JsonValue ok = io::parse_json(service.handle_line(
+      R"({"op":"optimize","id":2,"procs":512,"max-procs":10000000})"));
+  EXPECT_TRUE(ok.at("ok").as_bool());
+  EXPECT_EQ(service.cache_stats().misses, 1u);
+}
+
 TEST(ServiceProtocol, BadReplicationAndPeriodAreBadRequestsNamingTheOption) {
   // Each is refused naming the option, not by a library precondition
   // whose message quotes a source path.
@@ -364,6 +385,56 @@ TEST(ServiceProtocol, ServeAnswersEveryRequestOutOfOrderSafe) {
   }
   EXPECT_EQ(ids, (std::set<std::int64_t>{1, 2, 3, 4, 5, 6}));
   EXPECT_EQ(errors, 1);
+}
+
+TEST(ServiceProtocol, RepeatedPipeSessionGivesTheSameRepliesAndCounts) {
+  // The second session's planning requests are warm hits, answered on
+  // serve()'s reading thread: byte-identical to the first session's
+  // replies (and to a fresh service's), and counted once each in "hits",
+  // as a worker's front hit would be.
+  const std::vector<std::string> session = {
+      R"({"op":"plan","id":1,"platform":"hera","scenario":3,"work":1e6})",
+      R"({"op":"optimize","id":"two","platform":"atlas","scenario":2})",
+      R"({"op":"simulate","id":3,"procs":512,"period":6000,"runs":6,)"
+      R"("patterns":10})",
+      R"({"op":"plan","id":4,"work":-1})",
+      "garbage line",
+  };
+  std::string text;
+  for (const std::string& line : session) text += line + "\n";
+  // The reference: the same two sessions through handle_line.
+  PlanningService fresh({/*threads=*/1});
+  std::vector<std::string> expected;
+  for (const std::string& line : session) {
+    expected.push_back(fresh.handle_line(line));
+  }
+  std::sort(expected.begin(), expected.end());
+  const CacheStats fresh_first = fresh.cache_stats();
+  for (const std::string& line : session) (void)fresh.handle_line(line);
+  const CacheStats fresh_second = fresh.cache_stats();
+
+  PlanningService service({/*threads=*/2});
+  const auto run = [&service, &text] {
+    std::istringstream in(text);
+    std::ostringstream out;
+    EXPECT_TRUE(service.serve(in, out));
+    std::vector<std::string> replies;
+    std::istringstream lines(out.str());
+    for (std::string line; std::getline(lines, line);) {
+      replies.push_back(line);
+    }
+    std::sort(replies.begin(), replies.end());
+    return replies;
+  };
+  EXPECT_EQ(run(), expected);
+  const CacheStats first = service.cache_stats();
+  EXPECT_EQ(run(), expected);
+  const CacheStats second = service.cache_stats();
+  EXPECT_EQ(first.hits, fresh_first.hits);
+  EXPECT_EQ(first.misses, fresh_first.misses);
+  EXPECT_EQ(second.hits, fresh_second.hits);
+  EXPECT_EQ(second.misses, fresh_second.misses);
+  EXPECT_EQ(second.hits, 3u);
 }
 
 TEST(ServiceProtocol, ServeProcessesFinalUnterminatedLine) {

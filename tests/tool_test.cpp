@@ -1090,7 +1090,9 @@ TEST(ToolOptionAudit, EveryOptionChangesTheAnswerOrIsRefused) {
         concat({system_rows(), analytic_rows(), simulation_rows(search),
                 {{"--failure-dist=exponential,mtbf=1e6"},
                  {"--failure-dist=lognormal:sigma=1.2", "", search},
-                 {"--procs=256"}, {"--max-procs=64"}, {"--simulate"},
+                 {"--procs=256"}, {"--max-procs=64"},
+                 {"--max-procs=64", "--procs", {"--procs=256"}},
+                 {"--max-procs=64", "--procs", search}, {"--simulate"},
                  {"--json"}, {"--runs=9", "--simulate"},
                  {"--ci-rel-tol=0.2", "", search},
                  {"--max-reps=64", "", search}}}));
