@@ -7,8 +7,8 @@
 // a platform-wide shock stream of rate rho·f·lambda/g: the per-node
 // marginal is unchanged, but the *interruption* rate the application
 // sees drops to (1-rho)·f·lambda·P + rho·f·lambda/g, so the true optimal
-// period lengthens and the i.i.d. plan checkpoints too often. A two-tier
-// cost spec (--pfs-penalty rows) additionally prices shock-triggered
+// period lengthens and the i.i.d. plan checkpoints too often. A shock's
+// PFS penalty (the phi > 1 row) additionally prices shock-triggered
 // rollbacks at the parallel-file-system rate, pushing the optimum back
 // down. Each row pits the simulation-true optimum of one correlated
 // configuration against the i.i.d. simulation-true optimum of the same
@@ -117,11 +117,8 @@ int main(int argc, char** argv) {
 
         std::vector<engine::Record> records;
         for (const WorldConfig& cfg : configs) {
-          model::System sys = base.with_shock({cfg.rho, cfg.group});
-          if (cfg.pfs_penalty > 1.0) {
-            sys = sys.with_two_tier(model::TwoTierCostSpec::from_penalty(
-                sys.costs(), cfg.pfs_penalty));
-          }
+          const model::System sys =
+              base.with_shock({cfg.rho, cfg.group, {}, cfg.pfs_penalty});
           const engine::PointEval ev =
               engine::evaluate_point(sys, spec, procs, pool.get());
           const core::SimPeriodOptimum& opt = *ev.sim_period;

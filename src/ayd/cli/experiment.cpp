@@ -31,11 +31,6 @@ ExperimentContext read_experiment_context(const ArgParser& parser) {
     ctx.patterns = 60;
   }
 
-  const std::string env_runs = env_or("AYD_RUNS", "");
-  if (!env_runs.empty()) ctx.runs = std::stoul(env_runs);
-  const std::string env_patterns = env_or("AYD_PATTERNS", "");
-  if (!env_patterns.empty()) ctx.patterns = std::stoul(env_patterns);
-
   if (!parser.option("runs").empty()) {
     ctx.runs = static_cast<std::size_t>(parser.option_uint("runs"));
   }

@@ -40,8 +40,8 @@ struct ExperimentContext {
 /// Declares the standard options on a parser.
 void add_experiment_options(ArgParser& parser);
 
-/// Reads the standard options (after parse()), applying the AYD_SCALE /
-/// AYD_RUNS / AYD_PATTERNS environment overrides:
+/// Reads the standard options (after parse()) over the AYD_SCALE
+/// environment default:
 ///   AYD_SCALE=paper  -> 500 runs x 500 patterns (the paper's scale)
 ///   AYD_SCALE=quick  -> 40 runs x 60 patterns (CI smoke scale)
 [[nodiscard]] ExperimentContext read_experiment_context(

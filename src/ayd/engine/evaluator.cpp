@@ -24,13 +24,14 @@ model::System apply_axes(const model::System& base, const Point& pt) {
     }
     // Other axes ("procs", bench-specific knobs) are not system fields.
   }
-  // The correlated-world axes come last, so the two-tier spec refines the
-  // point's final cost model. shock_rho and shock_group are one axis
-  // pair: the group fraction only means something once a correlation is
-  // set, so it rides along with whatever rho the point carries (or the
-  // base system's, when sweeping the group fraction alone against a
-  // --shock'd base).
-  if (pt.has_var("shock_rho") || pt.has_var("shock_group")) {
+  // The shock axes come last, so the PFS penalty prices the point's final
+  // cost model. shock_rho, shock_group and pfs_penalty are one axis
+  // group: each sets its field of the base system's shock spec (or
+  // ShockSpec's default), so a group fraction or a penalty rides along
+  // with whatever rho the point carries, and a point without a shock
+  // drops them with the shock.
+  if (pt.has_var("shock_rho") || pt.has_var("shock_group") ||
+      pt.has_var("pfs_penalty")) {
     model::ShockSpec shock;
     const auto* ext = sys.extension();
     if (ext != nullptr && ext->shock.has_value()) shock = *ext->shock;
@@ -38,11 +39,8 @@ model::System apply_axes(const model::System& base, const Point& pt) {
     if (pt.has_var("shock_group")) {
       shock.group_fraction = pt.var("shock_group");
     }
+    if (pt.has_var("pfs_penalty")) shock.pfs_penalty = pt.var("pfs_penalty");
     sys = sys.with_shock(shock);
-  }
-  if (pt.has_var("pfs_penalty")) {
-    sys = sys.with_two_tier(model::TwoTierCostSpec::from_penalty(
-        sys.costs(), pt.var("pfs_penalty")));
   }
   return sys;
 }

@@ -34,11 +34,10 @@ namespace ayd::engine {
 /// Applies a point's named axes to `base`: "lambda" -> with_lambda,
 /// "alpha" -> with_speedup(Amdahl), "downtime" -> with_downtime,
 /// "weibull_k" / "lognormal_sigma" -> with_failure_dist, then the
-/// correlated-world axes (model/correlated.hpp): "shock_rho" /
-/// "shock_group" -> with_shock (group defaults to the base system's shock
-/// spec, or ShockSpec's default, when only one of the pair is present)
-/// and "pfs_penalty" -> with_two_tier(from_penalty), last so the two-tier
-/// spec refines the point's final cost model. The "procs" axis is
+/// shock axes (model/correlated.hpp): "shock_rho", "shock_group" and
+/// "pfs_penalty" -> with_shock, each setting its field of the base
+/// system's shock spec (or ShockSpec's default), so a point whose rho is
+/// 0 has neither shock nor PFS penalty. The "procs" axis is
 /// allocation-level, not system-level, and is ignored here (read it with
 /// point.var("procs")).
 [[nodiscard]] model::System apply_axes(const model::System& base,

@@ -8,10 +8,8 @@
 
 namespace ayd::io {
 
-Table::Table(std::vector<std::string> headers, Style style)
-    : headers_(std::move(headers)),
-      aligns_(headers_.size(), Align::kRight),
-      style_(style) {
+Table::Table(std::vector<std::string> headers)
+    : headers_(std::move(headers)), aligns_(headers_.size(), Align::kRight) {
   AYD_REQUIRE(!headers_.empty(), "table needs at least one column");
 }
 
@@ -43,40 +41,21 @@ std::string Table::to_string() const {
   };
 
   std::ostringstream os;
-  const char* sep = style_ == Style::kMarkdown ? " | " : "  ";
-  const char* edge = style_ == Style::kMarkdown ? "| " : "";
-  const char* edge_end = style_ == Style::kMarkdown ? " |" : "";
-
-  os << edge;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    if (c) os << sep;
-    os << render_cell(headers_[c], c);
-  }
-  os << edge_end << "\n";
-
-  if (style_ == Style::kMarkdown) {
-    os << "|";
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-      os << std::string(widths[c] + 1, '-')
-         << (aligns_[c] == Align::kRight ? ":" : "-") << "|";
+  const auto render_row = [&](const std::vector<std::string>& cells) {
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      if (c) os << "  ";
+      os << render_cell(cells[c], c);
     }
     os << "\n";
-  } else {
-    std::size_t total = 0;
-    for (std::size_t c = 0; c < widths.size(); ++c) {
-      total += widths[c] + (c ? 2 : 0);
-    }
-    os << std::string(total, '-') << "\n";
-  }
+  };
 
-  for (const auto& row : rows_) {
-    os << edge;
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << sep;
-      os << render_cell(row[c], c);
-    }
-    os << edge_end << "\n";
+  render_row(headers_);
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < widths.size(); ++c) {
+    total += widths[c] + (c ? 2 : 0);
   }
+  os << std::string(total, '-') << "\n";
+  for (const auto& row : rows_) render_row(row);
   return os.str();
 }
 

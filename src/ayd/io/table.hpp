@@ -16,12 +16,9 @@ enum class Align { kLeft, kRight };
 
 class Table {
  public:
-  enum class Style { kAscii, kMarkdown };
-
   /// Creates a table with the given column headers (all right-aligned by
   /// default; numbers dominate our outputs).
-  explicit Table(std::vector<std::string> headers,
-                 Style style = Style::kAscii);
+  explicit Table(std::vector<std::string> headers);
 
   /// Sets the alignment of one column.
   void set_align(std::size_t column, Align align);
@@ -39,7 +36,6 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<Align> aligns_;
   std::vector<std::vector<std::string>> rows_;
-  Style style_;
 };
 
 }  // namespace ayd::io

@@ -33,24 +33,6 @@ double parse_double_field(const std::string& what, const std::string& text,
   return *v;
 }
 
-bool cost_equal(const CostModel& a, const CostModel& b) {
-  // CostModel intentionally has no operator== (it is an evaluable, not a
-  // value key); tier folding needs exact coefficient identity.
-  return a.constant_coeff() == b.constant_coeff() &&
-         a.inverse_coeff() == b.inverse_coeff() &&
-         a.linear_coeff() == b.linear_coeff();
-}
-
-void write_cost_array(io::JsonWriter& w, std::string_view key,
-                      const CostModel& cost) {
-  w.key(key);
-  w.begin_array();
-  w.value(cost.constant_coeff());
-  w.value(cost.inverse_coeff());
-  w.value(cost.linear_coeff());
-  w.end_array();
-}
-
 }  // namespace
 
 // --- ShockSpec -----------------------------------------------------------
@@ -59,6 +41,12 @@ double ShockSpec::shock_rate(double lambda_ind,
                              double fail_stop_fraction) const {
   if (!active()) return 0.0;
   return correlation * fail_stop_fraction * lambda_ind / group_fraction;
+}
+
+CostModel ShockSpec::pfs_recovery(const CostModel& recovery) const {
+  return CostModel(recovery.constant_coeff() * pfs_penalty,
+                   recovery.inverse_coeff() * pfs_penalty,
+                   recovery.linear_coeff() * pfs_penalty);
 }
 
 std::string ShockSpec::to_string() const {
@@ -112,12 +100,14 @@ void ShockSpec::write_json(io::JsonWriter& w) const {
   w.kv("group_fraction", group_fraction);
   w.key("dist");
   dist.write_json(w);
+  if (pfs_penalty != 1.0) w.kv("pfs_penalty", pfs_penalty);
   w.end_object();
 }
 
 bool operator==(const ShockSpec& a, const ShockSpec& b) {
   return a.correlation == b.correlation &&
-         a.group_fraction == b.group_fraction && a.dist == b.dist;
+         a.group_fraction == b.group_fraction && a.dist == b.dist &&
+         a.pfs_penalty == b.pfs_penalty;
 }
 
 // --- HeterogeneousSpec ---------------------------------------------------
@@ -224,30 +214,6 @@ bool operator==(const HeterogeneousSpec& a, const HeterogeneousSpec& b) {
   return a.groups == b.groups;
 }
 
-// --- TwoTierCostSpec -----------------------------------------------------
-
-bool TwoTierCostSpec::distinct(const CostModel& recovery) const {
-  return !cost_equal(recovery, pfs_recovery);
-}
-
-TwoTierCostSpec TwoTierCostSpec::from_penalty(const ResilienceCosts& base,
-                                              double pfs_penalty) {
-  AYD_REQUIRE(std::isfinite(pfs_penalty) && pfs_penalty >= 1.0,
-              "PFS recovery penalty must be finite and >= 1");
-  TwoTierCostSpec spec;
-  spec.pfs_recovery =
-      CostModel(base.recovery.constant_coeff() * pfs_penalty,
-                base.recovery.inverse_coeff() * pfs_penalty,
-                base.recovery.linear_coeff() * pfs_penalty);
-  return spec;
-}
-
-void TwoTierCostSpec::write_json(io::JsonWriter& w) const {
-  w.begin_object();
-  write_cost_array(w, "pfs_recovery", pfs_recovery);
-  w.end_object();
-}
-
 // --- CorrelatedSpec ------------------------------------------------------
 
 void CorrelatedSpec::write_json(io::JsonWriter& w) const {
@@ -259,10 +225,6 @@ void CorrelatedSpec::write_json(io::JsonWriter& w) const {
   if (heterogeneity.has_value()) {
     w.key("heterogeneity");
     heterogeneity->write_json(w);
-  }
-  if (two_tier.has_value()) {
-    w.key("two_tier");
-    two_tier->write_json(w);
   }
   w.end_object();
 }

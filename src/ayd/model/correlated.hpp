@@ -1,8 +1,8 @@
-// Correlated and multi-level failure worlds (ROADMAP item 5).
+// Correlated failure worlds (ROADMAP item 5).
 //
 // The paper's model — and everything in ayd::core — assumes fail-stop
 // errors form one i.i.d. renewal stream on a single storage level. Field
-// studies disagree on three axes, each captured here as an optional
+// studies disagree on two axes, each captured here as an optional
 // extension of the System:
 //
 //  * ShockSpec — spatially correlated node-group failures as a
@@ -18,6 +18,14 @@
 //    the whole coordinated application, correlation *lowers* the
 //    interruption rate — failures arrive in bundles — which is exactly
 //    the optimum drift bench/fig10_correlated measures.
+//    A shock also wipes the victims' burst buffers, so its rollback
+//    restores from the parallel file system (PFS) at φ times the
+//    System's recovery cost R, coefficient-wise (the PFS penalty,
+//    φ >= 1). Every checkpoint writes both tiers at C, and individual
+//    failures and silent detections still recover from the burst buffer
+//    at R. The PFS path is a second recovery path for the same
+//    checkpoint, not a second checkpoint in time (that is
+//    core::TwoLevelSystem), and only a shock takes it.
 //  * HeterogeneousSpec — per-component failure laws: the platform is
 //    partitioned into groups, each a share of the nodes with its own
 //    FailureDistSpec and a rate scale. Shares and the share-weighted
@@ -27,22 +35,15 @@
 //    *distinct* (dist, scale) class — so a spec whose components all
 //    share one law is, by definition and bit-for-bit, the homogeneous
 //    platform (see normalized()).
-//  * TwoTierCostSpec — two-tier checkpointing (burst buffer + PFS):
-//    every checkpoint writes both tiers at the System's checkpoint cost
-//    C; individual failures and silent detections recover from the
-//    local burst buffer at the System's recovery cost R, while a shock
-//    also wipes the victims' burst buffers and forces the slower PFS
-//    recovery path, the spec's one field. A PFS path equal to R folds
-//    into the plain single-tier cost model.
 //
-// Degeneracy by normalization: System's with_shock / with_heterogeneity /
-// with_two_tier modifiers normalize at construction — ρ = 0 drops the
-// shock, identical component classes collapse, equal recovery tiers fold
-// into ResilienceCosts — so a degenerate extended system IS the plain
-// system (same type, same simulator path, same canonical key, bitwise
-// identical results; tests/property_test.cpp pins this). Only genuinely
-// extended systems route to the segmented simulators
-// (sim/segmented.hpp), whose samplers the statistical tier validates
+// Degeneracy by normalization: System's with_shock / with_heterogeneity
+// modifiers normalize at construction — ρ = 0 drops the shock and its
+// PFS penalty, φ·R equal to R folds φ to 1, identical component classes
+// collapse — so a degenerate extended system IS the plain system (same
+// type, same simulator path, same canonical key, bitwise identical
+// results; tests/property_test.cpp pins this). Only genuinely extended
+// systems route to the segmented simulators (sim/segmented.hpp), whose
+// samplers the statistical tier validates
 // (tests/model_correlated_test.cpp).
 
 #pragma once
@@ -72,6 +73,9 @@ struct ShockSpec {
   /// Inter-shock law (exponential by default; Weibull k < 1 models
   /// cascading aftershock bursts).
   FailureDistSpec dist{};
+  /// φ >= 1: a shock rollback restores from the PFS at φ times the
+  /// System's recovery cost (1 = the burst-buffer cost, one tier).
+  double pfs_penalty = 1.0;
 
   /// True when the shock process carries any intensity.
   [[nodiscard]] bool active() const { return correlation > 0.0; }
@@ -82,7 +86,11 @@ struct ShockSpec {
   [[nodiscard]] double shock_rate(double lambda_ind,
                                   double fail_stop_fraction) const;
 
+  /// The PFS recovery cost φ·R for the burst-buffer recovery R.
+  [[nodiscard]] CostModel pfs_recovery(const CostModel& recovery) const;
+
   /// "rho=0.3,group=0.05" (",dist=weibull:k=0.7" when non-exponential).
+  /// The PFS penalty is not part of this syntax (--pfs-penalty sets it).
   [[nodiscard]] std::string to_string() const;
   /// Parses the to_string() syntax. Throws util::InvalidArgument.
   [[nodiscard]] static ShockSpec parse(const std::string& text);
@@ -126,37 +134,16 @@ struct HeterogeneousSpec {
                          const HeterogeneousSpec& b);
 };
 
-/// Two-tier recovery cost (see file header). Writes and the burst-buffer
-/// recovery are the System's costs(); the spec holds only the PFS path.
-struct TwoTierCostSpec {
-  CostModel pfs_recovery = CostModel::zero();  ///< shock recovery path
-
-  /// True when the PFS path differs (coefficient-wise) from the
-  /// burst-buffer `recovery`; an equal path folds into the plain
-  /// single-tier model.
-  [[nodiscard]] bool distinct(const CostModel& recovery) const;
-
-  /// The PFS recovery `pfs_penalty` (>= 1) times slower than the measured
-  /// single-tier recovery, coefficient-wise. pfs_penalty == 1 folds back
-  /// into the plain model bit-for-bit.
-  [[nodiscard]] static TwoTierCostSpec from_penalty(
-      const ResilienceCosts& base, double pfs_penalty);
-
-  void write_json(io::JsonWriter& w) const;
-};
-
 /// The bundle of active extensions a System carries (model/system.hpp).
 /// Systems hold this normalized: every present member is genuinely
-/// active (ShockSpec::active(), non-degenerate groups, a PFS recovery
-/// TwoTierCostSpec::distinct() from the System's recovery).
+/// active (ShockSpec::active() with a folded PFS penalty, non-degenerate
+/// groups).
 struct CorrelatedSpec {
   std::optional<ShockSpec> shock;
   std::optional<HeterogeneousSpec> heterogeneity;
-  std::optional<TwoTierCostSpec> two_tier;
 
   [[nodiscard]] bool any_active() const {
-    return shock.has_value() || heterogeneity.has_value() ||
-           two_tier.has_value();
+    return shock.has_value() || heterogeneity.has_value();
   }
   void write_json(io::JsonWriter& w) const;
 };

@@ -54,15 +54,25 @@ System System::with_extension(CorrelatedSpec spec) const {
                     : nullptr);
 }
 
-System System::with_shock(const ShockSpec& spec) const {
+System System::with_shock(ShockSpec spec) const {
   AYD_REQUIRE(std::isfinite(spec.correlation) && spec.correlation >= 0.0 &&
                   spec.correlation < 1.0,
               "shock correlation rho must be in [0, 1)");
   AYD_REQUIRE(std::isfinite(spec.group_fraction) &&
                   spec.group_fraction > 0.0 && spec.group_fraction <= 1.0,
               "shock group fraction must be in (0, 1]");
+  AYD_REQUIRE(std::isfinite(spec.pfs_penalty) && spec.pfs_penalty >= 1.0,
+              "PFS recovery penalty must be finite and >= 1");
   CorrelatedSpec ext = ext_ != nullptr ? *ext_ : CorrelatedSpec{};
   if (spec.active()) {
+    // A PFS path that costs exactly the burst-buffer path is the
+    // single-tier world.
+    const CostModel pfs = spec.pfs_recovery(costs_.recovery);
+    if (pfs.constant_coeff() == costs_.recovery.constant_coeff() &&
+        pfs.inverse_coeff() == costs_.recovery.inverse_coeff() &&
+        pfs.linear_coeff() == costs_.recovery.linear_coeff()) {
+      spec.pfs_penalty = 1.0;
+    }
     ext.shock = spec;
   } else {
     // rho == 0 is the i.i.d. single-level world: normalize it away so
@@ -75,21 +85,6 @@ System System::with_shock(const ShockSpec& spec) const {
 System System::with_heterogeneity(const HeterogeneousSpec& spec) const {
   CorrelatedSpec ext = ext_ != nullptr ? *ext_ : CorrelatedSpec{};
   ext.heterogeneity = spec.normalized(failure_.dist());
-  return with_extension(std::move(ext));
-}
-
-System System::with_two_tier(const TwoTierCostSpec& spec) const {
-  // The costs stay the burst-buffer view the analytic planner (and every
-  // plain code path) sees: every checkpoint writes both tiers, every
-  // non-shock rollback restores from the burst buffer.
-  CorrelatedSpec ext = ext_ != nullptr ? *ext_ : CorrelatedSpec{};
-  if (spec.distinct(costs_.recovery)) {
-    ext.two_tier = spec;
-  } else {
-    // The PFS path costs exactly the burst-buffer path, so the world is
-    // the folded single-tier model.
-    ext.two_tier.reset();
-  }
   return with_extension(std::move(ext));
 }
 

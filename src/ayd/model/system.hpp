@@ -88,23 +88,21 @@ class System {
   // -- Normalizing extension modifiers ---------------------------------
   //
   // Each replaces its extension axis after normalizing: a degenerate
-  // argument (rho == 0 shock, all-identical component classes, equal
-  // recovery tiers) clears the axis instead of storing it, so degenerate
-  // extended systems are bitwise the plain system — same simulator path,
-  // same canonical key (tests/property_test.cpp pins this).
+  // argument (rho == 0 shock, all-identical component classes) clears the
+  // axis instead of storing it, so degenerate extended systems are
+  // bitwise the plain system — same simulator path, same canonical key
+  // (tests/property_test.cpp pins this).
 
-  /// Replaces the shock axis. spec.correlation == 0 clears it.
-  [[nodiscard]] System with_shock(const ShockSpec& spec) const;
+  /// Replaces the shock axis. spec.correlation == 0 clears it, PFS
+  /// penalty included; a PFS penalty whose φ·R equals costs().recovery
+  /// coefficient by coefficient folds to 1. costs() stay the burst-buffer
+  /// view the analytic planner sees.
+  [[nodiscard]] System with_shock(ShockSpec spec) const;
   /// Replaces the heterogeneity axis; the groups are validated and
   /// merged by HeterogeneousSpec::normalized against the current base
   /// failure distribution. A spec equivalent to the homogeneous platform
   /// clears the axis.
   [[nodiscard]] System with_heterogeneity(const HeterogeneousSpec& spec) const;
-  /// Replaces the two-tier cost axis. costs() stay the burst-buffer view
-  /// (every checkpoint writes both tiers at C; every non-shock rollback
-  /// restores at R); a PFS recovery equal to R folds into that plain
-  /// model and clears the axis.
-  [[nodiscard]] System with_two_tier(const TwoTierCostSpec& spec) const;
 
  private:
   System(FailureModel failure, ResilienceCosts costs, double downtime,

@@ -652,8 +652,7 @@ std::string ShmClient::call(const std::string& line,
         "request of " + std::to_string(line.size()) +
         " bytes exceeds the segment's frame capacity of " +
         std::to_string(h->frame_bytes - sizeof(RequestPrefix)) +
-        " bytes (resize with --shm-frame-bytes or use the pipe "
-        "transport)");
+        " bytes (the pipe transport has no frame limit)");
   }
   const RequestPrefix prefix{impl_->index, impl_->generation};
   char prefix_bytes[sizeof(RequestPrefix)];

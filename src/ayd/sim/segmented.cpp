@@ -83,8 +83,8 @@ SegmentedWorld::SegmentedWorld(const core::SegmentedProtocol& protocol,
   }
 
   silent = sys.failure().dist().instantiate(sys.silent_rate(procs));
-  if (ext != nullptr && ext->two_tier.has_value()) {
-    pfs_recovery = ext->two_tier->pfs_recovery.cost(procs);
+  if (shock && ext->shock->pfs_penalty != 1.0) {
+    pfs_recovery = ext->shock->pfs_recovery(sys.costs().recovery).cost(procs);
   }
 }
 

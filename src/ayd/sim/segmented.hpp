@@ -12,7 +12,7 @@
 // final checkpoint C closes the pattern. VC is n = 1.
 //  * A fail-stop error can strike any phase. After a downtime D it rolls
 //    back to the pattern start through a chain of recovery tries of cost
-//    R, repeated until one completes. Under a two-tier cost spec a chain
+//    R, repeated until one completes. Under a shock's PFS penalty a chain
 //    that contains a shock restores from the PFS (R_pfs); the tier is
 //    sticky within the chain and resets when a fresh try begins.
 //  * A silent error strikes work only and is caught by the verification
@@ -148,8 +148,8 @@ struct SegmentedWorld {
   double verify;                 ///< V
   double level1 = 0.0;           ///< L (two-level only)
   double checkpoint;             ///< C
-  double recovery;               ///< R (burst buffer under two-tier)
-  double pfs_recovery;           ///< R_pfs (== R without two-tier)
+  double recovery;               ///< R (the burst buffer's, under a PFS tier)
+  double pfs_recovery;           ///< R_pfs = φ·R (== R without a PFS tier)
   double downtime;               ///< D
 
  private:

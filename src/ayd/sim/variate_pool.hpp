@@ -187,8 +187,8 @@ class VariateCache {
 
 /// The one rule for which runs may read a CRN pool: a run on `sys` draws
 /// every variate from one law that factors through unit variates only
-/// when `sys` is plain (correlated, heterogeneous and two-tier worlds
-/// interleave several laws in one draw sequence) and its law is eligible
+/// when `sys` is plain (correlated and heterogeneous worlds interleave
+/// several laws in one draw sequence) and its law is eligible
 /// (not trace replay). Segmented patterns interleave the same way, so
 /// their worlds refuse a pool on top (SegmentedWorld::unit_plain).
 [[nodiscard]] bool crn_eligible(const model::System& sys);

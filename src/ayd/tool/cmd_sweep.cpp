@@ -80,7 +80,8 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
 
   const std::string var = parser.option("var");
   validate_variable(var);
-  // A shock-rho axis supplies the shock a --pfs-penalty needs.
+  // A shock-rho axis supplies the shock a --pfs-penalty needs; the
+  // penalty then rides on every point (below).
   const model::System base =
       system_from_args(parser, /*shock_from_axis=*/var == "shock-rho");
   // The axis overwrites its own option at every point, and an alpha axis
@@ -190,6 +191,10 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out) {
   engine::GridSpec grid;
   grid.axis(engine::Axis::spaced(axis, from, to, static_cast<int>(points),
                                  log_spacing));
+  if (var == "shock-rho" && parser.given("pfs-penalty")) {
+    grid.axis(engine::Axis::list("pfs_penalty",
+                                 {parser.option_double("pfs-penalty")}));
+  }
 
   engine::EvalSpec spec;
   spec.first_order = true;

@@ -71,8 +71,9 @@ struct ParsedFailureDist {
 /// option then overrides that piece. Throws util::CliError /
 /// util::InvalidArgument on inconsistent combinations, and on an option
 /// the system would not act on: --gamma outside --profile power, --alpha
-/// under --profile perfect or power, and --pfs-penalty without --shock
-/// (unless `shock_from_axis`: a sweep whose axis supplies the shock).
+/// under --profile perfect or power, and --pfs-penalty without a shock
+/// stream (unless `shock_from_axis`: a sweep whose shock-rho axis
+/// supplies the shock, and whose points carry the penalty).
 [[nodiscard]] model::System system_from_args(const cli::ArgParser& parser,
                                              bool shock_from_axis = false);
 

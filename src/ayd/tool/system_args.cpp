@@ -185,7 +185,7 @@ void add_system_options(cli::ArgParser& parser) {
                     "two-tier checkpoint cost: recovery from the parallel "
                     "file system costs PHI x the burst-buffer recovery; "
                     "shock-triggered rollbacks pay the PFS path "
-                    "(simulation only, requires --shock)");
+                    "(simulation only, requires --shock with rho > 0)");
 }
 
 double procs_from_args(const cli::ArgParser& parser,
@@ -299,7 +299,7 @@ model::System system_from_args(const cli::ArgParser& parser,
                     costs, parser.option_double("downtime"), speedup};
 
   // Correlated-world extensions ride on top of the finished base system;
-  // --pfs-penalty last so it refines the final cost model.
+  // --pfs-penalty last, as a field of the finished shock.
   if (set(parser, "shock")) {
     sys = sys.with_shock(model::ShockSpec::parse(parser.option("shock")));
   }
@@ -309,15 +309,27 @@ model::System system_from_args(const cli::ArgParser& parser,
   }
   if (set(parser, "pfs-penalty")) {
     // Only shock-triggered rollbacks pay the PFS recovery path, so without
-    // a shock stream the penalty would relabel the system and change
-    // nothing else.
-    if (!set(parser, "shock") && !shock_from_axis) {
+    // a shock stream (no --shock, or rho = 0) the penalty would relabel
+    // the system and change nothing else. A sweep's shock-rho axis carries
+    // it to each point.
+    const model::CorrelatedSpec* ext = sys.extension();
+    const bool shocked = ext != nullptr && ext->shock.has_value();
+    if (!shocked && !shock_from_axis) {
       throw util::CliError(
           "--pfs-penalty requires --shock (only shock-triggered rollbacks "
           "pay the PFS recovery path)");
     }
-    sys = sys.with_two_tier(model::TwoTierCostSpec::from_penalty(
-        sys.costs(), parser.option_double("pfs-penalty")));
+    const double phi = parser.option_double("pfs-penalty");
+    if (!(std::isfinite(phi) && phi >= 1.0)) {
+      throw util::CliError("--pfs-penalty must be finite and >= 1 (PHI "
+                           "multiplies the burst-buffer recovery cost), "
+                           "got: " + parser.option("pfs-penalty"));
+    }
+    if (shocked) {
+      model::ShockSpec shock = *ext->shock;
+      shock.pfs_penalty = phi;
+      sys = sys.with_shock(shock);
+    }
   }
   return sys;
 }
@@ -351,10 +363,10 @@ void print_system(const model::System& sys, std::ostream& out) {
       out << "hetero: " << ext->heterogeneity->to_string()
           << " (simulation only)\n";
     }
-    if (ext->two_tier.has_value()) {
+    if (ext->shock.has_value() && ext->shock->pfs_penalty != 1.0) {
       out << "tiers:  BB recovery " << sys.costs().recovery.describe()
           << ", PFS recovery "
-          << ext->two_tier->pfs_recovery.describe()
+          << ext->shock->pfs_recovery(sys.costs().recovery).describe()
           << " (shock rollbacks pay the PFS path)\n";
     }
   }

@@ -127,8 +127,6 @@ TEST(EnvOr, ReadsEnvironment) {
 
 TEST(ExperimentContext, DefaultsAndOverrides) {
   ::unsetenv("AYD_SCALE");
-  ::unsetenv("AYD_RUNS");
-  ::unsetenv("AYD_PATTERNS");
   ArgParser p("bench", "x");
   add_experiment_options(p);
   std::vector<const char*> argv{"bench", "--runs=33", "--patterns=44",

@@ -31,14 +31,6 @@ TEST(Table, RightAlignmentPadsLeft) {
   EXPECT_NE(out.find("  1\n"), std::string::npos) << out;
 }
 
-TEST(Table, MarkdownStyle) {
-  Table t({"h1", "h2"}, Table::Style::kMarkdown);
-  t.add_row({"a", "b"});
-  const std::string out = t.to_string();
-  EXPECT_NE(out.find("| h1 | h2 |"), std::string::npos) << out;
-  EXPECT_NE(out.find("|---"), std::string::npos) << out;
-}
-
 TEST(Table, RowWidthValidated) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only one"}), util::InvalidArgument);

@@ -232,23 +232,30 @@ TEST(CorrelatedSpecs, HeterogeneousSpecParseValidatesBudgets) {
   EXPECT_THROW((void)skew.normalized({}), util::InvalidArgument);
 }
 
-TEST(CorrelatedSpecs, FromPenaltyScalesRecoveryCoefficientwise) {
+TEST(CorrelatedSpecs, PfsPenaltyScalesRecoveryCoefficientwise) {
   const System base = System::from_platform(hera(), Scenario::kS1);
-  const TwoTierCostSpec spec =
-      TwoTierCostSpec::from_penalty(base.costs(), 4.0);
-  EXPECT_TRUE(spec.distinct(base.costs().recovery));
-  EXPECT_FALSE(TwoTierCostSpec::from_penalty(base.costs(), 1.0)
-                   .distinct(base.costs().recovery));
-  // The tiered system keeps its costs: writes and the burst-buffer
-  // recovery are the single-tier ones.
-  const System tiered = base.with_two_tier(spec);
+  // The shocked system keeps its costs: writes and the burst-buffer
+  // recovery are the single-tier ones; only the shock's PFS path is φ·R.
+  const System tiered = base.with_shock({0.3, 0.05, {}, 4.0});
+  const ShockSpec& shock = *tiered.extension()->shock;
+  EXPECT_EQ(shock.pfs_penalty, 4.0);
   for (const double p : {64.0, 512.0, 4096.0}) {
-    EXPECT_DOUBLE_EQ(spec.pfs_recovery.cost(p),
+    EXPECT_DOUBLE_EQ(shock.pfs_recovery(base.costs().recovery).cost(p),
                      4.0 * base.costs().recovery.cost(p));
     EXPECT_EQ(tiered.checkpoint_cost(p), base.checkpoint_cost(p));
     EXPECT_EQ(tiered.recovery_cost(p), base.recovery_cost(p));
   }
-  EXPECT_THROW((void)TwoTierCostSpec::from_penalty(base.costs(), 0.5),
+  // φ·R equal to R coefficient by coefficient is the single-tier world:
+  // φ folds to 1, so the shock is the one without a penalty.
+  ResilienceCosts free_recovery = base.costs();
+  free_recovery.recovery = CostModel::zero();
+  const System no_r(base.failure(), free_recovery, base.downtime(),
+                    base.speedup_model());
+  EXPECT_EQ(no_r.with_shock({0.3, 0.05, {}, 4.0}).extension()->shock,
+            no_r.with_shock({0.3, 0.05}).extension()->shock);
+  // A penalty without a shock stream drops with the shock.
+  EXPECT_FALSE(base.with_shock({0.0, 0.05, {}, 4.0}).extended());
+  EXPECT_THROW((void)base.with_shock({0.3, 0.05, {}, 0.5}),
                util::InvalidArgument);
 }
 

@@ -252,13 +252,12 @@ TEST_P(SystemProperties, HomogeneousEquivalentGroupsCollapseBitwise) {
   EXPECT_EQ(a.pattern_time.mean, b.pattern_time.mean);
 }
 
-TEST_P(SystemProperties, EqualTierTwoTierSpecFoldsToSingleTier) {
-  // phi = 1 prices both recovery tiers identically; the spec folds into
-  // the plain cost model (the system's own C and R) and the system stays
-  // non-extended.
+TEST_P(SystemProperties, UnshockedPfsPenaltyFoldsToSingleTier) {
+  // Only a shock rollback takes the PFS path, so a PFS penalty on a
+  // rho = 0 shock drops with the shock: the system keeps its own C and R
+  // and stays non-extended.
   const auto [sys, pattern] = draw_config(GetParam());
-  const System with = sys.with_two_tier(
-      model::TwoTierCostSpec::from_penalty(sys.costs(), 1.0));
+  const System with = sys.with_shock({0.0, 0.05, {}, 4.0});
   EXPECT_FALSE(with.extended());
   const double p = pattern.procs;
   EXPECT_EQ(with.checkpoint_cost(p), sys.checkpoint_cost(p));

@@ -94,7 +94,6 @@ TEST(CanonicalKey, DistinguishesCorrelatedWorldExtensions) {
   model::HeterogeneousSpec hetero;
   hetero.groups = {{0.5, 1.5, model::FailureDistSpec::weibull(0.7)},
                    {0.5, 0.5, {}}};
-  model::System two_tier_base = base.with_shock({0.4, 0.05});
   const std::vector<model::System> variants = {
       base.with_shock({0.4, 0.05}),
       base.with_shock({0.5, 0.05}),
@@ -102,8 +101,7 @@ TEST(CanonicalKey, DistinguishesCorrelatedWorldExtensions) {
       base.with_shock(
           {0.4, 0.05, model::FailureDistSpec::weibull(0.7)}),
       base.with_heterogeneity(hetero),
-      two_tier_base.with_two_tier(
-          model::TwoTierCostSpec::from_penalty(two_tier_base.costs(), 4.0)),
+      base.with_shock({0.4, 0.05, {}, 4.0}),
   };
   std::vector<std::string> texts;
   for (std::size_t i = 0; i < variants.size(); ++i) {
@@ -117,14 +115,19 @@ TEST(CanonicalKey, DistinguishesCorrelatedWorldExtensions) {
       EXPECT_NE(texts[i], texts[j]) << "variants " << i << " and " << j;
     }
   }
-  // The two-tier spec keys only the PFS recovery: the writes and the
-  // burst-buffer recovery are the system's costs, keyed once already.
+  // The PFS penalty is a member of the shock, written only when it is
+  // not 1: the PFS recovery φ·R follows from the recovery already keyed.
   const std::string& tiered = texts.back();
-  EXPECT_NE(tiered.find("\"pfs_recovery\""), std::string::npos) << tiered;
-  for (const char* restated : {"bb_write", "pfs_write", "bb_recovery"}) {
+  EXPECT_NE(tiered.find("\"dist\":{\"kind\":\"exponential\"},"
+                        "\"pfs_penalty\":4}"),
+            std::string::npos)
+      << tiered;
+  for (const char* restated : {"two_tier", "pfs_recovery"}) {
     EXPECT_EQ(tiered.find(restated), std::string::npos)
         << restated << " in " << tiered;
   }
+  EXPECT_EQ(texts.front().find("pfs_penalty"), std::string::npos)
+      << texts.front();
 }
 
 TEST(CanonicalKey, DegenerateExtensionsShareThePlainSystemKey) {
@@ -140,9 +143,8 @@ TEST(CanonicalKey, DegenerateExtensionsShareThePlainSystemKey) {
   uniform.groups = {{1.0, 1.0, base.failure().dist()}};
   const std::vector<model::System> degenerate = {
       base.with_shock({0.0, 0.05}),
+      base.with_shock({0.0, 0.05, {}, 4.0}),
       base.with_heterogeneity(uniform),
-      base.with_two_tier(
-          model::TwoTierCostSpec::from_penalty(base.costs(), 1.0)),
   };
   for (std::size_t i = 0; i < degenerate.size(); ++i) {
     EXPECT_FALSE(degenerate[i].extended()) << "variant " << i;

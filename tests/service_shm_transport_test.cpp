@@ -18,6 +18,7 @@
 #include <ctime>
 #include <limits>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "ayd/io/json_parse.hpp"
 #include "ayd/service/server.hpp"
 #include "ayd/service/shm_ring.hpp"
+#include "ayd/tool/tool.hpp"
 #include "ayd/util/error.hpp"
 
 namespace ayd::service {
@@ -407,9 +409,26 @@ TEST(ShmTransport, OversizeRequestThrowsAndOversizeReplyDegrades) {
   ShmServer server(name, service, options);
   ShmClient client(name);
 
-  // Requests larger than a frame are the caller's error, locally.
-  EXPECT_THROW((void)client.call(std::string(1000, 'x')),
-               util::InvalidArgument);
+  // Requests larger than a frame are the caller's error, locally, and the
+  // message names no option `ayd serve` does not have.
+  std::string message;
+  try {
+    (void)client.call(std::string(1000, 'x'));
+  } catch (const util::InvalidArgument& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("frame capacity of"), std::string::npos) << message;
+  std::ostringstream help;
+  std::ostringstream help_err;
+  ASSERT_EQ(tool::run_tool({"serve", "--help"}, help, help_err), 0);
+  for (std::size_t at = message.find("--"); at != std::string::npos;
+       at = message.find("--", at + 2)) {
+    const std::size_t end = message.find_first_not_of(
+        "abcdefghijklmnopqrstuvwxyz-", at + 2);
+    const std::string option = message.substr(at, end - at);
+    EXPECT_NE(help.str().find("  " + option), std::string::npos)
+        << message << " names " << option << ", which ayd serve lacks";
+  }
 
   // Replies larger than a frame degrade to an error envelope that still
   // carries the request's id.

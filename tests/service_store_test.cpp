@@ -377,6 +377,60 @@ TEST_F(StoreTest, PersistedServiceHitIsByteIdenticalToRecomputation) {
   EXPECT_EQ(computed.handle_line(req), first_reply);
 }
 
+// A shock's PFS penalty keys as a member of the shock. A shocked question
+// without a penalty keeps its key text byte for byte, so its records stay
+// served; a penalised one no longer writes the old "two_tier" member, so a
+// record under that text can never answer it. Both texts were captured
+// from a service that still kept the PFS tier as its own extension.
+TEST_F(StoreTest, PfsPenaltyKeysAsAShockMember) {
+  const std::string shocked_key =
+      R"({"op":"optimize","system":{"lambda_ind":1.6899999999999999e-08,)"
+      R"("fail_stop_fraction":0.21879999999999999,"failure_dist":)"
+      R"({"kind":"exponential"},"downtime":3600,"checkpoint":[300,0,0],)"
+      R"("recovery":[300,0,0],"verification":[15.4,0,0],"speedup":)"
+      R"([0,0.10000000000000001],"ext":{"shock":{"correlation":)"
+      R"(0.29999999999999999,"group_fraction":0.050000000000000003,)"
+      R"("dist":{"kind":"exponential"}}}},"fixed_procs":true,"procs":256,)"
+      R"("max_procs":10000000,"simulate":true,"runs":4,"patterns":8,)"
+      R"("seed":172826646,"backend":true,"ci_rel_tol":0.02,"max_reps":8})";
+  const std::string two_tier_key =
+      R"({"op":"optimize","system":{"lambda_ind":1.6899999999999999e-08,)"
+      R"("fail_stop_fraction":0.21879999999999999,"failure_dist":)"
+      R"({"kind":"exponential"},"downtime":3600,"checkpoint":[300,0,0],)"
+      R"("recovery":[300,0,0],"verification":[15.4,0,0],"speedup":)"
+      R"([0,0.10000000000000001],"ext":{"shock":{"correlation":)"
+      R"(0.29999999999999999,"group_fraction":0.050000000000000003,)"
+      R"("dist":{"kind":"exponential"}},"two_tier":{"pfs_recovery":)"
+      R"([1200,0,0]}}},"fixed_procs":true,"procs":256,)"
+      R"("max_procs":10000000,"simulate":true,"runs":4,"patterns":8,)"
+      R"("seed":172826646,"backend":true,"ci_rel_tol":0.02,"max_reps":8})";
+  const std::string shocked =
+      R"({"op":"optimize","id":1,"platform":"hera","scenario":3,)"
+      R"("simulate":true,"procs":256,"runs":4,"patterns":8,"max_reps":8,)"
+      R"("shock":"rho=0.3")";
+  {
+    AnswerStore store(store_path());
+    put(store, two_tier_key, "stale");
+  }
+  ServiceOptions options;
+  options.threads = 1;
+  options.cache_dir = dir_.string();
+  {
+    PlanningService service(options);
+    const std::string reply =
+        service.handle_line(shocked + R"(,"pfs_penalty":4})");
+    EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+    EXPECT_EQ(reply.find("stale"), std::string::npos) << reply;
+    EXPECT_EQ(service.cache_stats().disk_hits, 0u);
+    EXPECT_EQ(service.cache_stats().misses, 1u);
+    (void)service.handle_line(shocked + "}");
+  }
+  AnswerStore store(store_path());
+  EXPECT_EQ(store.entries(), 3u);
+  EXPECT_TRUE(store.get(shocked_key).has_value());
+  EXPECT_EQ(store.get(two_tier_key), "stale");
+}
+
 TEST_F(StoreTest, ServiceRefusesToStartOnIncompatibleStore) {
   { AnswerStore store(store_path()); }
   std::string bytes = slurp(store_path());

@@ -171,13 +171,11 @@ TEST(BackendEquivalence, CorrelatedHeterogeneousComponents) {
 }
 
 TEST(BackendEquivalence, CorrelatedShockWithTwoTierRecovery) {
-  model::System sys =
+  const model::System sys =
       model::System::from_platform(model::atlas(), model::Scenario::kS5)
-          .with_shock({0.5, 0.1});
-  sys = sys.with_two_tier(
-      model::TwoTierCostSpec::from_penalty(sys.costs(), 8.0));
+          .with_shock({0.5, 0.1, {}, 8.0});
   ASSERT_TRUE(sys.extended());
-  ASSERT_TRUE(sys.extension()->two_tier.has_value());
+  ASSERT_EQ(sys.extension()->shock->pfs_penalty, 8.0);
   expect_backends_agree_on(sys, "atlas S5 shock rho=0.5 pfs_penalty=8");
 }
 
@@ -191,24 +189,23 @@ TEST(BackendEquivalence, DegenerateExtensionsReproducePlainWorldBitwise) {
   const double p = 512.0;
   const core::Pattern pattern{core::optimal_period_first_order(plain, p), p};
 
-  // rho = 0 shock, single x1 group, and an equal-tier cost spec each
-  // collapse to a non-extended System...
+  // rho = 0 shock (with or without a PFS penalty) and a single x1 group
+  // each collapse to a non-extended System...
   const model::System no_shock = plain.with_shock({0.0, 0.05});
+  const model::System no_shock_pfs = plain.with_shock({0.0, 0.05, {}, 4.0});
   model::HeterogeneousSpec uniform;
   uniform.groups = {{1.0, 1.0, plain.failure().dist()}};
   const model::System no_hetero = plain.with_heterogeneity(uniform);
-  const model::System no_tier = plain.with_two_tier(
-      model::TwoTierCostSpec::from_penalty(plain.costs(), 1.0));
   EXPECT_FALSE(no_shock.extended());
+  EXPECT_FALSE(no_shock_pfs.extended());
   EXPECT_FALSE(no_hetero.extended());
-  EXPECT_FALSE(no_tier.extended());
 
   // ...so every backend runs the plain bit-pinned path: identical seeds
   // give byte-identical estimates, not merely CI-compatible ones.
   for (const Backend backend : {Backend::kFast, Backend::kDes}) {
     const ReplicationResult ref =
         simulate_overhead(plain, pattern, options(backend));
-    for (const model::System* sys : {&no_shock, &no_hetero, &no_tier}) {
+    for (const model::System* sys : {&no_shock, &no_shock_pfs, &no_hetero}) {
       const ReplicationResult got =
           simulate_overhead(*sys, pattern, options(backend));
       EXPECT_EQ(got.overhead.mean, ref.overhead.mean);
@@ -268,9 +265,7 @@ void expect_segmented_backends_agree(bool two_level) {
         {"plain", plain},
         {"shock", shock},
         {"hetero", plain.with_heterogeneity(hetero)},
-        {"shock+two-tier",
-         shock.with_two_tier(
-             model::TwoTierCostSpec::from_penalty(plain.costs(), 8.0))}};
+        {"shock+pfs", plain.with_shock({0.4, 0.05, {}, 8.0})}};
     for (const auto& [world_name, sys] : worlds) {
       const double p = 512.0;
       const double period = core::optimal_period_first_order(sys, p);

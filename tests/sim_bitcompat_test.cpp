@@ -430,13 +430,12 @@ TEST(SimBitCompat, WordThresholdIsSoundAtTheBoundary) {
   }
 
   // The windows the segmented fast interpreter filters against, at the
-  // rates of a world that has them all (two-level n = 3 over a shock +
-  // two-tier world): the silent source's T/n, and for every fail source
+  // rates of a world that has them all (two-level n = 3 over a shock
+  // with a PFS penalty): the silent source's T/n, and for every fail source
   // (the shock stream included) L, R_pfs and the full try window.
   for (const auto& spec : specs) {
-    System sys = pinned_system(spec, 3e-7).with_shock({0.6, 0.01, spec});
-    sys = sys.with_two_tier(
-        model::TwoTierCostSpec::from_penalty(sys.costs(), 4.0));
+    const System sys =
+        pinned_system(spec, 3e-7).with_shock({0.6, 0.01, spec, 4.0});
     const detail::SegmentedWorld world(
         core::TwoLevelSystem{sys, CostModel::constant(60.0)},
         core::SegmentedPattern{20000.0, 256.0, 3});

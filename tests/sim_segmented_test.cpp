@@ -96,10 +96,8 @@ TEST(SegmentedReduction, TwoLevelOneSegmentWithLEqualRIsTheVcPattern) {
   // With L = R a level-1 retry of the only segment is a VC rollback: the
   // same draws, the same wall time. Only the attempt counter differs
   // (a segment retry is not a pattern attempt).
-  model::System sys = make_system(2e-7, 0.4, 300.0, 30.0, 1800.0)
-                          .with_shock({0.5, 0.05});
-  sys = sys.with_two_tier(
-      model::TwoTierCostSpec::from_penalty(sys.costs(), 3.0));
+  const model::System sys = make_system(2e-7, 0.4, 300.0, 30.0, 1800.0)
+                                .with_shock({0.5, 0.05, {}, 3.0});
   const core::TwoLevelSystem two{sys, sys.costs().recovery};
   SegmentedFastSimulator vc(sys, core::Pattern{20000.0, 256.0});
   SegmentedFastSimulator level(two, {20000.0, 256.0, 1});
@@ -117,12 +115,10 @@ TEST(SegmentedPins, ShockWithTwoTierRecoveryIsBitStable) {
   // Hex-float pins of a correlated world (shock + two-tier recovery) on
   // both interpreters, generated before the correlated simulators were
   // folded into the segmented ones: correlated worlds keep their bits.
-  model::System sys =
+  const model::System sys =
       model::System::from_platform(model::hera(), model::Scenario::kS1)
           .with_lambda(2e-7)
-          .with_shock({0.8, 0.002});
-  sys = sys.with_two_tier(
-      model::TwoTierCostSpec::from_penalty(sys.costs(), 4.0));
+          .with_shock({0.8, 0.002, {}, 4.0});
   const double p = 128.0;
   const core::Pattern pattern{core::optimal_period_first_order(sys, p), p};
   ASSERT_EQ(pattern.period, 0x1.f1cf2607190a2p+10);
@@ -220,10 +216,8 @@ std::pair<PatternStats, std::uint64_t> run_pin(World world, Law law_id) {
           Sim(base.with_heterogeneity(hetero), core::Pattern{kT, kP}));
     }
     case World::kShockPfs: {
-      System sys = base.with_shock({0.6, 0.01, law});
-      sys = sys.with_two_tier(
-          model::TwoTierCostSpec::from_penalty(sys.costs(), 4.0));
-      return finish(Sim(sys, core::Pattern{kT, kP}));
+      return finish(Sim(base.with_shock({0.6, 0.01, law, 4.0}),
+                        core::Pattern{kT, kP}));
     }
   }
   std::abort();

@@ -1054,13 +1054,17 @@ std::vector<AuditRow> analytic_rows() {
 
 /// Rows for the options of a simulation, on a command line that simulates
 /// once `context` is added. The PFS penalty shows only when shocks strike,
-/// so its row also raises the error rate.
+/// so its row also raises the error rate, and a rho = 0 shock stream is
+/// no shock stream.
 std::vector<AuditRow> simulation_rows(std::vector<std::string> context) {
   std::vector<AuditRow> rows = {
       {"--shock=rho=0.5", "", context}, {kHetero, "", context},
       {"--runs=12", "", context},       {"--patterns=30", "", context},
       {"--seed=5", "", context},        {"--des", "", context},
   };
+  std::vector<std::string> unshocked = context;
+  unshocked.push_back("--shock=rho=0");
+  rows.push_back({"--pfs-penalty=8", "--shock", unshocked});
   context.insert(context.end(), {"--lambda=1e-6", "--shock=rho=0.5"});
   rows.push_back({"--pfs-penalty=8", "", context});
   return rows;
