@@ -1,8 +1,9 @@
 #include "ayd/service/server.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <condition_variable>
+#include <exception>
 #include <istream>
 #include <mutex>
 #include <ostream>
@@ -25,10 +26,10 @@ namespace ayd::service {
 
 namespace {
 
-/// Parses the request parameters with the op's ArgParser (the same spec
+/// Parses request parameters with the op's ArgParser (the same spec
 /// parsers the CLI uses, so spellings and validation cannot drift).
-void parse_params(cli::ArgParser& parser, const Request& req) {
-  parser.parse_args(params_to_argv(req.params));
+void parse_params(cli::ArgParser& parser, const Params& params) {
+  parser.parse_args(params_to_argv(params));
   if (parser.help_requested()) {
     throw ProtocolError("bad_request",
                         "\"help\" is not a request parameter (see "
@@ -70,7 +71,7 @@ bool resolution_is_pure(const model::System& sys) {
 Resolved resolve_optimize(const Request& req) {
   cli::ArgParser parser("ayd serve: optimize", "service op");
   tool::add_optimize_options(parser);
-  parse_params(parser, req);
+  parse_params(parser, req.params);
   const model::System sys = tool::system_from_args(parser);
   const tool::OptimizeRequest opt = tool::optimize_request_from_args(parser);
 
@@ -92,7 +93,7 @@ Resolved resolve_simulate(const Request& req) {
   tool::add_system_options(parser);
   tool::add_simulation_options(parser);
   tool::add_pattern_options(parser);
-  parse_params(parser, req);
+  parse_params(parser, req.params);
   const model::System sys = tool::system_from_args(parser);
 
   // Resolve pattern defaults exactly like `ayd simulate` (the shared
@@ -147,7 +148,7 @@ Resolved resolve_plan(const Request& req) {
   cli::ArgParser parser("ayd serve: plan", "service op");
   tool::add_system_options(parser);
   tool::add_plan_options(parser);
-  parse_params(parser, req);
+  parse_params(parser, req.params);
   const model::System sys = tool::system_from_args(parser);
   tool::refuse_unplannable(sys);
   const model::Application app{parser.option("name"),
@@ -183,6 +184,34 @@ Resolved resolve_plan(const Request& req) {
           resolution_is_pure(sys)};
 }
 
+using Resolver = Resolved (*)(const Request&);
+
+/// The resolver of a memoised op (optimize, simulate, plan), or null.
+Resolver resolver(const std::string& op) {
+  if (op == "optimize") return resolve_optimize;
+  if (op == "simulate") return resolve_simulate;
+  if (op == "plan") return resolve_plan;
+  return nullptr;
+}
+
+/// The error envelope for the exception being handled; call it only from
+/// a catch block. Prefers the id a ProtocolError carries (parse_request
+/// extracts it before any validation can fail) over `id`.
+std::string error_reply(const io::JsonValue& id) {
+  try {
+    throw;
+  } catch (const ProtocolError& e) {
+    return make_error_reply(e.id().is_null() ? id : e.id(), e.code(),
+                            e.what());
+  } catch (const util::Error& e) {
+    // Spec-parser rejections (unknown option, malformed value, infeasible
+    // combination) are the caller's fault, not the service's.
+    return make_error_reply(id, "bad_request", e.what());
+  } catch (const std::exception& e) {
+    return make_error_reply(id, "internal", e.what());
+  }
+}
+
 }  // namespace
 
 PlanningService::PlanningService(const ServiceOptions& options)
@@ -194,135 +223,132 @@ PlanningService::PlanningService(const ServiceOptions& options)
       cache_(options.cache_entries, options.cache_shards, store_.get()),
       pool_(options.threads) {}
 
-std::string PlanningService::handle_line(const std::string& line) {
-  Request req;  // id null until the request parses far enough to know
+struct PlanningService::Staged {
+  Request req;
+  /// argv_key(op, params), for the ops the front memo serves.
+  std::string front;
+  /// The reply of a warm hit.
+  std::optional<std::string> warm;
+  /// What stopped the stage: the reply is its error envelope.
+  std::exception_ptr error;
+};
+
+PlanningService::Staged PlanningService::stage(const std::string& line) {
+  Staged staged;  // id null until the request parses far enough to know
   try {
-    req = parse_request(line);
-    return dispatch(req);
-  } catch (const ProtocolError& e) {
-    // Prefer the id the error carries (parse_request extracts it before
-    // any validation can fail); fall back to what this frame saw.
-    return make_error_reply(e.id().is_null() ? req.id : e.id(), e.code(),
-                            e.what());
-  } catch (const util::Error& e) {
-    // Spec-parser rejections (unknown option, malformed value, infeasible
-    // combination) are the caller's fault, not the service's.
-    return make_error_reply(req.id, "bad_request", e.what());
-  } catch (const std::exception& e) {
-    return make_error_reply(req.id, "internal", e.what());
+    staged.req = parse_request(line);
+    if (resolver(staged.req.op) != nullptr) {
+      staged.front = argv_key(staged.req.op, staged.req.params);
+      staged.warm = warm_reply(staged.req, staged.front);
+    }
+  } catch (const std::exception&) {
+    staged.error = std::current_exception();
+  }
+  return staged;
+}
+
+std::string PlanningService::answer(Staged&& staged) {
+  if (staged.warm) return std::move(*staged.warm);
+  try {
+    if (staged.error) std::rethrow_exception(staged.error);
+    return dispatch(staged.req, std::move(staged.front));
+  } catch (const std::exception&) {
+    return error_reply(staged.req.id);
   }
 }
 
-void PlanningService::handle_async(std::string line,
-                                   std::function<void(std::string)> done) {
-  pool_.submit([this, line = std::move(line), done = std::move(done)] {
-    done(handle_line(line));
+std::string PlanningService::handle_line(const std::string& line) {
+  return answer(stage(line));
+}
+
+template <typename Task>
+void PlanningService::hop(Task task) {
+  {
+    std::unique_lock lock(window_mutex_);
+    window_cv_.wait(lock, [this] {
+      return draining_ == 0 &&
+             in_flight_ < std::max<std::size_t>(64, 4 * pool_.size());
+    });
+    ++in_flight_;
+  }
+  const auto leave = [this] {
+    const std::lock_guard lock(window_mutex_);
+    --in_flight_;
+    window_cv_.notify_all();
+  };
+  (void)pool_.submit([task = std::move(task), leave]() mutable {
+    try {
+      task();
+    } catch (...) {
+      leave();  // or drain() would wait for it forever
+      throw;
+    }
+    leave();
   });
 }
 
-std::optional<std::string> PlanningService::handle_warm(
-    const std::string& line) {
-  try {
-    const Request req = parse_request(line);
-    // Only these ops ever enter the front memo.
-    if (req.op != "optimize" && req.op != "simulate" && req.op != "plan") {
-      return std::nullopt;
-    }
-    return warm_reply(req, argv_key(req.op, req.params));
-  } catch (const std::exception&) {
-    // Every failure is the full path's to report, as an envelope.
-    return std::nullopt;
-  }
+void PlanningService::submit(const std::string& line, ReplySink sink) {
+  Staged staged = stage(line);
+  // A warm hit costs less than the hop to a worker: answer it here,
+  // unless the sink cannot take it without blocking.
+  if (staged.warm && sink(*staged.warm, /*may_block=*/false)) return;
+  hop([this, staged = std::move(staged), sink = std::move(sink)]() mutable {
+    sink(answer(std::move(staged)), /*may_block=*/true);
+  });
+}
+
+void PlanningService::drain() {
+  std::unique_lock lock(window_mutex_);
+  ++draining_;
+  window_cv_.wait(lock, [this] { return in_flight_ == 0; });
+  --draining_;
+  window_cv_.notify_all();
 }
 
 bool PlanningService::serve(std::istream& in, std::ostream& out) {
-  // One outstanding-request counter instead of a future per request: a
-  // long-lived session may stream millions of lines, and accumulating
-  // futures (or an unbounded pool queue) until EOF would grow memory
-  // without bound. The reader blocks once `kMaxOutstanding` requests are
-  // in flight — natural pipe backpressure — and handle_line never throws
-  // (every failure becomes an error envelope), so completion is the only
-  // signal the loop needs.
+  // The window in submit() bounds the requests in flight — natural pipe
+  // backpressure — so a long-lived session streaming millions of lines
+  // holds no per-request state beyond it.
   //
   // std::getline handles the final unterminated line for free: it
   // extracts up to EOF and only sets failbit when *nothing* was read,
   // so a client that omits the last '\n' still gets its reply (pinned
   // by service_protocol_test).
-  const std::size_t kMaxOutstanding = std::max<std::size_t>(
-      64, 4 * pool_.size());
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::size_t outstanding = 0;
-  // Set (under `mutex`) when a reply write fails: the reader must stop
-  // accepting input — with the client's read side gone, draining stdin
-  // and discarding replies forever is indistinguishable from a hang.
-  bool output_failed = false;
-  // Writes one reply; the caller holds `mutex`.
-  const auto write = [&out, &output_failed](const std::string& reply) {
-    if (output_failed) return;
-    out << reply << '\n' << std::flush;
+  struct {
+    std::ostream& out;
+    std::mutex mutex;  // one reply line at a time
+    // Set when a reply write fails: the reader must stop accepting input
+    // — with the client's read side gone, draining stdin and discarding
+    // replies forever is indistinguishable from a hang.
+    std::atomic<bool> failed;
+  } output{out, {}, {false}};
+  const ReplySink write = [&output](const std::string& reply, bool) {
+    const std::lock_guard lock(output.mutex);
+    if (output.failed) return true;
+    output.out << reply << '\n' << std::flush;
     // A closed pipe surfaces as a stream failure here (cmd_serve ignores
     // SIGPIPE so the write errors instead of killing the process).
-    if (out.fail()) output_failed = true;
+    if (output.out.fail()) output.failed = true;
+    return true;
   };
 
-  std::string line;
-  while (std::getline(in, line)) {
-    if (util::trim(line).empty()) continue;
-    // A warm hit costs less than the hop to a worker: answer it here.
-    if (const std::optional<std::string> reply = handle_warm(line)) {
-      const std::lock_guard lock(mutex);
-      write(*reply);
-      if (output_failed) break;
-      continue;
-    }
-    {
-      std::unique_lock lock(mutex);
-      cv.wait(lock, [&] {
-        return outstanding < kMaxOutstanding || output_failed;
-      });
-      if (output_failed) break;
-      ++outstanding;
-    }
-    pool_.submit([this, line, &write, &mutex, &cv, &outstanding] {
-      const std::string reply = handle_line(line);
-      const std::lock_guard lock(mutex);
-      write(reply);
-      --outstanding;
-      cv.notify_all();
-    });
+  for (std::string line; !output.failed && std::getline(in, line);) {
+    if (!util::trim(line).empty()) submit(line, write);
   }
-  std::unique_lock lock(mutex);
-  cv.wait(lock, [&] { return outstanding == 0; });
-  return !output_failed;
+  drain();
+  return !output.failed;
 }
 
-std::string PlanningService::dispatch(const Request& req) {
-  Resolved (*resolve)(const Request&) = nullptr;
-  if (req.op == "optimize") {
-    resolve = resolve_optimize;
-  } else if (req.op == "simulate") {
-    resolve = resolve_simulate;
-  } else if (req.op == "plan") {
-    resolve = resolve_plan;
-  } else if (req.op == "stats") {
-    return handle_stats(req);
-  } else if (req.op == "subscribe") {
-    return handle_subscribe(req);
-  } else {
+std::string PlanningService::dispatch(const Request& req, std::string front) {
+  if (req.op == "stats") return handle_stats(req);
+  if (req.op == "subscribe") return handle_subscribe(req);
+  const Resolver resolve = resolver(req.op);
+  if (resolve == nullptr) {
     throw ProtocolError(
         "unknown_op",
         "unknown op \"" + req.op +
             "\" (expected optimize, simulate, plan, stats, subscribe)");
   }
-
-  // Warm path: a request spelled like one already resolved goes straight
-  // to the cache probe. Throws what the argv bridge below would throw.
-  std::string front = argv_key(req.op, req.params);
-  if (std::optional<std::string> reply = warm_reply(req, front)) {
-    return std::move(*reply);
-  }
-
   Resolved resolved = resolve(req);
   const MemoCache::Lookup lookup =
       cache_.get_or_compute(resolved.key, resolved.compute);
@@ -435,12 +461,7 @@ std::string PlanningService::handle_subscribe(const Request& req) {
   cli::ArgParser parser("ayd serve: subscribe", "service op");
   tool::add_system_options(parser);
   tool::add_replan_options(parser);
-  parser.parse_args(params_to_argv(scalar_params));
-  if (parser.help_requested()) {
-    throw ProtocolError("bad_request",
-                        "\"help\" is not a request parameter (see "
-                        "docs/service.md for the protocol)");
-  }
+  parse_params(parser, scalar_params);
   const model::System sys = tool::system_from_args(parser);
   const service::ReplanOptions opts =
       tool::replan_options_from_args(parser, sys);

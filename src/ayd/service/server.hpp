@@ -11,34 +11,39 @@
 // intervals included, which is what makes serving repeated planning
 // queries (dashboards, sweep reruns, CI) from memory sound.
 //
-// Warm path: resolving a request (argv, ArgParser, System, canonical key)
-// costs far more than the cache probe it ends in, so a front memo maps
-// argv_key(op, params) — the exact argv bytes the spec parser would see
-// — to the canonical key that request resolved to. A repeated request
-// then costs parse, memo lookup, MemoCache::find and reply (about a
-// microsecond); a front hit counts as one cache hit, so the stats are
-// unchanged. That is less than handing the request to a worker, so both
-// transports run this probe (handle_warm) on the thread that read the
-// request and send only the rest to the pool. Only requests that
-// resolved successfully through a pure function of their argv enter the
-// memo: never errors, stats, subscribe or trace:PATH laws (the CSV is
-// re-read per request and its gaps are part of the key). The memo shares
-// the --cache-entries bound and starts over when full; a stale entry
-// (canonical entry evicted or in flight) falls through to the full path.
+// One request path: both transports hand every line to submit(), which
+// parses it once and, for optimize, simulate and plan, computes its
+// argv_key and probes the front memo once. Resolving a request (argv,
+// ArgParser, System, canonical key) costs far more than the cache probe
+// it ends in, so the front memo maps argv_key(op, params) — the exact
+// argv bytes the spec parser would see — to the canonical key that
+// request resolved to. A repeated request then costs parse, memo lookup,
+// MemoCache::find and reply (about a microsecond); a front hit counts as
+// one cache hit, so the stats are unchanged. That is less than handing
+// the request to a worker, so a warm hit is answered on the thread that
+// called submit() and only the rest go to the pool, already parsed. Only
+// requests that resolved successfully through a pure function of their
+// argv enter the memo: never errors, stats, subscribe or trace:PATH laws
+// (the CSV is re-read per request and its gaps are part of the key). The
+// memo shares the --cache-entries bound and starts over when full; a
+// stale entry (canonical entry evicted or in flight) takes the full path.
 //
-// Concurrency model: serve() answers warm hits on its reader thread and
-// fans every other request line out over an owned exec::ThreadPool,
-// writing each reply as it completes, so replies can arrive out of
-// request order (the id correlates them). Each request's
-// evaluation runs serially on its worker — request-level parallelism,
-// not replica-level: the other workers are busy with other requests (a
-// parallel_for nested on the same pool would run inline anyway).
-// Identical concurrent requests collapse to one computation
-// (single-flight); distinct requests scale across workers and cache
-// shards. The wire protocol is specified in docs/service.md.
+// Concurrency model: every request that is not a warm hit makes exactly
+// one hop to an owned exec::ThreadPool, whose worker runs the reply sink,
+// so replies can arrive out of request order (the id correlates them).
+// One in-flight window, max(64, 4 * workers), bounds those hops across
+// every transport: submit() blocks while it is full, which is the pipe's
+// backpressure, and drain() waits the window empty before a transport
+// shuts down. Each request's evaluation runs serially on its worker —
+// request-level parallelism, not replica-level: the other workers are
+// busy with other requests (a parallel_for nested on the same pool would
+// run inline anyway). Identical concurrent requests collapse to one
+// computation (single-flight); distinct requests scale across workers
+// and cache shards. The wire protocol is specified in docs/service.md.
 
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <iosfwd>
@@ -82,45 +87,46 @@ class PlanningService {
   PlanningService(const PlanningService&) = delete;
   PlanningService& operator=(const PlanningService&) = delete;
 
+  /// Delivers one reply. `may_block` is false only for a warm hit on the
+  /// thread that called submit(): the sink must then not block, and
+  /// returns false when it cannot deliver at once (a full reply ring), so
+  /// that the service runs it again on a worker with `may_block` true. A
+  /// sink called with `may_block` true delivers or drops the reply; what
+  /// it returns is ignored.
+  using ReplySink =
+      std::function<bool(const std::string& reply, bool may_block)>;
+
   /// Handles one request line synchronously on the calling thread and
-  /// returns the reply (no trailing newline). Never throws: every
-  /// failure becomes an error-envelope reply.
+  /// returns the reply (no trailing newline): the same path as submit(),
+  /// without the hop. Never throws: every failure becomes an
+  /// error-envelope reply.
   [[nodiscard]] std::string handle_line(const std::string& line);
 
-  /// Handles one request line on the worker pool and invokes `done`
-  /// with the reply from the worker thread. Used by transports that do
-  /// their own reply routing (shm_transport.hpp); callers are
-  /// responsible for their own backpressure (the pool queue is
-  /// unbounded). Like handle_line, the reply is always produced — every
-  /// failure becomes an error envelope.
-  void handle_async(std::string line, std::function<void(std::string)> done);
+  /// The request path of every transport. Parses `line` once; a warm hit
+  /// (an optimize, simulate or plan request spelled like one already
+  /// resolved, whose answer is cached) runs `sink` on the calling thread.
+  /// Every other line — a cold miss, stats, subscribe, an error — goes to
+  /// one worker as the parsed request, and the worker runs `sink` with
+  /// the reply handle_line would give. That hop waits while the in-flight
+  /// window is full or a drain() waits. `sink` runs exactly once, or
+  /// twice when a warm hit's first call returns false.
+  void submit(const std::string& line, ReplySink sink);
 
-  /// The warm path on its own: the reply handle_line would give `line`
-  /// when it is an optimize, simulate or plan request spelled like one
-  /// already resolved and its answer is cached; nullopt for anything
-  /// else (a front miss, a stale entry, stats, subscribe, or a line that
-  /// does not parse). Never throws and never computes, so a transport
-  /// can run it on the thread that read the line and pass only the
-  /// nullopt cases to the pool. A hit counts one cache hit, as it does
-  /// through handle_line.
-  [[nodiscard]] std::optional<std::string> handle_warm(
-      const std::string& line);
-
-  /// Worker threads of the owned pool (transports size their in-flight
-  /// windows from this).
-  [[nodiscard]] std::size_t workers() const { return pool_.size(); }
+  /// Waits until every hop to a worker has finished, its sink included;
+  /// hops submitted meanwhile wait for it to return, so it cannot be
+  /// starved. A transport calls it after its last submit(), before it
+  /// releases what its sinks use.
+  void drain();
 
   /// The NDJSON loop: reads one request per line from `in` until EOF,
-  /// answers warm hits (handle_warm) on the reading thread, fans the
-  /// other requests out over the worker pool, and writes each reply
-  /// to `out` (newline-terminated, flushed) as it completes — possibly
-  /// out of request order. Blank lines are skipped; a final line
-  /// without a trailing newline is processed like any other. Returns
-  /// true when every accepted request was answered and `out` stayed
-  /// healthy; false when a reply write failed (client gone / pipe
-  /// closed) — the loop then stops reading further input instead of
-  /// spinning against a dead stream, and the caller should exit
-  /// non-zero.
+  /// submits each, and writes each reply to `out` (newline-terminated,
+  /// flushed) as it completes — possibly out of request order. Blank
+  /// lines are skipped; a final line without a trailing newline is
+  /// processed like any other. Returns true when every accepted request
+  /// was answered and `out` stayed healthy; false when a reply write
+  /// failed (client gone / pipe closed) — the loop then stops reading
+  /// further input instead of spinning against a dead stream, and the
+  /// caller should exit non-zero.
   [[nodiscard]] bool serve(std::istream& in, std::ostream& out);
 
   /// Snapshot of the memo-cache counters (also served by op "stats").
@@ -129,8 +135,6 @@ class PlanningService {
   /// The persistent tier, or null when --cache-dir was not given.
   [[nodiscard]] const AnswerStore* store() const { return store_.get(); }
 
-  [[nodiscard]] const ServiceOptions& options() const { return options_; }
-
  private:
   // A ShmServer attaches itself for its lifetime, so op "stats" can
   // report its counters.
@@ -138,20 +142,37 @@ class PlanningService {
   void attach_transport(const ShmServer* server);
   void detach_transport(const ShmServer* server);
 
-  /// Routes a parsed request to its op handler; throws ProtocolError /
-  /// util::Error on failures (handle_line wraps them into envelopes).
-  [[nodiscard]] std::string dispatch(const Request& req);
+  /// A request line after the stage every line shares (stage()).
+  struct Staged;
+
+  /// Parses `line` and, for optimize, simulate and plan, computes its
+  /// argv_key and probes the front memo — each exactly once. The result
+  /// carries a warm hit's reply, or the failure that stopped it. Never
+  /// throws.
+  [[nodiscard]] Staged stage(const std::string& line);
+  /// The reply to a staged line: its warm reply, its error envelope, or
+  /// else the op's answer (resolve, cache, compute). Never throws.
+  [[nodiscard]] std::string answer(Staged&& staged);
+  /// Routes a parsed request to its op handler without probing the front
+  /// memo again; throws ProtocolError / util::Error on failures (answer
+  /// wraps them into envelopes).
+  [[nodiscard]] std::string dispatch(const Request& req, std::string front);
 
   [[nodiscard]] std::string handle_stats(const Request& req);
   [[nodiscard]] std::string handle_subscribe(const Request& req);
 
-  /// The one warm path (dispatch and handle_warm): the reply to `req`
-  /// when a request with the argv_key `front` resolved before and its
-  /// canonical entry is cached; nullopt on a front miss or a stale entry.
+  /// The reply to `req` when a request with the argv_key `front`
+  /// resolved before and its canonical entry is cached; nullopt on a
+  /// front miss or a stale entry.
   [[nodiscard]] std::optional<std::string> warm_reply(
       const Request& req, const std::string& front);
   /// Records that `front` resolved to `key` (pure resolutions only).
   void remember(std::string front, CanonicalKey key);
+
+  /// Runs `task` on a worker once the in-flight window has room (the
+  /// one pool hop of a request; defined in server.cpp, its only user).
+  template <typename Task>
+  void hop(Task task);
 
   ServiceOptions options_;
   /// Constructed before cache_, which holds a non-owning pointer to it.
@@ -166,6 +187,15 @@ class PlanningService {
   /// stats request never reads a server that is detaching.
   std::mutex transport_mutex_;
   const ShmServer* transport_ = nullptr;
+  /// The in-flight window: hops not yet finished, across every transport,
+  /// and the drain() calls waiting for it to empty (no hop starts while
+  /// one waits).
+  std::mutex window_mutex_;
+  std::condition_variable window_cv_;
+  std::size_t in_flight_ = 0;
+  std::size_t draining_ = 0;
+  /// Declared last: its destructor runs the queued hops, which use the
+  /// window above.
   exec::ThreadPool pool_;
 };
 

@@ -6,7 +6,6 @@
 #include <limits>
 #include <mutex>
 #include <new>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -170,6 +169,11 @@ struct Mapping {
     base = nullptr;
     fd = -1;
   }
+  /// Unmaps, then refuses the segment at `path` for `reason`.
+  [[noreturn]] void refuse(const std::string& path, const std::string& reason) {
+    unmap();
+    throw ShmError(path, reason);
+  }
 };
 
 /// Maps an existing segment and validates its header; throws ShmError
@@ -186,40 +190,31 @@ Mapping map_existing(const std::string& oname, const std::string& path) {
   struct ::stat st {};
   if (::fstat(m.fd, &st) != 0 ||
       static_cast<std::size_t>(st.st_size) < sizeof(SegmentHeader)) {
-    ::close(m.fd);
-    throw ShmError(path, "segment smaller than an ayd header (not an ayd "
-                         "shm segment, or its creator died before "
-                         "initialising it)");
+    m.refuse(path, "segment smaller than an ayd header (not an ayd shm "
+                   "segment, or its creator died before initialising it)");
   }
   m.size = static_cast<std::size_t>(st.st_size);
   m.base = ::mmap(nullptr, m.size, PROT_READ | PROT_WRITE, MAP_SHARED,
                   m.fd, 0);
   if (m.base == MAP_FAILED) {
-    ::close(m.fd);
-    throw ShmError(path, std::string("mmap failed: ") +
-                             std::strerror(errno));
+    m.base = nullptr;
+    m.refuse(path, std::string("mmap failed: ") + std::strerror(errno));
   }
   m.header = static_cast<SegmentHeader*>(m.base);
   if (std::memcmp(m.header->magic, kMagic, sizeof(kMagic)) != 0) {
-    m.unmap();
-    throw ShmError(path, "bad magic — not an ayd shm segment");
+    m.refuse(path, "bad magic — not an ayd shm segment");
   }
   if (m.header->version != kShmFormatVersion) {
-    const std::string reason =
-        "segment format version " + std::to_string(m.header->version) +
-        ", but this build speaks version " +
-        std::to_string(kShmFormatVersion) +
-        " (restart the fleet on one build)";
-    m.unmap();
-    throw ShmError(path, reason);
+    m.refuse(path, "segment format version " +
+                       std::to_string(m.header->version) +
+                       ", but this build speaks version " +
+                       std::to_string(kShmFormatVersion) +
+                       " (restart the fleet on one build)");
   }
   if (m.header->total_bytes != m.size) {
-    const std::string reason =
-        "header claims " + std::to_string(m.header->total_bytes) +
-        " bytes but the segment is " + std::to_string(m.size) +
-        " (truncated or corrupt)";
-    m.unmap();
-    throw ShmError(path, reason);
+    m.refuse(path, "header claims " + std::to_string(m.header->total_bytes) +
+                       " bytes but the segment is " +
+                       std::to_string(m.size) + " (truncated or corrupt)");
   }
   return m;
 }
@@ -267,10 +262,8 @@ struct ShmServer::Impl {
   Mapping map;
   ShmRing request_ring;
   std::vector<std::unique_ptr<ClientView>> clients;
-  std::size_t max_inflight = 64;
 
   std::atomic<bool> stop_flag{false};
-  std::atomic<std::uint64_t> inflight{0};
   bool stopped = false;
 
   // stats
@@ -305,10 +298,9 @@ ShmServer::ShmServer(const std::string& name, PlanningService& service,
     const std::uint32_t pid =
         existing.header->server_pid.load(std::memory_order_acquire);
     if (pid_alive(pid)) {
-      existing.unmap();
-      throw ShmError(impl_->path,
-                     "already served by live pid " + std::to_string(pid) +
-                         " (refusing to double-serve)");
+      existing.refuse(impl_->path, "already served by live pid " +
+                                       std::to_string(pid) +
+                                       " (refusing to double-serve)");
     }
     existing.unmap();
     ::shm_unlink(impl_->oname.c_str());
@@ -319,22 +311,20 @@ ShmServer::ShmServer(const std::string& name, PlanningService& service,
     throw ShmError(impl_->path, std::string("shm_open failed: ") +
                                     std::strerror(errno));
   }
-  if (::ftruncate(fd, static_cast<off_t>(geo.total_bytes)) != 0) {
+  // Undoes the creation after `call` failed.
+  const auto failed = [&](const char* call) {
     const int err = errno;
     ::close(fd);
     ::shm_unlink(impl_->oname.c_str());
-    throw ShmError(impl_->path, std::string("ftruncate failed: ") +
-                                    std::strerror(err));
+    return ShmError(impl_->path,
+                    std::string(call) + " failed: " + std::strerror(err));
+  };
+  if (::ftruncate(fd, static_cast<off_t>(geo.total_bytes)) != 0) {
+    throw failed("ftruncate");
   }
   void* base = ::mmap(nullptr, geo.total_bytes, PROT_READ | PROT_WRITE,
                       MAP_SHARED, fd, 0);
-  if (base == MAP_FAILED) {
-    const int err = errno;
-    ::close(fd);
-    ::shm_unlink(impl_->oname.c_str());
-    throw ShmError(impl_->path, std::string("mmap failed: ") +
-                                    std::strerror(err));
-  }
+  if (base == MAP_FAILED) throw failed("mmap");
   impl_->map.fd = fd;
   impl_->map.base = base;
   impl_->map.size = geo.total_bytes;
@@ -372,7 +362,6 @@ ShmServer::ShmServer(const std::string& name, PlanningService& service,
                       impl_->options.reply_slots, impl_->options.frame_bytes);
     impl_->clients.push_back(std::move(view));
   }
-  impl_->max_inflight = std::max<std::size_t>(64, 4 * service_.workers());
 
   // Publishing the pid is the "segment is ready" signal clients wait
   // for; everything above must be visible first.
@@ -418,12 +407,11 @@ void ShmServer::transport_loop() {
   auto last_housekeeping = Clock::now();
   while (!impl_->stop_flag.load(std::memory_order_acquire)) {
     bool progressed = false;
-    while (impl_->inflight.load(std::memory_order_relaxed) <
-           impl_->max_inflight) {
+    for (;;) {
       const ShmRing::Pop r = impl_->request_ring.try_pop(frame);
       if (r == ShmRing::Pop::kEmpty) break;
       progressed = true;
-      if (r == ShmRing::Pop::kFrame) dispatch(std::move(frame));
+      if (r == ShmRing::Pop::kFrame) dispatch(frame);
       frame.clear();
     }
     const auto now = Clock::now();
@@ -438,42 +426,23 @@ void ShmServer::transport_loop() {
       backoff.pause();
     }
   }
-  // Drain: every dispatched request must deliver (or drop) its reply
-  // before the destructor unmaps the segment.
-  while (impl_->inflight.load(std::memory_order_acquire) != 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
+  // Every submitted request must deliver (or drop) its reply before the
+  // destructor unmaps the segment.
+  service_.drain();
 }
 
-void ShmServer::dispatch(std::string frame) {
+void ShmServer::dispatch(const std::string& frame) {
   if (frame.size() < sizeof(RequestPrefix)) return;  // torn frame: drop
   RequestPrefix prefix{};
   std::memcpy(&prefix, frame.data(), sizeof(prefix));
   if (prefix.client >= impl_->clients.size()) return;
-  std::string line = frame.substr(sizeof(prefix));
   impl_->requests.fetch_add(1, std::memory_order_relaxed);
-  const std::uint32_t client = prefix.client;
-  const std::uint32_t generation = prefix.generation;
-  // A warm hit costs less than the hop to a worker: answer it here.
-  if (std::optional<std::string> reply = service_.handle_warm(line)) {
-    impl_->inline_hits.fetch_add(1, std::memory_order_relaxed);
-    if (deliver(client, generation, *reply, /*wait=*/false)) return;
-    // The client's reply ring is full: its blocking retry runs on a
-    // worker, so this thread keeps serving the other clients.
-    impl_->inflight.fetch_add(1, std::memory_order_acq_rel);
-    (void)service_.pool_.submit(
-        [this, client, generation, reply = std::move(*reply)] {
-          deliver(client, generation, reply, /*wait=*/true);
-          impl_->inflight.fetch_sub(1, std::memory_order_acq_rel);
-        });
-    return;
-  }
-  impl_->inflight.fetch_add(1, std::memory_order_acq_rel);
-  service_.handle_async(
-      std::move(line), [this, client, generation](std::string reply) {
-        deliver(client, generation, reply, /*wait=*/true);
-        impl_->inflight.fetch_sub(1, std::memory_order_acq_rel);
-      });
+  const auto sink = [this, prefix](const std::string& reply, bool may_block) {
+    // Only a warm hit is offered without blocking, on this thread.
+    if (!may_block) impl_->inline_hits.fetch_add(1, std::memory_order_relaxed);
+    return deliver(prefix.client, prefix.generation, reply, may_block);
+  };
+  service_.submit(frame.substr(sizeof(prefix)), sink);
 }
 
 bool ShmServer::deliver(std::uint32_t client, std::uint32_t generation,
@@ -588,20 +557,18 @@ ShmClient::ShmClient(const std::string& name)
   const std::uint32_t server =
       h->server_pid.load(std::memory_order_acquire);
   if (h->shutdown.load(std::memory_order_acquire) != 0) {
-    impl_->map.unmap();
-    throw ShmError(impl_->path, "server has shut down");
+    impl_->map.refuse(impl_->path, "server has shut down");
   }
   if (server == 0) {
-    impl_->map.unmap();
-    throw ShmError(impl_->path,
-                   "segment exists but no server pid is published "
-                   "(server still initialising, or died mid-create)");
+    impl_->map.refuse(impl_->path,
+                      "segment exists but no server pid is published "
+                      "(server still initialising, or died mid-create)");
   }
   if (!pid_alive(server)) {
-    impl_->map.unmap();
-    throw ShmError(impl_->path,
-                   "stale segment: serving pid " + std::to_string(server) +
-                       " is gone (a restarted server will recover it)");
+    impl_->map.refuse(impl_->path,
+                      "stale segment: serving pid " +
+                          std::to_string(server) +
+                          " is gone (a restarted server will recover it)");
   }
   // Claim a client-table slot.
   const auto my_pid = static_cast<std::uint32_t>(::getpid());
@@ -618,10 +585,8 @@ ShmClient::ShmClient(const std::string& name)
     }
   }
   if (claimed == nullptr) {
-    const std::uint32_t n = h->max_clients;
-    impl_->map.unmap();
-    throw ShmError(impl_->path, "all " + std::to_string(n) +
-                                    " client slots are in use");
+    impl_->map.refuse(impl_->path, "all " + std::to_string(h->max_clients) +
+                                       " client slots are in use");
   }
   impl_->slot = claimed;
   impl_->generation =

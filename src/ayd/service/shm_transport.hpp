@@ -44,19 +44,23 @@
 //              format version or one still served by a live pid;
 //              recovers a *stale* segment (compatible header, dead
 //              server) by unlinking and recreating it;
-//  * serve   — one transport thread pops requests. A warm hit
-//              (PlanningService::handle_warm, about a microsecond) is
-//              answered on that thread, which pushes the reply itself;
-//              every other request fans out over the service's worker
-//              pool (handle_async), whose workers push their replies.
-//              The transport thread never blocks on a client: an inline
-//              reply gets one push attempt, and when the client's reply
-//              ring is full (the client stopped draining) the blocking
-//              retry moves to a worker, so one stuck client cannot
-//              stall the others' warm hits;
-//  * stop    — drains in-flight requests, raises the header's shutdown
-//              flag (clients blocked in call() observe it through
-//              their mapping and fail fast), unmaps, and unlinks.
+//  * serve   — one transport thread pops request frames and hands each
+//              line to PlanningService::submit, the request path the
+//              pipe uses too, with deliver() as the reply sink. A warm
+//              hit (about a microsecond) is answered on that thread,
+//              which pushes the reply itself; every other request makes
+//              one hop to the service's worker pool, whose worker pushes
+//              its reply. Both transports share the service's one
+//              in-flight window: while it is full, submit waits for a
+//              hop to finish. The thread never waits on a client: an
+//              inline reply gets one push attempt, and when the client's
+//              reply ring is full (the client stopped draining) the
+//              blocking retry moves to a worker, so one stuck client
+//              cannot stall the others' warm hits;
+//  * stop    — waits for the requests it submitted to be answered
+//              (PlanningService::drain), raises the header's shutdown
+//              flag (clients blocked in call() observe it through their
+//              mapping and fail fast), unmaps, and unlinks.
 //
 // Pinned by tests/service_shm_transport_test.cpp (unit + lifecycle),
 // tests/service_shm_stress_test.cpp (multi-process byte-identity) and
@@ -195,13 +199,15 @@ class ShmServer {
   struct Impl;
 
   void transport_loop();
-  void dispatch(std::string frame);
+  /// Decodes one request frame and submits its line, with deliver() as
+  /// the reply sink.
+  void dispatch(const std::string& frame);
   /// Pushes `reply` into the client's reply ring, or drops it when the
-  /// client is gone. With `wait` it retries a full ring until the client
-  /// drains it, dies, or kReplyPushDeadline passes. Without, it makes one
-  /// attempt and returns false, having done nothing, when the ring is
-  /// full or a worker is delivering to the same client. True once the
-  /// reply is delivered or dropped.
+  /// client is gone. With `wait` (a worker's call) it retries a full ring
+  /// until the client drains it, dies, or kReplyPushDeadline passes.
+  /// Without, it makes one attempt and returns false, having done
+  /// nothing, when the ring is full or a worker is delivering to the same
+  /// client. True once the reply is delivered or dropped.
   bool deliver(std::uint32_t client, std::uint32_t generation,
                const std::string& reply, bool wait);
   void reap_dead_clients();

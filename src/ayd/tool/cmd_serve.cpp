@@ -30,7 +30,7 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   parser.add_option("threads", "0",
                     "request worker threads (0 = hardware concurrency)");
   parser.add_option("cache-entries", "4096",
-                    "memo-cache capacity in cached replies");
+                    "memo-cache capacity in cached replies (at least 1)");
   parser.add_option("cache-shards", "16",
                     "lock shards of the memo cache (rounded up to a power "
                     "of two)");
@@ -44,13 +44,20 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
                     "one cache and worker pool — see docs/service.md");
   parser.add_option("shm-slots", "64",
                     "request-ring slots of the --shm segment (rounded up "
-                    "to a power of two)");
+                    "to a power of two); requires --shm");
   if (parse_or_help(parser, args, out)) return 0;
 
   service::ServiceOptions options;
   options.threads = static_cast<unsigned>(parser.option_uint("threads"));
   options.cache_entries =
       static_cast<std::size_t>(parser.option_uint("cache-entries"));
+  if (options.cache_entries == 0) {
+    throw util::CliError("--cache-entries must be >= 1");
+  }
+  const std::string shm_name = parser.option("shm");
+  if (shm_name.empty() && parser.given("shm-slots")) {
+    throw util::CliError("--shm-slots requires --shm");
+  }
   options.cache_shards =
       static_cast<std::size_t>(parser.option_uint("cache-shards"));
   options.cache_dir = parser.option("cache-dir");
@@ -69,7 +76,6 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out) {
   // remains the shutdown signal, and the ShmServer destructor drains and
   // unlinks the segment on the way out.
   std::unique_ptr<service::ShmServer> shm;
-  const std::string shm_name = parser.option("shm");
   if (!shm_name.empty()) {
     service::ShmOptions shm_options;
     shm_options.request_slots =

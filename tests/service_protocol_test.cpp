@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <limits>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -472,6 +473,86 @@ TEST(ServiceProtocol, ServeReturnsFalseAndStopsReadingOnDeadOutput) {
   in.clear();
   while (std::getline(in, leftover)) ++unread;
   EXPECT_GT(unread, 300);
+}
+
+// -- submit: the entry point both transports share -------------------------
+
+/// One run of a submit() sink.
+struct SinkCall {
+  std::string reply;
+  bool may_block = false;
+  bool on_caller = false;  ///< ran on the thread that called submit()
+};
+
+/// Submits `line`, waits until it is answered, and returns every sink run
+/// in order. The sink refuses its non-blocking run unless `accept_inline`.
+std::vector<SinkCall> submit_and_drain(PlanningService& service,
+                                       const std::string& line,
+                                       bool accept_inline = true) {
+  std::mutex mutex;
+  std::vector<SinkCall> calls;
+  const std::thread::id caller = std::this_thread::get_id();
+  service.submit(line, [&](const std::string& reply, bool may_block) {
+    const std::lock_guard lock(mutex);
+    calls.push_back(
+        {reply, may_block, std::this_thread::get_id() == caller});
+    return may_block || accept_inline;
+  });
+  service.drain();
+  return calls;
+}
+
+const char* const kWarmablePlan =
+    R"({"op":"plan","id":1,"platform":"hera","work":1e18})";
+
+TEST(ServiceSubmit, EverythingButAWarmHitRunsItsSinkOnceOnAWorker) {
+  const std::vector<std::string> lines = {
+      kWarmablePlan,  // a cold miss
+      R"({"op":"stats","id":2})",
+      R"({"op":"subscribe","id":3,"lambda":"2.78e-4","procs":"1",)"
+      R"("runs":"8","patterns":"32","max-reps":"64","ci-rel-tol":"0.2",)"
+      R"("events":[3600,1800,7200]})",
+      R"({"op":"frobnicate","id":4})",
+      "not json",
+  };
+  for (const std::string& line : lines) {
+    PlanningService service({/*threads=*/2});
+    PlanningService fresh({/*threads=*/2});
+    const std::vector<SinkCall> calls = submit_and_drain(service, line);
+    ASSERT_EQ(calls.size(), 1u) << line;
+    EXPECT_TRUE(calls[0].may_block) << line;
+    EXPECT_FALSE(calls[0].on_caller) << line;
+    EXPECT_EQ(calls[0].reply, fresh.handle_line(line)) << line;
+  }
+}
+
+TEST(ServiceSubmit, AWarmHitRunsItsSinkOnceOnTheCallingThread) {
+  PlanningService service({/*threads=*/2});
+  PlanningService fresh({/*threads=*/2});
+  (void)service.handle_line(kWarmablePlan);
+  const std::vector<SinkCall> calls = submit_and_drain(service, kWarmablePlan);
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_FALSE(calls[0].may_block);
+  EXPECT_TRUE(calls[0].on_caller);
+  EXPECT_EQ(calls[0].reply, fresh.handle_line(kWarmablePlan));
+  EXPECT_EQ(service.cache_stats().hits, 1u);
+}
+
+TEST(ServiceSubmit, AWarmHitTheSinkRefusesRunsOnceMoreOnAWorker) {
+  PlanningService service({/*threads=*/2});
+  PlanningService fresh({/*threads=*/2});
+  (void)service.handle_line(kWarmablePlan);
+  const std::vector<SinkCall> calls =
+      submit_and_drain(service, kWarmablePlan, /*accept_inline=*/false);
+  ASSERT_EQ(calls.size(), 2u);
+  EXPECT_FALSE(calls[0].may_block);
+  EXPECT_TRUE(calls[0].on_caller);
+  EXPECT_TRUE(calls[1].may_block);
+  EXPECT_FALSE(calls[1].on_caller);
+  EXPECT_EQ(calls[0].reply, fresh.handle_line(kWarmablePlan));
+  EXPECT_EQ(calls[1].reply, calls[0].reply);
+  // The retry delivers the same answer; the cache counted one hit.
+  EXPECT_EQ(service.cache_stats().hits, 1u);
 }
 
 // -- malformed / truncated frames, via both transports -------------------

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <ctime>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -681,6 +682,122 @@ TEST(ShmTransport, AClientThatStopsDrainingDoesNotStallOthersWarmHits) {
       raw.drain(0, kStuck, std::chrono::seconds{5});
   EXPECT_EQ(late.size(), kStuck);
   for (const std::string& r : late) EXPECT_EQ(r, reply);
+  EXPECT_EQ(server.stats().dropped_replies, 0u);
+}
+
+TEST(ShmTransport, PipeAndShmSessionsShareOneRequestPathAndWindow) {
+  // One service answers a pipe session and two shm clients at once. The
+  // pipe reader floods the one in-flight window with cold lines while the
+  // clients' warm, cold, stats and error calls go through the same window.
+  const std::string name = unique_name("mixed");
+  PlanningService service({/*threads=*/2});
+  ShmServer server(name, service);
+
+  // Line `i` of a session, carrying `id`: a warm plan (the same question
+  // every time), a cold simulation, stats, a plan whose computation fails
+  // (a question of its own, so no two failures coalesce), or garbage (id
+  // null).
+  const auto line_for = [](int i, int id) -> std::string {
+    const std::string head = "{\"id\":" + std::to_string(id) + ",";
+    switch (i % 5) {
+      case 0:
+        return head + R"("op":"plan","platform":"hera","work":1e18})";
+      case 1:
+        return head + R"("op":"simulate","procs":512,"runs":6,)" +
+               R"("patterns":50,"period":)" + std::to_string(3000 + id) +
+               "}";
+      case 2:
+        return head + R"("op":"stats"})";
+      case 3:
+        return head + R"("op":"plan","work":-)" + std::to_string(id) + "}";
+      default:
+        return "garbage " + std::to_string(id);
+    }
+  };
+  // Requests the cache counts, including the failed plan's miss.
+  const auto planning = [](int i) { return i % 5 != 2 && i % 5 != 4; };
+
+  constexpr int kPipeLines = 400;
+  constexpr int kClients = 2;
+  constexpr int kCalls = 60;
+  // The single-threaded reference replies (stats replies vary: empty).
+  PlanningService reference({/*threads=*/1});
+  const auto expected = [&](int i, int id) {
+    return i % 5 == 2 ? std::string()
+                      : reference.handle_line(line_for(i, id));
+  };
+  std::map<int, std::string> pipe_expected;
+  std::string pipe_text;
+  for (int i = 0; i < kPipeLines; ++i) {
+    pipe_text += line_for(i, 1 + i) + "\n";
+    pipe_expected[1 + i] = expected(i, 1 + i);
+  }
+  std::vector<std::vector<std::string>> client_expected(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    for (int i = 0; i < kCalls; ++i) {
+      client_expected[c].push_back(expected(i, (c + 1) * 100000 + i));
+    }
+  }
+
+  const auto holds = [](const std::string& reply, int id,
+                        const std::string& want) {
+    if (!want.empty()) return reply == want;
+    return reply.rfind("{\"id\":" + std::to_string(id) +
+                           ",\"ok\":true,\"op\":\"stats\"",
+                       0) == 0;
+  };
+  std::atomic<int> client_mismatches{0};
+  std::ostringstream pipe_out;
+  bool pipe_ok = false;
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    std::istringstream in(pipe_text);
+    pipe_ok = service.serve(in, pipe_out);
+  });
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      ShmClient client(name);
+      for (int i = 0; i < kCalls; ++i) {
+        const int id = (c + 1) * 100000 + i;
+        if (!holds(client.call(line_for(i, id)), id,
+                   client_expected[c][i])) {
+          client_mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_TRUE(pipe_ok);
+  EXPECT_EQ(client_mismatches.load(), 0);
+
+  // Every pipe line got exactly one reply, to its own id.
+  std::set<int> answered;
+  int garbage = 0;
+  std::istringstream replies(pipe_out.str());
+  for (std::string reply; std::getline(replies, reply);) {
+    const io::JsonValue id = io::parse_json(reply).at("id");
+    if (id.is_null()) {
+      EXPECT_EQ(reply, reference.handle_line("garbage")) << reply;
+      ++garbage;
+      continue;
+    }
+    const int n = static_cast<int>(id.as_int());
+    EXPECT_TRUE(answered.insert(n).second) << "two replies to " << n;
+    ASSERT_TRUE(pipe_expected.contains(n)) << reply;
+    EXPECT_TRUE(holds(reply, n, pipe_expected[n])) << reply;
+  }
+  EXPECT_EQ(garbage, kPipeLines / 5);
+  EXPECT_EQ(answered.size() + garbage, static_cast<std::size_t>(kPipeLines));
+
+  // Every planning request counted once, whichever transport carried it.
+  std::uint64_t planning_requests = 0;
+  for (int i = 0; i < kPipeLines; ++i) planning_requests += planning(i);
+  for (int i = 0; i < kCalls; ++i) planning_requests += kClients * planning(i);
+  const CacheStats stats = service.cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.coalesced + stats.disk_hits,
+            planning_requests);
+  EXPECT_EQ(server.stats().requests,
+            static_cast<std::uint64_t>(kClients * kCalls));
   EXPECT_EQ(server.stats().dropped_replies, 0u);
 }
 

@@ -7,12 +7,15 @@
 #include <cstdio>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <iostream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "ayd/io/json_parse.hpp"
 #include "ayd/rng/simd.hpp"
@@ -29,10 +32,16 @@ struct ToolRun {
   std::string err;
 };
 
-ToolRun run(const std::vector<std::string>& args) {
+/// Runs `ayd args...` with `input` as its stdin.
+ToolRun run(const std::vector<std::string>& args,
+            const std::string& input = "") {
+  std::istringstream in(input);
+  std::streambuf* const stdin_buf = std::cin.rdbuf(in.rdbuf());
   std::ostringstream out;
   std::ostringstream err;
   const int code = run_tool(args, out, err);
+  std::cin.rdbuf(stdin_buf);
+  std::cin.clear();
   return {code, out.str(), err.str()};
 }
 
@@ -974,9 +983,9 @@ struct AuditRow {
 };
 
 /// Every option `base[0] --help` lists is on the contract list or has a
-/// row, and every row holds.
+/// row, and every row holds. Each run reads `input` on stdin.
 void audit(const std::vector<std::string>& base,
-           const std::vector<AuditRow>& rows) {
+           const std::vector<AuditRow>& rows, const std::string& input = "") {
   const std::string& command = base[0];
   std::set<std::string> listed;
   std::istringstream help(run({command, "--help"}).out);
@@ -998,7 +1007,7 @@ void audit(const std::vector<std::string>& base,
     label += " " + row.arg;
     auto ref = reference.find(args);
     if (ref == reference.end()) {
-      const ToolRun r = run(args);
+      const ToolRun r = run(args, input);
       EXPECT_EQ(r.code, 0) << label << ": " << r.err;
       ref = reference.emplace(args, answer(r.out)).first;
     }
@@ -1006,14 +1015,14 @@ void audit(const std::vector<std::string>& base,
     if (kWritesItsFile.count(option_name(row.arg)) != 0) {
       const std::string path = row.arg.substr(row.arg.find('=') + 1);
       std::remove(path.c_str());
-      EXPECT_EQ(run(args).code, 0) << label;
+      EXPECT_EQ(run(args, input).code, 0) << label;
       std::ifstream written(path);
       EXPECT_TRUE(written.good() && written.peek() != EOF)
           << label << " writes nothing";
       std::remove(path.c_str());
       continue;
     }
-    const ToolRun r = run(args);
+    const ToolRun r = run(args, input);
     if (row.companion.empty()) {
       EXPECT_EQ(r.code, 0) << label << ": " << r.err;
       EXPECT_TRUE(answer(r.out) != ref->second)
@@ -1161,6 +1170,14 @@ TEST(ToolOptionAudit, EveryOptionChangesTheAnswerOrIsRefused) {
                  {"--min-mean-llr=0.1"}, {"--ci-rel-tol=0.1"},
                  {"--max-reps=9"},
                  {"--trace=" + data + "/replay_rate_step.csv"}}}));
+
+  // The answer of `serve` is the stats reply of a one-line session.
+  audit({"serve", "--threads=1"},
+        {{"--cache-entries=8"}, {"--cache-entries=0", "--cache-entries"},
+         {"--cache-shards=4"},
+         {"--shm=audit" + std::to_string(::getpid())},
+         {"--shm-slots=8", "--shm"}},
+        "{\"op\":\"stats\",\"id\":1}\n");
 }
 
 }  // namespace
